@@ -6,8 +6,8 @@ solver:
 1. **Grid sweep** — the rewriting-method CNFs of the ``N x k`` grid
    (N in 8/16/24, k in 1/2).  The rewritten correspondence formula is
    ROB-size independent, so the k=1 column encodes to byte-identical
-   CNFs: a :class:`repro.sat.incremental.SessionPool` solves the digest
-   once and resumes it for the other sizes, while the cold path pays the
+   CNFs: under a :class:`repro.sat.SessionPool`, ``solve_cnf`` solves the
+   digest once and resumes it for the other sizes, while the cold path pays the
    full root-propagation cascade every time.
 
 2. **Budget-escalation retries** — one small Positive-Equality config
@@ -45,8 +45,12 @@ from repro.processor.correctness import (                       # noqa: E402
 )
 from repro.processor.params import ProcessorConfig              # noqa: E402
 from repro.rewriting.engine import rewrite_diagram              # noqa: E402
-from repro.sat.incremental import SessionPool, cnf_digest       # noqa: E402
-from repro.sat.solver import solve_cnf                          # noqa: E402
+from repro.sat.solver import (                                 # noqa: E402
+    SessionPool,
+    cnf_digest,
+    solve_cnf,
+    use_session_pool,
+)
 
 from common import save_table                                   # noqa: E402
 
@@ -100,10 +104,11 @@ def _phase_grid():
     pool = SessionPool()
     inc_props = 0.0
     start = time.process_time()
-    for label, cnf in cnfs:
-        result = pool.solve(cnf)
-        assert result.status == statuses.pop(0), label
-        inc_props += result.propagations
+    with use_session_pool(pool):
+        for label, cnf in cnfs:
+            result = solve_cnf(cnf)
+            assert result.status == statuses.pop(0), label
+            inc_props += result.propagations
     inc_cpu = time.process_time() - start
 
     return {
@@ -132,16 +137,16 @@ def _phase_escalation():
     cold_cpu = time.process_time() - start
     cold_status = result.status
 
-    pool = SessionPool()
     inc_props = 0.0
     inc_attempts = 0
     start = time.process_time()
-    for budget in ESCALATION_CONFLICTS:
-        inc_attempts += 1
-        result = pool.solve(cnf, max_conflicts=budget)
-        inc_props += result.propagations
-        if result.status != "unknown":
-            break
+    with use_session_pool(SessionPool()):
+        for budget in ESCALATION_CONFLICTS:
+            inc_attempts += 1
+            result = solve_cnf(cnf, max_conflicts=budget)
+            inc_props += result.propagations
+            if result.status != "unknown":
+                break
     inc_cpu = time.process_time() - start
     assert result.status == cold_status
 

@@ -184,17 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
             "with status 3 when the witness fails validation"
         ),
     )
-    parser.add_argument(
-        "--sat-backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "SAT backend: reference (in-tree CDCL, default), pysat, "
-            "dimacs (solver binary on $PATH), or auto; verdicts are "
-            "backend-independent, and certifying runs fall back to the "
-            "reference when the backend cannot log DRUP proofs"
-        ),
-    )
     return parser
 
 
@@ -272,7 +261,6 @@ def main(argv=None) -> int:
             analyze=args.analyze or args.strict,
             strict=args.strict,
             certify=args.certify,
-            sat_backend=args.sat_backend,
         )
     except ValueError as exc:
         # Configuration-level rejections (e.g. a bug kind the workload

@@ -35,7 +35,7 @@ import os
 import sys
 from typing import List, Optional
 
-from ..errors import CampaignError, JournalError, SolverError
+from ..errors import CampaignError, JournalError
 from ..processor.bugs import BugKind
 from ..processor.families import family_names
 from .faults import Fault, FaultPlan
@@ -180,20 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         "single journal writer",
     )
     parser.add_argument(
-        "--sat-backend",
-        default=None,
-        metavar="NAME",
-        help="SAT backend for every verification: reference (in-tree "
-        "CDCL, default), pysat, dimacs, or auto (first available); "
-        "verdicts are backend-independent by contract",
-    )
-    parser.add_argument(
-        "--no-incremental-sat",
-        action="store_true",
-        help="solve every CNF cold instead of resuming same-digest SAT "
-        "sessions (learned clauses, activities) across jobs and retries",
-    )
-    parser.add_argument(
         "--breaker",
         type=int,
         default=None,
@@ -319,11 +305,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             breaker_threshold=args.breaker,
             hang_timeout=args.hang_timeout,
             heartbeat_interval=args.heartbeat_interval,
-            sat_backend=args.sat_backend,
-            incremental_sat=not args.no_incremental_sat,
         )
         report = runner.run(jobs)
-    except (CampaignError, JournalError, SolverError, OSError) as exc:
+    except (CampaignError, JournalError, OSError) as exc:
         print(f"campaign error: {exc}", file=sys.stderr)
         return 2
     print()

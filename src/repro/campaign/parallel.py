@@ -89,27 +89,16 @@ def _campaign_context() -> multiprocessing.context.BaseContext:
 def _worker_main(
     worker_id: int, inbox: Any, outbox: Any, options: Dict[str, Any]
 ) -> None:
-    """Worker entry: install per-process ambients, then pull job tasks."""
-    from contextlib import ExitStack
-
-    from ..sat.backend import resolve_backend, use_backend
-    from ..sat.incremental import SessionPool, use_session_pool
+    """Worker entry: install the session pool, then pull job tasks."""
+    from ..sat.solver import SessionPool, use_session_pool
 
     verify_fn = options.get("verify_fn")
     if verify_fn is None:
         from ..core.verifier import verify as verify_fn
 
-    with ExitStack() as ambient:
-        # Backend selection and the incremental session pool are
-        # per-process state, installed once OUTSIDE the task loop: the
-        # pool only pays off if it survives from one job to the next.
-        backend_name = options.get("sat_backend")
-        if backend_name is not None:
-            ambient.enter_context(
-                use_backend(resolve_backend(backend_name))
-            )
-        if options.get("incremental_sat", True):
-            ambient.enter_context(use_session_pool(SessionPool()))
+    # The session pool is per-process state, installed once OUTSIDE the
+    # task loop: it only pays off if it survives from one job to the next.
+    with use_session_pool(SessionPool()):
         _worker_loop(worker_id, inbox, outbox, options, verify_fn)
 
 
@@ -236,8 +225,6 @@ class ParallelCampaignExecutor:
         short_circuit: Optional[Callable[[Job], JobResult]] = None,
         hang_timeout: float = 30.0,
         heartbeat_interval: float = 1.0,
-        sat_backend: Optional[str] = None,
-        incremental_sat: bool = True,
     ) -> None:
         if workers < 1:
             raise CampaignError("workers must be at least 1")
@@ -254,8 +241,6 @@ class ParallelCampaignExecutor:
             "certify": certify,
             "verify_fn": verify_fn,
             "heartbeat_interval": heartbeat_interval,
-            "sat_backend": sat_backend,
-            "incremental_sat": incremental_sat,
         }
         self._fault_plan = fault_plan
         self._journal = journal

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -43,8 +42,7 @@ from ..guard.breaker import SHORT_CIRCUIT_PREFIX, CircuitBreaker
 from ..guard.deadline import Deadline, use_deadline
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer, use_tracer
-from ..sat.backend import resolve_backend, use_backend
-from ..sat.incremental import SessionPool, use_session_pool
+from ..sat.solver import SessionPool, use_session_pool
 from .executor import JobExecutor
 from .faults import FaultPlan
 from .jobs import Job, JobResult
@@ -251,16 +249,6 @@ class CampaignRunner:
         heartbeat_interval: parallel runs only — seconds between worker
             heartbeats (emitted from the pipeline's deadline check
             sites).  Keep well under ``hang_timeout``.
-        sat_backend: SAT backend name for every verification in the
-            campaign (:mod:`repro.sat.backend`); ``None`` keeps the
-            ambient/environment selection.  Validated eagerly.
-        incremental_sat: keep a per-process
-            :class:`~repro.sat.incremental.SessionPool` alive across the
-            campaign's jobs (default on): same-digest CNFs — adjacent
-            grid points whose rewritten formulas coincide, and budget-
-            escalation retries — resume a live solver with its learned
-            clauses instead of solving cold.  Only effective with the
-            reference backend.
     """
 
     def __init__(
@@ -279,8 +267,6 @@ class CampaignRunner:
         breaker_threshold: Optional[int] = None,
         hang_timeout: float = 30.0,
         heartbeat_interval: float = 1.0,
-        sat_backend: Optional[str] = None,
-        incremental_sat: bool = True,
     ) -> None:
         self._verify_is_default = verify_fn is None
         if verify_fn is None:
@@ -300,12 +286,6 @@ class CampaignRunner:
         self.workers = workers
         self.hang_timeout = hang_timeout
         self.heartbeat_interval = heartbeat_interval
-        self.sat_backend = sat_backend
-        if sat_backend is not None:
-            # Fail fast on a misspelled/unavailable backend, before any
-            # journal is opened or worker spawned.
-            resolve_backend(sat_backend)
-        self.incremental_sat = incremental_sat
         self._breaker = (
             CircuitBreaker(breaker_threshold)
             if breaker_threshold is not None else None
@@ -531,16 +511,10 @@ class CampaignRunner:
             log=self._log,
             fault_journal=journal,
         )
-        with ExitStack() as ambient:
-            # One backend selection and one live session pool for the
-            # whole batch: same-digest CNFs across jobs (and across a
-            # job's escalation retries) resume incrementally.
-            if self.sat_backend is not None:
-                ambient.enter_context(
-                    use_backend(resolve_backend(self.sat_backend))
-                )
-            if self.incremental_sat:
-                ambient.enter_context(use_session_pool(SessionPool()))
+        # One live session pool for the whole batch: same-digest CNFs
+        # across jobs (and across a job's escalation retries) resume
+        # incrementally.
+        with use_session_pool(SessionPool()):
             self._run_jobs_inline(
                 executor, to_run, journal, failed_attempts, results
             )
@@ -612,8 +586,6 @@ class CampaignRunner:
             short_circuit=self._short_circuit_result,
             hang_timeout=self.hang_timeout,
             heartbeat_interval=self.heartbeat_interval,
-            sat_backend=self.sat_backend,
-            incremental_sat=self.incremental_sat,
         )
         executor.run(to_run)
         crashes = executor.worker_crashes

@@ -38,7 +38,6 @@ from ..processor.bugs import Bug
 from ..processor.correctness import build_correctness_formula, run_diagram
 from ..processor.params import ProcessorConfig
 from ..rewriting.engine import rewrite_diagram
-from ..sat.backend import use_backend
 from .results import VerificationResult
 
 __all__ = ["verify", "METHODS"]
@@ -152,7 +151,6 @@ def verify(
     strict: bool = False,
     trace: bool = False,
     certify: bool = False,
-    sat_backend: Optional[str] = None,
 ) -> VerificationResult:
     """Formally verify one out-of-order processor configuration.
 
@@ -200,11 +198,6 @@ def verify(
             EUFM interpretations, replayed through the evaluator and
             minimized.  Off by default (the solver's hot path then logs
             nothing).
-        sat_backend: SAT backend name for this run (see
-            :mod:`repro.sat.backend`); ``None`` keeps the ambient /
-            environment-resolved selection.  Backends are verdict-
-            equivalent by contract, so the choice is deliberately not
-            part of the result's cache identity.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; use one of {METHODS}")
@@ -227,12 +220,9 @@ def verify(
             memory=memory,
         )
         guard_scope = use_deadline(guard_deadline)
-    backend_scope = (
-        use_backend(sat_backend) if sat_backend is not None else nullcontext()
-    )
     tracer = Tracer()
     try:
-        with guard_scope, backend_scope, use_tracer(tracer):
+        with guard_scope, use_tracer(tracer):
             with tracer.span("verify"):
                 result = _run_traced(
                     config, method, bug, criterion, max_conflicts,

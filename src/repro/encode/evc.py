@@ -28,9 +28,7 @@ from ..eufm.ast import FALSE, TRUE, BoolVar, Formula, TermVar
 from ..eufm.polarity import PolarityInfo, classify
 from ..eufm.traversal import bool_variables, term_variables
 from ..obs.tracer import current_tracer
-from ..sat.backend import ReferenceBackend, current_backend
 from ..sat.cnf import Cnf
-from ..sat.incremental import current_session_pool
 from ..sat.solver import SatResult, solve_cnf
 from ..sat.tseitin import TseitinResult, cnf_for_satisfiability
 from .eij import EijResult, encode_equalities
@@ -225,51 +223,6 @@ def encode_validity(
     return encoded
 
 
-def _dispatch_solve(
-    cnf: Cnf,
-    max_conflicts: Optional[int],
-    max_seconds: Optional[float],
-    log_proof: bool,
-) -> SatResult:
-    """Route a CNF to the ambient SAT backend / session pool.
-
-    Resolution order: a non-reference ambient backend wins (falling back
-    to the reference when the call needs a DRUP proof the backend cannot
-    produce); otherwise an ambient session pool (campaign runs install
-    one so same-digest CNFs resume incrementally); otherwise the classic
-    cold reference solve — byte-identical to the pre-backend behaviour.
-    """
-    backend = current_backend()
-    if backend is not ReferenceBackend:
-        if log_proof and not backend.supports_proof:
-            return solve_cnf(
-                cnf,
-                max_conflicts=max_conflicts,
-                max_seconds=max_seconds,
-                log_proof=True,
-            )
-        return backend.solve_cnf(
-            cnf,
-            max_conflicts=max_conflicts,
-            max_seconds=max_seconds,
-            log_proof=log_proof,
-        )
-    pool = current_session_pool()
-    if pool is not None:
-        return pool.solve(
-            cnf,
-            max_conflicts=max_conflicts,
-            max_seconds=max_seconds,
-            log_proof=log_proof,
-        )
-    return solve_cnf(
-        cnf,
-        max_conflicts=max_conflicts,
-        max_seconds=max_seconds,
-        log_proof=log_proof,
-    )
-
-
 def check_validity(
     phi: Formula,
     memory_mode: str = "precise",
@@ -279,6 +232,9 @@ def check_validity(
     log_proof: bool = False,
 ) -> ValidityResult:
     """Encode ``phi`` and decide its validity with the CDCL solver.
+
+    The CNF goes through :func:`repro.sat.solver.solve_cnf`, which
+    resumes a live solver when a session pool is ambient.
 
     ``log_proof=True`` makes the solver record a DRUP clause proof on
     ``sat_result.proof`` (certified against ``encoded.cnf`` — the exact
@@ -290,7 +246,7 @@ def check_validity(
     )
     if encoded.constant_validity is not None:
         return ValidityResult(valid=encoded.constant_validity, encoded=encoded)
-    sat_result = _dispatch_solve(
+    sat_result = solve_cnf(
         encoded.cnf,
         max_conflicts=max_conflicts,
         max_seconds=max_seconds,

@@ -2,38 +2,24 @@
 
 The CDCL solver (:class:`repro.sat.Solver`) plays the role of the Chaff
 SAT-checker in the paper's tool flow: the negated, propositionally encoded
-correctness formula is proved unsatisfiable here.
-
-On top of the one-shot solver sit the incremental layer
-(:mod:`repro.sat.incremental`: assumption-based ``solve`` with learned
-clauses persisting across calls, plus a digest-keyed session pool) and
-the pluggable backend protocol (:mod:`repro.sat.backend`: the in-tree
-CDCL as reference, optional python-sat / DIMACS-subprocess adapters).
+correctness formula is proved unsatisfiable here.  The solver is
+incremental (assumption-based ``solve`` calls with learned clauses
+persisting across them), and :func:`repro.sat.solve_cnf` is the one seam
+the pipeline solves through: it resumes a live solver from the ambient
+:class:`repro.sat.SessionPool` when one is installed.
 """
 
-from .backend import (
-    BACKENDS,
-    DimacsSubprocessBackend,
-    PySatBackend,
-    ReferenceBackend,
-    SatBackend,
-    available_backends,
-    current_backend,
-    resolve_backend,
-    use_backend,
-)
 from .cnf import Cnf, parse_dimacs, to_dimacs
-from .incremental import (
-    IncrementalSolver,
-    SatSession,
+from .reference import solve_by_enumeration
+from .solver import (
+    SatResult,
     SessionPool,
+    Solver,
     cnf_digest,
     current_session_pool,
+    solve_cnf,
     use_session_pool,
 )
-from .npkernel import HAVE_NUMPY
-from .reference import solve_by_enumeration
-from .solver import SatResult, Solver, solve_cnf
 from .tseitin import TseitinResult, cnf_for_satisfiability, tseitin
 
 __all__ = [
@@ -47,20 +33,8 @@ __all__ = [
     "TseitinResult",
     "cnf_for_satisfiability",
     "tseitin",
-    "IncrementalSolver",
-    "SatSession",
     "SessionPool",
     "cnf_digest",
     "current_session_pool",
     "use_session_pool",
-    "SatBackend",
-    "ReferenceBackend",
-    "PySatBackend",
-    "DimacsSubprocessBackend",
-    "BACKENDS",
-    "available_backends",
-    "resolve_backend",
-    "current_backend",
-    "use_backend",
-    "HAVE_NUMPY",
 ]

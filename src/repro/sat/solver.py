@@ -12,30 +12,76 @@ Implementation notes: assignments are stored as small integers
 literal ``lit`` is ``assigns[|lit|] * sign(lit)``; the propagation loop
 inlines these tests — they account for the bulk of the runtime.
 
+Incremental solving: :meth:`Solver.solve` may be called repeatedly, in
+the MiniSat style.  ``solve(assumptions=[...])`` installs the assumptions
+as pseudo-decisions at levels ``1..m`` (one level per assumption, with
+empty levels for assumptions already true, so *assumption index ==
+decision level*) and runs the search unchanged above them.  Learned
+clauses, variable activities and saved phases persist across calls, and
+:meth:`Solver.add_clause` extends the database between them.  When an
+assumption is falsified the call returns ``"unsat"`` with
+:attr:`SatResult.core` naming the responsible subset of the assumptions
+(MiniSat's ``analyzeFinal`` reason-cone walk); only a conflict below
+every assumption latches the instance unsatisfiable.
+
 Proof logging (``log_proof=True``): the solver records a DRUP clause
 proof — every learned clause (post-minimization, including learned
-units), every learned-clause deletion of :meth:`Solver._reduce_learned`,
-and the final empty clause on UNSAT — as ``("a"|"d", literals)`` steps on
-:attr:`SatResult.proof`.  Logging is **off by default** and the hot
-propagation loop is untouched either way; only the (comparatively rare)
-conflict-analysis and clause-deletion paths test the flag.  The proof is
-validated by the *independent* reverse-unit-propagation checker in
+units) and every learned-clause deletion of
+:meth:`Solver._reduce_learned` — as ``("a"|"d", literals)`` steps in one
+append-only journal.  Assumptions enter the trail as reasonless
+decisions, so first-UIP analysis never resolves on them: every learned
+clause is implied by the database alone.  Each call's
+:attr:`SatResult.proof` is a copy of the journal plus a per-call tail:
+
+* real UNSAT: ``journal + [("a", ())]`` — checkable against the CNF
+  (extended by any clauses added since);
+* UNSAT under assumptions: ``journal + [("a", core_clause), ("a", ())]``
+  — checkable against the CNF plus one unit clause per assumption
+  (:func:`repro.witness.drup.cnf_with_assumptions`).  The core clause is
+  reverse-unit-propagation derivable because it mirrors the propagation
+  cone that falsified the assumption.
+
+Reverse unit propagation is monotone under clause addition, so journal
+entries recorded in earlier calls stay valid in every later view.
+Logging is **off by default** and the hot propagation loop is untouched
+either way; only the (comparatively rare) conflict-analysis and
+clause-deletion paths test the flag.  The proof is validated by the
+*independent* reverse-unit-propagation checker in
 :mod:`repro.witness.drup`, which shares no code with this module.
+
+Sessions: :func:`solve_cnf` is the pipeline's one way into this module.
+Under an ambient :class:`SessionPool` (:func:`use_session_pool`) it
+resumes the live solver of a CNF seen before — the campaign grid hits
+the same digest for ROB-size-independent rewritten formulas and for
+budget-escalation retries — and otherwise solves on a fresh
+:class:`Solver`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
+from collections import OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SolverError
 from ..guard.deadline import current_deadline
 from ..obs.tracer import current_tracer
 from .cnf import Cnf
 
-__all__ = ["SatResult", "Solver", "solve_cnf"]
+__all__ = [
+    "SatResult",
+    "Solver",
+    "solve_cnf",
+    "SessionPool",
+    "cnf_digest",
+    "current_session_pool",
+    "use_session_pool",
+]
 
 #: Propagations between wall-clock/deadline checks in the main loop.  The
 #: conflict path also checks, but a propagation-heavy run with few
@@ -66,9 +112,9 @@ class SatResult:
     #: ``log_proof=True``; ``None`` otherwise.  Only meaningful for
     #: ``"unsat"`` outcomes (the final step is then the empty clause).
     proof: Optional[List[Tuple[str, Tuple[int, ...]]]] = None
-    #: for ``"unsat"`` under assumptions (incremental solving): the
-    #: subset of the assumption literals responsible for the failure.
-    #: ``None`` for plain unsatisfiability or non-assumption runs.
+    #: for ``"unsat"`` under assumptions: the subset of the assumption
+    #: literals responsible for the failure.  ``None`` for plain
+    #: unsatisfiability or runs without assumptions.
     core: Optional[Tuple[int, ...]] = None
 
     @property
@@ -92,7 +138,13 @@ class _Clause:
 
 
 class Solver:
-    """CDCL solver over a :class:`repro.sat.cnf.Cnf` instance."""
+    """CDCL solver over a :class:`repro.sat.cnf.Cnf` instance.
+
+    :meth:`solve` may be called repeatedly (see the module docstring).
+    ``ok`` turns False once the instance is known unsatisfiable — an
+    input or added clause is falsified at the root, or a search refutes
+    the CNF — and stays False: failed assumptions never set it.
+    """
 
     def __init__(self, cnf: Cnf, log_proof: bool = False) -> None:
         self.num_vars = cnf.num_vars
@@ -165,6 +217,20 @@ class Solver:
         self.watches.setdefault(-literals[0], []).append(clause)
         self.watches.setdefault(-literals[1], []).append(clause)
         return True
+
+    def add_clause(self, literals: Sequence[int]) -> bool:
+        """Add a problem clause between calls.
+
+        Returns False (and latches the instance unsat) when the clause
+        is falsified at the root.  Callers certifying proofs must hand
+        the checker the extended CNF.
+        """
+        if not self.ok:
+            return False
+        self._backtrack(0)
+        if not self._add_clause(list(literals)):
+            self.ok = False
+        return self.ok
 
     # ------------------------------------------------------------------
     # Assignment primitives
@@ -451,41 +517,27 @@ class Solver:
         self,
         max_conflicts: Optional[int] = None,
         max_seconds: Optional[float] = None,
+        assumptions: Sequence[int] = (),
     ) -> SatResult:
-        """Run the solver, optionally bounded by conflicts or wall time.
-
-        The run is recorded as a ``"sat"`` span (with the full counter set)
-        on the ambient tracer; a no-op unless one is installed.
-        """
-        with current_tracer().span("sat") as span:
-            result = self._run(max_conflicts, max_seconds)
-            span.add("sat.variables", self.num_vars)
-            span.add("sat.clauses", len(self.clauses))
-            span.add("sat.decisions", result.decisions)
-            span.add("sat.conflicts", result.conflicts)
-            span.add("sat.propagations", result.propagations)
-            span.add("sat.restarts", result.restarts)
-            span.add("sat.learned_clauses", result.learned_clauses)
-            span.add("sat.max_decision_level", result.max_decision_level)
-            if result.proof is not None:
-                span.add("sat.proof_steps", len(result.proof))
-            return result
-
-    def _run(
-        self,
-        max_conflicts: Optional[int],
-        max_seconds: Optional[float],
-    ) -> SatResult:
+        """Search, optionally bounded by conflicts or wall time and under
+        ``assumptions``; the result's counters cover this call only."""
         start = time.perf_counter()
-        result = self.stats
+        assumptions = tuple(assumptions)
+        for lit in assumptions:
+            if lit == 0 or abs(lit) > self.num_vars:
+                raise SolverError(
+                    f"assumption literal {lit} is outside the variable "
+                    f"range 1..{self.num_vars}"
+                )
+        # A previous call leaves its trail in place; resume from the root.
+        self._backtrack(0)
+        result = self.stats = SatResult(status="unknown")
         if not self.ok:
-            # An input clause was already falsified by the input units
-            # alone; the empty clause is reverse-unit-propagation
-            # derivable directly from the original CNF.
-            if self._proof is not None:
-                self._proof.append(("a", ()))
-                result.proof = self._proof
+            # Latched: an input clause was falsified by the input units
+            # alone, or an earlier call refuted the CNF; the empty clause
+            # is reverse-unit-propagation derivable either way.
             result.status = "unsat"
+            result.proof = self._proof_view((("a", ()),))
             result.cpu_seconds = time.perf_counter() - start
             return result
 
@@ -496,6 +548,8 @@ class Solver:
         deadline = current_deadline()
         deadline.check("sat")
         next_prop_check = _PROP_CHECK_INTERVAL
+        #: this call's proof tail (see the module docstring).
+        tail: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
 
         while True:
             conflict = self._propagate()
@@ -513,9 +567,11 @@ class Solver:
                 result.conflicts += 1
                 conflicts_since_restart += 1
                 if not self.trail_lim:
-                    if self._proof is not None:
-                        self._proof.append(("a", ()))
+                    # A conflict below every assumption: the CNF itself
+                    # is unsatisfiable.  Latch it.
+                    self.ok = False
                     result.status = "unsat"
+                    tail = (("a", ()),)
                     break
                 learnt, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
@@ -523,9 +579,9 @@ class Solver:
                     self._proof.append(("a", tuple(learnt)))
                 if len(learnt) == 1:
                     if not self._enqueue(learnt[0], None):
-                        if self._proof is not None:
-                            self._proof.append(("a", ()))
+                        self.ok = False
                         result.status = "unsat"
+                        tail = (("a", ()),)
                         break
                 else:
                     clause = _Clause(learnt, learned=True)
@@ -558,6 +614,39 @@ class Solver:
                 self._reduce_learned()
                 continue
 
+            # Install the next pending assumption (assumption index ==
+            # decision level; restarts and backjumps pop them, and this
+            # reinstalls from wherever the trail now stands).
+            installed = False
+            failed: Optional[int] = None
+            while len(self.trail_lim) < len(assumptions):
+                deadline.tick("sat")
+                lit = assumptions[len(self.trail_lim)]
+                var = lit if lit > 0 else -lit
+                value = self.assigns[var] if lit > 0 else -self.assigns[var]
+                if value > 0:
+                    # Already true: burn an empty level to keep the
+                    # index == level correspondence.
+                    self.trail_lim.append(len(self.trail))
+                    continue
+                if value < 0:
+                    failed = lit
+                    break
+                self.trail_lim.append(len(self.trail))
+                self._enqueue(lit, None)
+                if len(self.trail_lim) > result.max_decision_level:
+                    result.max_decision_level = len(self.trail_lim)
+                installed = True
+                break
+            if failed is not None:
+                core_clause = tuple(self._final_conflict(failed))
+                result.status = "unsat"
+                result.core = tuple(-lit for lit in core_clause)
+                tail = (("a", core_clause), ("a", ()))
+                break
+            if installed:
+                continue
+
             if not self._decide():
                 result.status = "sat"
                 result.model = {
@@ -567,9 +656,44 @@ class Solver:
                 }
                 break
 
+        result.proof = self._proof_view(tail)
         result.cpu_seconds = time.perf_counter() - start
-        result.proof = self._proof
         return result
+
+    def _proof_view(
+        self, tail: Sequence[Tuple[str, Tuple[int, ...]]]
+    ) -> Optional[List[Tuple[str, Tuple[int, ...]]]]:
+        """A per-call snapshot: journal copy + call-specific tail.
+
+        The journal itself stays shared and append-only; handing out
+        copies keeps earlier results immune to later calls.
+        """
+        if self._proof is None:
+            return None
+        return self._proof + list(tail)
+
+    def _final_conflict(self, failed: int) -> List[int]:
+        """MiniSat ``analyzeFinal``: the clause of negated assumptions
+        whose conjunction forced ``failed`` (a currently-false
+        assumption literal) — i.e. the failure core, as a clause."""
+        out = [-failed]
+        if not self.trail_lim:
+            return out
+        seen = {failed if failed > 0 else -failed}
+        for lit in reversed(self.trail[self.trail_lim[0]:]):
+            var = lit if lit > 0 else -lit
+            if var not in seen:
+                continue
+            seen.discard(var)
+            reason = self.reason[var]
+            if reason is None:
+                out.append(-lit)
+            else:
+                for other in reason.literals:
+                    other_var = other if other > 0 else -other
+                    if other_var != var and self.level[other_var] > 0:
+                        seen.add(other_var)
+        return out
 
 
 def _luby(index: int) -> int:
@@ -590,17 +714,122 @@ def _luby(index: int) -> int:
     return 1 << level
 
 
+def cnf_digest(cnf: Cnf) -> str:
+    """Content digest of a CNF (structure only — names are metadata)."""
+    hasher = hashlib.sha256()
+    hasher.update(f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n".encode())
+    for clause in cnf.clauses:
+        hasher.update(" ".join(map(str, clause)).encode())
+        hasher.update(b"\n")
+    return hasher.hexdigest()
+
+
+class SessionPool:
+    """LRU pool of live solvers keyed by CNF digest.
+
+    The campaign grid hits the same digest repeatedly (ROB-size-
+    independent rewritten formulas; budget-escalation retries), so a
+    lookup that lands on a live solver resumes with every learned
+    clause, activity and phase intact.  Eviction is size-based LRU; a
+    pool is confined to one process (solvers are not picklable) —
+    parallel campaign workers each build their own.
+    """
+
+    def __init__(self, max_sessions: int = 8) -> None:
+        if max_sessions < 1:
+            raise ValueError("max_sessions must be >= 1")
+        self._solvers: "OrderedDict[Tuple[str, bool], Solver]" = (
+            OrderedDict()
+        )
+        self.max_sessions = max_sessions
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._solvers)
+
+    def solver(self, cnf: Cnf, log_proof: bool = False) -> Solver:
+        """The live solver for ``cnf``, built on first sight.
+
+        Proof-logging and non-logging sessions are kept distinct: a
+        certifying call must not inherit a journal-less solver.  Hits,
+        misses and evictions are mirrored onto the ambient tracer's
+        current span as ``sat.session_*`` counters.
+        """
+        key = (cnf_digest(cnf), bool(log_proof))
+        tracer = current_tracer()
+        solver = self._solvers.get(key)
+        if solver is not None:
+            self.hits += 1
+            tracer.add("sat.session_hits", 1)
+            self._solvers.move_to_end(key)
+            return solver
+        self.misses += 1
+        tracer.add("sat.session_misses", 1)
+        solver = Solver(cnf, log_proof=log_proof)
+        self._solvers[key] = solver
+        for _ in range(len(self._solvers) - self.max_sessions):
+            self._solvers.popitem(last=False)
+            self.evictions += 1
+            tracer.add("sat.session_evictions", 1)
+        return solver
+
+
+_SESSION_POOL: ContextVar[Optional[SessionPool]] = ContextVar(
+    "repro_sat_session_pool", default=None
+)
+
+
+def current_session_pool() -> Optional[SessionPool]:
+    """The ambient session pool, or None when solving cold."""
+    return _SESSION_POOL.get()
+
+
+@contextmanager
+def use_session_pool(
+    pool: Optional[SessionPool],
+) -> Iterator[Optional[SessionPool]]:
+    """Install ``pool`` as the ambient session pool for a scope."""
+    token = _SESSION_POOL.set(pool)
+    try:
+        yield pool
+    finally:
+        _SESSION_POOL.reset(token)
+
+
 def solve_cnf(
     cnf: Cnf,
     max_conflicts: Optional[int] = None,
     max_seconds: Optional[float] = None,
     log_proof: bool = False,
 ) -> SatResult:
-    """Solve ``cnf`` with a fresh :class:`Solver` instance.
+    """Solve ``cnf`` — on the ambient pool's live solver for it, if a
+    :class:`SessionPool` is installed, else on a fresh :class:`Solver`.
 
     With ``log_proof=True`` the solver records a DRUP clause proof on
-    ``result.proof`` (see the module docstring); off by default.
+    ``result.proof`` (see the module docstring); off by default.  The
+    call, clause loading included, is recorded as the ``"sat"`` span
+    (with the full counter set and any ``sat.session_*`` counters) on
+    the ambient tracer; a no-op unless one is installed.
     """
-    return Solver(cnf, log_proof=log_proof).solve(
-        max_conflicts=max_conflicts, max_seconds=max_seconds
-    )
+    with current_tracer().span("sat") as span:
+        pool = current_session_pool()
+        if pool is None:
+            solver = Solver(cnf, log_proof=log_proof)
+        else:
+            solver = pool.solver(cnf, log_proof=log_proof)
+        result = solver.solve(
+            max_conflicts=max_conflicts, max_seconds=max_seconds
+        )
+        span.add("sat.variables", solver.num_vars)
+        span.add("sat.clauses", len(solver.clauses))
+        span.add("sat.decisions", result.decisions)
+        span.add("sat.conflicts", result.conflicts)
+        span.add("sat.propagations", result.propagations)
+        span.add("sat.restarts", result.restarts)
+        span.add("sat.learned_clauses", result.learned_clauses)
+        span.add("sat.max_decision_level", result.max_decision_level)
+        if result.proof is not None:
+            span.add("sat.proof_steps", len(result.proof))
+    return result

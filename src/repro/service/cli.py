@@ -32,7 +32,6 @@ import sys
 from typing import List, Optional
 
 from ..campaign.runner import DegradePolicy, RetryPolicy
-from ..errors import SolverError
 from .app import ServiceApp
 from .sessions import SessionManager
 
@@ -104,17 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         "positive_equality",
     )
     parser.add_argument(
-        "--sat-backend", default=None, metavar="NAME",
-        help="SAT backend for every session's verifications: reference "
-        "(in-tree CDCL, default), pysat, dimacs, or auto; verdicts are "
-        "backend-independent, so cache keys are unaffected",
-    )
-    parser.add_argument(
-        "--no-incremental-sat", action="store_true",
-        help="solve every CNF cold instead of resuming same-digest SAT "
-        "sessions across a campaign's jobs and retries",
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="suppress progress lines"
     )
     return parser
@@ -172,11 +160,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             degrade=DegradePolicy(
                 fallback_method=None if args.no_degrade else "positive_equality"
             ),
-            sat_backend=args.sat_backend,
-            incremental_sat=not args.no_incremental_sat,
             log=log,
         )
-    except (SolverError, OSError) as exc:
+    except OSError as exc:
         print(f"serve error: {exc}", file=sys.stderr)
         return 2
     requeued = manager.reattach()

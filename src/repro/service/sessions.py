@@ -57,7 +57,6 @@ from ..campaign.runner import CampaignRunner, DegradePolicy, RetryPolicy
 from ..core.keys import canonical_key, config_dict
 from ..guard.breaker import SHORT_CIRCUIT_PREFIX, CircuitBreaker
 from ..obs.metrics import MetricsRegistry
-from ..sat.backend import resolve_backend
 from .cache import CacheEntry, ResultCache
 from .protocol import ServiceError, SubmitRequest, job_options
 from .store import ArtifactStore, ArtifactStoringVerify
@@ -197,14 +196,6 @@ class SessionManager:
             both at admission and inside each campaign; ``None`` = off.
         retry / degrade: campaign policies shared by every session
             (request budgets ride on the jobs themselves).
-        sat_backend: SAT backend name every session's campaign runner
-            installs around its verifications (see
-            :mod:`repro.sat.backend`); ``None`` keeps the default.
-            Backends are verdict-equivalent by contract, so this is
-            deliberately **not** part of the result-cache key.
-        incremental_sat: let each campaign resume same-digest SAT
-            sessions (learned clauses, variable activities) across jobs
-            and retries instead of solving every CNF cold.
         verify_fn: test seam; defaults to the artifact-storing wrapper
             around :func:`repro.core.verify`.
     """
@@ -218,8 +209,6 @@ class SessionManager:
         breaker_threshold: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         degrade: Optional[DegradePolicy] = None,
-        sat_backend: Optional[str] = None,
-        incremental_sat: bool = True,
         verify_fn: Optional[Callable] = None,
         log: Optional[Callable[[str], None]] = None,
     ) -> None:
@@ -238,11 +227,6 @@ class SessionManager:
         self.breaker_threshold = breaker_threshold
         self.retry = retry or RetryPolicy()
         self.degrade = degrade or DegradePolicy()
-        if sat_backend is not None:
-            # Fail at boot, not when the first session starts running.
-            resolve_backend(sat_backend)
-        self.sat_backend = sat_backend
-        self.incremental_sat = incremental_sat
         self.verify_fn = verify_fn or ArtifactStoringVerify(self.store.root)
         self._log = log or (lambda message: None)
         self.metrics = MetricsRegistry()
@@ -537,8 +521,6 @@ class SessionManager:
             certify=request.certify,
             workers=min(self.session_workers, max(1, len(to_run))),
             breaker_threshold=self.breaker_threshold,
-            sat_backend=self.sat_backend,
-            incremental_sat=self.incremental_sat,
         )
         report = runner.run(to_run)
         self.metrics.merge({

@@ -238,12 +238,12 @@ class _ClauseDb:
 def cnf_with_assumptions(cnf: Cnf, assumptions: Sequence[int]) -> Cnf:
     """``cnf`` plus one unit clause per assumption literal.
 
-    An assumption-UNSAT verdict from the incremental solver
-    (:class:`repro.sat.incremental.IncrementalSolver`) certifies against
-    this formula, not against ``cnf`` alone: the solver's proof ends with
-    the failed-assumption core clause, which is RUP only once the
-    assumptions are available as units.  Learned clauses never resolve on
-    assumptions, so the same journal prefix stays valid for every call.
+    An assumption-UNSAT verdict from :meth:`repro.sat.solver.Solver.solve`
+    certifies against this formula, not against ``cnf`` alone: the
+    solver's proof ends with the failed-assumption core clause, which is
+    RUP only once the assumptions are available as units.  Learned
+    clauses never resolve on assumptions, so the same journal prefix
+    stays valid for every call.
     """
     clauses = list(cnf.clauses) + [(literal,) for literal in assumptions]
     return Cnf(num_vars=cnf.num_vars, clauses=clauses)

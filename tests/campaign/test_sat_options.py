@@ -1,14 +1,9 @@
-"""Campaign wiring of the SAT options: worker oversubscription warning,
-eager backend validation, and the ambient session pool / backend the
-runner installs around verifications."""
+"""Campaign wiring of the SAT layer: worker oversubscription warning and
+the ambient session pool the runner installs around verifications."""
 
-import pytest
-
-from repro import ProcessorConfig
 from repro.campaign import CampaignRunner, Job, Journal
 from repro.core.results import VerificationResult
-from repro.errors import SolverError
-from repro.sat import ReferenceBackend, current_backend, current_session_pool
+from repro.sat import current_session_pool
 
 
 def _proved(config, method):
@@ -19,17 +14,15 @@ def _proved(config, method):
 
 
 class AmbientSpyVerify:
-    """Records the ambient SAT selections seen by each verification."""
+    """Records the ambient session pool seen by each verification."""
 
     def __init__(self):
         self.pools = []
-        self.backends = []
 
     def __call__(self, config, method="rewriting", bug=None,
                  criterion="disjunction", max_conflicts=None,
                  max_seconds=None):
         self.pools.append(current_session_pool())
-        self.backends.append(current_backend())
         return _proved(config, method)
 
 
@@ -83,12 +76,6 @@ class TestOversubscriptionWarning:
 
 
 class TestSatOptionWiring:
-    def test_unknown_backend_fails_eagerly(self, tmp_path):
-        with pytest.raises(SolverError):
-            CampaignRunner(
-                str(tmp_path / "camp.jsonl"), sat_backend="zchaff"
-            )
-
     def test_session_pool_is_ambient_and_shared(self, tmp_path):
         spy = AmbientSpyVerify()
         CampaignRunner(str(tmp_path / "camp.jsonl"), verify_fn=spy).run(
@@ -98,21 +85,3 @@ class TestSatOptionWiring:
         # One pool for the whole batch — that is what lets same-digest
         # CNFs resume across jobs.
         assert spy.pools[0] is spy.pools[1]
-
-    def test_no_incremental_sat_leaves_no_pool(self, tmp_path):
-        spy = AmbientSpyVerify()
-        CampaignRunner(
-            str(tmp_path / "camp.jsonl"),
-            verify_fn=spy,
-            incremental_sat=False,
-        ).run([Job.build(2, 1)])
-        assert spy.pools == [None]
-
-    def test_backend_selection_is_ambient(self, tmp_path):
-        spy = AmbientSpyVerify()
-        CampaignRunner(
-            str(tmp_path / "camp.jsonl"),
-            verify_fn=spy,
-            sat_backend="reference",
-        ).run([Job.build(2, 1)])
-        assert spy.backends == [ReferenceBackend]

@@ -6,6 +6,7 @@ import pytest
 from repro import ProcessorConfig, verify
 from repro.errors import BudgetExhausted
 from repro.obs import NULL_TRACER, current_tracer, snapshot_from_result
+from repro.sat import SessionPool, use_session_pool
 
 CONFIG = ProcessorConfig(n_rob=4, issue_width=2)
 
@@ -80,6 +81,61 @@ class TestDerivedTimings:
         result = verify(ProcessorConfig(n_rob=2, issue_width=1))
         assert result.timings["total"] > 0.0
         assert "simulate" in result.timings
+
+
+def _only_sat_span(result):
+    """The run's single "sat" span, checked to be a direct child of
+    "verify" with no other "sat" span anywhere in the tree."""
+    spans = [span for span in result.trace.walk() if span.name == "sat"]
+    assert len(spans) == 1
+    (span,) = spans
+    assert span in result.trace.children
+    return span
+
+
+def _assert_counters_match(span, sat_result):
+    for field in (
+        "decisions", "conflicts", "propagations", "restarts",
+        "learned_clauses", "max_decision_level",
+    ):
+        assert span.counters.get(f"sat.{field}", 0) == getattr(
+            sat_result, field
+        ), field
+
+
+class TestSatSpan:
+    """``solve_cnf`` opens the one "sat" span, clause loading included."""
+
+    def test_cold_run_has_one_sat_span(self):
+        result = verify(CONFIG, trace=True, certify=True)
+        span = _only_sat_span(result)
+        sat_result = result.validity.sat_result
+        _assert_counters_match(span, sat_result)
+        assert span.counters["sat.variables"] == (
+            result.validity.encoded.cnf.num_vars
+        )
+        assert span.counters["sat.proof_steps"] == len(sat_result.proof)
+        assert not any(
+            name.startswith("sat.session_")
+            for name in result.trace.all_counters()
+        )
+
+    def test_pooled_runs_count_sessions_inside_the_sat_span(self):
+        pool = SessionPool()
+        with use_session_pool(pool):
+            first = verify(CONFIG, trace=True)
+            second = verify(CONFIG, trace=True)
+        assert (pool.misses, pool.hits) == (1, 1)
+        for result, counter in (
+            (first, "sat.session_misses"),
+            (second, "sat.session_hits"),
+        ):
+            span = _only_sat_span(result)
+            _assert_counters_match(span, result.validity.sat_result)
+            assert span.counters[counter] == 1
+            # Session bookkeeping is SAT work: it never lands on "verify".
+            assert result.trace.all_counters()[counter] == 1
+            assert counter not in result.trace.counters
 
 
 class TestBudgetPathTimings:

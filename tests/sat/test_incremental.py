@@ -1,14 +1,16 @@
-"""Incremental assumption-based solving: equivalence with monolithic
-solving, learned-clause soundness across calls, mid-session DRUP
-certification, failed-assumption cores, and the session pool."""
+"""Incremental assumption-based solving on :class:`repro.sat.Solver`:
+equivalence with monolithic solving, learned-clause soundness across
+calls, mid-session DRUP certification, failed-assumption cores, and the
+session pool behind :func:`repro.sat.solve_cnf`."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverError
 from repro.sat import (
     Cnf,
-    IncrementalSolver,
     SessionPool,
+    Solver,
     cnf_digest,
     current_session_pool,
     solve_by_enumeration,
@@ -66,7 +68,7 @@ class TestAssumptionEquivalence:
     def test_matches_monolithic_units(self, clauses, assumptions):
         cnf = _cnf(5, clauses)
         expected = _monolithic(cnf, assumptions)
-        result = IncrementalSolver(cnf).solve(assumptions=assumptions)
+        result = Solver(cnf).solve(assumptions=assumptions)
         assert result.status == expected.status
         if result.is_sat:
             assert cnf.check_assignment(result.model)
@@ -78,11 +80,11 @@ class TestAssumptionEquivalence:
     def test_matches_exhaustive_reference(self, clauses, assumptions):
         cnf = _cnf(5, clauses)
         witness = solve_by_enumeration(cnf_with_assumptions(cnf, assumptions))
-        result = IncrementalSolver(cnf).solve(assumptions=assumptions)
+        result = Solver(cnf).solve(assumptions=assumptions)
         assert result.status == ("sat" if witness is not None else "unsat")
 
     def test_assumption_out_of_range_raises(self):
-        solver = IncrementalSolver(_cnf(2, [[1, 2]]))
+        solver = Solver(_cnf(2, [[1, 2]]))
         try:
             solver.solve(assumptions=[7])
         except SolverError:
@@ -94,18 +96,18 @@ class TestAssumptionEquivalence:
         # 1 and 2 force 3; assuming -3 alongside an irrelevant 4 must
         # produce a core that mentions only the responsible literals.
         cnf = _cnf(4, [[-1, -2, 3]])
-        result = IncrementalSolver(cnf).solve(assumptions=[1, 2, -3, 4])
+        result = Solver(cnf).solve(assumptions=[1, 2, -3, 4])
         assert result.is_unsat
         assert result.core is not None
         assert set(result.core) <= {1, 2, -3}
         assert -3 in result.core
         # The core alone is already unsatisfiable with the CNF.
-        recheck = IncrementalSolver(cnf).solve(assumptions=result.core)
+        recheck = Solver(cnf).solve(assumptions=result.core)
         assert recheck.is_unsat
 
     def test_failed_assumptions_do_not_latch_unsat(self):
         cnf = _cnf(2, [[1, 2]])
-        solver = IncrementalSolver(cnf)
+        solver = Solver(cnf)
         assert solver.solve(assumptions=[-1, -2]).is_unsat
         # The CNF itself is still satisfiable afterwards.
         assert solver.solve().is_sat
@@ -115,7 +117,7 @@ class TestAssumptionEquivalence:
 class TestLearnedClausePersistence:
     def test_three_calls_share_learning_and_stay_sound(self):
         cnf = _php32()
-        solver = IncrementalSolver(cnf, log_proof=True)
+        solver = Solver(cnf, log_proof=True)
         cold = solve_cnf(cnf)
         assert cold.is_unsat
 
@@ -135,7 +137,7 @@ class TestLearnedClausePersistence:
 
     def test_latched_unsat_is_instant_and_certifiable(self):
         cnf = _php32()
-        solver = IncrementalSolver(cnf, log_proof=True)
+        solver = Solver(cnf, log_proof=True)
         first = solver.solve()
         assert first.is_unsat
         second = solver.solve(assumptions=[1])
@@ -146,16 +148,26 @@ class TestLearnedClausePersistence:
         ).ok
 
     def test_add_clause_between_calls(self):
-        solver = IncrementalSolver(_cnf(2, [[1, 2]]))
+        solver = Solver(_cnf(2, [[1, 2]]))
         assert solver.solve(assumptions=[-1]).is_sat
         assert solver.add_clause([-2])
         result = solver.solve(assumptions=[-1])
         assert result.is_unsat
         assert solver.solve(assumptions=[1]).is_sat
 
+    def test_add_clause_before_the_first_call(self):
+        solver = Solver(Cnf(num_vars=2))
+        assert solver.add_clause([1, 2])
+        result = solver.solve(assumptions=[-1])
+        assert result.is_sat
+        assert result.model[2] is True
+        result = solver.solve(assumptions=[-1, -2])
+        assert result.is_unsat
+        assert result.core is not None
+
     def test_sat_model_is_complete_for_check_assignment(self):
         cnf = _cnf(3, [[1, 2], [-1, 3]])
-        result = IncrementalSolver(cnf).solve()
+        result = Solver(cnf).solve()
         assert result.is_sat
         assert cnf.check_assignment(result.model)
 
@@ -165,7 +177,7 @@ class TestMidSessionProofs:
         # Interleave assumption-unsat, sat, and real-unsat calls; each
         # UNSAT proof must certify against its own per-call view.
         cnf = _cnf(3, [[1, 2], [-1, 3], [-2, 3]])
-        solver = IncrementalSolver(cnf, log_proof=True)
+        solver = Solver(cnf, log_proof=True)
 
         r1 = solver.solve(assumptions=[-3])
         assert r1.is_unsat
@@ -191,7 +203,7 @@ class TestMidSessionProofs:
 
     def test_tautological_assumption_pair(self):
         cnf = _cnf(2, [[1, 2]])
-        result = IncrementalSolver(cnf, log_proof=True).solve(
+        result = Solver(cnf, log_proof=True).solve(
             assumptions=[1, -1]
         )
         assert result.is_unsat
@@ -199,6 +211,20 @@ class TestMidSessionProofs:
             cnf_with_assumptions(cnf, [1, -1]),
             DrupProof.from_solver_steps(result.proof),
         ).ok
+
+
+CASES = [
+    (2, [[1, 2]], "sat"),
+    (1, [[1], [-1]], "unsat"),
+    (3, [[1], [-1, 2], [-2, 3], [-3]], "unsat"),
+    (3, [[1, 2], [-1, 3], [-2, 3]], "sat"),
+]
+
+
+def _pooled(pool, cnf, **kwargs):
+    """``solve_cnf`` with ``pool`` installed as the ambient pool."""
+    with use_session_pool(pool):
+        return solve_cnf(cnf, **kwargs)
 
 
 class TestSessionPool:
@@ -212,8 +238,8 @@ class TestSessionPool:
     def test_hits_misses_and_resume(self):
         pool = SessionPool(max_sessions=4)
         cnf = _php32()
-        first = pool.solve(cnf)
-        second = pool.solve(cnf)
+        first = _pooled(pool, cnf)
+        second = _pooled(pool, cnf)
         assert first.is_unsat and second.is_unsat
         assert pool.misses == 1
         assert pool.hits == 1
@@ -223,19 +249,19 @@ class TestSessionPool:
     def test_proof_and_plain_sessions_are_distinct(self):
         pool = SessionPool()
         cnf = _cnf(2, [[1, 2]])
-        assert pool.solve(cnf).proof is None
-        assert pool.solve(cnf, log_proof=True).proof is not None
+        assert _pooled(pool, cnf).proof is None
+        assert _pooled(pool, cnf, log_proof=True).proof is not None
         assert pool.misses == 2
 
     def test_lru_eviction(self):
         pool = SessionPool(max_sessions=2)
         cnfs = [_cnf(2, [[1, 2]]), _cnf(2, [[-1, 2]]), _cnf(2, [[1, -2]])]
         for cnf in cnfs:
-            pool.solve(cnf)
+            _pooled(pool, cnf)
         assert len(pool) == 2
         assert pool.evictions == 1
         # The oldest digest was evicted; touching it is a miss again.
-        pool.solve(cnfs[0])
+        _pooled(pool, cnfs[0])
         assert pool.misses == 4
 
     def test_ambient_pool_scope(self):
@@ -244,3 +270,20 @@ class TestSessionPool:
         with use_session_pool(pool):
             assert current_session_pool() is pool
         assert current_session_pool() is None
+
+    @pytest.mark.parametrize("num_vars, clauses, status", CASES)
+    def test_pooled_verdicts_match_cold(self, num_vars, clauses, status):
+        cnf = _cnf(num_vars, clauses)
+        pool = SessionPool()
+        assert solve_cnf(cnf).status == status
+        assert _pooled(pool, cnf).status == status
+        # A resumed session keeps giving the same verdict.
+        assert _pooled(pool, cnf).status == status
+        assert pool.hits == 1
+
+    def test_pooled_solve_logs_proofs(self):
+        cnf = _cnf(1, [[1], [-1]])
+        result = _pooled(SessionPool(), cnf, log_proof=True)
+        assert result.is_unsat
+        assert result.proof[-1] == ("a", ())
+        assert check_drup(cnf, DrupProof.from_solver_steps(result.proof)).ok

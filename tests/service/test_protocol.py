@@ -151,9 +151,8 @@ class TestJobOptions:
 
     def test_key_schema_is_stable_and_backend_free(self):
         # The cache-key vocabulary is frozen: verdicts are a function of
-        # (config, these options, registry version) only.  The SAT
-        # backend is verdict-equivalent by contract, so it must never
-        # appear here — a cache filled under one backend serves another.
+        # (config, these options, registry version) only.  How the CNF
+        # is solved never appears here.
         job = Job.build(4, 2)
         options = job_options(job, certify=True, analyze=True)
         assert sorted(options) == [
@@ -163,15 +162,20 @@ class TestJobOptions:
         assert "sat_backend" not in options
         assert "incremental_sat" not in options
 
-    def test_canonical_key_unmoved_by_ambient_backend(self):
+    def test_canonical_key_unmoved_by_ambient_session_pool(self):
+        # The verdict belongs to the CNF, not to the solver that decides
+        # it: neither a backend name nor the campaign's live SAT sessions
+        # may reach the key.
         from repro.core.keys import canonical_key
-        from repro.sat import use_backend
+        from repro.sat import SessionPool, use_session_pool
 
         job = Job.build(4, 2)
         config = {"n_rob": 4, "issue_width": 2}
         options = job_options(job, certify=False, analyze=False)
+        assert "sat_backend" not in options
         baseline = canonical_key(config, options, registry_version="t")
-        with use_backend("reference"):
+        with use_session_pool(SessionPool()):
+            assert job_options(job, certify=False, analyze=False) == options
             assert canonical_key(
                 config, options, registry_version="t"
             ) == baseline
