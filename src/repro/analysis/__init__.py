@@ -8,9 +8,9 @@ produced them:
   classification with a different algorithm and cross-checks
   ``classify()``; audits every maximal-diversity decision of the
   ``e_ij`` encoder;
-* :mod:`~repro.analysis.rule_safety` — checks the rewrite rules' side
-  conditions statically and validates their soundness by exhaustive
-  evaluation over small universes;
+* :mod:`~repro.analysis.rules` — the rewrite-rule registry and its one
+  checker: side conditions, soundness by exhaustive evaluation over
+  small universes, critical-pair confluence and termination;
 * :mod:`~repro.analysis.cnf_audit` — clause hygiene, var-map
   consistency and transitivity-triangle completeness;
 * :mod:`~repro.analysis.dag_lint` — hash-consing and stage-residue
@@ -54,13 +54,7 @@ from .polarity_check import (
     cross_check_polarity,
     derive_polarity,
 )
-from .rule_safety import (
-    REGISTRY,
-    RuleInstance,
-    RuleSpec,
-    analyze_rule,
-    analyze_rules,
-)
+from .rules import REGISTRY, RuleInstance, RuleSpec, analyze_rules
 
 __all__ = [
     "ERROR",
@@ -83,7 +77,6 @@ __all__ = [
     "RuleInstance",
     "RuleSpec",
     "REGISTRY",
-    "analyze_rule",
     "analyze_rules",
     "audit_cnf",
     "audit_eij_transitivity",

@@ -7,8 +7,10 @@ Examples::
     python -m repro lint --json
     python -m repro lint --rules-only
 
-The default run audits the rewrite-rule registry plus a couple of small
-processor configurations under both verification methods.  Exit status:
+The default run audits the rewrite-rule registry (side conditions,
+soundness, critical-pair confluence and termination) plus a couple of
+small processor configurations under both verification methods.
+``--rules-only`` and ``--no-rules`` exclude each other.  Exit status:
 0 — no error-level findings; 1 — at least one error-level finding
 (soundness invariant violated); 2 — the lint run itself was
 misconfigured or crashed on a structured error.
@@ -44,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro lint",
         description=(
             "Audit the verification pipeline: polarity cross-check, "
-            "rewrite-rule safety, CNF/e_ij invariants and DAG hygiene."
+            "rewrite-rule soundness, confluence and termination, CNF/e_ij "
+            "invariants and DAG hygiene."
         ),
     )
     parser.add_argument(
@@ -65,12 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="disjunction",
         help="correctness criterion (default: disjunction)",
     )
-    parser.add_argument(
+    scope = parser.add_mutually_exclusive_group()
+    scope.add_argument(
         "--no-rules",
         action="store_true",
         help="skip the rewrite-rule registry analysis",
     )
-    parser.add_argument(
+    scope.add_argument(
         "--rules-only",
         action="store_true",
         help="analyze only the rewrite-rule registry (no configurations)",

@@ -8,7 +8,8 @@ the same pipeline the verifier uses (simulate, optionally rewrite,
 encode) for a processor configuration and audits every stage, adding the
 rewrite-rule application tally.  :func:`build_report` / ``repro lint``
 run :func:`analyze_config` over a set of configurations plus the
-rule-safety registry analysis of :mod:`repro.analysis.rule_safety`.
+rule-registry analysis of :mod:`repro.analysis.rules` (side conditions,
+soundness, confluence and termination).
 
 Findings are :class:`~repro.analysis.diagnostics.Diagnostic` records; an
 :class:`AnalysisReport` wraps a list of them with the exit-code contract
@@ -34,7 +35,7 @@ from .diagnostics import (
     Diagnostic,
 )
 from .polarity_check import audit_diversity, cross_check_polarity, derive_polarity
-from .rule_safety import RuleSpec, analyze_rules
+from .rules import analyze_rules
 
 __all__ = [
     "AnalysisReport",
@@ -200,12 +201,11 @@ def build_report(
     methods: Sequence[str] = ("rewriting", "positive_equality"),
     criterion: str = "disjunction",
     check_rules: bool = True,
-    rule_specs: Optional[Sequence[RuleSpec]] = None,
 ) -> AnalysisReport:
     """The full ``repro lint`` report: rule registry plus configurations."""
     report = AnalysisReport()
     if check_rules:
-        report.extend(analyze_rules(rule_specs))
+        report.extend(analyze_rules())
     for config in configs:
         for method in methods:
             report.extend(

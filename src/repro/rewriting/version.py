@@ -3,8 +3,9 @@
 A verification verdict depends on the exact rewriting rules in force:
 two runs of the same processor configuration are interchangeable only
 when they ran under the same registry.  :func:`registry_version` distills
-the registry into a short stable fingerprint — a SHA-256 over every
-rule's name, description and *built schematic instance* (left- and
+the registry (:data:`repro.analysis.rules.REGISTRY`, the rule set
+``repro lint`` checks) into a short stable fingerprint — a SHA-256 over
+every rule's name, description and *built schematic instance* (left- and
 right-hand sides, guards and declared generalization allowances,
 rendered to canonical s-expressions) — so any semantic change to a rule
 changes the fingerprint even when the rule's name does not.
@@ -31,7 +32,7 @@ def registry_fingerprint() -> str:
     """Full SHA-256 hex digest of the canonical registry serialization."""
     # Imported lazily: repro.analysis imports repro.rewriting at module
     # level, so a module-level import here would be circular.
-    from ..analysis.rule_safety import REGISTRY
+    from ..analysis.rules import REGISTRY
     from ..eufm.printer import to_sexpr
 
     parts = []
@@ -60,7 +61,7 @@ def registry_version() -> str:
     """
     global _cached
     if _cached is None:
-        from ..analysis.rule_safety import REGISTRY
+        from ..analysis.rules import REGISTRY
 
         _cached = f"{len(REGISTRY)}r-{registry_fingerprint()[:12]}"
     return _cached

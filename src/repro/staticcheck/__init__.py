@@ -29,9 +29,10 @@ Shipped checkers:
 * **RS005 span/ContextVar hygiene** — ambient ContextVars (tracer,
   deadline) are only entered via context managers; a manual ``.set()``
   must keep its token and be paired with ``.reset()``.
-* **RS006 rule-registry confluence/termination** — critical-pair
-  overlap analysis plus a decreasing-measure check over the rewrite
-  rule registry of :mod:`repro.analysis.rule_safety`.
+
+Every checker reads source files.  The rewrite-rule registry's
+soundness, confluence and termination are checked by ``repro lint``
+(:mod:`repro.analysis.rules`).
 
 Findings are ordinary :class:`repro.analysis.diagnostics.Diagnostic`
 records, so ``repro staticcheck`` and ``repro lint`` share one JSON
@@ -58,7 +59,6 @@ from . import (  # noqa: F401  (registration side effect)
     rs003_journal,
     rs004_pickle,
     rs005_contextvar,
-    rs006_rules,
 )
 
 __all__ = [

@@ -6,14 +6,16 @@ Examples::
     python -m repro staticcheck src/repro --json
     python -m repro staticcheck --sarif --output staticcheck.sarif
     python -m repro staticcheck --baseline .staticcheck-baseline.json
-    python -m repro staticcheck --select RS002,RS006
+    python -m repro staticcheck --select RS002,RS005
     python -m repro staticcheck --baseline .staticcheck-baseline.json \\
         --update-baseline   # re-capture exemptions, keeping justifications
 
 Exit status mirrors ``python -m repro lint``: 0 — no (non-baselined)
 error-level findings; 1 — at least one; 2 — the run itself was
 misconfigured (unknown checker code, unreadable baseline, missing
-path).  ``--json`` emits the same report schema as ``repro lint``
+path).  ``--list-checkers`` prints RS001–RS005; the rewrite-rule
+registry is not source text and is checked by ``repro lint``.
+``--json`` emits the same report schema as ``repro lint``
 (``max_severity`` / ``summary`` / ``findings``) because both CLIs share
 the :class:`~repro.analysis.diagnostics.Diagnostic` record and
 :class:`~repro.analysis.diagnostics.AnalysisReport` wrapper.
@@ -43,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Statically check the code-level invariants the verification "
             "pipeline relies on (exception taxonomy, deadline polls, "
             "single-writer journal, picklable payloads, ContextVar "
-            "hygiene, rule-registry confluence)."
+            "hygiene)."
         ),
     )
     parser.add_argument(
@@ -95,11 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated checker codes to skip",
     )
     parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help="skip project-level checkers (RS006 rule-registry analysis)",
-    )
-    parser.add_argument(
         "--quiet",
         action="store_true",
         help="print only errors and warnings (human output)",
@@ -135,9 +132,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_checkers:
         for spec in all_checkers():
-            kind = "project" if spec.run_project else "file"
             scope = ",".join(sorted(spec.scope)) if spec.scope else "all"
-            print(f"{spec.code}  {spec.name}  [{kind}; scope: {scope}]")
+            print(f"{spec.code}  {spec.name}  [scope: {scope}]")
             print(f"       {spec.description}")
         return 0
     try:
@@ -146,7 +142,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             paths,
             select=_split_codes(args.select),
             ignore=_split_codes(args.ignore),
-            project_checks=not args.no_project,
         )
 
         if args.update_baseline:

@@ -1,16 +1,13 @@
 """The staticcheck engine: source loading, checker registry, dispatch.
 
 The engine is deliberately small.  A *checker* is a named, registered
-analysis with one of two shapes:
+analysis of one source file: it receives one parsed
+:class:`SourceModule` and returns
+:class:`~repro.analysis.diagnostics.Diagnostic` records for violations
+in that file (RS001–RS005).  The rewrite-rule registry is not source
+text; ``repro lint`` checks it (:mod:`repro.analysis.rules`).
 
-* a **file checker** receives one parsed :class:`SourceModule` and
-  returns :class:`~repro.analysis.diagnostics.Diagnostic` records for
-  violations in that file (RS001–RS005);
-* a **project checker** runs once per invocation against the repository
-  state as a whole — RS006 analyzes the imported rewrite-rule registry,
-  not source text.
-
-File checkers declare a *scope*: the ``repro`` sub-packages whose
+Checkers declare a *scope*: the ``repro`` sub-packages whose
 invariants they guard (``encode``, ``sat``, ...).  A file that does not
 live under a recognizable ``repro`` package — e.g. a test fixture in a
 temporary directory — matches every scope, which is what makes the
@@ -133,15 +130,12 @@ class CheckerSpec:
     code: str
     name: str
     description: str
-    #: sub-packages of ``repro`` the file checker applies to; ``None``
-    #: means every scanned file.  Ignored for project checkers.
+    run_file: Callable[[SourceModule], List[Diagnostic]]
+    #: sub-packages of ``repro`` the checker applies to; ``None`` means
+    #: every scanned file.
     scope: Optional[frozenset] = None
-    run_file: Optional[Callable[[SourceModule], List[Diagnostic]]] = None
-    run_project: Optional[Callable[[Sequence[SourceModule]], List[Diagnostic]]] = None
 
     def applies_to(self, module: SourceModule) -> bool:
-        if self.run_file is None:
-            return False
         if self.scope is None:
             return True
         # Fixture mode: files outside a repro package match every scope.
@@ -304,7 +298,6 @@ def run_project(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    project_checks: bool = True,
 ) -> List[Diagnostic]:
     """Run every enabled checker over ``paths``; the engine entry point.
 
@@ -314,24 +307,18 @@ def run_project(
     """
     enabled = resolve_codes(select, ignore)
     diagnostics: List[Diagnostic] = []
-    modules: List[SourceModule] = []
     for path in collect_files(paths):
         module, failure = load_source(path)
         if failure is not None:
             diagnostics.append(failure)
             continue
-        modules.append(module)
         for spec in all_checkers():
             if spec.code not in enabled or not spec.applies_to(module):
                 continue
-            findings = spec.run_file(module)  # type: ignore[misc]
+            findings = spec.run_file(module)
             diagnostics.extend(
                 f for f in findings if not module.suppressed(f)
             )
-    if project_checks:
-        for spec in all_checkers():
-            if spec.code in enabled and spec.run_project is not None:
-                diagnostics.extend(spec.run_project(modules))
     return diagnostics
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro import ProcessorConfig
 from repro.__main__ import main as repro_main
 from repro.analysis import ERROR, Diagnostic, RuleInstance, RuleSpec
-from repro.analysis import rule_safety
+from repro.analysis import rules
 from repro.analysis.cli import main as lint_main
 from repro.core import verify
 from repro.errors import AnalysisError
@@ -24,9 +24,12 @@ class TestLintCli:
     def test_json_report_shape(self, capsys):
         assert lint_main(["--rules-only", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["max_severity"] == "info"
-        assert payload["summary"]["error"] == 0
-        assert payload["findings"]
+        # The registry's five order-dependent critical pairs are warnings.
+        assert payload["max_severity"] == "warning"
+        assert payload["summary"] == {"error": 0, "warning": 5, "info": 10}
+        assert {"rules.verified", "rules.measure-decreases",
+                "rules.registry-summary"} <= {
+            f["check"] for f in payload["findings"]}
         finding = payload["findings"][0]
         assert {"severity", "stage", "check", "subject", "message",
                 "data"} <= set(finding)
@@ -49,6 +52,13 @@ class TestLintCli:
                           "--no-rules"]) == 0
         assert "rules.verified" not in capsys.readouterr().out
 
+    def test_rules_only_with_no_rules_is_a_usage_error(self, capsys):
+        # Together the two flags would audit nothing and report success.
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main(["--rules-only", "--no-rules"])
+        assert excinfo.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
 
 def _unsound_spec():
     def build():
@@ -66,7 +76,7 @@ def _unsound_spec():
 
 class TestUnsoundRuleThroughCli:
     def test_injected_unsound_rule_fails_the_lint(self, capsys, monkeypatch):
-        monkeypatch.setattr(rule_safety, "REGISTRY", [_unsound_spec()])
+        monkeypatch.setattr(rules, "REGISTRY", [_unsound_spec()])
         exit_code = lint_main(["--rules-only", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert exit_code == 1

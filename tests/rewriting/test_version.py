@@ -10,7 +10,7 @@ def test_version_format():
 
 
 def test_version_counts_the_registry():
-    from repro.analysis.rule_safety import REGISTRY
+    from repro.analysis.rules import REGISTRY
 
     assert registry_version().startswith(f"{len(REGISTRY)}r-")
 

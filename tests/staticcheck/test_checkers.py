@@ -14,7 +14,7 @@ from repro.staticcheck.engine import load_source, run_project
 def _run(tmp_path, source, select):
     path = tmp_path / "fixture.py"
     path.write_text(textwrap.dedent(source))
-    return run_project([str(path)], select=select, project_checks=False)
+    return run_project([str(path)], select=select)
 
 
 def _checks(findings):
@@ -183,8 +183,7 @@ class TestRS003SingleWriterJournal:
             def _worker_entry(journal, record):
                 journal.append(record)
             """))
-        findings = run_project([str(path)], select=["RS003"],
-                               project_checks=False)
+        findings = run_project([str(path)], select=["RS003"])
         assert _checks(findings) == ["RS003.journal-mutation"]
         assert findings[0].data["qualname"] == "_worker_entry"
 
@@ -311,8 +310,7 @@ class TestScoping:
         root.mkdir(parents=True)
         path = root / "helper.py"
         path.write_text("def f():\n    raise RuntimeError('x')\n")
-        assert run_project([str(path)], select=["RS001"],
-                           project_checks=False) == []
+        assert run_project([str(path)], select=["RS001"]) == []
         module, failure = load_source(str(path))
         assert failure is None
         assert module.package == ("repro", "campaign")
@@ -323,6 +321,5 @@ class TestScoping:
         root.mkdir(parents=True)
         path = root / "helper.py"
         path.write_text("def f():\n    raise RuntimeError('x')\n")
-        findings = run_project([str(path)], select=["RS001"],
-                               project_checks=False)
+        findings = run_project([str(path)], select=["RS001"])
         assert _checks(findings) == ["RS001.builtin-raise"]

@@ -19,23 +19,24 @@ def _write(tmp_path, name, source):
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         path = _write(tmp_path, "good.py", GOOD)
-        assert main([path, "--no-project"]) == 0
+        assert main([path]) == 0
 
     def test_violations_exit_one(self, tmp_path, capsys):
         path = _write(tmp_path, "bad.py", BAD)
-        assert main([path, "--select", "RS001", "--no-project"]) == 1
+        assert main([path, "--select", "RS001"]) == 1
         assert "invariant violation" in capsys.readouterr().err
 
     def test_usage_errors_exit_two(self, tmp_path, capsys):
         path = _write(tmp_path, "good.py", GOOD)
         assert main([path, "--select", "RS999"]) == 2
+        assert main([path, "--select", "RS006"]) == 2
         assert main(["/no/such/path"]) == 2
         assert main([path, "--baseline", str(tmp_path / "missing.json")]) == 2
 
     def test_dispatch_through_python_m_repro(self, tmp_path, capsys):
         path = _write(tmp_path, "bad.py", BAD)
         code = repro_main(
-            ["staticcheck", path, "--select", "RS001", "--no-project"]
+            ["staticcheck", path, "--select", "RS001"]
         )
         assert code == 1
 
@@ -45,7 +46,7 @@ class TestJsonSchema:
         # Both CLIs wrap findings in AnalysisReport, so the top-level JSON
         # schema is identical: max_severity / summary / findings.
         path = _write(tmp_path, "bad.py", BAD)
-        main([path, "--select", "RS001", "--no-project", "--json"])
+        main([path, "--select", "RS001", "--json"])
         report = json.loads(capsys.readouterr().out)
         assert set(report) == {"max_severity", "summary", "findings"}
         assert report["max_severity"] == "error"
@@ -69,7 +70,7 @@ class TestJsonSchema:
     def test_output_file_receives_the_report(self, tmp_path, capsys):
         path = _write(tmp_path, "bad.py", BAD)
         out = tmp_path / "report.json"
-        main([path, "--select", "RS001", "--no-project", "--json",
+        main([path, "--select", "RS001", "--json",
               "--output", str(out)])
         capsys.readouterr()
         assert json.loads(out.read_text())["max_severity"] == "error"
@@ -78,7 +79,7 @@ class TestJsonSchema:
 class TestSarifOutput:
     def test_sarif_flag_emits_sarif(self, tmp_path, capsys):
         path = _write(tmp_path, "bad.py", BAD)
-        main([path, "--select", "RS001", "--no-project", "--sarif"])
+        main([path, "--select", "RS001", "--sarif"])
         sarif = json.loads(capsys.readouterr().out)
         assert sarif["version"] == "2.1.0"
         assert sarif["runs"][0]["results"]
@@ -88,27 +89,27 @@ class TestBaselineFlow:
     def test_update_baseline_then_enforce(self, tmp_path, capsys):
         path = _write(tmp_path, "bad.py", BAD)
         baseline = tmp_path / "baseline.json"
-        assert main([path, "--select", "RS001", "--no-project",
+        assert main([path, "--select", "RS001",
                      "--baseline", str(baseline), "--update-baseline"]) == 0
         capsys.readouterr()
         # The same violations are now baselined: exit 0.
-        assert main([path, "--select", "RS001", "--no-project",
+        assert main([path, "--select", "RS001",
                      "--baseline", str(baseline)]) == 0
         assert "suppressed by the baseline" in capsys.readouterr().out
         # A *new* violation still fails.
         path2 = _write(tmp_path, "bad.py",
                        BAD + "\ndef g():\n    raise MemoryError('y')\n")
-        assert main([path2, "--select", "RS001", "--no-project",
+        assert main([path2, "--select", "RS001",
                      "--baseline", str(baseline)]) == 1
 
     def test_fixed_violation_reports_a_stale_entry(self, tmp_path, capsys):
         path = _write(tmp_path, "bad.py", BAD)
         baseline = tmp_path / "baseline.json"
-        main([path, "--select", "RS001", "--no-project",
+        main([path, "--select", "RS001",
               "--baseline", str(baseline), "--update-baseline"])
         _write(tmp_path, "bad.py", GOOD)  # fix the violation
         capsys.readouterr()
-        assert main([path, "--select", "RS001", "--no-project",
+        assert main([path, "--select", "RS001",
                      "--baseline", str(baseline)]) == 0
         assert "stale" in capsys.readouterr().out.lower()
 
@@ -121,5 +122,6 @@ class TestListCheckers:
     def test_lists_all_codes_with_descriptions(self, capsys):
         assert main(["--list-checkers"]) == 0
         out = capsys.readouterr().out
-        for code in ("RS001", "RS002", "RS003", "RS004", "RS005", "RS006"):
+        for code in ("RS001", "RS002", "RS003", "RS004", "RS005"):
             assert code in out
+        assert "RS006" not in out

@@ -25,13 +25,11 @@ BAD_RS001 = "def f():\n    raise RuntimeError('x')\n"
 
 
 class TestRegistry:
-    def test_all_six_checkers_registered(self):
+    def test_all_five_checkers_registered(self):
         assert checker_codes() == [
-            "RS001", "RS002", "RS003", "RS004", "RS005", "RS006",
+            "RS001", "RS002", "RS003", "RS004", "RS005",
         ]
         specs = {spec.code: spec for spec in all_checkers()}
-        assert specs["RS006"].run_project is not None
-        assert specs["RS006"].run_file is None
         for code in ("RS001", "RS002", "RS003", "RS004", "RS005"):
             assert specs[code].run_file is not None
 
@@ -48,7 +46,7 @@ class TestLoading:
     def test_parse_error_is_a_finding_not_a_crash(self, tmp_path):
         path = tmp_path / "broken.py"
         path.write_text("def f(:\n")
-        findings = run_project([str(path)], project_checks=False)
+        findings = run_project([str(path)])
         assert [d.check for d in findings] == ["RS000.parse-error"]
         assert findings[0].is_error
 
@@ -74,22 +72,19 @@ class TestNoqa:
         path.write_text(
             "def f():\n    raise RuntimeError('x')  # noqa: RS001\n"
         )
-        assert run_project([str(path)], select=["RS001"],
-                           project_checks=False) == []
+        assert run_project([str(path)], select=["RS001"]) == []
 
     def test_bare_noqa_suppresses_everything_on_the_line(self, tmp_path):
         path = tmp_path / "f.py"
         path.write_text("def f():\n    raise RuntimeError('x')  # noqa\n")
-        assert run_project([str(path)], select=["RS001"],
-                           project_checks=False) == []
+        assert run_project([str(path)], select=["RS001"]) == []
 
     def test_noqa_for_a_different_code_does_not_suppress(self, tmp_path):
         path = tmp_path / "f.py"
         path.write_text(
             "def f():\n    raise RuntimeError('x')  # noqa: RS002\n"
         )
-        findings = run_project([str(path)], select=["RS001"],
-                               project_checks=False)
+        findings = run_project([str(path)], select=["RS001"])
         assert [d.check for d in findings] == ["RS001.builtin-raise"]
 
 
@@ -97,15 +92,13 @@ class TestBaseline:
     def _findings(self, tmp_path):
         path = tmp_path / "f.py"
         path.write_text(BAD_RS001)
-        return run_project([str(path)], select=["RS001"],
-                           project_checks=False)
+        return run_project([str(path)], select=["RS001"])
 
     def test_fingerprints_are_line_drift_stable(self, tmp_path):
         first = self._findings(tmp_path)
         path = tmp_path / "f.py"
         path.write_text("# a new comment shifting every line\n" + BAD_RS001)
-        second = run_project([str(path)], select=["RS001"],
-                             project_checks=False)
+        second = run_project([str(path)], select=["RS001"])
         assert fingerprints(first) == fingerprints(second)
         assert fingerprint(first[0]).startswith("RS001.builtin-raise@")
         assert fingerprint(first[0]).endswith(":f#0")
@@ -119,8 +112,7 @@ class TestBaseline:
             "        raise RuntimeError('a')\n"
             "    raise RuntimeError('b')\n"
         )
-        findings = run_project([str(path)], select=["RS001"],
-                               project_checks=False)
+        findings = run_project([str(path)], select=["RS001"])
         prints = fingerprints(findings)
         assert len(set(prints)) == 2
         assert {fp.rsplit("#", 1)[1] for fp in prints} == {"0", "1"}
@@ -163,8 +155,7 @@ class TestSarif:
     def test_sarif_structure_carries_findings_and_rules(self, tmp_path):
         path = tmp_path / "f.py"
         path.write_text(BAD_RS001)
-        findings = run_project([str(path)], select=["RS001"],
-                               project_checks=False)
+        findings = run_project([str(path)], select=["RS001"])
         sarif = to_sarif(findings)
         assert sarif["version"] == "2.1.0"
         run = sarif["runs"][0]

@@ -110,7 +110,7 @@ def test_engine_never_crashes_on_generated_modules(source):
         path = os.path.join(tmp, "fuzz.py")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(source)
-        findings = run_project([path], project_checks=False)
+        findings = run_project([path])
     _check_invariants(findings)
 
 
@@ -122,5 +122,5 @@ def test_engine_never_crashes_on_arbitrary_text(text):
         path = os.path.join(tmp, "arbitrary.py")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-        findings = run_project([path], project_checks=False)
+        findings = run_project([path])
     _check_invariants(findings)
