@@ -2,12 +2,11 @@
 implementation and the specification when generating the EUFM correctness
 formula, across reorder-buffer sizes and issue/retire widths."""
 
-import time
-
 from repro.core import render_matrix
+from repro.obs import Tracer, use_tracer
 from repro.processor import ProcessorConfig, run_diagram
 
-from common import SIZES_LARGE, WIDTHS_LARGE, save_table
+from common import SIZES_LARGE, WIDTHS_LARGE, layer_cpu, save_table
 
 
 def _sweep():
@@ -16,8 +15,10 @@ def _sweep():
         for width in WIDTHS_LARGE:
             if width > size:
                 continue
-            artifacts = run_diagram(ProcessorConfig(n_rob=size, issue_width=width))
-            times[(size, width)] = artifacts.simulate_seconds
+            tracer = Tracer()
+            with use_tracer(tracer):
+                run_diagram(ProcessorConfig(n_rob=size, issue_width=width))
+            times[(size, width)] = layer_cpu(tracer.roots, "simulate")
     return times
 
 

@@ -8,11 +8,12 @@ scale; the row structure matches the paper's.
 """
 
 from repro.core import render_rows
+from repro.obs import Tracer, use_tracer
 from repro.processor import ProcessorConfig, build_correctness_formula, run_diagram
 from repro.encode import encode_validity
 from repro.sat import solve_cnf
 
-from common import FULL, PE_ONLY_BUDGET_SECONDS, save_table
+from common import FULL, PE_ONLY_BUDGET_SECONDS, layer_cpu, save_table
 
 FIXED_SIZE = 4 if FULL else 3
 WIDTHS = [1, 2, 4] if FULL else [1, 2, 3]
@@ -28,9 +29,11 @@ def _sweep():
         )
         phi = build_correctness_formula(artifacts)
         encoded = encode_validity(phi, memory_mode="precise")
-        sat = solve_cnf(encoded.cnf, max_seconds=PE_ONLY_BUDGET_SECONDS)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            sat = solve_cnf(encoded.cnf, max_seconds=PE_ONLY_BUDGET_SECONDS)
         cpu = (
-            f"{sat.cpu_seconds:.2f}"
+            f"{layer_cpu(tracer.roots, 'sat'):.2f}"
             if sat.status != "unknown"
             else f">{PE_ONLY_BUDGET_SECONDS:.0f}"
         )

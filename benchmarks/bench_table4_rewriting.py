@@ -5,10 +5,11 @@ reduced formula)."""
 
 from repro.core import render_matrix
 from repro.encode import encode_validity
+from repro.obs import Tracer, use_tracer
 from repro.processor import ProcessorConfig, run_diagram
 from repro.rewriting import rewrite_diagram
 
-from common import SIZES_LARGE, WIDTHS_LARGE, save_table
+from common import SIZES_LARGE, WIDTHS_LARGE, layer_cpu, save_table
 
 
 def _sweep():
@@ -18,13 +19,15 @@ def _sweep():
             if width > size:
                 continue
             artifacts = run_diagram(ProcessorConfig(n_rob=size, issue_width=width))
-            rewrite = rewrite_diagram(artifacts)
-            assert rewrite.succeeded, rewrite.failure
-            encoded = encode_validity(
-                rewrite.reduced_formula, memory_mode="conservative"
-            )
-            times[(size, width)] = (
-                rewrite.rewrite_seconds + encoded.stats.translate_seconds
+            tracer = Tracer()
+            with use_tracer(tracer):
+                rewrite = rewrite_diagram(artifacts)
+                assert rewrite.succeeded, rewrite.failure
+                encode_validity(
+                    rewrite.reduced_formula, memory_mode="conservative"
+                )
+            times[(size, width)] = layer_cpu(
+                tracer.roots, "rewrite", "translate"
             )
     return times
 

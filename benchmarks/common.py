@@ -40,6 +40,14 @@ BUG_WIDTH = 4
 BUG_ENTRY = 72 if FULL else 18  # same relative position (~0.56 N)
 
 
+def layer_cpu(spans, *layers: str) -> float:
+    """CPU seconds of the pipeline-layer spans named ``layers`` among
+    ``spans`` — a tracer's ``roots`` or a ``verify()`` trace's
+    ``children``.  The paper's tables report CPU time; the layers' own
+    spans measure it, so no table reads a wall clock."""
+    return sum(span.cpu_seconds for span in spans if span.name in layers)
+
+
 def save_table(name: str, text: str) -> None:
     """Print a table and persist it under ``benchmarks/results``."""
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -44,15 +44,17 @@ HEADER = (
 
 
 def _format_row(job: Job, result) -> str:
-    t = result.timings
+    m = result.metrics
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6
-    clauses = int(result.stats.get("cnf_clauses", 0))
+    clauses = int(m.get("encode.cnf_clauses", 0))
     return (
         f"{f'N={job.n_rob}, k={job.issue_width}':>16}  "
         f"{result.status:>12}  "
-        f"{t.get('simulate', 0.0):>8.1f}s  {t.get('rewrite', 0.0):>7.1f}s  "
-        f"{t.get('translate', 0.0):>8.2f}s  {t.get('sat', 0.0):>6.2f}s  "
-        f"{t.get('total', 0.0):>7.1f}s  {clauses:>8}  {peak_gb:>8.2f}"
+        f"{m.get('timings.simulate', 0.0):>8.1f}s  "
+        f"{m.get('timings.rewrite', 0.0):>7.1f}s  "
+        f"{m.get('timings.translate', 0.0):>8.2f}s  "
+        f"{m.get('timings.sat', 0.0):>6.2f}s  "
+        f"{m.get('timings.total', 0.0):>7.1f}s  {clauses:>8}  {peak_gb:>8.2f}"
     )
 
 

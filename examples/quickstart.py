@@ -10,20 +10,21 @@ Run:  python examples/quickstart.py
 """
 
 from repro import ProcessorConfig, forwarding_bug, verify
-from repro.core.reporting import render_span_tree
+from repro.obs import render_span_tree
 
 
 def main() -> None:
     config = ProcessorConfig(n_rob=16, issue_width=4)
 
     print(f"Verifying: {config.describe()}")
-    result = verify(config, trace=True)
+    result = verify(config)
     print(result.summary())
     print()
 
     # Where the time went: the hierarchical span trace, with per-layer
     # work counters (the paper's Tables 1/4/5 measure these phases).
-    print(render_span_tree(result.trace, title="Span trace:"))
+    print("Span trace:")
+    print(render_span_tree(result.trace))
     print()
 
     # Now plant the paper's bug — broken forwarding for one operand of one

@@ -140,13 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort when SAT solving exceeds this wall-clock budget",
     )
     parser.add_argument(
-        "--sat-budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="deprecated alias for --max-seconds",
-    )
-    parser.add_argument(
         "--deadline",
         type=float,
         default=None,
@@ -246,8 +239,6 @@ def main(argv=None) -> int:
     if args.bug is not None:
         bug = Bug(args.bug, entry=args.entry, operand=args.operand)
         print(f"Planted defect: {bug.describe()}")
-    max_seconds = args.max_seconds if args.max_seconds is not None \
-        else args.sat_budget
     try:
         result = verify(
             config,
@@ -255,7 +246,7 @@ def main(argv=None) -> int:
             bug=bug,
             criterion=args.criterion,
             max_conflicts=args.max_conflicts,
-            max_seconds=max_seconds,
+            max_seconds=args.max_seconds,
             max_wall_seconds=args.deadline,
             max_memory_mb=args.max_memory,
             analyze=args.analyze or args.strict,

@@ -151,18 +151,16 @@ class JobResult:
     attempts: int
     detail: str = ""
     suspected_entry: Optional[int] = None
-    timings: Dict[str, float] = field(default_factory=dict)
-    #: CNF statistics of the deciding run (Tables 3/5 layout), if any.
-    stats: Dict[str, float] = field(default_factory=dict)
     #: serialized soundness findings of the deciding run (dicts in the
     #: :meth:`repro.analysis.diagnostics.Diagnostic.to_dict` layout);
     #: populated when the campaign runs with ``analyze=True`` and
     #: journaled with the finish record so they survive crash-and-resume.
     diagnostics: List[Dict[str, Any]] = field(default_factory=list)
     #: flat perf metrics of the deciding run, in the
-    #: :func:`repro.obs.metrics.snapshot_from_result` layout
-    #: (``timings.*``, ``sat.*``, ``rewrite.*``, ``trace.*``, ...);
-    #: journaled with the finish record so they survive crash-and-resume.
+    #: :func:`repro.obs.metrics.snapshot_from_result` layout (the names
+    #: ``perf record`` uses: ``timings.*``, ``cpu.*``, ``encode.*``,
+    #: ``sat.*``, ...); journaled with the finish record so they survive
+    #: crash-and-resume.
     metrics: Dict[str, float] = field(default_factory=dict)
     #: witness digest summary of the deciding run, in the
     #: :meth:`repro.witness.types.Witness.summary_dict` layout; populated
@@ -192,7 +190,6 @@ class JobResult:
         else:
             status = "BUG_FOUND"
             detail = result.failure_detail or "SAT counterexample"
-        stats = result.encoding_stats
         diagnostics = [
             diag.to_dict() if hasattr(diag, "to_dict") else dict(diag)
             for diag in getattr(result, "diagnostics", []) or []
@@ -212,8 +209,6 @@ class JobResult:
             attempts=attempts,
             detail=detail,
             suspected_entry=result.suspected_entry,
-            timings=dict(result.timings),
-            stats=dict(stats.as_row()) if stats is not None else {},
             diagnostics=diagnostics,
             metrics=metrics,
             witness=witness,
@@ -227,8 +222,6 @@ class JobResult:
             "attempts": self.attempts,
             "detail": self.detail,
             "suspected_entry": self.suspected_entry,
-            "timings": self.timings,
-            "stats": self.stats,
             "diagnostics": self.diagnostics,
             "metrics": self.metrics,
             "witness": self.witness,
@@ -244,8 +237,6 @@ class JobResult:
             attempts=int(data.get("attempts", 1)),
             detail=data.get("detail", ""),
             suspected_entry=data.get("suspected_entry"),
-            timings=dict(data.get("timings", {})),
-            stats=dict(data.get("stats", {})),
             diagnostics=list(data.get("diagnostics", [])),
             metrics=dict(data.get("metrics", {})),
             witness=data.get("witness"),

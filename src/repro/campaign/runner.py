@@ -180,7 +180,7 @@ class CampaignReport:
         )
         lines = [header, "-" * len(header)]
         for result in self.results.values():
-            total = result.timings.get("total", 0.0)
+            total = result.metrics.get("timings.total", 0.0)
             note = " (journal)" if result.from_journal else ""
             detail = f"  [{result.detail}]" if result.detail else ""
             lines.append(

@@ -1,7 +1,7 @@
 """Top-level verification API: :func:`verify` and result/report types."""
 
 from .keys import canonical_key, config_dict
-from .reporting import render_matrix, render_metrics, render_rows
+from .reporting import render_matrix, render_rows
 from .results import VerificationResult
 from .verifier import METHODS, verify
 
@@ -9,7 +9,6 @@ __all__ = [
     "canonical_key",
     "config_dict",
     "render_matrix",
-    "render_metrics",
     "render_rows",
     "VerificationResult",
     "METHODS",

@@ -11,14 +11,12 @@ analyzers of :mod:`repro.analysis` (``python -m repro lint`` and the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 __all__ = [
     "render_matrix",
     "render_rows",
     "render_diagnostics",
-    "render_metrics",
-    "render_span_tree",
 ]
 
 
@@ -77,36 +75,6 @@ def render_diagnostics(diagnostics: Sequence, title: str = "Findings") -> str:
         rows,
     )
     return table
-
-
-def render_metrics(
-    metrics: Dict[str, float], title: str = "Metrics"
-) -> str:
-    """Render a flat metric dict (``name -> value``) as a sorted table.
-
-    The human-readable sink for campaign-level aggregates
-    (:attr:`~repro.campaign.runner.CampaignReport.metrics`) and benchmark
-    snapshots; values print as integers when they are whole.
-    """
-    def fmt(value: float) -> str:
-        return f"{int(value)}" if float(value).is_integer() else f"{value:.4f}"
-
-    rows = [(name, fmt(value)) for name, value in sorted(metrics.items())]
-    if not rows:
-        return f"{title}: none recorded"
-    return render_rows(title, ("metric", "value"), rows)
-
-
-def render_span_tree(root, title: Optional[str] = None) -> str:
-    """Render a ``verify(trace=True)`` span tree as an indented profile.
-
-    Thin delegate to :func:`repro.obs.exporters.render_span_tree`, kept
-    here so every human-readable report sink lives in one module.
-    """
-    from ..obs.exporters import render_span_tree as _render
-
-    text = _render(root)
-    return f"{title}\n{text}" if title else text
 
 
 def _tabulate(title: str, rows: List[List[str]]) -> str:

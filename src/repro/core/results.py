@@ -45,8 +45,10 @@ class VerificationResult:
     #: soundness findings from ``verify(analyze=True)``
     #: (:class:`~repro.analysis.diagnostics.Diagnostic` records).
     diagnostics: List = field(default_factory=list)
-    #: the run's full span tree from ``verify(trace=True)``; ``timings``
-    #: is the flat per-phase view derived from this tree.
+    #: the run's span tree, attached by every ``verify()`` call: the one
+    #: source of its timings and counts.  ``timings`` is the flat
+    #: per-phase view derived from it, and
+    #: :func:`repro.obs.metrics.snapshot_from_result` flattens it.
     trace: Optional[Span] = None
 
     @property

@@ -17,10 +17,11 @@
 
 Every run is recorded on a :class:`~repro.obs.tracer.Tracer`: the pipeline
 layers open "simulate"/"rewrite"/"translate"/"sat" spans under the "verify"
-root and attach their work counters.  ``result.timings`` is a *derived
-view* of that span tree (one entry per phase plus ``total``), so the
-phase timings and the trace can never disagree.  Pass ``trace=True`` to
-keep the full span tree on ``result.trace``.
+root and attach their work counters.  The span tree, attached to every
+result as ``result.trace``, is the one source of the run's numbers:
+``result.timings`` is a *derived view* of it (one entry per phase plus
+``total``), and so are the timings of a :class:`BudgetExhausted` raised
+mid-run.
 """
 
 from __future__ import annotations
@@ -57,17 +58,17 @@ def _derive_timings(root: Span) -> Dict[str, float]:
     return timings
 
 
-def _enrich_budget_error(exc: BudgetExhausted, root: Optional[Span]) -> None:
+def _enrich_budget_error(exc: BudgetExhausted, root: Span) -> None:
     """Fold the phases completed before the abort into the exception.
 
     Called after the "verify" span closed (the exception already
-    propagated through it), so every phase duration is final.
+    propagated through it), so every phase duration is final.  A
+    stage-less exception is the SAT solver's own budget; its ``seconds``
+    are the "sat" span's.
     """
-    if root is None:
-        return
-    for child in root.children:
-        exc.timings.setdefault(child.name, child.wall_seconds)
-    exc.timings["total"] = root.wall_seconds
+    exc.timings.update(_derive_timings(root))
+    if exc.stage is None:
+        exc.seconds = exc.timings.get("sat")
 
 
 def _run_traced(
@@ -165,7 +166,7 @@ def verify(
             subclass) when exhausted — this plays the role of the paper's
             4 GB memory limit in the scaling experiments.  The exception's
             ``timings`` dict still carries the phase timings accumulated
-            before the abort.
+            before the abort, and its ``seconds`` the "sat" span's.
         max_wall_seconds / max_cpu_seconds: *pipeline-wide* deadline,
             enforced cooperatively at every stage (tlsim, rewriting, each
             encoding stage, the SAT loop, witness reconstruction) via an
@@ -186,10 +187,10 @@ def verify(
         strict: implies ``analyze``; raise
             :class:`repro.errors.AnalysisError` when any error-level
             finding is present instead of returning normally.
-        trace: keep the full span tree on ``result.trace`` (a
-            :class:`~repro.obs.tracer.Span`) with the per-layer work
-            counters; render it with
-            :func:`repro.core.reporting.render_span_tree`.
+        trace: ignored.  Every run attaches its span tree (a
+            :class:`~repro.obs.tracer.Span` with the per-layer work
+            counters) to ``result.trace``; render it with
+            :func:`repro.obs.render_span_tree`.
         certify: log a DRUP clause proof in the SAT solver and attach an
             independently checked :class:`~repro.witness.types.Witness`
             to ``result.witness``: the proof is re-checked by the
@@ -251,8 +252,7 @@ def verify(
     for counter, value in active.counters().items():
         root.add(counter, value)
     result.timings = _derive_timings(root)
-    if trace:
-        result.trace = root
+    result.trace = root
 
     if strict:
         from ..analysis.diagnostics import errors_in

@@ -18,7 +18,6 @@ correctness formulas).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -51,21 +50,10 @@ class EncodingStats:
     other_primary: int = 0
     cnf_vars: int = 0
     cnf_clauses: int = 0
-    translate_seconds: float = 0.0
 
     @property
     def total_primary(self) -> int:
         return self.eij_primary + self.other_primary
-
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "eij_primary": self.eij_primary,
-            "other_primary": self.other_primary,
-            "total_primary": self.total_primary,
-            "cnf_vars": self.cnf_vars,
-            "cnf_clauses": self.cnf_clauses,
-            "translate_seconds": round(self.translate_seconds, 4),
-        }
 
 
 @dataclass
@@ -99,10 +87,6 @@ class ValidityResult:
     #: variables the SAT model left unassigned (don't-cares).
     counterexample: Optional[Dict[str, Optional[bool]]] = None
 
-    @property
-    def solve_seconds(self) -> float:
-        return self.sat_result.cpu_seconds if self.sat_result else 0.0
-
 
 def encode_validity(
     phi: Formula,
@@ -119,8 +103,6 @@ def encode_validity(
         raise ValueError(f"unknown memory mode {memory_mode!r}")
     if cnf_encoding not in ("polarity", "full"):
         raise ValueError(f"unknown CNF encoding {cnf_encoding!r}")
-    start = time.perf_counter()
-    stats = EncodingStats()
     tracer = current_tracer()
 
     with tracer.span("translate") as translate_span:
@@ -186,23 +168,21 @@ def encode_validity(
             tseitin_result = cnf_for_satisfiability(
                 negated, polarity_aware=(cnf_encoding == "polarity")
             )
-        stats.translate_seconds = time.perf_counter() - start
-        translate_span.set(
-            "encode.cnf_vars", float(tseitin_result.cnf.num_vars)
+        eij_primary = sum(
+            1
+            for var in tseitin_result.var_map
+            if var.name.startswith("eij!")
         )
-        translate_span.set(
-            "encode.cnf_clauses", float(tseitin_result.cnf.num_clauses)
+        stats = EncodingStats(
+            eij_primary=eij_primary,
+            other_primary=len(tseitin_result.var_map) - eij_primary,
+            cnf_vars=tseitin_result.cnf.num_vars,
+            cnf_clauses=tseitin_result.cnf.num_clauses,
         )
-
-    total_eij = len(eij_result.eij_vars) + len(trans_result.fill_vars)
-    stats.eij_primary = sum(
-        1
-        for var in tseitin_result.var_map
-        if var.name.startswith("eij!")
-    )
-    stats.other_primary = len(tseitin_result.var_map) - stats.eij_primary
-    stats.cnf_vars = tseitin_result.cnf.num_vars
-    stats.cnf_clauses = tseitin_result.cnf.num_clauses
+        translate_span.set("encode.cnf_vars", float(stats.cnf_vars))
+        translate_span.set("encode.cnf_clauses", float(stats.cnf_clauses))
+        translate_span.set("encode.eij_primary", float(stats.eij_primary))
+        translate_span.set("encode.other_primary", float(stats.other_primary))
 
     encoded = EncodedValidity(
         cnf=tseitin_result.cnf,
@@ -260,15 +240,9 @@ def check_validity(
         )
         raise BudgetExhausted(
             "SAT budget exhausted before the validity check completed "
-            f"({sat_result.conflicts} conflicts, "
-            f"{sat_result.cpu_seconds:.1f}s)",
+            f"({sat_result.conflicts} conflicts)",
             conflicts=sat_result.conflicts,
-            seconds=sat_result.cpu_seconds,
             budget_kind=budget_kind,
-            timings={
-                "translate": encoded.stats.translate_seconds,
-                "sat": sat_result.cpu_seconds,
-            },
         )
     valid = sat_result.is_unsat
     counterexample = None

@@ -44,16 +44,19 @@ class BudgetExhausted(ReproError, TimeoutError):
 
     Attributes:
         conflicts: SAT conflicts spent before the abort (if known).
-        seconds: wall-clock seconds spent in the SAT solver (if known).
+        seconds: wall-clock seconds spent before the abort (if known):
+            the elapsed deadline for a guard budget, the "sat" span's
+            wall time for the SAT solver's own budget.
         budget_kind: ``"conflicts"``, ``"seconds"``, ``"wall"``, ``"cpu"``
             or ``"memory"``.
         stage: pipeline stage that observed the exhaustion (``"tlsim"``,
             ``"rewrite"``, ``"encode.eij"``, ``"sat"``, ``"witness"``,
             ...) when a :class:`repro.guard.Deadline` raised it; ``None``
             for plain solver-budget exhaustion.
-        timings: phase timings accumulated before the abort; the driver
-            layers enrich this dict as the exception propagates so the
-            caller still sees simulate/rewrite/translate/sat splits.
+        timings: phase timings accumulated before the abort;
+            :func:`repro.core.verify` fills this dict from its span tree
+            as the exception propagates, so the caller still sees the
+            simulate/rewrite/translate/sat splits.
     """
 
     def __init__(

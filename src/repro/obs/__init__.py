@@ -18,7 +18,8 @@ encoder, the Tseitin translation, the CDCL solver) records spans and
 counters against the *ambient* tracer (:func:`current_tracer`), which is
 the no-op :data:`NULL_TRACER` unless a caller installs a real one with
 :func:`use_tracer` — :func:`repro.core.verify` does so for every run and
-derives its ``timings`` dict from the resulting span tree.
+attaches the resulting span tree to its result, the one source of the
+run's timings and counts.
 """
 
 from .exporters import (
@@ -37,7 +38,6 @@ from .metrics import (
     MetricsSnapshot,
     Tolerance,
     compare_snapshots,
-    merge_snapshots,
     snapshot_from_result,
 )
 from .tracer import (
@@ -63,7 +63,6 @@ __all__ = [
     "ComparisonReport",
     "DEFAULT_TOLERANCES",
     "snapshot_from_result",
-    "merge_snapshots",
     "compare_snapshots",
     "render_span_tree",
     "trace_to_json",

@@ -79,7 +79,7 @@ def _run_traced(args: argparse.Namespace):
 
     config = ProcessorConfig(n_rob=args.rob, issue_width=args.width)
     return verify(
-        config, method=args.method, criterion=args.criterion, trace=True,
+        config, method=args.method, criterion=args.criterion,
         max_wall_seconds=args.deadline, max_memory_mb=args.max_memory,
     )
 

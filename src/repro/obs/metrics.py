@@ -8,12 +8,11 @@ write ``BENCH_*.json`` snapshots, campaigns journal one per job, and
 ``python -m repro perf record``/``compare`` turn two snapshots into a
 regression verdict.
 
-:func:`snapshot_from_result` flattens a
-:class:`~repro.core.results.VerificationResult` (phase timings, CNF
-statistics, SAT counters, rewrite-rule firing counts, and — when the run
-was traced — every span counter) into one snapshot.  It duck-types the
-result object so it also works on the stub results used by campaign
-tests.
+:func:`snapshot_from_result` flattens the span tree a
+:class:`~repro.core.results.VerificationResult` carries — the one source
+of a run's numbers — into one snapshot: per-phase wall (``timings.*``)
+and CPU (``cpu.*``) seconds from the top-level spans, and every span
+counter once, under its own name.
 
 :func:`compare_snapshots` checks a current snapshot against a baseline
 under per-metric tolerances.  Tolerances are matched by ``fnmatch``
@@ -28,10 +27,6 @@ the campaign runs with ``--workers N``.  Wall-clock metrics
 an exceedance is reported in the comparison table but never fails the
 gate, because wall clocks regress spuriously on loaded runners and under
 process parallelism.
-
-:func:`merge_snapshots` sums several snapshots into one — the parent
-side of a parallel campaign merges each worker's shipped snapshot this
-way, and benchmark sweeps aggregate per-job snapshots into a suite total.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ __all__ = [
     "ComparisonReport",
     "DEFAULT_TOLERANCES",
     "snapshot_from_result",
-    "merge_snapshots",
     "compare_snapshots",
 ]
 
@@ -125,53 +119,25 @@ class MetricsSnapshot:
 
 
 def snapshot_from_result(result, meta: Optional[Dict[str, Any]] = None) -> MetricsSnapshot:
-    """Flatten a verification result into one :class:`MetricsSnapshot`.
+    """Flatten a verification result's span tree into one
+    :class:`MetricsSnapshot`.
 
-    Works on any object shaped like
-    :class:`~repro.core.results.VerificationResult`; absent attributes
-    simply contribute no metrics.
+    ``timings.<phase>``/``cpu.<phase>`` are the wall/CPU seconds of each
+    top-level span (``total`` is the root's); every span counter appears
+    once, under its own name, summed over the tree.  Works on any object
+    shaped like :class:`~repro.core.results.VerificationResult`; a
+    result without a ``trace`` contributes no metrics.
     """
     metrics: Dict[str, float] = {}
-
-    for phase, seconds in (getattr(result, "timings", None) or {}).items():
-        metrics[f"timings.{phase}"] = float(seconds)
-
-    stats = getattr(result, "encoding_stats", None)
-    if stats is not None:
-        for name, value in stats.as_row().items():
-            metrics[f"encode.{name}"] = float(value)
-
-    validity = getattr(result, "validity", None)
-    sat = getattr(validity, "sat_result", None) if validity else None
-    if sat is not None:
-        for name in (
-            "decisions",
-            "conflicts",
-            "propagations",
-            "restarts",
-            "learned_clauses",
-            "max_decision_level",
-        ):
-            metrics[f"sat.{name}"] = float(getattr(sat, name, 0))
-        metrics["sat.cpu_seconds"] = float(getattr(sat, "cpu_seconds", 0.0))
-
-    rewrite = getattr(result, "rewrite", None)
-    if rewrite is not None:
-        for rule, count in (getattr(rewrite, "rules_applied", None) or {}).items():
-            metrics[f"rewrite.rule.{rule}"] = float(count)
-        proved = getattr(rewrite, "proved_entries", None)
-        if proved is not None:
-            metrics["rewrite.entries_proved"] = float(len(proved))
-
     trace = getattr(result, "trace", None)
     if trace is not None:
-        # CPU-time mirror of the wall-clock ``timings.*`` phases: the
-        # values the perf gate actually gates on (wall is advisory).
+        metrics["timings.total"] = float(trace.wall_seconds)
         metrics["cpu.total"] = float(trace.cpu_seconds)
         for child in trace.children:
+            metrics[f"timings.{child.name}"] = float(child.wall_seconds)
             metrics[f"cpu.{child.name}"] = float(child.cpu_seconds)
         for counter, value in trace.all_counters().items():
-            metrics.setdefault(f"trace.{counter}", float(value))
+            metrics[counter] = float(value)
 
     snapshot_meta: Dict[str, Any] = {}
     config = getattr(result, "config", None)
@@ -185,25 +151,6 @@ def snapshot_from_result(result, meta: Optional[Dict[str, Any]] = None) -> Metri
         snapshot_meta["correct"] = bool(correct)
     snapshot_meta.update(meta or {})
     return MetricsSnapshot(metrics=metrics, meta=snapshot_meta)
-
-
-def merge_snapshots(
-    snapshots: Sequence[MetricsSnapshot],
-    meta: Optional[Dict[str, Any]] = None,
-) -> MetricsSnapshot:
-    """Sum several snapshots into one.
-
-    Metric values are added (they are counters and durations, both of
-    which aggregate by summation); ``meta`` of the result is the given
-    ``meta`` plus a ``merged_from`` count.  The parent of a parallel
-    campaign merges worker-shipped snapshots this way.
-    """
-    registry = MetricsRegistry()
-    for snapshot in snapshots:
-        registry.merge(snapshot.metrics)
-    merged_meta: Dict[str, Any] = {"merged_from": len(snapshots)}
-    merged_meta.update(meta or {})
-    return registry.snapshot(meta=merged_meta)
 
 
 @dataclass(frozen=True)

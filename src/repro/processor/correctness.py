@@ -31,7 +31,6 @@ observation points coincide with the seed model's).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -73,8 +72,6 @@ class DiagramArtifacts:
     spec_states: List[SpecState] = field(default_factory=list)
     #: monotone fetch signals fetch_1 .. fetch_k as formulas.
     fetch_conditions: List[Formula] = field(default_factory=list)
-    #: wall-clock seconds spent in symbolic simulation.
-    simulate_seconds: float = 0.0
 
     @property
     def initial_pc(self) -> Term:
@@ -99,7 +96,6 @@ def run_diagram(
     Recorded as a ``"simulate"`` span on the ambient tracer, carrying the
     TLSim work counters (cycles, component evaluations, nodes built).
     """
-    start = time.perf_counter()
     with current_tracer().span("simulate") as span:
         nodes_before = interned_count()
         proc = build_ooo_processor(config, bug=bug)
@@ -142,11 +138,12 @@ def run_diagram(
             builder.and_(*nd_fetch[: j + 1]) for j in range(k)
         ]
 
-        impl_sim.publish_counters()
-        spec_sim.publish_counters()
+        for sim in (impl_sim, spec_sim):
+            span.add("tlsim.component_evaluations",
+                     sim.stats.component_evaluations)
+            span.add("tlsim.components_skipped", sim.stats.components_skipped)
         span.add("tlsim.nodes_built", interned_count() - nodes_before)
 
-    artifacts.simulate_seconds = time.perf_counter() - start
     return artifacts
 
 

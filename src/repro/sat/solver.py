@@ -107,7 +107,6 @@ class SatResult:
     learned_clauses: int = 0
     #: deepest decision level reached (0 when the instance propagates out).
     max_decision_level: int = 0
-    cpu_seconds: float = 0.0
     #: DRUP proof steps ``("a"|"d", literals)`` when the solver ran with
     #: ``log_proof=True``; ``None`` otherwise.  Only meaningful for
     #: ``"unsat"`` outcomes (the final step is then the empty clause).
@@ -538,7 +537,6 @@ class Solver:
             # is reverse-unit-propagation derivable either way.
             result.status = "unsat"
             result.proof = self._proof_view((("a", ()),))
-            result.cpu_seconds = time.perf_counter() - start
             return result
 
         restart_base = 100
@@ -657,7 +655,6 @@ class Solver:
                 break
 
         result.proof = self._proof_view(tail)
-        result.cpu_seconds = time.perf_counter() - start
         return result
 
     def _proof_view(

@@ -204,9 +204,7 @@ def cnf_for_satisfiability(
         # The solver should never see the same clause twice (shared gate
         # structure can reproduce a definition clause verbatim).
         result.cnf.dedupe()
-    tracer = current_tracer()
-    tracer.add("tseitin.cnf_vars", result.cnf.num_vars)
-    tracer.add("tseitin.cnf_clauses", result.cnf.num_clauses)
-    tracer.add("tseitin.primary_inputs", len(result.var_map))
-    tracer.add("tseitin.gate_vars", result.cnf.num_vars - len(result.var_map))
+    current_tracer().add(
+        "tseitin.gate_vars", result.cnf.num_vars - len(result.var_map)
+    )
     return result

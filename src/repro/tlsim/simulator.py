@@ -38,7 +38,7 @@ class SimulationError(ReproError, RuntimeError):
 
 @dataclass
 class SimulatorStats:
-    """Work counters, used by the Table 1 benchmark."""
+    """Work counters; ``run_diagram`` adds them to its "simulate" span."""
 
     steps: int = 0
     component_evaluations: int = 0
@@ -58,8 +58,6 @@ class Simulator:
         # Last-seen input expressions per component, for change detection.
         self._last_inputs: Dict[Component, tuple] = {}
         self._dirty: Set[Component] = set(self._order)
-        # Counter values already pushed to the tracer (see publish_counters).
-        self._published = SimulatorStats()
 
     # ------------------------------------------------------------------
     # State and input management
@@ -139,25 +137,6 @@ class Simulator:
     def run(self, cycles: int) -> None:
         for _ in range(cycles):
             self.step()
-
-    def publish_counters(self, prefix: str = "tlsim") -> None:
-        """Push the work counters accumulated since the last publish onto
-        the ambient tracer's current span (a no-op without a tracer)."""
-        tracer = current_tracer()
-        stats, last = self.stats, self._published
-        tracer.add(
-            f"{prefix}.component_evaluations",
-            stats.component_evaluations - last.component_evaluations,
-        )
-        tracer.add(
-            f"{prefix}.components_skipped",
-            stats.components_skipped - last.components_skipped,
-        )
-        self._published = SimulatorStats(
-            steps=stats.steps,
-            component_evaluations=stats.component_evaluations,
-            components_skipped=stats.components_skipped,
-        )
 
     def _require(self, signal: Signal) -> Expr:
         if signal not in self.values:

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -46,13 +48,6 @@ class TestMain:
                      "positive_equality"])
         assert code == 0
 
-    def test_sat_budget_exit_code(self, capsys):
-        code = main(
-            ["--rob", "3", "--width", "3", "--method", "positive_equality",
-             "--sat-budget", "0.05"]
-        )
-        assert code == 2
-
     def test_max_seconds_flag(self, capsys):
         code = main(
             ["--rob", "3", "--width", "3", "--method", "positive_equality",
@@ -71,7 +66,8 @@ class TestMain:
         assert code == 2
         err = capsys.readouterr().err
         assert "budget exhausted" in err
-        assert "conflicts" in err
+        # The SAT seconds spent are the "sat" span's wall time.
+        assert re.search(r"after \d+ conflicts, \d+\.\ds", err)
         assert "campaign" in err  # points at the escalating runner
 
     def test_retire_width_flag(self, capsys):

@@ -49,18 +49,6 @@ class TestDecodeModel:
 
 
 class TestEncodingStats:
-    def test_as_row_keys(self):
-        encoded = encode_validity(eq(tvar("x"), tvar("y")))
-        row = encoded.stats.as_row()
-        assert set(row) == {
-            "eij_primary",
-            "other_primary",
-            "total_primary",
-            "cnf_vars",
-            "cnf_clauses",
-            "translate_seconds",
-        }
-
     def test_constant_formula_shortcut(self):
         from repro.eufm import TRUE
 

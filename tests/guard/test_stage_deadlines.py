@@ -89,9 +89,7 @@ class TestVerifyKwargs:
         assert info.value.bytes_used > info.value.max_bytes
 
     def test_generous_budgets_do_not_interfere(self):
-        result = verify(
-            CONFIG, max_wall_seconds=600.0, max_memory_mb=4096.0, trace=True
-        )
+        result = verify(CONFIG, max_wall_seconds=600.0, max_memory_mb=4096.0)
         assert result.correct
         counters = result.trace.all_counters()
         assert counters.get("guard.checks", 0) > 0
@@ -99,7 +97,7 @@ class TestVerifyKwargs:
         assert counters.get("guard.memory_checks", 0) > 0
 
     def test_unsupervised_run_reports_no_guard_counters(self):
-        result = verify(CONFIG, trace=True)
+        result = verify(CONFIG)
         assert result.correct
         assert not any(
             name.startswith("guard.")

@@ -11,7 +11,6 @@ from repro.obs import (
     trace_to_chrome,
     trace_to_json,
 )
-from repro.core.reporting import render_span_tree as core_render_span_tree
 
 
 def sample_tree():
@@ -21,7 +20,7 @@ def sample_tree():
             tracer.add("tlsim.cycles", 13)
         with tracer.span("translate"):
             with tracer.span("tseitin"):
-                tracer.add("tseitin.cnf_vars", 17)
+                tracer.add("tseitin.gate_vars", 13)
         with tracer.span("sat"):
             tracer.add("sat.conflicts", 7)
     return tracer.root
@@ -40,12 +39,6 @@ class TestRenderSpanTree:
     def test_counters_can_be_suppressed(self):
         text = render_span_tree(sample_tree(), counters=False)
         assert "tlsim.cycles" not in text
-
-    def test_core_reporting_delegate(self):
-        root = sample_tree()
-        assert core_render_span_tree(root) == render_span_tree(root)
-        titled = core_render_span_tree(root, title="Trace")
-        assert titled.startswith("Trace\nverify")
 
 
 class TestJsonRoundTrip:

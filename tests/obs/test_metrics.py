@@ -10,7 +10,6 @@ from repro.obs import (
     MetricsSnapshot,
     Tolerance,
     compare_snapshots,
-    merge_snapshots,
 )
 
 
@@ -180,24 +179,3 @@ class TestCompare:
         )
         assert not cpu.ok
         assert [d.name for d in cpu.regressions] == ["cpu.sat"]
-
-
-class TestMergeSnapshots:
-    def test_merge_sums_metrics(self):
-        merged = merge_snapshots([
-            MetricsSnapshot(metrics={"a": 1.0, "b": 2.0}),
-            MetricsSnapshot(metrics={"a": 3.0, "c": 0.5}),
-        ])
-        assert merged.metrics == {"a": 4.0, "b": 2.0, "c": 0.5}
-        assert merged.meta["merged_from"] == 2
-
-    def test_merge_carries_supplied_meta(self):
-        merged = merge_snapshots(
-            [MetricsSnapshot(metrics={"a": 1.0})], meta={"run": "x"}
-        )
-        assert merged.meta["run"] == "x"
-        assert merged.meta["merged_from"] == 1
-
-    def test_merge_of_nothing_is_empty(self):
-        merged = merge_snapshots([])
-        assert merged.metrics == {}

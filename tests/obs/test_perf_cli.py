@@ -1,6 +1,10 @@
 """CLI tests for ``python -m repro perf`` and ``python -m repro trace``."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +14,13 @@ from repro.obs.metrics import MetricsSnapshot, Tolerance
 
 
 RUN = ["--rob", "2", "--width", "1"]
+REPO = pathlib.Path(__file__).resolve().parents[2]
+BASELINE = REPO / "benchmarks" / "baselines" / "perf_smoke.json"
+#: The ``--tol`` flags of the CI perf-smoke job's ``perf compare`` step.
+CI_TOLERANCES = [
+    "--tol", "cpu.*=rel:20+abs:2",
+    "--tol", "timings.*=rel:20+abs:2+advisory",
+]
 
 
 class TestParseTolerance:
@@ -130,3 +141,24 @@ class TestMainDispatch:
         assert repro_main(["trace", *RUN]) == 0
         assert base.exists()
         assert "verify" in capsys.readouterr().out
+
+
+class TestCommittedBaseline:
+    def test_fresh_record_passes_the_ci_gate(self, tmp_path, capsys):
+        # A fresh interpreter, as in CI: tlsim.nodes_built counts the
+        # nodes a run interns, and earlier tests may have interned them.
+        current = tmp_path / "current.json"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        record = subprocess.run(
+            [sys.executable, "-m", "repro", "perf", "record",
+             "--rob", "4", "--width", "2", "--out", str(current)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert record.returncode == 0, record.stderr
+        code = perf_main(
+            ["compare", str(BASELINE), str(current), *CI_TOLERANCES]
+        )
+        assert code == 0, capsys.readouterr().out
+        assert set(MetricsSnapshot.load(current).metrics) == set(
+            MetricsSnapshot.load(BASELINE).metrics
+        )

@@ -1,4 +1,4 @@
-"""End-to-end trace integration: verify(trace=True) must produce a span
+"""End-to-end trace integration: every verify() run must carry a span
 tree covering every pipeline layer with nonzero work counters."""
 
 import pytest
@@ -13,14 +13,13 @@ CONFIG = ProcessorConfig(n_rob=4, issue_width=2)
 
 @pytest.fixture(scope="module")
 def traced_result():
-    return verify(CONFIG, trace=True)
+    return verify(CONFIG)
 
 
 class TestSpanTreeCoverage:
-    def test_trace_attached_only_when_requested(self, traced_result):
+    def test_trace_attached_on_every_run(self, traced_result):
         assert traced_result.trace is not None
-        untraced = verify(ProcessorConfig(n_rob=2, issue_width=1))
-        assert untraced.trace is None
+        assert verify(ProcessorConfig(n_rob=2, issue_width=1)).trace is not None
 
     def test_tree_covers_the_pipeline_phases(self, traced_result):
         root = traced_result.trace
@@ -42,7 +41,8 @@ class TestSpanTreeCoverage:
             "rewrite.rule.remove",
             "encode.fresh_term_vars",    # encoding pipeline
             "encode.p_vars",
-            "tseitin.cnf_vars",          # CNF translation
+            "encode.cnf_vars",           # CNF translation
+            "tseitin.gate_vars",
             "sat.decisions",             # SAT solver
             "sat.propagations",
         ):
@@ -54,7 +54,7 @@ class TestSpanTreeCoverage:
 
     def test_analyze_adds_a_phase_span(self):
         result = verify(
-            ProcessorConfig(n_rob=2, issue_width=1), analyze=True, trace=True
+            ProcessorConfig(n_rob=2, issue_width=1), analyze=True
         )
         assert result.trace.find("analyze") is not None
         assert "analyze" in result.timings
@@ -107,7 +107,7 @@ class TestSatSpan:
     """``solve_cnf`` opens the one "sat" span, clause loading included."""
 
     def test_cold_run_has_one_sat_span(self):
-        result = verify(CONFIG, trace=True, certify=True)
+        result = verify(CONFIG, certify=True)
         span = _only_sat_span(result)
         sat_result = result.validity.sat_result
         _assert_counters_match(span, sat_result)
@@ -123,8 +123,8 @@ class TestSatSpan:
     def test_pooled_runs_count_sessions_inside_the_sat_span(self):
         pool = SessionPool()
         with use_session_pool(pool):
-            first = verify(CONFIG, trace=True)
-            second = verify(CONFIG, trace=True)
+            first = verify(CONFIG)
+            second = verify(CONFIG)
         assert (pool.misses, pool.hits) == (1, 1)
         for result, counter in (
             (first, "sat.session_misses"),
@@ -150,12 +150,14 @@ class TestBudgetPathTimings:
         for phase in ("simulate", "translate", "sat", "total"):
             assert phase in timings, phase
         assert timings["total"] >= timings["simulate"]
+        # The solver's own budget reports the "sat" span's seconds.
+        assert info.value.seconds == timings["sat"]
 
 
 class TestAmbientIsolation:
     def test_verify_restores_the_ambient_tracer(self):
         assert current_tracer() is NULL_TRACER
-        verify(ProcessorConfig(n_rob=2, issue_width=1), trace=True)
+        verify(ProcessorConfig(n_rob=2, issue_width=1))
         assert current_tracer() is NULL_TRACER
 
 
@@ -167,6 +169,20 @@ class TestSnapshotFromTracedResult:
         assert metrics["sat.decisions"] > 0
         assert metrics["rewrite.entries_proved"] > 0
         assert metrics["encode.cnf_vars"] > 0
-        assert metrics["trace.tlsim.cycles"] > 0
+        assert metrics["tlsim.cycles"] > 0
         assert snapshot.meta["method"] == "rewriting"
         assert snapshot.meta["correct"] is True
+
+    def test_snapshot_is_the_span_tree_flattened(self, traced_result):
+        # Phase times from the top-level spans, then every span counter
+        # once, under its own name: no ``trace.*`` mirror, no copies.
+        root = traced_result.trace
+        expected = {"timings.total": root.wall_seconds,
+                    "cpu.total": root.cpu_seconds}
+        for child in root.children:
+            expected[f"timings.{child.name}"] = child.wall_seconds
+            expected[f"cpu.{child.name}"] = child.cpu_seconds
+        expected.update(root.all_counters())
+        metrics = snapshot_from_result(traced_result).metrics
+        assert metrics == expected
+        assert not [name for name in metrics if name.startswith("trace.")]

@@ -20,7 +20,6 @@ class TestDiagram:
         assert artifacts.rf_impl is not None
         assert artifacts.rf_impl_mid is not None
         assert len(artifacts.spec_states) == 2
-        assert artifacts.simulate_seconds > 0
 
     def test_spec_zero_state_uses_initial_pc(self):
         artifacts = run_diagram(ProcessorConfig(n_rob=2, issue_width=1))

@@ -62,7 +62,6 @@ class TestBasics:
         cnf = _cnf(3, [[1, 2], [-1, 2], [1, -2], [-1, -2, 3]])
         result = solve_cnf(cnf)
         assert result.is_sat
-        assert result.cpu_seconds >= 0.0
         assert result.propagations >= 1
 
     def test_search_statistics_populated(self):

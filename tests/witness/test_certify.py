@@ -107,7 +107,7 @@ class TestCertifyResult:
             assert payload["digest"] == result.witness.digest()
 
     def test_witness_spans_recorded_in_trace(self):
-        result = verify(CONFIG, certify=True, trace=True)
+        result = verify(CONFIG, certify=True)
         names = {span.name for span in result.trace.children}
         assert "witness" in names
         witness_span = next(
