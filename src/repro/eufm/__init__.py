@@ -2,7 +2,7 @@
 
 This package is the logical substrate of the reproduction: hash-consed
 expression DAGs, smart constructors, traversal utilities, polarity
-(Positive Equality) classification, memory-chain utilities, a concrete
+(Positive Equality) classification, a concrete
 evaluator used as semantic ground truth in tests, and an S-expression
 printer/parser pair.
 """
@@ -47,7 +47,6 @@ from .builder import (
     xor,
 )
 from .evaluator import Interpretation, MemVal, SortError, evaluate
-from .memory import Update, apply_updates, chain_read, collect_updates, push_read
 from .parser import ParseError, parse
 from .polarity import BOTH, NEG, POS, PolarityInfo, classify
 from .printer import pretty, to_sexpr
@@ -109,12 +108,6 @@ __all__ = [
     "MemVal",
     "SortError",
     "evaluate",
-    # memory
-    "Update",
-    "apply_updates",
-    "chain_read",
-    "collect_updates",
-    "push_read",
     # parser / printer
     "ParseError",
     "parse",

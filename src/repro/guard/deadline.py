@@ -16,7 +16,7 @@ costs nothing in the default configuration.
 Check discipline (mirrors how the layers are instrumented):
 
 * ``check(stage)`` — unconditional; called at stage entry and at coarse
-  loop heads (a tlsim cycle, a rewrite entry, a witness-minimization
+  loop heads (a simulation cycle, a rewrite entry, a witness-minimization
   variable).  Emits a heartbeat (rate-limited), applies any injected
   stage delay, then tests the wall/CPU/memory budgets and raises
   :class:`~repro.errors.BudgetExhausted` (or

@@ -2,7 +2,7 @@
 implementation with a reorder buffer, the abstraction function, defect
 injection, and the Burch–Dill correctness formula."""
 
-from .abstraction import apply_abstraction, flush_range
+from .abstraction import flush_range
 from .bugs import Bug, BugKind, forwarding_bug
 from .correctness import (
     DiagramArtifacts,
@@ -22,11 +22,16 @@ from .isa import (
     spec_step,
     spec_trajectory,
 )
-from .ooo import OooProcessor, build_ooo_processor, make_simulator
+from .ooo import (
+    MachineState,
+    OooProcessor,
+    Slot,
+    build_ooo_processor,
+    regular_step,
+)
 from .params import ProcessorConfig
 
 __all__ = [
-    "apply_abstraction",
     "flush_range",
     "Bug",
     "BugKind",
@@ -45,8 +50,10 @@ __all__ = [
     "fetch_fields",
     "spec_step",
     "spec_trajectory",
+    "MachineState",
     "OooProcessor",
+    "Slot",
     "build_ooo_processor",
-    "make_simulator",
+    "regular_step",
     "ProcessorConfig",
 ]

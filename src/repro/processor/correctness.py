@@ -37,11 +37,10 @@ from typing import List, Optional
 from ..eufm import builder
 from ..eufm.ast import FALSE, TRUE, Formula, Term, interned_count
 from ..obs.tracer import current_tracer
-from ..tlsim import Simulator
 from .abstraction import flush_range
 from .bugs import Bug
 from .isa import SpecState, spec_trajectory
-from .ooo import OooProcessor, build_ooo_processor, make_simulator
+from .ooo import OooProcessor, build_ooo_processor, regular_step
 from .params import ProcessorConfig
 
 __all__ = ["DiagramArtifacts", "build_correctness_formula", "run_diagram"]
@@ -75,17 +74,15 @@ class DiagramArtifacts:
 
     @property
     def initial_pc(self) -> Term:
-        return self.proc.initial_state[self.proc.pc]
+        return self.proc.initial.pc
 
     @property
     def initial_rf(self) -> Term:
-        return self.proc.initial_state[self.proc.rf]
+        return self.proc.initial.rf
 
     @property
     def initial_dmem(self) -> Optional[Term]:
-        if self.proc.dmem is None:
-            return None
-        return self.proc.initial_state[self.proc.dmem]
+        return self.proc.initial.dmem
 
 
 def run_diagram(
@@ -94,54 +91,37 @@ def run_diagram(
     """Symbolically simulate both sides of the commutative diagram.
 
     Recorded as a ``"simulate"`` span on the ambient tracer, carrying the
-    TLSim work counters (cycles, component evaluations, nodes built).
+    simulation counters (``tlsim.cycles``, ``tlsim.nodes_built``).
     """
     with current_tracer().span("simulate") as span:
         nodes_before = interned_count()
         proc = build_ooo_processor(config, bug=bug)
         artifacts = DiagramArtifacts(config=config, proc=proc)
-
         n = config.n_rob
         k = config.issue_width
-        family = config.family_spec
-        has_mem = family.has_memory
 
         # Implementation side: one regular step, then flush in program order.
-        impl_sim = make_simulator(proc)
-        impl_sim.step()
-        flush_range(impl_sim, proc, 1, n)
-        artifacts.rf_impl_mid = impl_sim.peek(proc.rf)
-        if has_mem:
-            artifacts.dmem_impl_mid = impl_sim.peek(proc.dmem)
-        flush_range(impl_sim, proc, n + 1, n + k)
+        impl = regular_step(proc, proc.initial)
+        impl = flush_range(proc, impl, 1, n)
+        artifacts.rf_impl_mid = impl.rf
+        artifacts.dmem_impl_mid = impl.dmem
+        impl = flush_range(proc, impl, n + 1, n + k)
         # The PC is observed after the abstraction function: for branch
         # families flushing redirects it past in-flight taken branches
-        # (a no-op for the other families, where the peeks coincide with
-        # the seed model's post-step observation).
-        artifacts.pc_impl = impl_sim.peek(proc.pc)
-        artifacts.rf_impl = impl_sim.peek(proc.rf)
-        if has_mem:
-            artifacts.dmem_impl = impl_sim.peek(proc.dmem)
+        # (a no-op for the other families, where it is the PC after the
+        # regular step, as in the seed model).
+        artifacts.pc_impl = impl.pc
+        artifacts.rf_impl = impl.rf
+        artifacts.dmem_impl = impl.dmem
 
         # Specification side: flush the initial state, then run the ISA.
-        spec_sim = make_simulator(proc)
-        flush_range(spec_sim, proc, 1, n + k)
-        spec0 = SpecState(
-            pc=spec_sim.peek(proc.pc),
-            reg_file=spec_sim.peek(proc.rf),
-            dmem=spec_sim.peek(proc.dmem) if has_mem else None,
-        )
-        artifacts.spec_states = spec_trajectory(spec0, k, family)
+        spec = flush_range(proc, proc.initial, 1, n + k)
+        spec0 = SpecState(pc=spec.pc, reg_file=spec.rf, dmem=spec.dmem)
+        artifacts.spec_states = spec_trajectory(spec0, k, config.family_spec)
 
-        nd_fetch = [builder.bvar(f"NDFetch{j + 1}") for j in range(k)]
         artifacts.fetch_conditions = [
-            builder.and_(*nd_fetch[: j + 1]) for j in range(k)
+            builder.and_(*proc.nd_fetch[: j + 1]) for j in range(k)
         ]
-
-        for sim in (impl_sim, spec_sim):
-            span.add("tlsim.component_evaluations",
-                     sim.stats.component_evaluations)
-            span.add("tlsim.components_skipped", sim.stats.components_skipped)
         span.add("tlsim.nodes_built", interned_count() - nodes_before)
 
     return artifacts

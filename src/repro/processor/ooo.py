@@ -2,7 +2,7 @@
 
 The design of Fig. 1, abstracted exactly the way the paper describes:
 
-* The reorder buffer is ``N + k`` latched entries: the first ``N`` hold the
+* The reorder buffer is ``N + k`` slots: the first ``N`` hold the
   instructions initially in the ROB (fields ``Valid``, ``ValidResult``,
   ``Opcode``, ``Dest``, ``Src1``, ``Src2``, ``Result`` — all symbolic
   initial state), and the last ``k`` accept the newly fetched instructions.
@@ -14,23 +14,27 @@ The design of Fig. 1, abstracted exactly the way the paper describes:
   File or forwarded from the ``Result`` field of the *latest* preceding
   valid producer, which must already have its result.
 * Retirement is in program order, up to ``l`` per cycle, per formula (1).
-* Flushing (``flush`` input true) activates one computation slice per step
-  (``activate_i`` inputs, driven by the abstraction-function harness) and
-  applies the slice's completion function.
+* Flushing (the abstraction function, :func:`repro.processor.abstraction.
+  flush_range`) completes one slot per step.
 
-Workload families (:mod:`repro.processor.families`) extend the circuit:
+The processor is simulated directly: :class:`MachineState` holds the
+machine state as terms and formulas, and :func:`regular_step` builds the
+state after one cycle of regular operation from the per-slice next-state
+functions below.
 
-* *branch*: every entry carries a latched ``IsBranch`` kind bit and a
-  latched ``Taken`` outcome.  A branch executes like an ALU op but
-  computes ``BranchTarget``/``BranchTaken`` of its operands into the
+Workload families (:mod:`repro.processor.families`) extend the design:
+
+* *branch*: every entry carries an ``IsBranch`` kind bit and a ``Taken``
+  outcome.  A branch executes like an ALU op but computes
+  ``BranchTarget``/``BranchTaken`` of its operands into the
   ``Result``/``Taken`` fields.  Fetch is speculative (predict not-taken:
   the fall-through ``NextPC`` chain).  Misprediction is detected at
   retirement: a retiring taken branch redirects the PC to its target,
   squashes every younger ROB entry and the instructions fetched in the
   same cycle, and blocks younger retirement slots.  The abstraction
   function performs the same recovery for branches still in the ROB: a
-  latched wrong-path flag ``wp`` accumulates over the flush steps, each
-  completed taken branch redirects the PC, and wrong-path slices are
+  wrong-path flag ``wp`` accumulates over the flush steps, each
+  completed taken branch redirects the PC, and wrong-path slots are
   skipped instead of completed.
 * *mem*: a Data Memory (``dmem``) joins the architectural state.  Every
   entry carries ``IsLoad``/``IsStore`` kind bits; the effective address is
@@ -45,18 +49,29 @@ The builder plays the role of the paper's "C program, taking as parameters
 the size of the ROB and the issue width"; ``bug`` plants the defects of
 :mod:`repro.processor.bugs`.  For the ``reg-reg`` family every kind flag
 is the constant ``FALSE`` and the builder's constant folding collapses
-the generated circuit to exactly the seed model's formulas.
+the generated formulas to exactly the seed model's.
+
+Build order is part of the output: ``and_``, ``or_`` and ``eq`` sort
+their operands by node uid, so the order in which nodes are first built
+shows in every formula, and through it in the CNF and the SAT search.
+:func:`regular_step` therefore builds the slices in one fixed order:
+every slot's kind flags; the fetch conditions youngest first (with the
+fetch slots and the PC, unless the family has branches); the execution
+slices youngest first; the retirement slots oldest first, each followed
+by the Valid bits it decides (youngest first), the stores it commits and
+its Register-File write; then, for branch families, the misprediction
+recovery, the fetch slots youngest first and the PC.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from ..eufm import builder
 from ..eufm.ast import FALSE, TRUE, Expr, Formula, Term
-from ..tlsim import Circuit, Fn, Latch, Mux, Signal, Simulator
-from ..tlsim.signals import FORMULA, MEMORY, TERM
+from ..guard.deadline import current_deadline
+from ..obs.tracer import current_tracer
 from .bugs import Bug, BugKind
 from .families import Family
 from .isa import (
@@ -78,49 +93,68 @@ from .isa import (
 )
 from .params import ProcessorConfig
 
-__all__ = ["OooProcessor", "build_ooo_processor", "make_simulator"]
+__all__ = [
+    "MachineState",
+    "OooProcessor",
+    "Slot",
+    "build_ooo_processor",
+    "regular_step",
+]
+
+#: prioritized (is-branch, is-load, is-store) flags of one slot.
+KindFlags = Tuple[Formula, Formula, Formula]
+
+
+@dataclass(frozen=True)
+class Slot:
+    """The fields of one ROB slot.
+
+    The kind bits and the branch outcome stay ``FALSE`` in families
+    without the capability.
+    """
+
+    valid: Formula
+    vres: Formula
+    op: Term
+    dest: Term
+    src1: Term
+    src2: Term
+    result: Term
+    #: raw kind bits: IsBranch (branch families), IsLoad/IsStore (memory
+    #: families).
+    kb: Formula = FALSE
+    kl: Formula = FALSE
+    ks: Formula = FALSE
+    #: branch outcome (branch families).
+    taken: Formula = FALSE
+
+
+@dataclass(frozen=True)
+class MachineState:
+    """The implementation state: PC, Register File and the ROB slots."""
+
+    pc: Term
+    rf: Term
+    slots: Tuple[Slot, ...]
+    #: the Data Memory (memory families).
+    dmem: Optional[Term] = None
+    #: the wrong-path flag accumulated by the abstraction function
+    #: (branch families).
+    wp: Optional[Formula] = None
 
 
 @dataclass
 class OooProcessor:
-    """A built implementation circuit plus its symbolic initial state."""
+    """The implementation's parameters and symbolic initial state."""
 
     config: ProcessorConfig
     bug: Optional[Bug]
-    circuit: Circuit
-    # Control inputs.
-    flush: Signal
-    activate: List[Signal]
-    nd_execute: List[Signal]
-    nd_fetch: List[Signal]
-    # Architectural and ROB state signals (latch outputs).
-    pc: Signal
-    rf: Signal
-    rf_hold: Signal
-    valid: List[Signal]
-    vres: List[Signal]
-    op: List[Signal]
-    dest: List[Signal]
-    src1: List[Signal]
-    src2: List[Signal]
-    result: List[Signal]
-    #: per-entry kind bits (branch families: kb; memory families: kl/ks);
-    #: empty lists when the family lacks the capability.
-    kb: List[Signal] = field(default_factory=list)
-    kl: List[Signal] = field(default_factory=list)
-    ks: List[Signal] = field(default_factory=list)
-    #: per-entry latched branch outcome (branch families).
-    taken: List[Signal] = field(default_factory=list)
-    #: the wrong-path flag accumulated by the abstraction function
-    #: (branch families).
-    wp: Optional[Signal] = None
-    #: the Data Memory and its held pre-step copy (memory families).
-    dmem: Optional[Signal] = None
-    dmem_hold: Optional[Signal] = None
-    #: symbolic initial values for every latch output.
-    initial_state: Dict[Signal, Expr] = field(default_factory=dict)
+    initial: MachineState
+    #: the nondeterministic scheduling inputs NDExecute_i and NDFetch_j.
+    nd_execute: List[Formula]
+    nd_fetch: List[Formula]
     #: the symbolic variables of the initial state, by conventional name.
-    vars: Dict[str, Expr] = field(default_factory=dict)
+    vars: Dict[str, Expr]
 
     @property
     def total_slots(self) -> int:
@@ -130,913 +164,444 @@ class OooProcessor:
     def family(self) -> Family:
         return self.config.family_spec
 
+    def kind_flags(self, slot: Slot) -> KindFlags:
+        """The prioritized (is-branch, is-load, is-store) of ``slot``."""
+        return kind_precedence(self.family, slot.kb, slot.kl, slot.ks)
 
-def _kind_signals(proc_like: "_Builder", i: int) -> List[Signal]:
-    """The kind-bit signals of slot ``i`` in canonical packing order."""
-    signals: List[Signal] = []
-    if proc_like.has_branches:
-        signals.append(proc_like.kb[i])
-    if proc_like.has_memory:
-        signals.extend([proc_like.kl[i], proc_like.ks[i]])
-    return signals
-
-
-@dataclass
-class _Builder:
-    """Shared construction context for one processor build."""
-
-    config: ProcessorConfig
-    family: Family
-    bug: Optional[Bug]
-    kb: List[Signal] = field(default_factory=list)
-    kl: List[Signal] = field(default_factory=list)
-    ks: List[Signal] = field(default_factory=list)
-
-    @property
-    def has_branches(self) -> bool:
-        return self.family.has_branches
-
-    @property
-    def has_memory(self) -> bool:
-        return self.family.has_memory
-
-    @property
-    def kind_arity(self) -> int:
-        return (1 if self.has_branches else 0) + (2 if self.has_memory else 0)
-
-    def unpack_kinds(
-        self, exprs: Sequence[Formula]
-    ) -> Tuple[Formula, Formula, Formula]:
-        """Prioritized (isb, isl, iss) from packed raw kind expressions."""
-        index = 0
-        raw_b: Formula = FALSE
-        raw_l: Formula = FALSE
-        raw_s: Formula = FALSE
-        if self.has_branches:
-            raw_b = exprs[index]
-            index += 1
-        if self.has_memory:
-            raw_l = exprs[index]
-            raw_s = exprs[index + 1]
-        return kind_precedence(self.family, raw_b, raw_l, raw_s)
+    def planted(self, kind: str, entry: int, operand: Optional[int] = None) -> bool:
+        """Is the defect ``kind`` planted at ``entry`` (and ``operand``)?"""
+        bug = self.bug
+        return (
+            bug is not None
+            and bug.kind == kind
+            and bug.entry == entry
+            and (operand is None or bug.operand == operand)
+        )
 
 
 def build_ooo_processor(
     config: ProcessorConfig, bug: Optional[Bug] = None
 ) -> OooProcessor:
     """Generate the abstract OOO implementation for ``config``."""
-    n = config.n_rob
-    k = config.issue_width
-    l = config.retire_width
-    slots = config.total_slots
+    n, k = config.n_rob, config.issue_width
     family = config.family_spec
     if bug is not None:
         bug.check_family(family)
-    has_b = family.has_branches
-    has_m = family.has_memory
-    circuit = Circuit(f"ooo_N{n}_k{k}_{family.name}")
-
-    # ------------------------------------------------------------------
-    # Signals
-    # ------------------------------------------------------------------
-    flush = Signal("flush", FORMULA)
-    activate = [Signal(f"activate{i}", FORMULA) for i in range(1, slots + 1)]
-    nd_execute = [Signal(f"nd_execute{i}", FORMULA) for i in range(1, n + 1)]
-    nd_fetch = [Signal(f"nd_fetch{j}", FORMULA) for j in range(1, k + 1)]
-
-    pc = Signal("pc", TERM)
-    rf = Signal("rf", MEMORY)
-    rf_hold = Signal("rf_hold", MEMORY)
-    valid = [Signal(f"valid{i}", FORMULA) for i in range(1, slots + 1)]
-    vres = [Signal(f"vres{i}", FORMULA) for i in range(1, slots + 1)]
-    op = [Signal(f"op{i}", TERM) for i in range(1, slots + 1)]
-    dest = [Signal(f"dest{i}", TERM) for i in range(1, slots + 1)]
-    src1 = [Signal(f"src1_{i}", TERM) for i in range(1, slots + 1)]
-    src2 = [Signal(f"src2_{i}", TERM) for i in range(1, slots + 1)]
-    result = [Signal(f"result{i}", TERM) for i in range(1, slots + 1)]
-
-    ctx = _Builder(config=config, family=family, bug=bug)
-    kb = kl = ks = []
-    taken: List[Signal] = []
-    wp_sig: Optional[Signal] = None
-    dmem = dmem_hold = None
-    if has_b:
-        kb = [Signal(f"kb{i}", FORMULA) for i in range(1, slots + 1)]
-        taken = [Signal(f"taken{i}", FORMULA) for i in range(1, slots + 1)]
-        wp_sig = Signal("wp", FORMULA)
-        ctx.kb = kb
-    if has_m:
-        kl = [Signal(f"kl{i}", FORMULA) for i in range(1, slots + 1)]
-        ks = [Signal(f"ks{i}", FORMULA) for i in range(1, slots + 1)]
-        ctx.kl = kl
-        ctx.ks = ks
-    if has_m:
-        dmem = Signal("dmem", MEMORY)
-        dmem_hold = Signal("dmem_hold", MEMORY)
-
-    proc = OooProcessor(
-        config=config,
-        bug=bug,
-        circuit=circuit,
-        flush=flush,
-        activate=activate,
-        nd_execute=nd_execute,
-        nd_fetch=nd_fetch,
-        pc=pc,
-        rf=rf,
-        rf_hold=rf_hold,
-        valid=valid,
-        vres=vres,
-        op=op,
-        dest=dest,
-        src1=src1,
-        src2=src2,
-        result=result,
-        kb=kb,
-        kl=kl,
-        ks=ks,
-        taken=taken,
-        wp=wp_sig,
-        dmem=dmem,
-        dmem_hold=dmem_hold,
-    )
-
-    # ------------------------------------------------------------------
-    # Retirement (program order, formula (1)); branch families extend the
-    # chain with the wrong-path guard and a running mispredict flag.
-    # ------------------------------------------------------------------
-    retire = [Signal(f"retire{i}", FORMULA) for i in range(1, l + 1)]
-    mispred = (
-        [Signal(f"mispred{i}", FORMULA) for i in range(1, l + 1)]
-        if has_b
-        else []
-    )
-    for i in range(l):
-        if not has_b:
-
-            def retire_fn(valid_i, vres_i, *prev, index=i):
-                own = builder.or_(builder.not_(valid_i), vres_i)
-                if bug is not None and bug.entry == index + 1:
-                    if bug.kind == BugKind.RETIRE_WITHOUT_RESULT:
-                        own = TRUE
-                    elif bug.kind == BugKind.RETIRE_OUT_OF_ORDER:
-                        return own
-                if prev:
-                    return builder.and_(own, prev[0])
-                return own
-
-            inputs = [valid[i], vres[i]] + ([retire[i - 1]] if i > 0 else [])
-            circuit.add(
-                Fn(f"retire_logic{i + 1}", inputs, [retire[i]], retire_fn)
-            )
-        else:
-
-            def retire_fn_b(valid_i, vres_i, taken_i, *rest, index=i):
-                kinds = rest[: ctx.kind_arity]
-                prev = rest[ctx.kind_arity:]
-                isb_i, _, _ = ctx.unpack_kinds(kinds)
-                own = builder.or_(builder.not_(valid_i), vres_i)
-                guard = TRUE
-                if prev:
-                    # A retiring taken branch blocks every younger
-                    # retirement slot: those entries are wrong-path.
-                    guard = builder.not_(prev[1])
-                if bug is not None and bug.entry == index + 1:
-                    if bug.kind == BugKind.RETIRE_WITHOUT_RESULT:
-                        own = TRUE
-                    elif bug.kind == BugKind.RETIRE_OUT_OF_ORDER:
-                        retire_i = own
-                        mispred_i = builder.and_(
-                            retire_i, valid_i, isb_i, taken_i
-                        )
-                        if prev:
-                            mispred_i = builder.or_(prev[1], mispred_i)
-                        return retire_i, mispred_i
-                    elif bug.kind == BugKind.WRONG_PATH_RETIRE:
-                        guard = TRUE
-                retire_i = builder.and_(own, guard, *(
-                    [prev[0]] if prev else []
-                ))
-                mispred_i = builder.and_(retire_i, valid_i, isb_i, taken_i)
-                if prev:
-                    mispred_i = builder.or_(prev[1], mispred_i)
-                return retire_i, mispred_i
-
-            inputs = (
-                [valid[i], vres[i], taken[i]]
-                + _kind_signals(ctx, i)
-                + ([retire[i - 1], mispred[i - 1]] if i > 0 else [])
-            )
-            circuit.add(
-                Fn(
-                    f"retire_logic{i + 1}",
-                    inputs,
-                    [retire[i], mispred[i]],
-                    retire_fn_b,
-                )
-            )
-
-    #: "some retiring branch mispredicted this cycle" plus its redirect
-    #: target (branch families; at most one mispredicted retirement per
-    #: cycle by construction of the retirement guard).
-    mispredict_sig: Optional[Signal] = None
-    redirect_sig: Optional[Signal] = None
-    if has_b:
-        mispredict_sig = Signal("mispredict", FORMULA)
-        redirect_sig = Signal("redirect_target", TERM)
-
-        def recovery_fn(pc_expr, *rest):
-            per_entry = 4 + ctx.kind_arity
-            target = pc_expr
-            flag: Formula = FALSE
-            for j in range(l):
-                chunk = rest[j * per_entry : (j + 1) * per_entry]
-                retire_j, valid_j, taken_j, result_j = chunk[:4]
-                isb_j, _, _ = ctx.unpack_kinds(chunk[4:])
-                mispred_j = builder.and_(retire_j, valid_j, isb_j, taken_j)
-                target = builder.ite_term(mispred_j, result_j, target)
-                flag = builder.or_(flag, mispred_j)
-            return flag, target
-
-        rec_inputs: List[Signal] = [pc]
-        for j in range(l):
-            rec_inputs.extend([retire[j], valid[j], taken[j], result[j]])
-            rec_inputs.extend(_kind_signals(ctx, j))
-        circuit.add(
-            Fn(
-                "recovery_logic",
-                rec_inputs,
-                [mispredict_sig, redirect_sig],
-                recovery_fn,
-            )
-        )
-
-    # Register-File chain for in-order retirement writes.
-    rf_after_retire = rf
-    for i in range(l):
-        stage_out = Signal(f"rf_retire{i + 1}", MEMORY)
-
-        def retire_write_fn(prev, retire_i, valid_i, dest_i, result_i,
-                            *kinds, index=i):
-            isb_i, _, iss_i = ctx.unpack_kinds(kinds)
-            context = builder.and_(
-                valid_i, retire_i, writes_reg_file(isb_i, iss_i)
-            )
-            if (
-                bug is not None
-                and bug.kind == BugKind.RETIRE_IGNORES_VALID
-                and bug.entry == index + 1
-            ):
-                context = retire_i
-            return builder.ite_term(
-                context, builder.write(prev, dest_i, result_i), prev
-            )
-
-        circuit.add(
-            Fn(
-                f"retire_write{i + 1}",
-                [rf_after_retire, retire[i], valid[i], dest[i], result[i]]
-                + _kind_signals(ctx, i),
-                [stage_out],
-                retire_write_fn,
-            )
-        )
-        rf_after_retire = stage_out
-
-    # Data-Memory chain for in-order store commit at retirement.
-    dmem_after_retire = dmem
-    if has_m:
-        commit_order = list(range(l))
-        if (
-            bug is not None
-            and bug.kind == BugKind.STORE_ORDER
-            and 2 <= bug.entry <= l
-        ):
-            # The planted defect: the memory write of this retirement slot
-            # is sequenced *before* its older neighbor's, so when both
-            # stores hit the same address the younger one's data is
-            # overwritten by the older one's.
-            e = bug.entry - 1
-            commit_order[e - 1], commit_order[e] = (
-                commit_order[e],
-                commit_order[e - 1],
-            )
-        for stage, i in enumerate(commit_order):
-            stage_out = Signal(f"dmem_retire{stage + 1}", MEMORY)
-
-            def dmem_retire_fn(prev, retire_i, valid_i, op_i, result_i,
-                               *kinds):
-                _, _, iss_i = ctx.unpack_kinds(kinds)
-                context = builder.and_(valid_i, iss_i, retire_i)
-                addr = builder.uf(MEM_ADDR, [op_i])
-                return builder.ite_term(
-                    context, builder.write(prev, addr, result_i), prev
-                )
-
-            circuit.add(
-                Fn(
-                    f"dmem_retire{stage + 1}",
-                    [dmem_after_retire, retire[i], valid[i],
-                     op[i], result[i]] + _kind_signals(ctx, i),
-                    [stage_out],
-                    dmem_retire_fn,
-                )
-            )
-            dmem_after_retire = stage_out
-
-    # ------------------------------------------------------------------
-    # Out-of-order execution slices (regular operation)
-    # ------------------------------------------------------------------
-    exec_result = [Signal(f"exec_result{i}", TERM) for i in range(1, n + 1)]
-    exec_vres = [Signal(f"exec_vres{i}", FORMULA) for i in range(1, n + 1)]
-    exec_taken = (
-        [Signal(f"exec_taken{i}", FORMULA) for i in range(1, n + 1)]
-        if has_b
-        else []
-    )
-    for i in range(n):
-        # Preceding-entry signals feed the forwarding chains of slice i+1.
-        preceding: List[Signal] = []
-        for j in range(i):
-            preceding.extend([valid[j], vres[j], dest[j], result[j]])
-            preceding.extend(_kind_signals(ctx, j))
-            if has_m:
-                preceding.append(op[j])
-        inputs = [
-            flush,
-            nd_execute[i],
-            rf_hold,
-            op[i],
-            src1[i],
-            src2[i],
-            valid[i],
-            vres[i],
-            result[i],
-        ]
-        if has_b:
-            inputs.append(taken[i])
-        if has_m:
-            inputs.append(dmem_hold)
-        inputs += _kind_signals(ctx, i)
-        inputs += preceding
-        outputs = [exec_result[i], exec_vres[i]]
-        if has_b:
-            outputs.append(exec_taken[i])
-        circuit.add(
-            Fn(
-                f"exec_slice{i + 1}",
-                inputs,
-                outputs,
-                _make_exec_fn(i + 1, ctx),
-            )
-        )
-        circuit.add(Latch(f"result_latch{i + 1}", exec_result[i], result[i]))
-        circuit.add(Latch(f"vres_latch{i + 1}", exec_vres[i], vres[i]))
-        if has_b:
-            circuit.add(Latch(f"taken_latch{i + 1}", exec_taken[i], taken[i]))
-
-    # ------------------------------------------------------------------
-    # Fetch engine
-    # ------------------------------------------------------------------
-    fetch = [Signal(f"fetch{j}", FORMULA) for j in range(1, k + 1)]
-    for j in range(k):
-
-        def fetch_fn(*nd):
-            return builder.and_(*nd)
-
-        circuit.add(Fn(f"fetch_logic{j + 1}", nd_fetch[: j + 1], [fetch[j]], fetch_fn))
-
-    # Flush-time PC recovery: each flush slice reports whether it completed
-    # a taken branch and where that branch goes (branch families).
-    flush_detect = (
-        [Signal(f"flush_detect{i}", FORMULA) for i in range(1, slots + 1)]
-        if has_b
-        else []
-    )
-    flush_target = (
-        [Signal(f"flush_target{i}", TERM) for i in range(1, slots + 1)]
-        if has_b
-        else []
-    )
-
-    pc_next = Signal("pc_next", TERM)
-
-    def pc_fn(flush_expr, pc_expr, *rest):
-        fetch_exprs = rest[:k]
-        extra = rest[k:]
-        if has_b:
-            mispredict_expr, redirect_expr = extra[0], extra[1]
-            detects = extra[2 : 2 + slots]
-            targets = extra[2 + slots : 2 + 2 * slots]
-            activates = extra[2 + 2 * slots :]
-            # During flushing the abstraction function redirects the PC
-            # when the activated slice completes a taken branch.
-            flushed_pc = pc_expr
-            for idx in range(slots):
-                flushed_pc = builder.ite_term(
-                    builder.and_(activates[idx], detects[idx]),
-                    targets[idx],
-                    flushed_pc,
-                )
-        else:
-            flushed_pc = pc_expr
-        if flush_expr is TRUE:
-            return flushed_pc
-        new_pc = pc_expr
-        stepped = pc_expr
-        for j, fetch_j in enumerate(fetch_exprs):
-            stepped = builder.uf(NEXT_PC, [stepped])
-            if (
-                bug is not None
-                and bug.kind == BugKind.PC_SINGLE_INCREMENT
-                and j > 0
-            ):
-                stepped = builder.uf(NEXT_PC, [pc_expr])
-            new_pc = builder.ite_term(fetch_j, stepped, new_pc)
-        if has_b:
-            # Misprediction detected at retirement: squash the speculative
-            # fetch advance and redirect to the branch target.
-            new_pc = builder.ite_term(mispredict_expr, redirect_expr, new_pc)
-        return builder.ite_term(flush_expr, flushed_pc, new_pc)
-
-    pc_inputs = [flush, pc] + fetch
-    if has_b:
-        pc_inputs += [mispredict_sig, redirect_sig]
-        pc_inputs += flush_detect + flush_target + activate
-    circuit.add(Fn("pc_logic", pc_inputs, [pc_next], pc_fn))
-    circuit.add(Latch("pc_latch", pc_next, pc))
-
-    # New-instruction slots: fetched fields enter the last k entries.
-    for j in range(k):
-        slot = n + j
-
-        def new_fields_fn(flush_expr, pc_expr, fetch_j, valid_cur, vres_cur,
-                          op_cur, dest_cur, src1_cur, src2_cur, *extra,
-                          offset=j, slot_index=slot):
-            mispredict_expr: Formula = FALSE
-            kinds_cur: Sequence[Formula] = ()
-            if has_b:
-                mispredict_expr = extra[0]
-                kinds_cur = extra[1 : 1 + ctx.kind_arity]
-            elif ctx.kind_arity:
-                kinds_cur = extra[: ctx.kind_arity]
-            if flush_expr is TRUE:
-                return (
-                    (valid_cur, vres_cur, op_cur, dest_cur, src1_cur,
-                     src2_cur) + tuple(kinds_cur)
-                )
-            slot_pc = pc_expr
-            for _ in range(offset):
-                slot_pc = builder.uf(NEXT_PC, [slot_pc])
-            new_valid = builder.and_(
-                fetch_j, builder.up(INSTR_VALID, [slot_pc])
-            )
-            if has_b:
-                # Instructions fetched in the cycle an older branch
-                # retires mispredicted are wrong-path: squash at entry.
-                squash = builder.not_(mispredict_expr)
-                if (
-                    bug is not None
-                    and bug.kind == BugKind.DROPPED_FLUSH
-                    and bug.entry == slot_index + 1
-                ):
-                    squash = TRUE
-                new_valid = builder.and_(new_valid, squash)
-            fields = [
-                builder.ite_formula(flush_expr, valid_cur, new_valid),
-                builder.ite_formula(flush_expr, vres_cur, FALSE),
-                builder.ite_term(flush_expr, op_cur, builder.uf(INSTR_OP, [slot_pc])),
-                builder.ite_term(
-                    flush_expr, dest_cur, builder.uf(INSTR_DEST, [slot_pc])
-                ),
-                builder.ite_term(
-                    flush_expr, src1_cur, builder.uf(INSTR_SRC1, [slot_pc])
-                ),
-                builder.ite_term(
-                    flush_expr, src2_cur, builder.uf(INSTR_SRC2, [slot_pc])
-                ),
-            ]
-            new_kinds: List[Formula] = []
-            if has_b:
-                new_kinds.append(builder.up(INSTR_IS_BRANCH, [slot_pc]))
-            if has_m:
-                new_kinds.append(builder.up(INSTR_IS_LOAD, [slot_pc]))
-                new_kinds.append(builder.up(INSTR_IS_STORE, [slot_pc]))
-            for cur, new in zip(kinds_cur, new_kinds):
-                fields.append(builder.ite_formula(flush_expr, cur, new))
-            return tuple(fields)
-
-        next_signals = [
-            Signal(f"new_valid{slot + 1}", FORMULA),
-            Signal(f"new_vres{slot + 1}", FORMULA),
-            Signal(f"new_op{slot + 1}", TERM),
-            Signal(f"new_dest{slot + 1}", TERM),
-            Signal(f"new_src1_{slot + 1}", TERM),
-            Signal(f"new_src2_{slot + 1}", TERM),
-        ]
-        kind_next = [
-            Signal(f"new_{sig.name}", FORMULA)
-            for sig in _kind_signals(ctx, slot)
-        ]
-        next_signals += kind_next
-        fn_inputs = [flush, pc, fetch[j], valid[slot], vres[slot], op[slot],
-                     dest[slot], src1[slot], src2[slot]]
-        if has_b:
-            fn_inputs.append(mispredict_sig)
-        fn_inputs += _kind_signals(ctx, slot)
-        circuit.add(
-            Fn(f"fetch_slot{slot + 1}", fn_inputs, next_signals, new_fields_fn)
-        )
-        circuit.add(Latch(f"valid_latch{slot + 1}", next_signals[0], valid[slot]))
-        circuit.add(Latch(f"vres_latch{slot + 1}", next_signals[1], vres[slot]))
-        circuit.add(Latch(f"op_latch{slot + 1}", next_signals[2], op[slot]))
-        circuit.add(Latch(f"dest_latch{slot + 1}", next_signals[3], dest[slot]))
-        circuit.add(Latch(f"src1_latch{slot + 1}", next_signals[4], src1[slot]))
-        circuit.add(Latch(f"src2_latch{slot + 1}", next_signals[5], src2[slot]))
-        for kind_sig, next_sig in zip(_kind_signals(ctx, slot), kind_next):
-            circuit.add(
-                Latch(f"{kind_sig.name}_latch", next_sig, kind_sig)
-            )
-        # Result of a fetch slot only materializes during flush completion.
-        circuit.add(Latch(f"result_latch{slot + 1}", result[slot], result[slot]))
-        if has_b:
-            circuit.add(Latch(f"taken_latch{slot + 1}", taken[slot], taken[slot]))
-
-    # Valid-bit updates for the initial entries.
-    for i in range(n):
-        squash_inputs: List[Signal] = []
-        if has_b:
-            # The youngest strictly-older retirement slot's mispredict
-            # flag squashes this (wrong-path) entry.
-            older = min(i, l)
-            if older > 0:
-                squash_inputs = [mispred[older - 1]]
-        if i < l or squash_inputs:
-            valid_next = Signal(f"valid_next{i + 1}", FORMULA)
-
-            def valid_fn(flush_expr, valid_i, *rest, index=i,
-                         has_retire=(i < l), has_squash=bool(squash_inputs)):
-                if flush_expr is TRUE:
-                    return valid_i
-                keep: Formula = TRUE
-                pos = 0
-                if has_retire:
-                    keep = builder.and_(keep, builder.not_(rest[pos]))
-                    pos += 1
-                if has_squash:
-                    squashed = builder.not_(rest[pos])
-                    if (
-                        bug is not None
-                        and bug.kind == BugKind.DROPPED_FLUSH
-                        and bug.entry == index + 1
-                    ):
-                        # The planted defect: ROB-flush recovery skips
-                        # this entry; its wrong-path Valid bit survives.
-                        squashed = TRUE
-                    keep = builder.and_(keep, squashed)
-                return builder.ite_formula(
-                    flush_expr, valid_i, builder.and_(valid_i, keep)
-                )
-
-            fn_inputs = [flush, valid[i]]
-            if i < l:
-                fn_inputs.append(retire[i])
-            fn_inputs += squash_inputs
-            circuit.add(
-                Fn(f"valid_logic{i + 1}", fn_inputs, [valid_next], valid_fn)
-            )
-            circuit.add(Latch(f"valid_latch{i + 1}", valid_next, valid[i]))
-        else:
-            circuit.add(Latch(f"valid_latch{i + 1}", valid[i], valid[i]))
-        # Instruction fields are read-only once in the ROB.
-        circuit.add(Latch(f"op_latch{i + 1}", op[i], op[i]))
-        circuit.add(Latch(f"dest_latch{i + 1}", dest[i], dest[i]))
-        circuit.add(Latch(f"src1_latch{i + 1}", src1[i], src1[i]))
-        circuit.add(Latch(f"src2_latch{i + 1}", src2[i], src2[i]))
-        for kind_sig in _kind_signals(ctx, i):
-            circuit.add(Latch(f"{kind_sig.name}_latch", kind_sig, kind_sig))
-
-    # ------------------------------------------------------------------
-    # Flush completion chain (the abstraction function's slices)
-    # ------------------------------------------------------------------
-    rf_after_flush = rf
-    dmem_after_flush = dmem
-    for i in range(slots):
-        rf_stage = Signal(f"rf_flush{i + 1}", MEMORY)
-        outputs = [rf_stage]
-        dmem_stage = None
-        if has_m:
-            dmem_stage = Signal(f"dmem_flush{i + 1}", MEMORY)
-            outputs.append(dmem_stage)
-        if has_b:
-            outputs.extend([flush_detect[i], flush_target[i]])
-
-        def flush_fn(prev, activate_i, valid_i, vres_i, op_i, dest_i,
-                     src1_i, src2_i, result_i, *extra, index=i):
-            pos = 0
-            taken_i: Formula = FALSE
-            wp_cur: Formula = FALSE
-            dmem_prev: Optional[Term] = None
-            if has_b:
-                taken_i = extra[pos]
-                wp_cur = extra[pos + 1]
-                pos += 2
-            if has_m:
-                dmem_prev = extra[pos]
-                pos += 1
-            isb_i, isl_i, iss_i = ctx.unpack_kinds(extra[pos:])
-
-            def results() -> Tuple:
-                out: List[Expr] = [prev]
-                if has_m:
-                    out.append(dmem_prev)
-                if has_b:
-                    out.extend([FALSE, result_i])
-                return tuple(out) if len(out) > 1 else out[0]
-
-            if activate_i is FALSE:
-                return results()
-            if valid_i is FALSE:
-                return results()
-            complete = builder.and_(activate_i, valid_i)
-            if has_b:
-                complete = builder.and_(complete, builder.not_(wp_cur))
-
-            operand1 = builder.read(prev, src1_i)
-            operand2 = builder.read(prev, src2_i)
-            alu_out = builder.uf(ALU, [op_i, operand1, operand2])
-            data = alu_out
-            if has_m:
-                addr = builder.uf(MEM_ADDR, [op_i])
-                data = builder.ite_term(
-                    isl_i, builder.read(dmem_prev, addr), data
-                )
-            data = builder.ite_term(vres_i, result_i, data)
-            rf_context = builder.and_(
-                complete, writes_reg_file(isb_i, iss_i)
-            )
-            rf_out = builder.ite_term(
-                rf_context, builder.write(prev, dest_i, data), prev
-            )
-
-            out: List[Expr] = [rf_out]
-            if has_m:
-                addr = builder.uf(MEM_ADDR, [op_i])
-                store_data = builder.ite_term(
-                    vres_i, result_i, builder.read(prev, src2_i)
-                )
-                dmem_context = builder.and_(complete, iss_i)
-                out.append(
-                    builder.ite_term(
-                        dmem_context,
-                        builder.write(dmem_prev, addr, store_data),
-                        dmem_prev,
-                    )
-                )
-            if has_b:
-                taken_now = builder.ite_formula(
-                    vres_i,
-                    taken_i,
-                    builder.up(BRANCH_TAKEN, [op_i, operand1, operand2]),
-                )
-                target_now = builder.ite_term(
-                    vres_i,
-                    result_i,
-                    builder.uf(BRANCH_TARGET, [op_i, operand1, operand2]),
-                )
-                detect = builder.and_(complete, isb_i, taken_now)
-                out.extend([detect, target_now])
-            return tuple(out) if len(out) > 1 else out[0]
-
-        fn_inputs = [rf_after_flush, activate[i], valid[i], vres[i], op[i],
-                     dest[i], src1[i], src2[i], result[i]]
-        if has_b:
-            fn_inputs.extend([taken[i], wp_sig])
-        if has_m:
-            fn_inputs.append(dmem_after_flush)
-        fn_inputs += _kind_signals(ctx, i)
-        circuit.add(Fn(f"flush_slice{i + 1}", fn_inputs, outputs, flush_fn))
-        rf_after_flush = rf_stage
-        if has_m:
-            dmem_after_flush = dmem_stage
-
-    # Wrong-path flag accumulation across flush steps (branch families).
-    if has_b:
-        wp_next = Signal("wp_next", FORMULA)
-
-        def wp_fn(flush_expr, wp_cur, *rest):
-            activates = rest[:slots]
-            detects = rest[slots:]
-            accumulated = wp_cur
-            for idx in range(slots):
-                accumulated = builder.or_(
-                    accumulated, builder.and_(activates[idx], detects[idx])
-                )
-            return builder.ite_formula(flush_expr, accumulated, wp_cur)
-
-        circuit.add(
-            Fn(
-                "wp_logic",
-                [flush, wp_sig] + activate + flush_detect,
-                [wp_next],
-                wp_fn,
-            )
-        )
-        circuit.add(Latch("wp_latch", wp_next, wp_sig))
-
-    # Register-File next state and the held copy for the exec slices.
-    rf_next = Signal("rf_next", MEMORY)
-    circuit.add(Mux("rf_select", flush, rf_after_flush, rf_after_retire, rf_next))
-    circuit.add(Latch("rf_latch", rf_next, rf))
-    rf_hold_next = Signal("rf_hold_next", MEMORY)
-    circuit.add(Mux("rf_hold_select", flush, rf_hold, rf, rf_hold_next))
-    circuit.add(Latch("rf_hold_latch", rf_hold_next, rf_hold))
-    if has_m:
-        dmem_next = Signal("dmem_next", MEMORY)
-        circuit.add(
-            Mux("dmem_select", flush, dmem_after_flush, dmem_after_retire,
-                dmem_next)
-        )
-        circuit.add(Latch("dmem_latch", dmem_next, dmem))
-        dmem_hold_next = Signal("dmem_hold_next", MEMORY)
-        circuit.add(
-            Mux("dmem_hold_select", flush, dmem_hold, dmem, dmem_hold_next)
-        )
-        circuit.add(Latch("dmem_hold_latch", dmem_hold_next, dmem_hold))
-
-    # ------------------------------------------------------------------
-    # Symbolic initial state
-    # ------------------------------------------------------------------
-    initial: Dict[Signal, Expr] = {}
+        _check_placement(bug, config)
+    has_b, has_m = family.has_branches, family.has_memory
     vars_by_name: Dict[str, Expr] = {}
 
-    def init_var(signal: Signal, expr: Expr, record: bool = True) -> None:
-        initial[signal] = expr
-        if record:
-            name = getattr(expr, "name", None)
-            if name is not None:
-                vars_by_name[name] = expr
+    def var(make, name: str) -> Expr:
+        vars_by_name[name] = expr = make(name)
+        return expr
 
-    init_var(pc, builder.tvar("PC"))
-    init_var(rf, builder.tvar("RegFile"))
-    init_var(rf_hold, builder.tvar("RegFile"), record=False)
-    if has_m:
-        init_var(dmem, builder.tvar("DMem"))
-        init_var(dmem_hold, builder.tvar("DMem"), record=False)
-    if has_b:
-        init_var(wp_sig, FALSE, record=False)
-    for i in range(n):
-        init_var(valid[i], builder.bvar(f"Valid{i + 1}"))
-        init_var(vres[i], builder.bvar(f"ValidResult{i + 1}"))
-        init_var(op[i], builder.tvar(f"Op{i + 1}"))
-        init_var(dest[i], builder.tvar(f"Dest{i + 1}"))
-        init_var(src1[i], builder.tvar(f"Src1_{i + 1}"))
-        init_var(src2[i], builder.tvar(f"Src2_{i + 1}"))
-        init_var(result[i], builder.tvar(f"Result{i + 1}"))
+    tvar, bvar = builder.tvar, builder.bvar
+    pc = var(tvar, "PC")
+    rf = var(tvar, "RegFile")
+    dmem = var(tvar, "DMem") if has_m else None
+    slots: List[Slot] = []
+    for i in range(1, n + 1):
+        fields = dict(
+            valid=var(bvar, f"Valid{i}"),
+            vres=var(bvar, f"ValidResult{i}"),
+            op=var(tvar, f"Op{i}"),
+            dest=var(tvar, f"Dest{i}"),
+            src1=var(tvar, f"Src1_{i}"),
+            src2=var(tvar, f"Src2_{i}"),
+            result=var(tvar, f"Result{i}"),
+        )
         if has_b:
-            init_var(kb[i], builder.bvar(f"IsBranch{i + 1}"))
-            init_var(taken[i], builder.bvar(f"Taken{i + 1}"))
+            fields.update(
+                kb=var(bvar, f"IsBranch{i}"), taken=var(bvar, f"Taken{i}")
+            )
         if has_m:
-            init_var(kl[i], builder.bvar(f"IsLoad{i + 1}"))
-            init_var(ks[i], builder.bvar(f"IsStore{i + 1}"))
-    for j in range(k):
-        slot = n + j
-        init_var(valid[slot], FALSE, record=False)
-        init_var(vres[slot], FALSE, record=False)
-        init_var(op[slot], builder.tvar(f"FreeOp{j + 1}"), record=False)
-        init_var(dest[slot], builder.tvar(f"FreeDest{j + 1}"), record=False)
-        init_var(src1[slot], builder.tvar(f"FreeSrc1_{j + 1}"), record=False)
-        init_var(src2[slot], builder.tvar(f"FreeSrc2_{j + 1}"), record=False)
-        init_var(result[slot], builder.tvar(f"FreeResult{j + 1}"), record=False)
-        if has_b:
-            init_var(kb[slot], FALSE, record=False)
-            init_var(taken[slot], FALSE, record=False)
-        if has_m:
-            init_var(kl[slot], FALSE, record=False)
-            init_var(ks[slot], FALSE, record=False)
+            fields.update(
+                kl=var(bvar, f"IsLoad{i}"), ks=var(bvar, f"IsStore{i}")
+            )
+        slots.append(Slot(**fields))
+    # The fetch slots start empty; their free fields are never recorded.
+    for j in range(1, k + 1):
+        slots.append(
+            Slot(
+                valid=FALSE,
+                vres=FALSE,
+                op=tvar(f"FreeOp{j}"),
+                dest=tvar(f"FreeDest{j}"),
+                src1=tvar(f"FreeSrc1_{j}"),
+                src2=tvar(f"FreeSrc2_{j}"),
+                result=tvar(f"FreeResult{j}"),
+            )
+        )
+    return OooProcessor(
+        config=config,
+        bug=bug,
+        initial=MachineState(
+            pc=pc,
+            rf=rf,
+            slots=tuple(slots),
+            dmem=dmem,
+            wp=FALSE if has_b else None,
+        ),
+        nd_execute=[bvar(f"NDExecute{i}") for i in range(1, n + 1)],
+        nd_fetch=[bvar(f"NDFetch{j}") for j in range(1, k + 1)],
+        vars=vars_by_name,
+    )
 
-    proc.initial_state = initial
-    proc.vars = vars_by_name
-    circuit.freeze()
-    return proc
 
+def _check_placement(bug: Bug, config: ProcessorConfig) -> None:
+    """Reject a defect planted where the design has no logic for it.
 
-def _make_exec_fn(slice_index: int, ctx: _Builder) -> Callable:
-    """Build the combinational function of one execution slice.
-
-    Inputs (in order): flush, nd_execute, rf, op, src1, src2, valid, vres,
-    result, [taken], [dmem], own kind bits, then per preceding entry
-    j = 1 .. slice_index-1: (valid_j, vres_j, dest_j, result_j, kinds_j,
-    [op_j]).  Outputs: (next_result, next_vres[, next_taken]).
+    Anywhere else than the slices or slots below the defect changes
+    nothing, and the "buggy" design would verify as correct.
     """
-    bug = ctx.bug
-    has_b = ctx.has_branches
-    has_m = ctx.has_memory
-    per_entry = 4 + ctx.kind_arity + (1 if has_m else 0)
+    n, k, l = config.n_rob, config.issue_width, config.retire_width
+    if bug.kind == BugKind.PC_SINGLE_INCREMENT:
+        if k < 2:
+            raise ValueError(
+                f"bug {bug.kind!r} needs issue width >= 2: it drops the "
+                "second NextPC of a fetch group"
+            )
+        return
+    producer = "execution slices with an older producer"
+    producers = "execution slices with two older producers"
+    retirement = "retirement slots"
+    neighbour = "retirement slots after the first"
+    low, high, where = {
+        BugKind.FORWARD_WRONG_SOURCE: (2, n, producer),
+        BugKind.EXECUTE_IGNORES_HAZARD: (2, n, producer),
+        BugKind.FORWARD_STALE_RESULT: (3, n, producers),
+        BugKind.STALE_LOAD_FORWARD: (3, n, producers),
+        BugKind.RETIRE_WITHOUT_RESULT: (1, l, retirement),
+        BugKind.RETIRE_IGNORES_VALID: (1, l, retirement),
+        BugKind.RETIRE_OUT_OF_ORDER: (2, l, neighbour),
+        BugKind.STORE_ORDER: (2, l, neighbour),
+        BugKind.WRONG_PATH_RETIRE: (2, l, neighbour),
+        BugKind.DROPPED_FLUSH: (2, n + k, "slots with an older entry"),
+    }[bug.kind]
+    if not low <= bug.entry <= high:
+        raise ValueError(
+            f"bug {bug.kind!r} at entry {bug.entry} would change nothing: "
+            f"this design plants it in {where}, {low} <= entry <= {high}"
+        )
 
-    def exec_fn(flush_expr, nd_expr, rf_expr, op_expr, src1_expr, src2_expr,
-                valid_expr, vres_expr, result_expr, *extra):
-        pos = 0
-        taken_expr: Formula = FALSE
-        dmem_expr: Optional[Term] = None
-        if has_b:
-            taken_expr = extra[pos]
-            pos += 1
-        if has_m:
-            dmem_expr = extra[pos]
-            pos += 1
-        own_kinds = extra[pos : pos + ctx.kind_arity]
-        pos += ctx.kind_arity
-        preceding = extra[pos:]
-        if flush_expr is TRUE:
-            if has_b:
-                return (result_expr, vres_expr, taken_expr)
-            return (result_expr, vres_expr)
-        isb, isl, iss = ctx.unpack_kinds(own_kinds)
-        raw_entries = [
-            tuple(preceding[per_entry * j : per_entry * (j + 1)])
-            for j in range(len(preceding) // per_entry)
-        ]
-        entries = []
-        for chunk in raw_entries:
-            valid_j, vres_j, dest_j, result_j = chunk[:4]
-            kinds_j = chunk[4 : 4 + ctx.kind_arity]
-            op_j = chunk[4 + ctx.kind_arity] if has_m else None
-            isb_j, isl_j, iss_j = ctx.unpack_kinds(kinds_j)
-            entries.append({
-                "valid": valid_j,
-                "vres": vres_j,
-                "dest": dest_j,
-                "result": result_j,
-                "wrf": writes_reg_file(isb_j, iss_j),
-                "iss": iss_j,
-                "op": op_j,
-            })
-        value1, avail1 = _forward_operand(
-            rf_expr, src1_expr, entries, slice_index, 1, bug
-        )
-        value2, avail2 = _forward_operand(
-            rf_expr, src2_expr, entries, slice_index, 2, bug
-        )
-        alu_out = builder.uf(ALU, [op_expr, value1, value2])
-        computed = alu_out
-        # Kept as separate conjuncts so the flat seed-shaped `ready`
-        # conjunction below is the only node interned for non-memory
-        # families (the perf baseline counts every built node).
-        avail_conjuncts = (avail1, avail2)
-        next_taken = taken_expr
-        if has_m:
-            addr = builder.uf(MEM_ADDR, [op_expr])
-            mem_value, mem_avail = _forward_mem(
-                dmem_expr, addr, entries, slice_index, bug
-            )
-            # Loads read no register; stores need only their data operand.
-            avail_conjuncts = (builder.ite_formula(
-                isl,
-                mem_avail,
-                builder.ite_formula(
-                    iss, avail2, builder.and_(avail1, avail2)
-                ),
-            ),)
-            computed = builder.ite_term(
-                isl, mem_value, builder.ite_term(iss, value2, computed)
-            )
-        if has_b:
-            br_taken = builder.up(BRANCH_TAKEN, [op_expr, value1, value2])
-            br_target = builder.uf(BRANCH_TARGET, [op_expr, value1, value2])
-            computed = builder.ite_term(isb, br_target, computed)
-        ready = builder.and_(
-            valid_expr, builder.not_(vres_expr), *avail_conjuncts
-        )
-        executed = builder.and_(nd_expr, ready)
-        next_result = builder.ite_term(executed, computed, result_expr)
-        next_vres = builder.or_(vres_expr, executed)
-        if has_b:
-            next_taken = builder.ite_formula(
-                executed, builder.and_(isb, br_taken), taken_expr
-            )
-        results = (
-            builder.ite_term(flush_expr, result_expr, next_result),
-            builder.ite_formula(flush_expr, vres_expr, next_vres),
-        )
-        if has_b:
-            results += (
-                builder.ite_formula(flush_expr, taken_expr, next_taken),
-            )
-        return results
 
-    return exec_fn
+# ----------------------------------------------------------------------
+# One cycle of regular operation
+# ----------------------------------------------------------------------
+
+
+def regular_step(proc: OooProcessor, state: MachineState) -> MachineState:
+    """The state after one cycle of regular operation.
+
+    Retires up to ``l`` instructions, lets every initial entry execute
+    (nondeterministically, when ready) and fetches up to ``k`` new ones,
+    building the slices in the order the module docstring gives.
+    """
+    deadline = current_deadline()
+    deadline.check("tlsim")
+    current_tracer().add("tlsim.cycles", 1)
+    config = proc.config
+    n, k, l = config.n_rob, config.issue_width, config.retire_width
+    has_b = proc.family.has_branches
+    slots = state.slots
+    flags = [proc.kind_flags(slot) for slot in slots]
+
+    # Fetch conditions, youngest first; without branches nothing the
+    # fetch slots read depends on retirement.
+    fetch: List[Formula] = [FALSE] * k
+    fetched = list(slots[n:])
+    pc = state.pc
+    for j in reversed(range(k)):
+        fetch[j] = builder.and_(*proc.nd_fetch[: j + 1])
+        if not has_b:
+            deadline.tick("tlsim")
+            fetched[j] = _fetch_slot(proc, state, j, fetch[j], FALSE)
+    if not has_b:
+        pc = _next_pc(proc, state.pc, fetch, FALSE, state.pc)
+
+    # Execution slices, youngest first.
+    wrf = [writes_reg_file(isb, iss) for isb, _, iss in flags[: n - 1]]
+    executed: List[Tuple[Term, Formula, Formula]] = [None] * n
+    for i in reversed(range(n)):
+        deadline.tick("tlsim")
+        executed[i] = _execute(proc, state, flags, wrf, i)
+
+    # Retirement, oldest first (formula (1)).  Each slot is followed by
+    # the Valid bits it decides, youngest first, then by the stores it
+    # lets commit (in commit order) and by its Register-File write.
+    commit_order = list(range(l))
+    bug = proc.bug
+    if bug is not None and bug.kind == BugKind.STORE_ORDER:
+        # The planted defect: the memory write of this retirement slot is
+        # sequenced *before* its older neighbor's, so when both stores
+        # hit the same address the younger one's data is overwritten by
+        # the older one's.
+        e = bug.entry - 1
+        commit_order[e - 1], commit_order[e] = commit_order[e], commit_order[e - 1]
+    # A store commits once it and every store sequenced before it retired.
+    commits_after: List[List[int]] = [[] for _ in range(l)]
+    latest = 0
+    for entry in commit_order:
+        latest = max(latest, entry)
+        commits_after[latest].append(entry)
+    retire: List[Formula] = []
+    mispred: List[Formula] = []
+    valid = [slot.valid for slot in slots[:n]]
+    rf, dmem = state.rf, state.dmem
+    for i in range(l):
+        deadline.tick("tlsim")
+        retire_i, mispred_i = _retire(
+            proc, slots[i], flags[i][0], i + 1,
+            retire[-1] if retire else TRUE,
+            mispred[-1] if mispred else FALSE,
+        )
+        retire.append(retire_i)
+        mispred.append(mispred_i)
+        decided = list(range(n - 1, l - 1, -1)) if i == l - 1 else []
+        for m in decided + [i]:
+            valid[m] = _next_valid(proc, slots[m].valid, m, retire, mispred)
+        if dmem is not None:
+            for e in commits_after[i]:
+                dmem = _commit_store(dmem, slots[e], flags[e][2], retire[e])
+        rf = _retire_write(proc, rf, slots[i], flags[i], retire_i, i + 1)
+
+    if has_b:
+        mispredict, redirect = _recovery(state, flags, retire)
+        for j in reversed(range(k)):
+            deadline.tick("tlsim")
+            fetched[j] = _fetch_slot(proc, state, j, fetch[j], mispredict)
+        pc = _next_pc(proc, state.pc, fetch, mispredict, redirect)
+
+    entries = [
+        replace(slot, valid=valid[i], result=result, vres=vres, taken=taken)
+        for i, (slot, (result, vres, taken)) in enumerate(
+            zip(slots, executed)
+        )
+    ]
+    return replace(
+        state, pc=pc, rf=rf, dmem=dmem, slots=tuple(entries + fetched)
+    )
+
+
+def _retire(
+    proc: OooProcessor,
+    slot: Slot,
+    isb: Formula,
+    number: int,
+    older_retire: Formula,
+    older_mispred: Formula,
+) -> Tuple[Formula, Formula]:
+    """Retirement slot ``number``: (retires, some retiring branch so far
+    mispredicted).
+
+    A retiring taken branch blocks every younger retirement slot: those
+    entries are wrong-path.  Without branches the mispredict flag is
+    ``FALSE`` and the guard folds away.
+    """
+    own = builder.or_(builder.not_(slot.valid), slot.vres)
+    guard = builder.not_(older_mispred)
+    if proc.planted(BugKind.RETIRE_WITHOUT_RESULT, number):
+        own = TRUE
+    elif proc.planted(BugKind.RETIRE_OUT_OF_ORDER, number):
+        guard = older_retire = TRUE
+    elif proc.planted(BugKind.WRONG_PATH_RETIRE, number):
+        guard = TRUE
+    retire = builder.and_(own, guard, older_retire)
+    mispred = builder.and_(retire, slot.valid, isb, slot.taken)
+    return retire, builder.or_(older_mispred, mispred)
+
+
+def _next_valid(
+    proc: OooProcessor,
+    valid: Formula,
+    index: int,
+    retire: List[Formula],
+    mispred: List[Formula],
+) -> Formula:
+    """The Valid bit of initial entry ``index + 1`` after the cycle.
+
+    Retirement clears it, and so does the youngest strictly-older
+    retirement slot's mispredict flag (this entry is then wrong-path).
+    """
+    l = proc.config.retire_width
+    keep: Formula = TRUE
+    if index < l:
+        keep = builder.and_(keep, builder.not_(retire[index]))
+    if index > 0:
+        squashed = builder.not_(mispred[min(index, l) - 1])
+        if proc.planted(BugKind.DROPPED_FLUSH, index + 1):
+            # The planted defect: ROB-flush recovery skips this entry;
+            # its wrong-path Valid bit survives.
+            squashed = TRUE
+        keep = builder.and_(keep, squashed)
+    return builder.and_(valid, keep)
+
+
+def _retire_write(
+    proc: OooProcessor,
+    rf: Term,
+    slot: Slot,
+    flags: KindFlags,
+    retire: Formula,
+    number: int,
+) -> Term:
+    """The Register-File write of retirement slot ``number``."""
+    isb, _, iss = flags
+    context = builder.and_(slot.valid, retire, writes_reg_file(isb, iss))
+    if proc.planted(BugKind.RETIRE_IGNORES_VALID, number):
+        context = retire
+    return builder.ite_term(
+        context, builder.write(rf, slot.dest, slot.result), rf
+    )
+
+
+def _commit_store(
+    dmem: Term, slot: Slot, iss: Formula, retire: Formula
+) -> Term:
+    """The Data-Memory write of a retiring store."""
+    context = builder.and_(slot.valid, iss, retire)
+    addr = builder.uf(MEM_ADDR, [slot.op])
+    return builder.ite_term(
+        context, builder.write(dmem, addr, slot.result), dmem
+    )
+
+
+def _recovery(
+    state: MachineState, flags: List[KindFlags], retire: List[Formula]
+) -> Tuple[Formula, Term]:
+    """"Some retiring branch mispredicted this cycle" and its target.
+
+    At most one mispredicted retirement per cycle, by construction of
+    the retirement guard.
+    """
+    target = state.pc
+    flag: Formula = FALSE
+    for j, retire_j in enumerate(retire):
+        slot = state.slots[j]
+        mispred = builder.and_(retire_j, slot.valid, flags[j][0], slot.taken)
+        target = builder.ite_term(mispred, slot.result, target)
+        flag = builder.or_(flag, mispred)
+    return flag, target
+
+
+def _fetch_slot(
+    proc: OooProcessor,
+    state: MachineState,
+    offset: int,
+    fetch: Formula,
+    mispredict: Formula,
+) -> Slot:
+    """Fetch slot ``offset``: the instruction at ``NextPC^offset(PC)``.
+
+    Instructions fetched in the cycle an older branch retires
+    mispredicted are wrong-path: they are squashed at entry.
+    """
+    number = proc.config.n_rob + offset + 1
+    slot_pc = state.pc
+    for _ in range(offset):
+        slot_pc = builder.uf(NEXT_PC, [slot_pc])
+    valid = builder.and_(fetch, builder.up(INSTR_VALID, [slot_pc]))
+    squash = builder.not_(mispredict)
+    if proc.planted(BugKind.DROPPED_FLUSH, number):
+        squash = TRUE
+    has_b, has_m = proc.family.has_branches, proc.family.has_memory
+    return replace(
+        state.slots[number - 1],
+        valid=builder.and_(valid, squash),
+        vres=FALSE,
+        op=builder.uf(INSTR_OP, [slot_pc]),
+        dest=builder.uf(INSTR_DEST, [slot_pc]),
+        src1=builder.uf(INSTR_SRC1, [slot_pc]),
+        src2=builder.uf(INSTR_SRC2, [slot_pc]),
+        kb=builder.up(INSTR_IS_BRANCH, [slot_pc]) if has_b else FALSE,
+        kl=builder.up(INSTR_IS_LOAD, [slot_pc]) if has_m else FALSE,
+        ks=builder.up(INSTR_IS_STORE, [slot_pc]) if has_m else FALSE,
+    )
+
+
+def _next_pc(
+    proc: OooProcessor,
+    pc: Term,
+    fetch: List[Formula],
+    mispredict: Formula,
+    redirect: Term,
+) -> Term:
+    """The PC advanced past the fetched instructions, or redirected to
+    the target of a branch that retired mispredicted (squashing the
+    speculative fetch advance)."""
+    new_pc = pc
+    stepped = pc
+    single = proc.bug is not None and proc.bug.kind == BugKind.PC_SINGLE_INCREMENT
+    for j, fetch_j in enumerate(fetch):
+        stepped = builder.uf(NEXT_PC, [stepped])
+        if single and j > 0:
+            stepped = builder.uf(NEXT_PC, [pc])
+        new_pc = builder.ite_term(fetch_j, stepped, new_pc)
+    return builder.ite_term(mispredict, redirect, new_pc)
+
+
+def _execute(
+    proc: OooProcessor,
+    state: MachineState,
+    flags: List[KindFlags],
+    wrf: List[Formula],
+    index: int,
+) -> Tuple[Term, Formula, Formula]:
+    """Execution slice ``index + 1``: the entry's next (Result,
+    ValidResult, Taken).
+
+    ``wrf[j]`` says whether older entry ``j + 1`` writes the Register
+    File (branches and stores do not).
+    """
+    has_b, has_m = proc.family.has_branches, proc.family.has_memory
+    slot = state.slots[index]
+    number = index + 1
+    isb, isl, iss = flags[index]
+    value1, avail1 = _forward_operand(proc, state, wrf, number, slot.src1, 1)
+    value2, avail2 = _forward_operand(proc, state, wrf, number, slot.src2, 2)
+    computed = builder.uf(ALU, [slot.op, value1, value2])
+    # Kept as separate conjuncts so the flat seed-shaped `ready`
+    # conjunction below is the only node interned for non-memory
+    # families (the perf baseline counts every built node).
+    avail_conjuncts = (avail1, avail2)
+    if has_m:
+        addr = builder.uf(MEM_ADDR, [slot.op])
+        mem_value, mem_avail = _forward_mem(proc, state, flags, number, addr)
+        # Loads read no register; stores need only their data operand.
+        avail_conjuncts = (builder.ite_formula(
+            isl,
+            mem_avail,
+            builder.ite_formula(iss, avail2, builder.and_(avail1, avail2)),
+        ),)
+        computed = builder.ite_term(
+            isl, mem_value, builder.ite_term(iss, value2, computed)
+        )
+    if has_b:
+        br_taken = builder.up(BRANCH_TAKEN, [slot.op, value1, value2])
+        br_target = builder.uf(BRANCH_TARGET, [slot.op, value1, value2])
+        computed = builder.ite_term(isb, br_target, computed)
+    ready = builder.and_(slot.valid, builder.not_(slot.vres), *avail_conjuncts)
+    executed = builder.and_(proc.nd_execute[index], ready)
+    result = builder.ite_term(executed, computed, slot.result)
+    vres = builder.or_(slot.vres, executed)
+    taken = slot.taken
+    if has_b:
+        taken = builder.ite_formula(
+            executed, builder.and_(isb, br_taken), slot.taken
+        )
+    return result, vres, taken
 
 
 def _forward_operand(
-    rf_expr: Term,
-    src_expr: Term,
-    entries: List[dict],
-    slice_index: int,
+    proc: OooProcessor,
+    state: MachineState,
+    wrf: List[Formula],
+    number: int,
+    src: Term,
     operand: int,
-    bug: Optional[Bug],
 ) -> Tuple[Term, Formula]:
-    """Forwarding chain for one register operand (paper Sect. 3).
+    """Forwarding chain for one register operand of slice ``number``
+    (paper Sect. 3).
 
     Scans preceding entries oldest-first, wrapping nearer producers around
     the outside of the ITE chain so the *latest* preceding valid writer of
@@ -1044,52 +609,35 @@ def _forward_operand(
     Only register-writing producers participate (``wrf``): branches and
     stores never forward.  Returns ``(value, available)``.
     """
-    wrong_source = (
-        bug is not None
-        and bug.kind == BugKind.FORWARD_WRONG_SOURCE
-        and bug.entry == slice_index
-        and bug.operand == operand
-    )
-    stale_result = (
-        bug is not None
-        and bug.kind == BugKind.FORWARD_STALE_RESULT
-        and bug.entry == slice_index
-        and bug.operand == operand
-    )
-    ignore_hazard = (
-        bug is not None
-        and bug.kind == BugKind.EXECUTE_IGNORES_HAZARD
-        and bug.entry == slice_index
-        and bug.operand == operand
-    )
-
-    value = builder.read(rf_expr, src_expr)
+    wrong_source = proc.planted(BugKind.FORWARD_WRONG_SOURCE, number, operand)
+    stale_result = proc.planted(BugKind.FORWARD_STALE_RESULT, number, operand)
+    slots = state.slots
+    value = builder.read(state.rf, src)
     avail: Formula = TRUE
-    for j, entry in enumerate(entries):
-        compare_with = src_expr
+    for j in range(number - 1):
+        producer = slots[j]
+        compare_with = src
         if wrong_source:
             # The planted defect: the comparator looks at the wrong field,
             # so this producer is never (or wrongly) matched.
-            compare_with = builder.uf("wrong$cmp", [src_expr])
+            compare_with = builder.uf("wrong$cmp", [src])
         match = builder.and_(
-            entry["valid"], entry["wrf"], builder.eq(entry["dest"], compare_with)
+            producer.valid, wrf[j], builder.eq(producer.dest, compare_with)
         )
-        forwarded = entry["result"]
-        if stale_result and j > 0:
-            forwarded = entries[j - 1]["result"]
+        forwarded = slots[j - 1].result if stale_result and j > 0 else producer.result
         value = builder.ite_term(match, forwarded, value)
-        avail = builder.ite_formula(match, entry["vres"], avail)
-    if ignore_hazard:
+        avail = builder.ite_formula(match, producer.vres, avail)
+    if proc.planted(BugKind.EXECUTE_IGNORES_HAZARD, number, operand):
         avail = TRUE
     return value, avail
 
 
 def _forward_mem(
-    dmem_expr: Term,
-    addr_expr: Term,
-    entries: List[dict],
-    slice_index: int,
-    bug: Optional[Bug],
+    proc: OooProcessor,
+    state: MachineState,
+    flags: List[KindFlags],
+    number: int,
+    addr: Term,
 ) -> Tuple[Term, Formula]:
     """Store-to-load forwarding chain for a load's memory value.
 
@@ -1099,42 +647,19 @@ def _forward_mem(
     Data-Memory read; availability requires every matching preceding
     store to have executed (its data sits in its ``Result`` field).
     """
-    stale = (
-        bug is not None
-        and bug.kind == BugKind.STALE_LOAD_FORWARD
-        and bug.entry == slice_index
-    )
-    value = builder.read(dmem_expr, addr_expr)
+    stale = proc.planted(BugKind.STALE_LOAD_FORWARD, number)
+    slots = state.slots
+    value = builder.read(state.dmem, addr)
     avail: Formula = TRUE
-    for j, entry in enumerate(entries):
-        store_addr = builder.uf(MEM_ADDR, [entry["op"]])
+    for j in range(number - 1):
+        store = slots[j]
+        store_addr = builder.uf(MEM_ADDR, [store.op])
         match = builder.and_(
-            entry["valid"], entry["iss"], builder.eq(store_addr, addr_expr)
+            store.valid, flags[j][2], builder.eq(store_addr, addr)
         )
-        forwarded = entry["result"]
-        if stale and j > 0:
-            # The planted defect: the forwarding mux picks the previous
-            # entry's data instead of the latest matching store's.
-            forwarded = entries[j - 1]["result"]
+        # The planted defect: the forwarding mux picks the previous
+        # entry's data instead of the latest matching store's.
+        forwarded = slots[j - 1].result if stale and j > 0 else store.result
         value = builder.ite_term(match, forwarded, value)
-        avail = builder.ite_formula(match, entry["vres"], avail)
+        avail = builder.ite_formula(match, store.vres, avail)
     return value, avail
-
-
-def make_simulator(proc: OooProcessor) -> Simulator:
-    """A simulator over ``proc`` with symbolic initial state and inputs.
-
-    The nondeterministic scheduling inputs are driven with their Boolean
-    variables; ``flush`` and all ``activate_i`` default to false (regular
-    operation).  The harness flips them to run the abstraction function.
-    """
-    sim = Simulator(proc.circuit)
-    sim.init_state(proc.initial_state)
-    sim.set_input(proc.flush, FALSE)
-    for signal in proc.activate:
-        sim.set_input(signal, FALSE)
-    for i, signal in enumerate(proc.nd_execute):
-        sim.set_input(signal, builder.bvar(f"NDExecute{i + 1}"))
-    for j, signal in enumerate(proc.nd_fetch):
-        sim.set_input(signal, builder.bvar(f"NDFetch{j + 1}"))
-    return sim

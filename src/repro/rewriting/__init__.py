@@ -16,7 +16,13 @@ from .rules import (
     reduce_under,
     split_on_guard,
 )
-from .updates import ChainItem, UpdateChain, decompose_chain
+from .updates import (
+    ChainItem,
+    UpdateChain,
+    chain_read,
+    decompose_chain,
+    push_read,
+)
 from .version import registry_fingerprint, registry_version
 
 __all__ = [
@@ -34,5 +40,7 @@ __all__ = [
     "split_on_guard",
     "ChainItem",
     "UpdateChain",
+    "chain_read",
     "decompose_chain",
+    "push_read",
 ]

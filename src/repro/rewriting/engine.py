@@ -52,7 +52,7 @@ variables and depends only on the newly fetched instructions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import RewriteFailed
@@ -69,7 +69,6 @@ from ..eufm.ast import (
     TermVar,
     UFApp,
 )
-from ..eufm.memory import push_read
 from ..obs.tracer import current_tracer
 from ..processor.correctness import DiagramArtifacts, build_correctness_formula
 from ..processor.families import Family
@@ -82,7 +81,7 @@ from .rules import (
     reduce_under,
     substitute_opaque,
 )
-from .updates import ChainItem, UpdateChain, decompose_chain
+from .updates import ChainItem, UpdateChain, decompose_chain, push_read
 
 __all__ = ["RewriteFailure", "RewriteResult", "rewrite_diagram"]
 
@@ -585,7 +584,7 @@ def _prove_data_equal(
 
 def _build_reduced_formula(
     artifacts: DiagramArtifacts, criterion: str, result: RewriteResult
-) -> Formula:
+) -> None:
     """Rebuild the correctness formula over the fresh equal-state variables.
 
     The proven-equal update prefixes (everything done by instructions
@@ -604,47 +603,29 @@ def _build_reduced_formula(
         impl_map[artifacts.dmem_impl_mid] = fresh_dmem
         spec_map[artifacts.spec_states[0].dmem] = fresh_dmem
 
-    rf_impl = substitute_opaque(artifacts.rf_impl, impl_map)
-    spec_rfs = [
+    result.reduced_rf_impl = substitute_opaque(artifacts.rf_impl, impl_map)
+    result.reduced_spec_rfs = [
         substitute_opaque(state.reg_file, spec_map)
         for state in artifacts.spec_states
     ]
-    result.reduced_rf_impl = rf_impl
-    result.reduced_spec_rfs = spec_rfs
-    dmem_impl = None
-    spec_dmems: List[Term] = []
+    spec_dmems: List[Optional[Term]] = [None] * len(artifacts.spec_states)
     if family.has_memory:
-        dmem_impl = substitute_opaque(artifacts.dmem_impl, impl_map)
-        spec_dmems = [
+        result.reduced_dmem_impl = substitute_opaque(
+            artifacts.dmem_impl, impl_map
+        )
+        result.reduced_spec_dmems = spec_dmems = [
             substitute_opaque(state.dmem, spec_map)
             for state in artifacts.spec_states
         ]
-        result.reduced_dmem_impl = dmem_impl
-        result.reduced_spec_dmems = spec_dmems
-
-    conjuncts = []
-    for m, (spec_state, spec_rf) in enumerate(
-        zip(artifacts.spec_states, spec_rfs)
-    ):
-        equal_pc = builder.eq(artifacts.pc_impl, spec_state.pc)
-        equal_rf = builder.eq(rf_impl, spec_rf)
-        parts = [equal_pc, equal_rf]
-        if family.has_memory:
-            parts.append(builder.eq(dmem_impl, spec_dmems[m]))
-        conjuncts.append(builder.and_(*parts))
-
-    if criterion == "disjunction":
-        result.reduced_formula = builder.or_(*conjuncts)
-        return result.reduced_formula
-    if criterion != "case_split":
-        raise ValueError(f"unknown criterion {criterion!r}")
-    fetch = artifacts.fetch_conditions
-    k = artifacts.config.issue_width
-    cases = []
-    for m in range(k + 1):
-        at_least = TRUE if m == 0 else fetch[m - 1]
-        more = fetch[m] if m < k else FALSE
-        exactly = builder.and_(at_least, builder.not_(more))
-        cases.append(builder.implies(exactly, conjuncts[m]))
-    result.reduced_formula = builder.and_(*cases)
-    return result.reduced_formula
+    reduced = replace(
+        artifacts,
+        rf_impl=result.reduced_rf_impl,
+        dmem_impl=result.reduced_dmem_impl,
+        spec_states=[
+            replace(state, reg_file=rf, dmem=dmem)
+            for state, rf, dmem in zip(
+                artifacts.spec_states, result.reduced_spec_rfs, spec_dmems
+            )
+        ],
+    )
+    result.reduced_formula = build_correctness_formula(reduced, criterion)

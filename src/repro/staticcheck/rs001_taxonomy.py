@@ -9,7 +9,7 @@ it: a ``raise RuntimeError`` inside the encoder is invisible to the
 retry logic, and a bare ``except:`` swallows ``BudgetExhausted`` (and
 ``KeyboardInterrupt``) wholesale.
 
-Checks, scoped to ``repro.{core,encode,sat,rewriting,decision,tlsim}``:
+Checks, scoped to ``repro.{core,encode,sat,rewriting,decision,processor}``:
 
 * ``bare-except`` — an ``except:`` clause with no exception type;
 * ``blind-except`` — ``except BaseException:`` (swallows even
@@ -102,6 +102,6 @@ register_checker(CheckerSpec(
         "broad builtins, and never use bare except clauses"
     ),
     scope=frozenset({"core", "encode", "sat", "rewriting", "decision",
-                     "tlsim"}),
+                     "processor"}),
     run_file=check_taxonomy,
 ))

@@ -135,7 +135,7 @@ register_checker(CheckerSpec(
         "every while/unbounded-for loop in a pipeline package polls the "
         "ambient Deadline on some path through its body"
     ),
-    scope=frozenset({"tlsim", "rewriting", "encode", "sat", "witness",
+    scope=frozenset({"processor", "rewriting", "encode", "sat", "witness",
                      "eufm", "decision", "service"}),
     run_file=check_deadline_polls,
 ))

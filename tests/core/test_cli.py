@@ -43,6 +43,14 @@ class TestMain:
         out = capsys.readouterr().out
         assert "slice 3" in out
 
+    def test_inert_bug_placement_exits_three(self, capsys):
+        # Slice 1 has no older producer to mis-compare: the defect would
+        # change nothing, so the run is refused instead of reported correct.
+        code = main(["--rob", "4", "--width", "2", "--bug",
+                     "forward-wrong-source"])
+        assert code == 3
+        assert "2 <= entry <= 4" in capsys.readouterr().err
+
     def test_positive_equality_method(self, capsys):
         code = main(["--rob", "2", "--width", "1", "--method",
                      "positive_equality"])

@@ -8,11 +8,15 @@ memory model combination.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro import Bug, BugKind, ProcessorConfig, verify
 from repro.encode import check_validity
-from repro.processor import build_correctness_formula, run_diagram
+from repro.processor import (
+    build_correctness_formula,
+    build_ooo_processor,
+    run_diagram,
+)
 from repro.rewriting import rewrite_diagram
 
 # Small enough for the PE-only flow, varied enough to be interesting.
@@ -31,6 +35,14 @@ DETECTABLE_BUGS = [
     BugKind.RETIRE_WITHOUT_RESULT,
     BugKind.RETIRE_IGNORES_VALID,
 ]
+
+
+def _plantable(config, bug):
+    try:
+        build_ooo_processor(config, bug)
+    except ValueError:
+        return False
+    return True
 
 
 class TestMethodAgreementOnCorrectDesigns:
@@ -61,10 +73,17 @@ class TestMethodAgreementOnBuggyDesigns:
     )
     def test_random_bug_agreement(self, kind, entry, operand, config_index):
         config = SMALL_CONFIGS[config_index]
-        entry = min(entry, config.n_rob)
+        limit = config.n_rob
         if kind in (BugKind.RETIRE_WITHOUT_RESULT, BugKind.RETIRE_IGNORES_VALID):
-            entry = min(entry, config.retire_width)
-        bug = Bug(kind, entry=entry, operand=operand)
+            limit = config.retire_width
+        # The first placement from the drawn entry on that the build
+        # accepts (elsewhere the defect would be inert).
+        candidates = [
+            Bug(kind, entry=e, operand=operand)
+            for e in range(min(entry, limit), limit + 1)
+        ]
+        bug = next((b for b in candidates if _plantable(config, b)), None)
+        assume(bug is not None)
         by_rules = verify(config, bug=bug)
         by_pe = verify(config, method="positive_equality", bug=bug)
         assert by_rules.correct == by_pe.correct, (

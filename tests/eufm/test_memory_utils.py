@@ -5,29 +5,37 @@ import pytest
 from repro.eufm import (
     TRUE,
     Interpretation,
-    Update,
     and_,
-    apply_updates,
     bvar,
-    chain_read,
-    collect_updates,
     eq,
     evaluate,
     ite_term,
     not_,
-    push_read,
     read,
     tvar,
     write,
 )
+from repro.rewriting import chain_read, decompose_chain, push_read
+
+
+def _apply(base, updates):
+    """The guarded write chain of ``(context, addr, data)`` updates."""
+    mem = base
+    for context, addr, data in updates:
+        mem = ite_term(context, write(mem, addr, data), mem)
+    return mem
+
+
+def _triples(chain):
+    return [(item.context, item.addr, item.data) for item in chain.items]
 
 
 def _chain():
     base = tvar("RF")
     updates = [
-        Update(bvar("c1"), tvar("a1"), tvar("d1")),
-        Update(TRUE, tvar("a2"), tvar("d2")),
-        Update(and_(bvar("c3"), bvar("c4")), tvar("a3"), tvar("d3")),
+        (bvar("c1"), tvar("a1"), tvar("d1")),
+        (TRUE, tvar("a2"), tvar("d2")),
+        (and_(bvar("c3"), bvar("c4")), tvar("a3"), tvar("d3")),
     ]
     return base, updates
 
@@ -35,39 +43,40 @@ def _chain():
 class TestCollectApply:
     def test_round_trip(self):
         base, updates = _chain()
-        mem = apply_updates(base, updates)
-        got_base, got_updates = collect_updates(mem)
-        assert got_base is base
-        assert got_updates == updates
+        mem = _apply(base, updates)
+        chain = decompose_chain(mem)
+        assert chain.base is base
+        assert _triples(chain) == updates
+        assert _apply(chain.base, _triples(chain)) is mem
 
     def test_plain_write_has_true_context(self):
         base = tvar("RF")
         mem = write(base, tvar("a"), tvar("d"))
-        got_base, got_updates = collect_updates(mem)
-        assert got_base is base
-        assert got_updates == [Update(TRUE, tvar("a"), tvar("d"))]
+        chain = decompose_chain(mem)
+        assert chain.base is base
+        assert _triples(chain) == [(TRUE, tvar("a"), tvar("d"))]
 
     def test_non_chain_rejected(self):
         base = tvar("RF")
         other = tvar("RF2")
         mem = ite_term(bvar("p"), write(base, tvar("a"), tvar("d")), other)
         with pytest.raises(ValueError):
-            collect_updates(mem)
+            decompose_chain(mem)
 
     def test_negated_guard_chain(self):
         base = tvar("RF")
         mem = ite_term(
             bvar("p"), base, write(base, tvar("a"), tvar("d"))
         )
-        got_base, got_updates = collect_updates(mem)
-        assert got_base is base
-        assert got_updates == [Update(not_(bvar("p")), tvar("a"), tvar("d"))]
+        chain = decompose_chain(mem)
+        assert chain.base is base
+        assert _triples(chain) == [(not_(bvar("p")), tvar("a"), tvar("d"))]
 
     def test_empty_chain(self):
         base = tvar("RF")
-        got_base, got_updates = collect_updates(base)
-        assert got_base is base
-        assert got_updates == []
+        chain = decompose_chain(base)
+        assert chain.base is base
+        assert chain.items == []
 
 
 class TestChainRead:
@@ -78,15 +87,15 @@ class TestChainRead:
 
     def test_chain_read_matches_memory_semantics(self):
         base, updates = _chain()
-        mem = apply_updates(base, updates)
+        mem = _apply(base, updates)
         addr = tvar("probe")
         direct = read(mem, addr)
-        chained = chain_read(base, updates, addr)
+        chained = chain_read(decompose_chain(mem), addr)
         self._assert_equivalent(direct, chained)
 
     def test_chain_read_has_no_memory_left_when_base_read(self):
         base, updates = _chain()
-        chained = chain_read(base, updates, tvar("probe"))
+        chained = chain_read(decompose_chain(_apply(base, updates)), tvar("probe"))
         # only the base read remains
         from repro.eufm import memory_nodes
 
@@ -96,7 +105,7 @@ class TestChainRead:
 
     def test_push_read_equivalence(self):
         base, updates = _chain()
-        node = read(apply_updates(base, updates), tvar("probe"))
+        node = read(_apply(base, updates), tvar("probe"))
         pushed = push_read(node)
         assert pushed is not node
         self._assert_equivalent(node, pushed)
@@ -109,28 +118,3 @@ class TestChainRead:
         mem = ite_term(bvar("p"), tvar("M1"), tvar("M2"))
         node = read(mem, tvar("a"))
         assert push_read(node) is node
-
-
-class TestUpdate:
-    def test_as_write_guards_correctly(self):
-        update = Update(bvar("c"), tvar("a"), tvar("d"))
-        mem = update.as_write(tvar("RF"))
-        probe = tvar("probe")
-        guarded = read(mem, probe)
-        written = read(write(tvar("RF"), tvar("a"), tvar("d")), probe)
-        untouched = read(tvar("RF"), probe)
-        for seed in range(20):
-            interp = Interpretation(domain_size=3, seed=seed)
-            want = (
-                evaluate(written, interp)
-                if evaluate(bvar("c"), interp)
-                else evaluate(untouched, interp)
-            )
-            assert evaluate(guarded, interp) == want
-
-    def test_with_context(self):
-        update = Update(bvar("c"), tvar("a"), tvar("d"))
-        stronger = update.with_context(and_(bvar("c"), bvar("e")))
-        assert stronger.addr is update.addr
-        assert stronger.data is update.data
-        assert stronger.context is and_(bvar("c"), bvar("e"))

@@ -162,10 +162,14 @@ def test_equality_symmetry(t1, t2, seed):
 @settings(max_examples=100, deadline=None)
 @given(memory_strategy(), st.integers(0, 5))
 def test_collect_apply_round_trip_preserves_value(mem, seed):
-    from repro.eufm import apply_updates, collect_updates
+    from repro.rewriting import decompose_chain
 
-    base, updates = collect_updates(mem)
-    rebuilt = apply_updates(base, updates)
+    chain = decompose_chain(mem)
+    rebuilt = chain.base
+    for item in chain.items:
+        rebuilt = ite_term(
+            item.context, write(rebuilt, item.addr, item.data), rebuilt
+        )
     interp = Interpretation(domain_size=3, seed=seed)
     probe = tvar("probe_addr")
     assert evaluate(eq(read(mem, probe), read(rebuilt, probe)), interp) is True

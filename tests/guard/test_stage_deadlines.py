@@ -59,6 +59,18 @@ class TestStageAttribution:
         )
         assert exc.stage == "witness"
 
+    def test_rewrite_phase_polls_as_rewrite(self):
+        # The rewriting engine's read pushing walks write chains; its
+        # polls belong to the rewrite stage, so every encode.memory poll
+        # comes after the last rewrite one.
+        beats = []
+        deadline = Deadline(heartbeat=beats.append, heartbeat_interval=0.0)
+        with use_deadline(deadline):
+            assert verify(ProcessorConfig(n_rob=32, issue_width=2)).correct
+        last_rewrite = max(i for i, stage in enumerate(beats) if stage == "rewrite")
+        memory = [i for i, stage in enumerate(beats) if stage == "encode.memory"]
+        assert memory and min(memory) > last_rewrite
+
     def test_positive_equality_skips_the_rewrite_stage(self):
         # A slow "rewrite" stage cannot stall a method that never
         # rewrites; the run completes inside the budget.

@@ -120,23 +120,30 @@ class TestBugGating:
 
 class TestCircuitShape:
     def test_reg_reg_circuit_has_no_family_signals(self):
-        proc = build_ooo_processor(ProcessorConfig(2, 1))
-        assert proc.dmem is None
-        assert proc.wp is None
-        assert proc.kb == [] and proc.kl == [] and proc.ks == []
-        assert proc.taken == []
+        state = build_ooo_processor(ProcessorConfig(2, 1)).initial
+        assert state.dmem is None
+        assert state.wp is None
+        assert all(
+            slot.kb is FALSE and slot.kl is FALSE and slot.ks is FALSE
+            for slot in state.slots
+        )
+        assert all(slot.taken is FALSE for slot in state.slots)
 
     def test_mem_circuit_has_data_memory(self):
         proc = build_ooo_processor(ProcessorConfig(2, 1, family="mem"))
-        assert proc.dmem is not None and proc.dmem_hold is not None
-        assert len(proc.kl) == len(proc.ks) > 0
-        assert proc.wp is None
+        state = proc.initial
+        assert state.dmem is proc.vars["DMem"]
+        assert state.slots[0].kl is proc.vars["IsLoad1"]
+        assert state.slots[0].ks is proc.vars["IsStore1"]
+        assert state.wp is None
 
     def test_branch_circuit_has_recovery_state(self):
         proc = build_ooo_processor(ProcessorConfig(2, 1, family="branch"))
-        assert proc.wp is not None
-        assert len(proc.kb) > 0 and len(proc.taken) > 0
-        assert proc.dmem is None
+        state = proc.initial
+        assert state.wp is FALSE
+        assert state.slots[0].kb is proc.vars["IsBranch1"]
+        assert state.slots[0].taken is proc.vars["Taken1"]
+        assert state.dmem is None
 
 
 class TestJobPlumbing:

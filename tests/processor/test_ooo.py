@@ -14,47 +14,48 @@ from repro.eufm import (
     uf,
 )
 from repro.processor import (
+    Bug,
+    BugKind,
     ProcessorConfig,
     build_ooo_processor,
     flush_range,
-    make_simulator,
+    regular_step,
 )
 from repro.processor.isa import NEXT_PC
 
 
-def _build(n=2, k=1, bug=None):
-    proc = build_ooo_processor(ProcessorConfig(n_rob=n, issue_width=k), bug=bug)
-    return proc, make_simulator(proc)
+def _build(n=2, k=1):
+    return build_ooo_processor(ProcessorConfig(n_rob=n, issue_width=k))
+
+
+def _step(n=2, k=1):
+    proc = _build(n=n, k=k)
+    return proc, regular_step(proc, proc.initial)
 
 
 class TestConstruction:
     def test_slot_count(self):
-        proc, _ = _build(n=4, k=2)
-        assert len(proc.valid) == 6
+        proc = _build(n=4, k=2)
+        assert len(proc.initial.slots) == 6
         assert len(proc.nd_execute) == 4
         assert len(proc.nd_fetch) == 2
-        assert len(proc.activate) == 6
+        assert proc.total_slots == 6
 
     def test_initial_state_variables_recorded(self):
-        proc, _ = _build(n=2, k=1)
+        proc = _build(n=2, k=1)
         for name in ("Valid1", "ValidResult2", "Dest1", "Src1_2", "Result1", "PC"):
             assert name in proc.vars
 
     def test_fetch_slots_start_invalid(self):
-        proc, _ = _build(n=2, k=2)
-        assert proc.initial_state[proc.valid[2]] is FALSE
-        assert proc.initial_state[proc.valid[3]] is FALSE
-
-    def test_circuit_is_acyclic(self):
-        proc, _ = _build(n=3, k=2)
-        assert proc.circuit.combinational_order()
+        proc = _build(n=2, k=2)
+        assert proc.initial.slots[2].valid is FALSE
+        assert proc.initial.slots[3].valid is FALSE
 
 
 class TestRegularOperation:
     def test_pc_advances_by_fetch_count(self):
-        proc, sim = _build(n=2, k=2)
-        sim.step()
-        pc = sim.peek(proc.pc)
+        _, state = _step(n=2, k=2)
+        pc = state.pc
         # PC_Impl = ITE(fetch_2, NextPC^2(PC), ITE(fetch_1, NextPC(PC), PC)).
         interp = Interpretation(bool_values={"NDFetch1": True, "NDFetch2": True})
         two = uf(NEXT_PC, [uf(NEXT_PC, [tvar("PC")])])
@@ -66,9 +67,8 @@ class TestRegularOperation:
         assert evaluate(eq(pc, tvar("PC")), interp) is True
 
     def test_retired_instruction_writes_register_file(self):
-        proc, sim = _build(n=1, k=1)
-        sim.step()
-        rf = sim.peek(proc.rf)
+        _, state = _step(n=1, k=1)
+        rf = state.rf
         probe = tvar("Dest1")
         value = read(rf, probe)
         # Valid & ValidResult -> retires, writing Result1 to Dest1.
@@ -79,9 +79,8 @@ class TestRegularOperation:
         assert evaluate(eq(value, tvar("Result1")), interp) is True
 
     def test_unretired_instruction_does_not_write(self):
-        proc, sim = _build(n=1, k=1)
-        sim.step()
-        rf = sim.peek(proc.rf)
+        _, state = _step(n=1, k=1)
+        rf = state.rf
         value = read(rf, tvar("Dest1"))
         baseline = read(tvar("RegFile"), tvar("Dest1"))
         interp = Interpretation(
@@ -97,9 +96,8 @@ class TestRegularOperation:
 
     def test_in_order_retirement(self):
         """Entry 2 cannot retire when entry 1 has no result yet."""
-        proc, sim = _build(n=2, k=2)
-        sim.step()
-        rf = sim.peek(proc.rf)
+        _, state = _step(n=2, k=2)
+        rf = state.rf
         value = read(rf, tvar("Dest2"))
         baseline = read(tvar("RegFile"), tvar("Dest2"))
         interp = Interpretation(
@@ -121,9 +119,8 @@ class TestRegularOperation:
     def test_execution_forwards_from_producer(self):
         """Entry 2 executing out of order forwards Result1 when its source
         matches Dest1 and entry 1 has a result."""
-        proc, sim = _build(n=2, k=1)
-        sim.step()
-        vres2 = sim.peek(proc.vres[1])
+        _, state = _step(n=2, k=1)
+        vres2 = state.slots[1].vres
         interp = Interpretation(
             domain_size=5,
             bool_values={
@@ -140,9 +137,8 @@ class TestRegularOperation:
         assert evaluate(vres2, interp) is True
 
     def test_execution_stalls_on_pending_producer(self):
-        proc, sim = _build(n=2, k=1)
-        sim.step()
-        vres2 = sim.peek(proc.vres[1])
+        _, state = _step(n=2, k=1)
+        vres2 = state.slots[1].vres
         interp = Interpretation(
             domain_size=5,
             bool_values={
@@ -159,9 +155,8 @@ class TestRegularOperation:
         assert evaluate(vres2, interp) is False
 
     def test_nd_execute_gates_execution(self):
-        proc, sim = _build(n=1, k=1)
-        sim.step()
-        vres1 = sim.peek(proc.vres[0])
+        _, state = _step(n=1, k=1)
+        vres1 = state.slots[0].vres
         interp = Interpretation(
             bool_values={
                 "Valid1": True,
@@ -175,18 +170,15 @@ class TestRegularOperation:
 
 class TestFlush:
     def test_flush_preserves_pc(self):
-        proc, sim = _build(n=2, k=1)
-        sim.step()
-        pc_before = sim.peek(proc.pc)
-        flush_range(sim, proc, 1, proc.total_slots)
-        assert sim.peek(proc.pc) is pc_before
+        proc, state = _step(n=2, k=1)
+        flushed = flush_range(proc, state, 1, proc.total_slots)
+        assert flushed.pc is state.pc
 
     def test_flush_of_initial_state_completes_all_valid(self):
         """Flushing the initial state writes every valid instruction's
         completion data in program order."""
-        proc, sim = _build(n=2, k=1)
-        flush_range(sim, proc, 1, proc.total_slots)
-        rf = sim.peek(proc.rf)
+        proc = _build(n=2, k=1)
+        rf = flush_range(proc, proc.initial, 1, proc.total_slots).rf
         value = read(rf, tvar("Dest2"))
         interp = Interpretation(
             domain_size=5,
@@ -200,9 +192,8 @@ class TestFlush:
 
     def test_program_order_of_completions(self):
         """When two valid entries share a destination, the later one wins."""
-        proc, sim = _build(n=2, k=1)
-        flush_range(sim, proc, 1, proc.total_slots)
-        rf = sim.peek(proc.rf)
+        proc = _build(n=2, k=1)
+        rf = flush_range(proc, proc.initial, 1, proc.total_slots).rf
         value = read(rf, tvar("Dest1"))
         interp = Interpretation(
             domain_size=5,
@@ -217,9 +208,8 @@ class TestFlush:
         assert evaluate(eq(value, tvar("Result2")), interp) is True
 
     def test_invalid_entries_do_not_write(self):
-        proc, sim = _build(n=1, k=1)
-        flush_range(sim, proc, 1, proc.total_slots)
-        rf = sim.peek(proc.rf)
+        proc = _build(n=1, k=1)
+        rf = flush_range(proc, proc.initial, 1, proc.total_slots).rf
         interp = Interpretation(bool_values={"Valid1": False})
         probe = tvar("anywhere")
         assert (
@@ -228,8 +218,62 @@ class TestFlush:
         )
 
     def test_flush_range_validates_bounds(self):
-        proc, sim = _build(n=2, k=1)
+        proc = _build(n=2, k=1)
         with pytest.raises(ValueError):
-            flush_range(sim, proc, 0, 1)
+            flush_range(proc, proc.initial, 0, 1)
         with pytest.raises(ValueError):
-            flush_range(sim, proc, 1, 99)
+            flush_range(proc, proc.initial, 1, 99)
+
+
+class TestBugPlacement:
+    """A defect is planted only where the design has logic for it."""
+
+    @pytest.mark.parametrize(
+        "kind,config,entry",
+        [
+            # No older producer for slice 1 to mis-compare or wait for.
+            (BugKind.FORWARD_WRONG_SOURCE, ProcessorConfig(4, 2), 1),
+            (BugKind.EXECUTE_IGNORES_HAZARD, ProcessorConfig(4, 2), 1),
+            (BugKind.FORWARD_WRONG_SOURCE, ProcessorConfig(4, 2), 5),
+            # Stale forwarding needs two older producers.
+            (BugKind.FORWARD_STALE_RESULT, ProcessorConfig(4, 2), 2),
+            (BugKind.STALE_LOAD_FORWARD, ProcessorConfig(4, 2, family="mem"), 2),
+            # Retirement defects live in the l retirement slots.
+            (BugKind.RETIRE_WITHOUT_RESULT, ProcessorConfig(4, 2), 3),
+            (BugKind.RETIRE_IGNORES_VALID, ProcessorConfig(4, 2), 3),
+            # ... and the order defects need an older neighbour.
+            (BugKind.RETIRE_OUT_OF_ORDER, ProcessorConfig(4, 2), 1),
+            (BugKind.STORE_ORDER, ProcessorConfig(4, 2, family="mem"), 1),
+            (BugKind.STORE_ORDER, ProcessorConfig(4, 2, family="mem"), 3),
+            (BugKind.WRONG_PATH_RETIRE, ProcessorConfig(4, 2, family="branch"), 1),
+            # A dropped flush needs an older entry to squash the slot.
+            (BugKind.DROPPED_FLUSH, ProcessorConfig(2, 1, family="branch"), 1),
+            (BugKind.DROPPED_FLUSH, ProcessorConfig(2, 1, family="branch"), 4),
+            # One NextPC per fetch group is only wrong for groups of two.
+            (BugKind.PC_SINGLE_INCREMENT, ProcessorConfig(4, 1), 1),
+        ],
+    )
+    def test_inert_placement_rejected(self, kind, config, entry):
+        with pytest.raises(ValueError, match=kind):
+            build_ooo_processor(config, bug=Bug(kind, entry=entry))
+
+    @pytest.mark.parametrize(
+        "kind,config,entry",
+        [
+            (BugKind.FORWARD_WRONG_SOURCE, ProcessorConfig(4, 2), 2),
+            (BugKind.EXECUTE_IGNORES_HAZARD, ProcessorConfig(4, 2), 4),
+            (BugKind.FORWARD_STALE_RESULT, ProcessorConfig(4, 2), 3),
+            (BugKind.STALE_LOAD_FORWARD, ProcessorConfig(4, 2, family="mem"), 4),
+            (BugKind.RETIRE_WITHOUT_RESULT, ProcessorConfig(4, 2), 1),
+            (BugKind.RETIRE_IGNORES_VALID, ProcessorConfig(4, 2), 2),
+            (BugKind.RETIRE_OUT_OF_ORDER, ProcessorConfig(4, 2), 2),
+            (BugKind.STORE_ORDER, ProcessorConfig(4, 2, family="mem"), 2),
+            (BugKind.WRONG_PATH_RETIRE, ProcessorConfig(4, 2, family="branch"), 2),
+            (BugKind.DROPPED_FLUSH, ProcessorConfig(2, 1, family="branch"), 2),
+            (BugKind.DROPPED_FLUSH, ProcessorConfig(2, 1, family="branch"), 3),
+            (BugKind.PC_SINGLE_INCREMENT, ProcessorConfig(4, 2), 1),
+        ],
+    )
+    def test_live_placement_accepted(self, kind, config, entry):
+        proc = build_ooo_processor(config, bug=Bug(kind, entry=entry))
+        assert proc.bug.entry == entry
