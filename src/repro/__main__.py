@@ -49,8 +49,9 @@ Version (package + rule-registry provenance, one line each)::
     python -m repro --version
 
 Exit status of a single run: 0 — the design was proved correct; 1 — a bug
-was found; 2 — the SAT budget was exhausted before a verdict; 3 — another
-structured verification error (including strict-mode soundness findings).
+was found; 2 — the SAT budget was exhausted before a verdict; 3 — an
+invalid configuration or another structured verification error (including
+strict-mode soundness findings).
 """
 
 from __future__ import annotations
@@ -229,17 +230,17 @@ def main(argv=None) -> int:
 
         return witness_main(argv[1:])
     args = build_parser().parse_args(argv)
-    config = ProcessorConfig(
-        n_rob=args.rob,
-        issue_width=args.width,
-        retire_width=args.retire_width,
-        family=args.family,
-    )
-    bug = None
-    if args.bug is not None:
-        bug = Bug(args.bug, entry=args.entry, operand=args.operand)
-        print(f"Planted defect: {bug.describe()}")
     try:
+        config = ProcessorConfig(
+            n_rob=args.rob,
+            issue_width=args.width,
+            retire_width=args.retire_width,
+            family=args.family,
+        )
+        bug = None
+        if args.bug is not None:
+            bug = Bug(args.bug, entry=args.entry, operand=args.operand)
+            print(f"Planted defect: {bug.describe()}")
         result = verify(
             config,
             method=args.method,
@@ -254,8 +255,8 @@ def main(argv=None) -> int:
             certify=args.certify,
         )
     except ValueError as exc:
-        # Configuration-level rejections (e.g. a bug kind the workload
-        # family cannot express, or an unsound criterion for it).
+        # Configuration-level rejections (an invalid size, a bug kind the
+        # workload family cannot express, an unsound criterion for it).
         print(f"python -m repro: error: {exc}", file=sys.stderr)
         return 3
     except AnalysisError as exc:

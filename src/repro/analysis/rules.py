@@ -4,10 +4,11 @@ The engine's rules live in :mod:`repro.rewriting.rules` as structural
 checks over update chains.  Each entry of :data:`REGISTRY` describes one
 rule *schematically*: a builder constructs a representative LHS/RHS
 instance over declared pattern variables — routing through the production
-helpers (``merge_contexts``, ``contexts_disjoint``, ``reduce_under``)
-wherever possible, so the analyzed rewrite is the implemented one, not a
-transcription of it.  :func:`analyze_rules` builds each instance once and
-reports every finding under ``rules.*``:
+helpers (``merge_contexts``, ``contexts_disjoint``, and the ``substitute``
+walk that cofactors rule 3's cases) wherever possible, so the analyzed
+rewrite is the implemented one, not a transcription of it.
+:func:`analyze_rules` builds each instance once and reports every finding
+under ``rules.*``:
 
 * **side conditions** — pattern linearity (the declared pattern
   variables are pairwise distinct and each is bound by the LHS); no
@@ -55,12 +56,7 @@ from ..eufm.evaluator import Interpretation, SortError, evaluate, infer_memory_s
 from ..eufm.polarity import classify
 from ..eufm.traversal import bool_variables, iter_dag, substitute, term_variables
 from ..encode.memory_elim import abstract_memories_conservative
-from ..rewriting.rules import (
-    RuleViolation,
-    contexts_disjoint,
-    merge_contexts,
-    reduce_under,
-)
+from ..rewriting.rules import RuleViolation, contexts_disjoint, merge_contexts
 from .diagnostics import ERROR, INFO, WARNING, Diagnostic
 
 __all__ = [
@@ -178,7 +174,7 @@ def _merge_complementary_contexts() -> RuleInstance:
 
 
 def _case_split_valid_result() -> RuleInstance:
-    """Rule 3: Shannon case split via the engine's ``reduce_under``."""
+    """Rule 3: Shannon case split, cofactored by the engine's ``substitute``."""
     v = builder.bvar("rule3!vres")
     p, q = builder.bvar("rule3!p"), builder.bvar("rule3!q")
     x, y, z = (builder.tvar("rule3!x"), builder.tvar("rule3!y"),
@@ -192,8 +188,8 @@ def _case_split_valid_result() -> RuleInstance:
     )
     rhs = builder.ite_term(
         v,
-        reduce_under(data, {v: TRUE}),
-        reduce_under(data, {v: FALSE}),
+        substitute(data, {v: TRUE}),
+        substitute(data, {v: FALSE}),
     )
     return RuleInstance(
         lhs=data,
@@ -251,7 +247,9 @@ REGISTRY: List[RuleSpec] = [
     ),
     RuleSpec(
         name="case-split-valid-result",
-        description="rule 3: Shannon split on ValidResult via reduce_under",
+        # Byte-identical on purpose: registry_version() and cache keys hash it.
+        description="rule 3: Shannon split on ValidResult via reduce_"
+        "under",
         build=_case_split_valid_result,
     ),
     RuleSpec(

@@ -36,7 +36,7 @@ from ..eufm.ast import (
     UPApp,
     Write,
 )
-from ..eufm.traversal import iter_dag, _rebuild
+from ..eufm.traversal import iter_dag, rebuild
 from .congruence import Env
 
 __all__ = ["DecisionBudget", "BudgetExceeded", "is_satisfiable", "is_valid"]
@@ -108,19 +108,23 @@ def _search(phi: Formula, env: Env, budget: DecisionBudget) -> bool:
 
 def _simplify(phi: Formula, env: Env) -> Formula:
     """Rebuild ``phi`` bottom-up, folding atoms decided by ``env``."""
-    rebuilt: Dict[Expr, Expr] = {}
-    for node in iter_dag(phi):
-        if isinstance(node, (Eq, BoolVar, UPApp)):
-            candidate = _rebuild(node, rebuilt)
-            if isinstance(candidate, (Eq, BoolVar, UPApp)):
-                value = env.query(candidate)
-                if value is not None:
-                    rebuilt[node] = TRUE if value else FALSE
-                    continue
-            rebuilt[node] = candidate
+
+    def fold(node: Expr, rebuilt: Dict[Expr, Expr]) -> Optional[Expr]:
+        if isinstance(node, Eq):
+            atom = builder.eq(rebuilt[node.lhs], rebuilt[node.rhs])
+        elif isinstance(node, UPApp):
+            atom = builder.up(node.symbol, [rebuilt[a] for a in node.args])
+        elif isinstance(node, BoolVar):
+            atom = node
         else:
-            rebuilt[node] = _rebuild(node, rebuilt)
-    result = rebuilt[phi]
+            return None
+        if isinstance(atom, (Eq, BoolVar, UPApp)):
+            value = env.query(atom)
+            if value is not None:
+                return TRUE if value else FALSE
+        return atom
+
+    result = rebuild(phi, fold)
     if not isinstance(result, Formula):
         raise TypeError("simplification changed the sort of the root")
     return result

@@ -37,7 +37,7 @@ from ..eufm.ast import (
     UPApp,
     Write,
 )
-from ..eufm.traversal import iter_dag, _rebuild
+from ..eufm.traversal import rebuild
 from ..guard.deadline import current_deadline
 
 __all__ = ["EijResult", "encode_equalities"]
@@ -81,7 +81,6 @@ def encode_equalities(
     deadline.check("encode.eij")
     # Cache of pairwise term-equality formulas, keyed on unordered pairs.
     pair_cache: Dict[Tuple[Term, Term], Formula] = {}
-    rebuilt: Dict[Expr, Expr] = {}
 
     def var_equality(a: TermVar, b: TermVar) -> Formula:
         if a is b:
@@ -155,7 +154,7 @@ def encode_equalities(
             )
         return pair_cache[root_key]
 
-    for node in iter_dag(phi):
+    def encode(node: Expr, rebuilt: Dict[Expr, Expr]) -> Optional[Expr]:
         deadline.tick("encode.eij")
         if isinstance(node, (UFApp, UPApp, Read, Write)):
             raise TypeError(
@@ -163,13 +162,10 @@ def encode_equalities(
                 "earlier pipeline stages first"
             )
         if isinstance(node, Eq):
-            lhs = rebuilt[node.lhs]
-            rhs = rebuilt[node.rhs]
-            rebuilt[node] = term_equality(lhs, rhs)
-        else:
-            rebuilt[node] = _rebuild(node, rebuilt)
+            return term_equality(rebuilt[node.lhs], rebuilt[node.rhs])
+        return None
 
-    encoded = rebuilt[phi]
+    encoded = rebuild(phi, encode)
     if not isinstance(encoded, Formula):
         raise TypeError("input to encode_equalities must be a formula")
     result.formula = encoded

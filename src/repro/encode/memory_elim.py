@@ -38,7 +38,7 @@ from ..eufm.ast import Eq, Expr, Formula, Read, Term, TermITE, TermVar, Write
 from ..eufm.evaluator import infer_memory_sorts
 from ..guard.deadline import current_deadline
 from ..eufm.polarity import NEG, POS, _compute_polarity
-from ..eufm.traversal import iter_dag, map_dag, rewrite_dag
+from ..eufm.traversal import iter_dag, rebuild
 
 __all__ = [
     "MemoryElimResult",
@@ -87,7 +87,7 @@ def eliminate_memories(phi: Formula, max_rounds: int = 10) -> MemoryElimResult:
         polarity = _compute_polarity(phi)
 
         # Step 1: extensionality — memory equations become pointwise reads.
-        def replace_memory_eq(node: Expr):
+        def replace_memory_eq(node: Expr, _rebuilt):
             if isinstance(node, Eq) and (
                 node.lhs in memory_sorted or node.rhs in memory_sorted
             ):
@@ -100,13 +100,13 @@ def eliminate_memories(phi: Formula, max_rounds: int = 10) -> MemoryElimResult:
                 )
             return None
 
-        phi = map_dag(phi, replace_memory_eq)
+        phi = rebuild(phi, replace_memory_eq)
 
         # Step 2: push reads through write chains and memory ITEs.
         phi = _push_all_reads(phi)
 
         # Step 3: abstract reads of base memory variables as UFs.
-        def abstract_base_read(node: Expr):
+        def abstract_base_read(node: Expr, _rebuilt):
             if isinstance(node, Read) and isinstance(node.mem, TermVar):
                 symbol = result.base_read_symbols.setdefault(
                     node.mem, READ_SYMBOL_PREFIX + node.mem.name
@@ -114,7 +114,7 @@ def eliminate_memories(phi: Formula, max_rounds: int = 10) -> MemoryElimResult:
                 return builder.uf(symbol, [node.addr])
             return None
 
-        phi = map_dag(phi, abstract_base_read)
+        phi = rebuild(phi, abstract_base_read)
 
     for node in iter_dag(phi):
         deadline.tick("encode.memory")
@@ -170,22 +170,21 @@ def _push_all_reads(phi: Formula) -> Formula:
             stack.pop()
         return cache[(mem, addr)]
 
-    def replace(node: Expr):
+    def replace(node: Expr, _rebuilt):
         if isinstance(node, Read) and not isinstance(node.mem, TermVar):
             return pushed_read(node.mem, node.addr)
         return None
 
-    # Reads can nest (the address of a read may itself contain reads);
-    # map_dag rebuilds bottom-up, so inner reads are already replaced by the
-    # time the outer one is visited.  However `replace` receives the
-    # *original* node; rebuild manually instead for full generality.
-    deadline = current_deadline()
+    # Reads can nest (the address of a read may itself contain reads).
+    # `replace` pushes a read through its *original* memory and address,
+    # so the reads nested in them come out of a pass unpushed; passes
+    # repeat until nothing changes.
     previous = None
     current = phi
     while previous is not current:
         deadline.tick("encode.memory")
         previous = current
-        current = map_dag(current, replace)
+        current = rebuild(current, replace)
     return current
 
 
@@ -200,13 +199,16 @@ def abstract_memories_conservative(phi: Formula) -> Formula:
     """
     current_deadline().check("encode.memory")
 
-    def replace(_original: Expr, rebuilt: Expr):
-        if isinstance(rebuilt, Read):
-            return builder.uf(CONSERVATIVE_READ, [rebuilt.mem, rebuilt.addr])
-        if isinstance(rebuilt, Write):
+    def replace(node: Expr, rebuilt: Dict[Expr, Expr]):
+        if isinstance(node, Read):
             return builder.uf(
-                CONSERVATIVE_WRITE, [rebuilt.mem, rebuilt.addr, rebuilt.data]
+                CONSERVATIVE_READ, [rebuilt[node.mem], rebuilt[node.addr]]
+            )
+        if isinstance(node, Write):
+            return builder.uf(
+                CONSERVATIVE_WRITE,
+                [rebuilt[node.mem], rebuilt[node.addr], rebuilt[node.data]],
             )
         return None
 
-    return rewrite_dag(phi, replace)
+    return rebuild(phi, replace)

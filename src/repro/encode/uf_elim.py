@@ -34,7 +34,7 @@ from ..eufm.ast import (
     Write,
 )
 from ..eufm.polarity import PolarityInfo
-from ..eufm.traversal import iter_dag
+from ..eufm.traversal import iter_dag, rebuild
 from ..guard.deadline import current_deadline
 
 __all__ = ["UFElimResult", "eliminate_uf"]
@@ -80,28 +80,19 @@ def eliminate_uf(
     uf_history: Dict[str, List[Tuple[Tuple[Term, ...], Term]]] = {}
     up_history: Dict[str, List[Tuple[Tuple[Term, ...], Formula]]] = {}
 
-    def replace(node: Expr):
-        return None
-
-    # map_dag's leaf_fn sees original nodes; we need rebuilt children, so
-    # run a manual bottom-up rebuild instead.
-    rebuilt: Dict[Expr, Expr] = {}
-    from ..eufm.traversal import _rebuild
-
-    for node in iter_dag(phi):
+    def eliminate(node: Expr, rebuilt: Dict[Expr, Expr]) -> Optional[Expr]:
         deadline.tick("encode.uf_elim")
         if isinstance(node, UFApp):
             args = tuple(rebuilt[a] for a in node.args)
-            rebuilt[node] = _eliminate_app(
+            return _eliminate_app(
                 node.symbol, args, uf_history, result, polarity_info
             )
-        elif isinstance(node, UPApp):
+        if isinstance(node, UPApp):
             args = tuple(rebuilt[a] for a in node.args)
-            rebuilt[node] = _eliminate_pred(node.symbol, args, up_history, result)
-        else:
-            rebuilt[node] = _rebuild(node, rebuilt)
+            return _eliminate_pred(node.symbol, args, up_history, result)
+        return None
 
-    result.formula = rebuilt[phi]
+    result.formula = rebuild(phi, eliminate)
     return result
 
 

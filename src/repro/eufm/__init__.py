@@ -57,10 +57,10 @@ from .traversal import (
     expression_stats,
     function_symbols,
     iter_dag,
-    map_dag,
     memory_nodes,
     node_count,
     predicate_symbols,
+    rebuild,
     substitute,
     term_variables,
 )
@@ -126,10 +126,10 @@ __all__ = [
     "expression_stats",
     "function_symbols",
     "iter_dag",
-    "map_dag",
     "memory_nodes",
     "node_count",
     "predicate_symbols",
+    "rebuild",
     "substitute",
     "term_variables",
 ]

@@ -6,7 +6,7 @@ over hundreds of reorder-buffer entries) never hit Python's recursion limit.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .ast import (
     And,
@@ -31,7 +31,6 @@ from ..guard.deadline import current_deadline
 
 __all__ = [
     "iter_dag",
-    "iter_unique",
     "node_count",
     "dag_depth",
     "term_variables",
@@ -40,9 +39,8 @@ __all__ = [
     "predicate_symbols",
     "equations",
     "memory_nodes",
+    "rebuild",
     "substitute",
-    "rewrite_dag",
-    "map_dag",
     "expression_stats",
 ]
 
@@ -72,11 +70,6 @@ def iter_dag(*roots: Expr) -> Iterator[Expr]:
             for child in node.children:
                 if child not in seen:
                     stack.append((child, False))
-
-
-def iter_unique(*roots: Expr) -> Iterator[Expr]:
-    """Alias of :func:`iter_dag`; exists for call-site readability."""
-    return iter_dag(*roots)
 
 
 def node_count(*roots: Expr) -> int:
@@ -138,22 +131,60 @@ def memory_nodes(*roots: Expr) -> List[Expr]:
     return [node for node in iter_dag(*roots) if isinstance(node, (Read, Write))]
 
 
-def map_dag(root: Expr, leaf_fn: Callable[[Expr], Expr]) -> Expr:
-    """Rebuild ``root`` bottom-up, replacing each leaf-level node.
+def rebuild(
+    root: Expr,
+    visit: Callable[[Expr, Dict[Expr, Expr]], Optional[Expr]],
+) -> Expr:
+    """Rebuild ``root`` bottom-up, letting ``visit`` replace nodes.
 
-    ``leaf_fn`` is consulted for *every* node before its reconstruction; if
-    it returns a non-``None`` expression, that expression replaces the node
-    (and its subtree is not visited further from this occurrence — but note
-    the walk is over the DAG, so sharing is preserved).  Reconstruction goes
-    through the smart constructors, so local simplification is re-applied.
+    ``visit(node, rebuilt)`` is called for every node in post-order, with
+    ``rebuilt`` already mapping each of the node's children to its
+    rebuilt form.  A non-``None`` return value replaces the node;
+    ``None`` rebuilds it from its rebuilt children through the smart
+    constructors, so local simplification is re-applied.
     """
     rebuilt: Dict[Expr, Expr] = {}
     for node in iter_dag(root):
-        replacement = leaf_fn(node)
+        replacement = visit(node, rebuilt)
+        rebuilt[node] = (
+            _rebuild(node, rebuilt) if replacement is None else replacement
+        )
+    return rebuilt[root]
+
+
+def substitute(root: Expr, mapping: Dict[Expr, Expr]) -> Expr:
+    """Simultaneously replace the keys of ``mapping`` in ``root``.
+
+    The walk does not descend into a mapped node, so replacing a large
+    sub-DAG costs only the size of the logic above it, and a node mapped
+    to itself is an opaque stop: it is kept as it is, whatever the
+    mapping says about the nodes beneath it.  Replacement is
+    non-recursive (the substituted expressions are not themselves
+    rewritten), matching standard simultaneous substitution; everything
+    else is rebuilt through the smart constructors.
+    """
+    for old, new in mapping.items():
+        if old.is_term() != new.is_term():
+            raise TypeError(f"substitution changes sort of {old!r}")
+    deadline = current_deadline()
+    rebuilt: Dict[Expr, Expr] = {}
+    stack: List[Tuple[Expr, bool]] = [(root, False)]
+    while stack:
+        deadline.tick("eufm")
+        node, expanded = stack.pop()
+        if expanded:
+            rebuilt[node] = _rebuild(node, rebuilt)
+            continue
+        if node in rebuilt:
+            continue
+        replacement = mapping.get(node)
         if replacement is not None:
             rebuilt[node] = replacement
             continue
-        rebuilt[node] = _rebuild(node, rebuilt)
+        stack.append((node, True))
+        for child in node.children:
+            if child not in rebuilt:
+                stack.append((child, False))
     return rebuilt[root]
 
 
@@ -187,39 +218,6 @@ def _rebuild(node: Expr, rebuilt: Dict[Expr, Expr]) -> Expr:
     if kind == "or":
         return builder.or_(*[rebuilt[a] for a in node.args])
     raise TypeError(f"unknown node kind {kind!r}")
-
-
-def rewrite_dag(root: Expr, rewrite_fn: Callable[[Expr, Expr], Expr]) -> Expr:
-    """Rebuild ``root`` bottom-up with a rewrite applied at every node.
-
-    ``rewrite_fn(original, rebuilt)`` receives the original node and its
-    reconstruction from already-rewritten children; returning a non-``None``
-    expression replaces the rebuilt node.  Unlike :func:`map_dag`, the
-    rewrite sees children that have themselves been rewritten, so nested
-    redexes are handled in a single pass.
-    """
-    rebuilt: Dict[Expr, Expr] = {}
-    for node in iter_dag(root):
-        candidate = _rebuild(node, rebuilt)
-        replacement = rewrite_fn(node, candidate)
-        rebuilt[node] = candidate if replacement is None else replacement
-    return rebuilt[root]
-
-
-def substitute(root: Expr, mapping: Dict[Expr, Expr]) -> Expr:
-    """Simultaneously replace occurrences of the keys of ``mapping``.
-
-    Replacement is non-recursive (the substituted expressions are not
-    themselves rewritten), matching standard simultaneous substitution.
-    """
-    for old, new in mapping.items():
-        if old.is_term() != new.is_term():
-            raise TypeError(f"substitution changes sort of {old!r}")
-
-    def leaf_fn(node: Expr):
-        return mapping.get(node)
-
-    return map_dag(root, leaf_fn)
 
 
 def expression_stats(*roots: Expr) -> Dict[str, int]:

@@ -19,7 +19,8 @@ JSON / Chrome trace-event form)::
 
 Exit status: ``perf compare`` returns 0 when every metric is within
 tolerance and 1 otherwise; ``record``/``trace`` mirror the single-run
-CLI (0 proved, 1 bug found) and use 2 for setup errors.
+CLI (0 proved, 1 bug found) and use 2 for setup errors, an invalid
+configuration included.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def perf_main(argv: Optional[List[str]] = None) -> int:
 def _perf_record(args: argparse.Namespace) -> int:
     try:
         result = _run_traced(args)
-    except ReproError as exc:
+    except (ReproError, ValueError) as exc:
         print(f"perf record failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2
@@ -239,7 +240,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     args = build_trace_parser().parse_args(argv)
     try:
         result = _run_traced(args)
-    except ReproError as exc:
+    except (ReproError, ValueError) as exc:
         print(f"trace failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     if args.format == "tree":

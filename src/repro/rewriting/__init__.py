@@ -13,16 +13,9 @@ from .rules import (
     contexts_disjoint,
     merge_contexts,
     prove_forwarding_matches_read,
-    reduce_under,
     split_on_guard,
 )
-from .updates import (
-    ChainItem,
-    UpdateChain,
-    chain_read,
-    decompose_chain,
-    push_read,
-)
+from .updates import ChainItem, UpdateChain, decompose_chain
 from .version import registry_fingerprint, registry_version
 
 __all__ = [
@@ -36,11 +29,8 @@ __all__ = [
     "contexts_disjoint",
     "merge_contexts",
     "prove_forwarding_matches_read",
-    "reduce_under",
     "split_on_guard",
     "ChainItem",
     "UpdateChain",
-    "chain_read",
     "decompose_chain",
-    "push_read",
 ]

@@ -17,11 +17,15 @@ initial entry ``i`` the engine
    writes-register-file / is-store kind conjuncts);
 4. proves the written data equal (rule 3) by a case split on
    ``ValidResult_i`` — and, in the memory families, on the entry's
-   symbolic instruction-kind variables — with structural reduction,
-   including the forwarding-versus-specification-read chain walk for
-   operands of instructions executed during the regular cycle (the same
-   walk handles register forwarding and store-to-load forwarding: both
-   chains are built from exactly the pieces ``push_read`` produces);
+   symbolic instruction-kind variables.  Each case is one
+   :func:`~repro.eufm.traversal.substitute` walk per side: it moves the
+   implementation's reads across the already-proven seam, fixes the
+   case's variables to constants and treats the preceding states as
+   opaque stops.  Operands of instructions executed during the regular
+   cycle then need the forwarding walk: the forwarding chain is checked
+   level by level against the updates of the specification-side write
+   chain the operand is read from (the same walk handles register
+   forwarding and store-to-load forwarding);
 5. removes the proven pair from both sides (rule 4).
 
 The memory families maintain *two* update chains per side — the Register
@@ -69,6 +73,7 @@ from ..eufm.ast import (
     TermVar,
     UFApp,
 )
+from ..eufm.traversal import substitute
 from ..obs.tracer import current_tracer
 from ..processor.correctness import DiagramArtifacts, build_correctness_formula
 from ..processor.families import Family
@@ -78,10 +83,8 @@ from .rules import (
     contexts_disjoint,
     merge_contexts,
     prove_forwarding_matches_read,
-    reduce_under,
-    substitute_opaque,
 )
-from .updates import ChainItem, UpdateChain, decompose_chain, push_read
+from .updates import ChainItem, UpdateChain, decompose_chain
 
 __all__ = ["RewriteFailure", "RewriteResult", "rewrite_diagram"]
 
@@ -423,9 +426,10 @@ def _process_entry(
     # entry's completion; the already-proven prefix equivalence lets them
     # move to the specification-side states (rule 3, subcase 2.2).  A load
     # references the Data-Memory prefix and a store the Register-File one,
-    # so the mapping covers the seam of *every* chain at once.
-    mapping = {loc.flush_prev: loc.spec_prev for loc in located}
-    stop = {loc.spec_prev for loc in located}
+    # so the seam covers *every* chain at once.  The specification-side
+    # states map to themselves: the case split treats them as opaque.
+    stops = {loc.spec_prev: loc.spec_prev for loc in located}
+    seam = {**stops, **{loc.flush_prev: loc.spec_prev for loc in located}}
 
     # --- Rule 3: data equality by case split -----------------------------
     if family.has_memory:
@@ -450,8 +454,8 @@ def _process_entry(
             chain.name,
             loc.impl_data,
             loc.spec_item.data,
-            mapping,
-            stop,
+            seam,
+            stops,
             cases,
             valid_var,
             vres_var,
@@ -476,8 +480,8 @@ def _prove_data_equal(
     chain_name: str,
     impl_data: Term,
     spec_data: Term,
-    mapping: Dict[Term, Term],
-    stop: set,
+    seam: Dict[Expr, Expr],
+    stops: Dict[Expr, Expr],
     kind_cases: List[Tuple[Dict[BoolVar, Formula], str]],
     valid_var: BoolVar,
     vres_var: BoolVar,
@@ -486,17 +490,17 @@ def _prove_data_equal(
 ) -> Optional[RewriteFailure]:
     """Rule 3: the data written along both sides is equal under the
     merged context, by case split on ``ValidResult_i`` and (memory
-    families) the entry's instruction-kind variables."""
-    impl_data = substitute_opaque(impl_data, mapping)
+    families) the entry's instruction-kind variables.
 
+    Each case rewrites each side in one :func:`substitute` walk: the
+    implementation side across ``seam`` (which also holds the opaque
+    ``stops``), the specification side under ``stops`` alone, both with
+    the case's variables fixed to constants."""
     # Case 1: ValidResult_i — both sides must write the initial Result_i
     # (regardless of the instruction's kind).
-    impl_true = reduce_under(
-        impl_data, {vres_var: TRUE, valid_var: TRUE}, stop_nodes=stop
-    )
-    spec_true = reduce_under(
-        spec_data, {vres_var: TRUE, valid_var: TRUE}, stop_nodes=stop
-    )
+    case: Dict[Expr, Expr] = {vres_var: TRUE, valid_var: TRUE}
+    impl_true = substitute(impl_data, {**seam, **case})
+    spec_true = substitute(spec_data, {**stops, **case})
     if impl_true is not result_var or spec_true is not result_var:
         return RewriteFailure(
             entry,
@@ -507,12 +511,9 @@ def _prove_data_equal(
 
     # Case 2: NOT ValidResult_i — one sub-case per (non-vacuous) kind.
     for assignment, label in kind_cases:
-        assumptions: Dict[BoolVar, Formula] = {
-            vres_var: FALSE, valid_var: TRUE
-        }
-        assumptions.update(assignment)
-        impl_false = reduce_under(impl_data, assumptions, stop_nodes=stop)
-        spec_false = reduce_under(spec_data, assumptions, stop_nodes=stop)
+        case = {vres_var: FALSE, valid_var: TRUE, **assignment}
+        impl_false = substitute(impl_data, {**seam, **case})
+        spec_false = substitute(spec_data, {**stops, **case})
         if impl_false is spec_false:
             continue
         # Subcase 2.1: the instruction may have executed during the regular
@@ -556,10 +557,9 @@ def _prove_data_equal(
             # forwarding chain against one specification-side read.
             targets = [(computed, spec_false, f"{label} data")]
         for forwarded, spec_read, desc in targets:
-            # The specification side reads from the previous chain state;
-            # push the read through the chain so it mirrors the forwarding
-            # chain (identical guards by construction).
-            spec_read = push_read(spec_read)
+            # The specification side reads from the previous chain state,
+            # whose updates mirror the forwarding chain (identical guards
+            # by construction).
             proved = False
             last_violation = "no availability condition found in execute guard"
             for candidate in executed_conjuncts:
@@ -603,18 +603,16 @@ def _build_reduced_formula(
         impl_map[artifacts.dmem_impl_mid] = fresh_dmem
         spec_map[artifacts.spec_states[0].dmem] = fresh_dmem
 
-    result.reduced_rf_impl = substitute_opaque(artifacts.rf_impl, impl_map)
+    result.reduced_rf_impl = substitute(artifacts.rf_impl, impl_map)
     result.reduced_spec_rfs = [
-        substitute_opaque(state.reg_file, spec_map)
+        substitute(state.reg_file, spec_map)
         for state in artifacts.spec_states
     ]
     spec_dmems: List[Optional[Term]] = [None] * len(artifacts.spec_states)
     if family.has_memory:
-        result.reduced_dmem_impl = substitute_opaque(
-            artifacts.dmem_impl, impl_map
-        )
+        result.reduced_dmem_impl = substitute(artifacts.dmem_impl, impl_map)
         result.reduced_spec_dmems = spec_dmems = [
-            substitute_opaque(state.dmem, spec_map)
+            substitute(state.dmem, spec_map)
             for state in artifacts.spec_states
         ]
     reduced = replace(

@@ -11,29 +11,29 @@ shape), exactly as the paper prescribes:
 * :func:`merge_contexts` — rule 2: the two updates of a retire-width
   instruction (``Valid_i AND retire_i`` / ``Valid_i AND NOT retire_i``)
   merge under context ``Valid_i``.
-* :func:`reduce_under` — assumption-driven structural simplification used
-  by the case split on ``ValidResult_i`` (rule 3), with *stop nodes* so
-  large preceding-state sub-DAGs are treated as opaque leaves.
 * :func:`split_on_guard` — views a formula as an ITE on a given guard,
   undoing the builder's connective normal forms.
 * :func:`prove_forwarding_matches_read` — rule 3, subcase 2.1: the
-  synchronized walk of the forwarding chain, the availability chain, and
-  the specification-side read chain.
+  synchronized walk of the forwarding chain and the availability chain
+  against the updates of the specification-side write chain the operand
+  is read from.
+
+The case split on ``ValidResult_i`` (rule 3) itself needs no helper of
+its own: each case is one :func:`repro.eufm.traversal.substitute` walk
+that fixes the case's variables to constants and treats the
+preceding-state sub-DAGs as opaque stops.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..eufm import builder
-from ..guard.deadline import current_deadline
 from ..eufm.ast import (
     FALSE,
     TRUE,
     And,
-    BoolVar,
-    Expr,
     Formula,
     FormulaITE,
     Not,
@@ -42,15 +42,13 @@ from ..eufm.ast import (
     Term,
     TermITE,
 )
-from ..eufm.traversal import _rebuild
+from .updates import ChainItem, decompose_chain
 
 __all__ = [
     "conjuncts",
     "contexts_disjoint",
     "merge_contexts",
-    "reduce_under",
     "split_on_guard",
-    "substitute_opaque",
     "prove_forwarding_matches_read",
     "RuleViolation",
 ]
@@ -119,86 +117,6 @@ def merge_contexts(
     return None
 
 
-def reduce_under(
-    expr: Expr,
-    assumptions: Dict[BoolVar, Formula],
-    stop_nodes: Optional[Set[Expr]] = None,
-) -> Expr:
-    """Rebuild ``expr`` with Boolean variables fixed to constants.
-
-    ``stop_nodes`` are treated as opaque leaves: the walk neither descends
-    into nor rewrites them, which keeps per-slice checks local even though
-    the data expressions reference large preceding-state chains.
-    """
-    stop = stop_nodes or set()
-    for value in assumptions.values():
-        if value is not TRUE and value is not FALSE:
-            raise ValueError("assumptions must map variables to constants")
-    deadline = current_deadline()
-    rebuilt: Dict[Expr, Expr] = {}
-    order: List[Expr] = []
-    seen: Set[Expr] = set()
-    stack: List[Tuple[Expr, bool]] = [(expr, False)]
-    while stack:
-        deadline.tick("rewrite")
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        if node in stop:
-            continue
-        for child in node.children:
-            if child not in seen:
-                stack.append((child, False))
-    for node in order:
-        if node in stop:
-            rebuilt[node] = node
-        elif isinstance(node, BoolVar) and node in assumptions:
-            rebuilt[node] = assumptions[node]
-        else:
-            rebuilt[node] = _rebuild(node, rebuilt)
-    return rebuilt[expr]
-
-
-def substitute_opaque(root: Expr, mapping: Dict[Expr, Expr]) -> Expr:
-    """Substitution that treats the mapped nodes as opaque leaves.
-
-    Unlike :func:`repro.eufm.traversal.substitute`, the walk does not
-    descend into the replaced sub-DAGs, so replacing a large preceding
-    chain state costs only the size of the logic *above* it.
-    """
-    deadline = current_deadline()
-    rebuilt: Dict[Expr, Expr] = {}
-    order: List[Expr] = []
-    seen: Set[Expr] = set()
-    stack: List[Tuple[Expr, bool]] = [(root, False)]
-    while stack:
-        deadline.tick("rewrite")
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        if node in mapping:
-            continue
-        for child in node.children:
-            if child not in seen:
-                stack.append((child, False))
-    for node in order:
-        replacement = mapping.get(node)
-        rebuilt[node] = replacement if replacement is not None else _rebuild(
-            node, rebuilt
-        )
-    return rebuilt[root]
-
-
 def split_on_guard(
     formula: Formula, guard: Formula
 ) -> Optional[Tuple[Formula, Formula]]:
@@ -245,38 +163,44 @@ def prove_forwarding_matches_read(
 
     ``forwarded`` is the implementation's forwarding chain
     ``ITE(match_j, Result_j, ...)`` falling through to a read of the
-    initial Register File; ``spec_read`` is the specification-side read of
-    the same source register, pushed through the preceding updates (same
-    ``match_j`` guards, data ``SpecData_j``); ``availability`` mirrors the
-    chain, yielding ``ValidResult_j`` on a match.
+    initial Register File; ``spec_read`` is the specification-side
+    ``read(state, src)`` of the same source register, taken as it is:
+    ``state`` is the guarded write chain of the preceding updates (data
+    ``SpecData_j``); ``availability`` mirrors the forwarding chain,
+    yielding ``ValidResult_j`` on a match.
 
-    The three chains are walked in lockstep.  At each level the guard must
-    coincide; the implementation leaf ``Result_j`` must be the
-    specification leaf's ``ValidResult_j``-branch, and availability must
+    The forwarding and availability chains are walked in lockstep with
+    the updates of ``decompose_chain(state)``, newest first.  At each
+    level the forwarding guard must be the update's write condition
+    ``context AND addr = src``; the implementation leaf ``Result_j`` must
+    be the update data's ``ValidResult_j``-branch, and availability must
     yield exactly ``ValidResult_j`` (so the operand is only consumed once
-    the producer has a result).  Raises :class:`RuleViolation` with the
-    offending level otherwise.
+    the producer has a result).  Below the oldest update the forwarding
+    chain must end in ``read(base, src)``.  A ``spec_read`` that is not a
+    read has no levels: the forwarded term must be that very node.
+    Raises :class:`RuleViolation` with the offending level otherwise.
     """
-    deadline = current_deadline()
-    level = 0
-    fwd, spec, avail = forwarded, spec_read, availability
-    while True:
-        deadline.tick("rewrite")
-        if fwd is spec:
-            # Bottomed out at the same initial Register-File read (or the
-            # chains collapsed early).
-            return
-        if not (isinstance(fwd, TermITE) and isinstance(spec, TermITE)):
+    items: List[ChainItem] = []
+    bottom = spec_read
+    if isinstance(spec_read, Read):
+        chain = decompose_chain(spec_read.mem)
+        items = chain.items
+        bottom = builder.read(chain.base, spec_read.addr)
+    fwd, avail = forwarded, availability
+    for level, item in enumerate(reversed(items)):
+        if not isinstance(fwd, TermITE):
             raise RuleViolation(
                 f"forwarding level {level}: chain shapes diverge "
-                f"({fwd.kind} vs {spec.kind})"
+                f"({fwd.kind} vs tite)"
             )
-        if fwd.cond is not spec.cond:
+        guard = builder.and_(
+            item.context, builder.eq(item.addr, spec_read.addr)
+        )
+        if fwd.cond is not guard:
             raise RuleViolation(
                 f"forwarding level {level}: guards differ — the comparator "
                 "does not match the specification-side write condition"
             )
-        guard = fwd.cond
         split = split_on_guard(avail, guard)
         if split is None:
             raise RuleViolation(
@@ -287,7 +211,7 @@ def prove_forwarding_matches_read(
         # On a match: the forwarded value must be the producer's Result and
         # the spec-side data must select exactly that value when the
         # producer's ValidResult (the availability condition) is true.
-        spec_hit = spec.then
+        spec_hit = item.data
         hit_ok = False
         if spec_hit is fwd.then:
             hit_ok = True
@@ -302,9 +226,9 @@ def prove_forwarding_matches_read(
                 f"forwarding level {level}: forwarded value is not the "
                 "producer's Result under its ValidResult condition"
             )
-        fwd, spec, avail = fwd.els, spec.els, avail_miss
-        level += 1
-        if avail is TRUE and fwd is spec:
-            return
-        if level > 100_000:
-            raise RuleViolation("forwarding chain does not terminate")
+        fwd, avail = fwd.els, avail_miss
+    if fwd is not bottom:
+        raise RuleViolation(
+            f"forwarding level {len(items)}: chain shapes diverge "
+            f"({fwd.kind} vs {bottom.kind})"
+        )

@@ -6,9 +6,9 @@ chain*: the initial state (a term variable) followed by conditional writes
 Sect. 6 operate on its ``<context, address, data>`` update triples
 (Fig. 2).  The decomposition also records the memory-state *node*
 preceding each update — the rules need those seams: data expressions of
-later updates read from them, and proven-equal prefixes are replaced
-through them.  Read-over-write pushing (the forwarding property of the
-memory semantics) is built on the same decomposition.
+later updates read from them, proven-equal prefixes are replaced through
+them, and the forwarding walk of rule 3 checks a forwarded operand
+against the updates beneath the state it is read from.
 """
 
 from __future__ import annotations
@@ -17,16 +17,10 @@ from dataclasses import dataclass
 from typing import List
 
 from ..eufm import builder
-from ..eufm.ast import Formula, Read, Term, TermITE, Write, TRUE
+from ..eufm.ast import Formula, Term, TermITE, Write, TRUE
 from ..guard.deadline import current_deadline
 
-__all__ = [
-    "ChainItem",
-    "UpdateChain",
-    "chain_read",
-    "decompose_chain",
-    "push_read",
-]
+__all__ = ["ChainItem", "UpdateChain", "decompose_chain"]
 
 
 @dataclass(frozen=True)
@@ -113,33 +107,3 @@ def decompose_chain(mem: Term) -> UpdateChain:
         break
     items_reversed.reverse()
     return UpdateChain(base=node, items=items_reversed)
-
-
-def chain_read(chain: UpdateChain, addr: Term) -> Term:
-    """``read(chain.final_state, addr)`` as a linear ITE chain.
-
-    The value is the data of the most recent update whose context holds
-    and whose address equals ``addr``, and otherwise the read from the
-    base state.
-    """
-    result = builder.read(chain.base, addr)
-    for item in chain.items:
-        hit = builder.and_(item.context, builder.eq(item.addr, addr))
-        result = builder.ite_term(hit, item.data, result)
-    return result
-
-
-def push_read(node: Term) -> Term:
-    """Push a single ``read`` through the write chain beneath it.
-
-    ``read(write(m, a, d), b)`` becomes ``ITE(a = b, d, read(m, b))``;
-    guarded writes produce the corresponding guarded ITEs.  If ``node`` is
-    not a read over a chain, it is returned unchanged.
-    """
-    if not isinstance(node, Read):
-        return node
-    try:
-        chain = decompose_chain(node.mem)
-    except ValueError:
-        return node
-    return chain_read(chain, node.addr)

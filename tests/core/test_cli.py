@@ -51,6 +51,23 @@ class TestMain:
         assert code == 3
         assert "2 <= entry <= 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rob", "0", "--width", "1"],
+            ["--rob", "2", "--width", "3"],
+            ["--rob", "2", "--width", "1", "--retire-width", "0"],
+            ["--bug", "retire-ignores-valid", "--entry", "0"],
+        ],
+        ids=["empty-rob", "width-over-rob", "zero-retire-width", "entry-zero"],
+    )
+    def test_invalid_configuration_exits_three(self, argv, capsys):
+        # One error line, not a traceback and not the "bug found" status.
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("python -m repro: error: ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_positive_equality_method(self, capsys):
         code = main(["--rob", "2", "--width", "1", "--method",
                      "positive_equality"])

@@ -2,20 +2,8 @@
 
 import pytest
 
-from repro.eufm import (
-    TRUE,
-    Interpretation,
-    and_,
-    bvar,
-    eq,
-    evaluate,
-    ite_term,
-    not_,
-    read,
-    tvar,
-    write,
-)
-from repro.rewriting import chain_read, decompose_chain, push_read
+from repro.eufm import TRUE, and_, bvar, ite_term, not_, tvar, write
+from repro.rewriting import decompose_chain
 
 
 def _apply(base, updates):
@@ -77,44 +65,3 @@ class TestCollectApply:
         chain = decompose_chain(base)
         assert chain.base is base
         assert chain.items == []
-
-
-class TestChainRead:
-    def _assert_equivalent(self, lhs, rhs, seeds=range(40)):
-        for seed in seeds:
-            interp = Interpretation(domain_size=3, seed=seed)
-            assert evaluate(lhs, interp) == evaluate(rhs, interp), f"seed={seed}"
-
-    def test_chain_read_matches_memory_semantics(self):
-        base, updates = _chain()
-        mem = _apply(base, updates)
-        addr = tvar("probe")
-        direct = read(mem, addr)
-        chained = chain_read(decompose_chain(mem), addr)
-        self._assert_equivalent(direct, chained)
-
-    def test_chain_read_has_no_memory_left_when_base_read(self):
-        base, updates = _chain()
-        chained = chain_read(decompose_chain(_apply(base, updates)), tvar("probe"))
-        # only the base read remains
-        from repro.eufm import memory_nodes
-
-        mems = memory_nodes(chained)
-        assert len(mems) == 1
-        assert mems[0].kind == "read"
-
-    def test_push_read_equivalence(self):
-        base, updates = _chain()
-        node = read(_apply(base, updates), tvar("probe"))
-        pushed = push_read(node)
-        assert pushed is not node
-        self._assert_equivalent(node, pushed)
-
-    def test_push_read_of_non_read_is_identity(self):
-        x = tvar("x")
-        assert push_read(x) is x
-
-    def test_push_read_of_unstructured_memory_is_identity(self):
-        mem = ite_term(bvar("p"), tvar("M1"), tvar("M2"))
-        node = read(mem, tvar("a"))
-        assert push_read(node) is node

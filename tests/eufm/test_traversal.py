@@ -3,6 +3,7 @@
 import pytest
 
 from repro.eufm import (
+    FALSE,
     TRUE,
     and_,
     bool_variables,
@@ -12,6 +13,7 @@ from repro.eufm import (
     equations,
     expression_stats,
     function_symbols,
+    interned_count,
     ite_term,
     iter_dag,
     memory_nodes,
@@ -20,6 +22,7 @@ from repro.eufm import (
     or_,
     predicate_symbols,
     read,
+    rebuild,
     substitute,
     term_variables,
     tvar,
@@ -133,8 +136,6 @@ class TestSubstitution:
         p, q = bvar("p"), bvar("q")
         root = and_(p, not_(q))
         assert substitute(root, {q: p}) is and_(p, not_(p))  # = FALSE
-        from repro.eufm import FALSE
-
         assert substitute(root, {q: p}) is FALSE
 
     def test_sort_mismatch_rejected(self):
@@ -147,3 +148,68 @@ class TestSubstitution:
             node = uf("f", [node])
         replaced = substitute(node, {tvar("base"): tvar("other")})
         assert node_count(replaced) == node_count(node)
+
+    def test_cofactor(self):
+        p = bvar("p")
+        x, y = tvar("x"), tvar("y")
+        node = ite_term(p, x, y)
+        assert substitute(node, {p: TRUE}) is x
+        assert substitute(node, {p: FALSE}) is y
+
+    def test_nested_folding(self):
+        p, q = bvar("p"), bvar("q")
+        x, y, z = tvar("x"), tvar("y"), tvar("z")
+        node = ite_term(p, ite_term(q, x, y), z)
+        assert substitute(node, {p: TRUE, q: FALSE}) is y
+
+    def test_self_mapped_node_is_opaque(self):
+        p = bvar("p")
+        frozen = ite_term(p, tvar("x"), tvar("y"))
+        node = uf("f", [frozen])
+        reduced = substitute(node, {p: TRUE, frozen: frozen})
+        assert reduced is node  # untouched because the ITE is opaque
+
+    def test_root_replacement(self):
+        x = tvar("x")
+        assert substitute(x, {x: tvar("y")}) is tvar("y")
+
+    def test_no_descent_into_mapped_node(self):
+        deep = uf("f", [uf("f", [tvar("x")])])
+        replacement = tvar("fresh")
+        node = uf("g", [deep, tvar("y")])
+        out = substitute(node, {deep: replacement})
+        assert out is uf("g", [replacement, tvar("y")])
+
+    def test_mapped_node_interns_nothing_beneath_it(self):
+        x, y = tvar("x"), tvar("y")
+        stop = uf("g", [uf("h", [x])])
+        root = uf("f", [stop, x])
+        expected = uf("f", [stop, y])
+        before = interned_count()
+        assert substitute(root, {stop: stop, x: y}) is expected
+        assert interned_count() == before
+
+
+class TestRebuild:
+    def test_none_rebuilds_the_same_dag(self):
+        root = _sample_formula()
+        assert rebuild(root, lambda node, rebuilt: None) is root
+
+    def test_visitor_sees_rebuilt_children(self):
+        x, y = tvar("x"), tvar("y")
+        root = eq(uf("f", [uf("g", [x])]), y)
+
+        def visit(node, rebuilt):
+            if node is x:
+                return y
+            if getattr(node, "symbol", None) == "g":
+                return uf("h", [rebuilt[a] for a in node.args])
+            return None
+
+        assert rebuild(root, visit) is eq(uf("f", [uf("h", [y])]), y)
+
+    def test_replacement_is_simplified_above(self):
+        x, y = tvar("x"), tvar("y")
+        root = and_(bvar("p"), eq(x, y))
+        folded = rebuild(root, lambda node, _: x if node is y else None)
+        assert folded is bvar("p")

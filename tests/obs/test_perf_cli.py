@@ -134,6 +134,26 @@ class TestTraceCommand:
         assert payload["displayTimeUnit"] == "ms"
 
 
+class TestInvalidConfiguration:
+    @pytest.mark.parametrize(
+        "size",
+        [["--rob", "0", "--width", "1"], ["--rob", "2", "--width", "3"]],
+        ids=["empty-rob", "width-over-rob"],
+    )
+    @pytest.mark.parametrize("command", ["trace", "perf-record"])
+    def test_is_a_setup_error(self, command, size, tmp_path, capsys):
+        if command == "trace":
+            code = trace_main(size)
+        else:
+            code = perf_main(
+                ["record", *size, "--out", str(tmp_path / "x.json")]
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "failed: ValueError: " in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestMainDispatch:
     def test_main_routes_perf_and_trace(self, tmp_path, capsys):
         base = tmp_path / "base.json"

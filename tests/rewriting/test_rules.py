@@ -12,8 +12,9 @@ from repro.eufm import (
     ite_term,
     not_,
     or_,
+    read,
     tvar,
-    uf,
+    write,
 )
 from repro.rewriting import (
     RuleViolation,
@@ -21,10 +22,8 @@ from repro.rewriting import (
     contexts_disjoint,
     merge_contexts,
     prove_forwarding_matches_read,
-    reduce_under,
     split_on_guard,
 )
-from repro.rewriting.rules import substitute_opaque
 
 
 class TestConjuncts:
@@ -95,45 +94,6 @@ class TestMergeContexts:
         assert merge_contexts(and_(p, q), and_(r, not_(q))) is None
 
 
-class TestReduceUnder:
-    def test_variable_replacement(self):
-        p = bvar("p")
-        x, y = tvar("x"), tvar("y")
-        node = ite_term(p, x, y)
-        assert reduce_under(node, {p: TRUE}) is x
-        assert reduce_under(node, {p: FALSE}) is y
-
-    def test_nested_folding(self):
-        p, q = bvar("p"), bvar("q")
-        x, y, z = tvar("x"), tvar("y"), tvar("z")
-        node = ite_term(p, ite_term(q, x, y), z)
-        assert reduce_under(node, {p: TRUE, q: FALSE}) is y
-
-    def test_stop_nodes_are_opaque(self):
-        p = bvar("p")
-        frozen = ite_term(p, tvar("x"), tvar("y"))
-        node = uf("f", [frozen])
-        reduced = reduce_under(node, {p: TRUE}, stop_nodes={frozen})
-        assert reduced is node  # untouched because the ITE is opaque
-
-    def test_non_constant_assumption_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_under(bvar("p"), {bvar("p"): bvar("q")})
-
-
-class TestSubstituteOpaque:
-    def test_replaces_without_descending(self):
-        deep = uf("f", [uf("f", [tvar("x")])])
-        replacement = tvar("fresh")
-        node = uf("g", [deep, tvar("y")])
-        out = substitute_opaque(node, {deep: replacement})
-        assert out is uf("g", [replacement, tvar("y")])
-
-    def test_root_replacement(self):
-        x = tvar("x")
-        assert substitute_opaque(x, {x: tvar("y")}) is tvar("y")
-
-
 class TestSplitOnGuard:
     def test_plain_ite(self):
         g, t, e = bvar("g"), bvar("t"), bvar("e")
@@ -161,11 +121,13 @@ class TestSplitOnGuard:
 
 class TestForwardingWalk:
     def _chains(self, producers):
-        """Build matched forwarding / spec-read / availability chains."""
+        """Build matched forwarding / availability chains over producers
+        ``j`` (oldest first), and the specification-side read of the same
+        register from the guarded write chain of their updates."""
         src = tvar("SrcX")
-        rf_read = uf("read0", [src])
-        fwd, spec, avail = rf_read, rf_read, TRUE
-        for j, _ in enumerate(producers, start=1):
+        rf = tvar("RF")
+        fwd, mem, avail = read(rf, src), rf, TRUE
+        for j in producers:
             valid = bvar(f"V{j}")
             vres = bvar(f"VR{j}")
             dest = tvar(f"D{j}")
@@ -173,9 +135,9 @@ class TestForwardingWalk:
             spec_data = ite_term(vres, result, tvar(f"Computed{j}"))
             match = and_(valid, eq(dest, src))
             fwd = ite_term(match, result, fwd)
-            spec = ite_term(match, spec_data, spec)
+            mem = ite_term(valid, write(mem, dest, spec_data), mem)
             avail = ite_formula(match, vres, avail)
-        return fwd, spec, avail
+        return fwd, read(mem, src), avail
 
     def test_single_producer(self):
         fwd, spec, avail = self._chains([1])
@@ -206,3 +168,18 @@ class TestForwardingWalk:
         fwd, spec, avail = self._chains([1])
         with pytest.raises(RuleViolation):
             prove_forwarding_matches_read(fwd, spec, bvar("unrelated"))
+
+    def test_chain_one_level_short_rejected(self):
+        # The forwarding chain skips the oldest producer's update.
+        fwd, _, _ = self._chains([2, 3])
+        _, spec, avail = self._chains([1, 2, 3])
+        with pytest.raises(RuleViolation, match="level 2: chain shapes"):
+            prove_forwarding_matches_read(fwd, spec, avail)
+
+    def test_chain_one_level_too_long_rejected(self):
+        # The forwarding chain tests a producer the specification side
+        # never wrote.
+        fwd, _, avail = self._chains([1, 2, 3])
+        _, spec, _ = self._chains([2, 3])
+        with pytest.raises(RuleViolation, match="level 2: chain shapes"):
+            prove_forwarding_matches_read(fwd, spec, avail)

@@ -28,3 +28,9 @@ def test_fingerprint_is_full_sha256_hex():
     digest = registry_fingerprint()
     assert len(digest) == 64
     assert all(c in "0123456789abcdef" for c in digest)
+
+
+def test_registry_version_is_pinned():
+    # Service cache keys fold this value in, so any change drops every
+    # cached verdict.  A deliberate rule change updates the pin.
+    assert registry_version() == "5r-6f868c6c16c8"
