@@ -1,7 +1,10 @@
-"""Cold vs incremental SAT across the campaign grid.
+"""Cold vs incremental SAT on repeated CNFs.
 
-Two phases, mirroring how the campaign executor actually hits the
-solver:
+Each CNF is encoded once and the same ``Cnf`` object is re-solved, so
+this measures what a :class:`repro.sat.SessionPool` buys when a CNF
+comes back with the same digest.  A campaign retry re-encodes the
+formula instead, and the pool resumes it only when the new CNF repeats
+the digest; EXPERIMENTS.md measures that path through ``verify()``.
 
 1. **Grid sweep** — the rewriting-method CNFs of the ``N x k`` grid
    (N in 8/16/24, k in 1/2).  The rewritten correspondence formula is
@@ -10,11 +13,11 @@ solver:
    digest once and resumes it for the other sizes, while the cold path pays the
    full root-propagation cascade every time.
 
-2. **Budget-escalation retries** — one small Positive-Equality config
-   solved under an escalating conflict budget (the campaign's retry
-   schedule).  The cold path restarts the search from zero on every
-   attempt; the incremental session keeps its learned clauses, so the
-   attempts compose instead of repeating.
+2. **Budget-escalation retries** — one small Positive-Equality CNF
+   re-solved under an escalating conflict budget (the shape of the
+   campaign's retry schedule).  The cold path restarts the search from
+   zero on every attempt; the incremental session keeps its learned
+   clauses, so the attempts compose instead of repeating.
 
 Both phases count ``sat.propagations`` (deterministic, machine
 independent) and CPU seconds (advisory).  The snapshot is written to

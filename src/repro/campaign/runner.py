@@ -56,9 +56,9 @@ class RetryPolicy:
     """Budget and escalation schedule for verification attempts.
 
     Attempt ``a`` (1-based) runs with ``base * escalation**(a - 1)``
-    conflicts/seconds, capped.  The base comes from the job when set,
-    otherwise from this policy; a base of ``None`` means unbounded (no
-    budget of that kind is enforced).
+    conflicts/seconds, the conflicts capped at ``conflicts_cap``.  The
+    base comes from the job when set, otherwise from this policy; a base
+    of ``None`` means unbounded (no budget of that kind is enforced).
     """
 
     max_attempts: int = 3
@@ -66,14 +66,11 @@ class RetryPolicy:
     base_conflicts: Optional[int] = 100_000
     conflicts_cap: int = 2_000_000
     base_seconds: Optional[float] = None
-    seconds_cap: Optional[float] = None
     #: supervision budgets (see :mod:`repro.guard`): a pipeline-wide wall
-    #: deadline and memory ceiling per attempt, escalated and capped like
-    #: the SAT budgets.  ``None`` (the default) enforces neither.
+    #: deadline and memory ceiling per attempt, escalated like the SAT
+    #: budgets.  ``None`` (the default) enforces neither.
     base_wall_seconds: Optional[float] = None
-    wall_cap: Optional[float] = None
     base_memory_mb: Optional[float] = None
-    memory_cap_mb: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -93,11 +90,7 @@ class RetryPolicy:
             conflicts = min(int(base_c * factor), self.conflicts_cap)
         base_s = job.max_seconds if job.max_seconds is not None \
             else self.base_seconds
-        seconds = None
-        if base_s is not None:
-            seconds = base_s * factor
-            if self.seconds_cap is not None:
-                seconds = min(seconds, self.seconds_cap)
+        seconds = None if base_s is None else base_s * factor
         return conflicts, seconds
 
     def guard_budget_for(
@@ -109,18 +102,10 @@ class RetryPolicy:
         factor = self.escalation ** (attempt - 1)
         base_w = job.max_wall_seconds if job.max_wall_seconds is not None \
             else self.base_wall_seconds
-        wall = None
-        if base_w is not None:
-            wall = base_w * factor
-            if self.wall_cap is not None:
-                wall = min(wall, self.wall_cap)
+        wall = None if base_w is None else base_w * factor
         base_m = job.max_memory_mb if job.max_memory_mb is not None \
             else self.base_memory_mb
-        memory = None
-        if base_m is not None:
-            memory = base_m * factor
-            if self.memory_cap_mb is not None:
-                memory = min(memory, self.memory_cap_mb)
+        memory = None if base_m is None else base_m * factor
         return wall, memory
 
 

@@ -5,8 +5,7 @@ configuration, the encoding/verification options, and the rewrite-rule
 registry in force.  :func:`canonical_key` hashes exactly those three
 into a stable SHA-256 hex key, so any two requests with the same key are
 interchangeable — the foundation of the service layer's
-content-addressed result cache (:mod:`repro.service.cache`) and of the
-planned encode-fragment cache.
+content-addressed result cache (:mod:`repro.service.cache`).
 
 Stability contract (unit-tested in ``tests/core/test_keys.py``):
 

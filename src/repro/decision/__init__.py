@@ -2,8 +2,7 @@
 
 Case splitting over atoms with congruence-closure theory propagation — an
 independent implementation path from the Positive-Equality encoding, used
-as a testing oracle and as the fallback discharge engine for rewriting-rule
-proof obligations.
+as an oracle by the tests and ``examples/eufm_playground.py``.
 """
 
 from .congruence import Env, Inconsistent

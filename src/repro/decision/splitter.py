@@ -3,8 +3,7 @@
 Decides satisfiability/validity by case splitting over the formula's atoms
 with congruence-closure theory propagation (:mod:`.congruence`).  It is an
 independent implementation path from the Positive-Equality encoding and is
-used (a) as an oracle in tests and (b) as a fallback discharge engine for
-the rewriting-rule proof obligations.
+used as an oracle in tests.
 
 The split order resolves the guards of term-level ITEs first, so that
 equations and predicate applications are only asserted over ITE-free terms

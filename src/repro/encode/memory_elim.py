@@ -48,6 +48,10 @@ __all__ = [
 
 _fresh_counter = itertools.count(1)
 
+#: Rounds of :func:`eliminate_memories` before it gives up on a fixpoint;
+#: ordinary correctness formulas converge in one.
+MAX_ROUNDS = 10
+
 #: UF symbol prefix for abstracted initial-memory reads (precise mode).
 READ_SYMBOL_PREFIX = "read$"
 #: UF symbols for the conservative (forwarding-free) abstraction.
@@ -68,7 +72,7 @@ class MemoryElimResult:
     negative_memory_equations: List[Eq] = field(default_factory=list)
 
 
-def eliminate_memories(phi: Formula, max_rounds: int = 10) -> MemoryElimResult:
+def eliminate_memories(phi: Formula) -> MemoryElimResult:
     """Produce an equivalid memory-free formula (see module docstring).
 
     The three steps (extensionality, read pushing, base-read abstraction)
@@ -78,7 +82,7 @@ def eliminate_memories(phi: Formula, max_rounds: int = 10) -> MemoryElimResult:
     """
     result = MemoryElimResult(formula=phi)
     deadline = current_deadline()
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         deadline.check("encode.memory")
         memory_sorted = infer_memory_sorts(phi)
         if not memory_sorted:

@@ -8,10 +8,11 @@ combines three evidence sources, cheapest first:
   size of: DAG-node ticks at the traversal choke points (via
   :meth:`repro.guard.deadline.Deadline.tick`) and learned-clause bytes in
   the SAT solver.  Integer arithmetic only, always on.
-* **tracemalloc sampling** — when :mod:`tracemalloc` is tracing (started
-  by the budget itself when ``trace_allocations=True``, or already on),
-  every Nth check samples the traced delta since :meth:`start`.
-* **RSS high-water mark** — every Nth check also samples
+* **tracemalloc sampling** — when :mod:`tracemalloc` is already tracing
+  (the budget never starts it: tracing slows the pipeline 2-4×), every
+  :data:`SAMPLE_EVERY`-th check samples the traced delta since
+  :meth:`start`.
+* **RSS high-water mark** — every :data:`SAMPLE_EVERY`-th check also samples
   ``resource.getrusage(...).ru_maxrss`` growth since :meth:`start`, which
   catches allocations Python-level accounting cannot see.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import sys
 import tracemalloc
-from typing import Any, Dict
+from typing import Dict
 
 from ..errors import MemoryBudgetExhausted
 
@@ -43,6 +44,9 @@ __all__ = ["MemoryBudget"]
 #: Rough per-DAG-node footprint (hash-consed node + intern-table entry).
 NODE_BYTES = 88
 
+#: Checks between two samples of the slow sources (tracemalloc, RSS).
+SAMPLE_EVERY = 64
+
 #: ``ru_maxrss`` is kilobytes on Linux, bytes on macOS.
 _RU_MAXRSS_UNIT = 1 if sys.platform == "darwin" else 1024
 
@@ -55,39 +59,27 @@ class MemoryBudget:
         "charged_bytes",
         "charged_nodes",
         "peak_bytes",
-        "sample_every",
-        "trace_allocations",
         "_checks",
-        "_started_tracing",
         "_trace_baseline",
         "_rss_baseline",
         "_active_depth",
     )
 
-    def __init__(
-        self,
-        max_bytes: int,
-        *,
-        sample_every: int = 64,
-        trace_allocations: bool = False,
-    ) -> None:
+    def __init__(self, max_bytes: int) -> None:
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
         self.max_bytes = int(max_bytes)
         self.charged_bytes = 0
         self.charged_nodes = 0
         self.peak_bytes = 0
-        self.sample_every = max(1, int(sample_every))
-        self.trace_allocations = trace_allocations
         self._checks = 0
-        self._started_tracing = False
         self._trace_baseline = 0
         self._rss_baseline = 0
         self._active_depth = 0
 
     @classmethod
-    def from_mb(cls, megabytes: float, **kwargs: Any) -> "MemoryBudget":
-        return cls(int(megabytes * 1024 * 1024), **kwargs)
+    def from_mb(cls, megabytes: float) -> "MemoryBudget":
+        return cls(int(megabytes * 1024 * 1024))
 
     # -- lifecycle -------------------------------------------------------
 
@@ -98,9 +90,6 @@ class MemoryBudget:
         self._active_depth += 1
         if self._active_depth > 1:
             return
-        if self.trace_allocations and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracing = True
         if tracemalloc.is_tracing():
             self._trace_baseline = tracemalloc.get_traced_memory()[0]
         self._rss_baseline = _rss_bytes()
@@ -108,9 +97,6 @@ class MemoryBudget:
     def stop(self) -> None:
         if self._active_depth > 0:
             self._active_depth -= 1
-        if self._active_depth == 0 and self._started_tracing:
-            tracemalloc.stop()
-            self._started_tracing = False
 
     # -- accounting ------------------------------------------------------
 
@@ -139,10 +125,10 @@ class MemoryBudget:
         """Raise :class:`MemoryBudgetExhausted` when over budget.
 
         The charged counters are compared on every call; the samplers run
-        on every ``sample_every``-th call only.
+        on every :data:`SAMPLE_EVERY`-th call only.
         """
         self._checks += 1
-        sample = self._checks % self.sample_every == 0
+        sample = self._checks % SAMPLE_EVERY == 0
         usage = self.usage_bytes(sample=sample)
         if usage > self.max_bytes:
             raise MemoryBudgetExhausted(

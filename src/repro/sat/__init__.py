@@ -2,10 +2,10 @@
 
 The CDCL solver (:class:`repro.sat.Solver`) plays the role of the Chaff
 SAT-checker in the paper's tool flow: the negated, propositionally encoded
-correctness formula is proved unsatisfiable here.  The solver is
-incremental (assumption-based ``solve`` calls with learned clauses
-persisting across them), and :func:`repro.sat.solve_cnf` is the one seam
-the pipeline solves through: it resumes a live solver from the ambient
+correctness formula is proved unsatisfiable here.  A solver may be
+called again after a budget-bounded call, keeping its learned clauses,
+and :func:`repro.sat.solve_cnf` is the one seam the pipeline solves
+through: it resumes a live solver from the ambient
 :class:`repro.sat.SessionPool` when one is installed.
 """
 

@@ -12,49 +12,33 @@ Implementation notes: assignments are stored as small integers
 literal ``lit`` is ``assigns[|lit|] * sign(lit)``; the propagation loop
 inlines these tests — they account for the bulk of the runtime.
 
-Incremental solving: :meth:`Solver.solve` may be called repeatedly, in
-the MiniSat style.  ``solve(assumptions=[...])`` installs the assumptions
-as pseudo-decisions at levels ``1..m`` (one level per assumption, with
-empty levels for assumptions already true, so *assumption index ==
-decision level*) and runs the search unchanged above them.  Learned
-clauses, variable activities and saved phases persist across calls, and
-:meth:`Solver.add_clause` extends the database between them.  When an
-assumption is falsified the call returns ``"unsat"`` with
-:attr:`SatResult.core` naming the responsible subset of the assumptions
-(MiniSat's ``analyzeFinal`` reason-cone walk); only a conflict below
-every assumption latches the instance unsatisfiable.
+Repeated calls: :meth:`Solver.solve` may be called again on the same
+solver — the session pool resumes a search whose previous call ran out
+of its conflict or time budget.  Each call restarts from the root, and
+learned clauses, variable activities and saved phases carry over.  Once
+a call refutes the CNF the instance is latched unsatisfiable, and every
+later call answers ``"unsat"`` at once.
 
 Proof logging (``log_proof=True``): the solver records a DRUP clause
 proof — every learned clause (post-minimization, including learned
 units) and every learned-clause deletion of
 :meth:`Solver._reduce_learned` — as ``("a"|"d", literals)`` steps in one
-append-only journal.  Assumptions enter the trail as reasonless
-decisions, so first-UIP analysis never resolves on them: every learned
-clause is implied by the database alone.  Each call's
-:attr:`SatResult.proof` is a copy of the journal plus a per-call tail:
-
-* real UNSAT: ``journal + [("a", ())]`` — checkable against the CNF
-  (extended by any clauses added since);
-* UNSAT under assumptions: ``journal + [("a", core_clause), ("a", ())]``
-  — checkable against the CNF plus one unit clause per assumption
-  (:func:`repro.witness.drup.cnf_with_assumptions`).  The core clause is
-  reverse-unit-propagation derivable because it mirrors the propagation
-  cone that falsified the assumption.
-
-Reverse unit propagation is monotone under clause addition, so journal
-entries recorded in earlier calls stay valid in every later view.
-Logging is **off by default** and the hot propagation loop is untouched
-either way; only the (comparatively rare) conflict-analysis and
-clause-deletion paths test the flag.  The proof is validated by the
-*independent* reverse-unit-propagation checker in
+append-only journal.  Every learned clause is implied by the CNF alone,
+so the journal spans calls.  An UNSAT call's :attr:`SatResult.proof` is
+a copy of the journal plus the empty clause, ``journal + [("a", ())]``,
+checkable against the CNF.  The copy keeps earlier results immune to
+later calls.  Logging is **off by default** and the hot propagation
+loop is untouched either way; only the (comparatively rare)
+conflict-analysis and clause-deletion paths test the flag.  The proof is
+validated by the *independent* reverse-unit-propagation checker in
 :mod:`repro.witness.drup`, which shares no code with this module.
 
 Sessions: :func:`solve_cnf` is the pipeline's one way into this module.
 Under an ambient :class:`SessionPool` (:func:`use_session_pool`) it
 resumes the live solver of a CNF seen before — the campaign grid hits
-the same digest for ROB-size-independent rewritten formulas and for
-budget-escalation retries — and otherwise solves on a fresh
-:class:`Solver`.
+the same digest for ROB-size-independent rewritten formulas, and a
+budget-escalation retry does when its re-encoding repeats the CNF — and
+otherwise solves on a fresh :class:`Solver`.
 """
 
 from __future__ import annotations
@@ -66,7 +50,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import SolverError
 from ..guard.deadline import current_deadline
@@ -93,6 +77,10 @@ _PROP_CHECK_INTERVAL = 2048
 #: memory budget.
 _CLAUSE_BYTES = 88
 
+#: Live solvers a :class:`SessionPool` keeps before evicting the least
+#: recently used one.
+MAX_SESSIONS = 8
+
 
 @dataclass
 class SatResult:
@@ -111,10 +99,6 @@ class SatResult:
     #: ``log_proof=True``; ``None`` otherwise.  Only meaningful for
     #: ``"unsat"`` outcomes (the final step is then the empty clause).
     proof: Optional[List[Tuple[str, Tuple[int, ...]]]] = None
-    #: for ``"unsat"`` under assumptions: the subset of the assumption
-    #: literals responsible for the failure.  ``None`` for plain
-    #: unsatisfiability or runs without assumptions.
-    core: Optional[Tuple[int, ...]] = None
 
     @property
     def is_sat(self) -> bool:
@@ -141,8 +125,8 @@ class Solver:
 
     :meth:`solve` may be called repeatedly (see the module docstring).
     ``ok`` turns False once the instance is known unsatisfiable — an
-    input or added clause is falsified at the root, or a search refutes
-    the CNF — and stays False: failed assumptions never set it.
+    input clause is falsified at the root, or a search refutes the CNF —
+    and stays False.
     """
 
     def __init__(self, cnf: Cnf, log_proof: bool = False) -> None:
@@ -216,20 +200,6 @@ class Solver:
         self.watches.setdefault(-literals[0], []).append(clause)
         self.watches.setdefault(-literals[1], []).append(clause)
         return True
-
-    def add_clause(self, literals: Sequence[int]) -> bool:
-        """Add a problem clause between calls.
-
-        Returns False (and latches the instance unsat) when the clause
-        is falsified at the root.  Callers certifying proofs must hand
-        the checker the extended CNF.
-        """
-        if not self.ok:
-            return False
-        self._backtrack(0)
-        if not self._add_clause(list(literals)):
-            self.ok = False
-        return self.ok
 
     # ------------------------------------------------------------------
     # Assignment primitives
@@ -516,18 +486,10 @@ class Solver:
         self,
         max_conflicts: Optional[int] = None,
         max_seconds: Optional[float] = None,
-        assumptions: Sequence[int] = (),
     ) -> SatResult:
-        """Search, optionally bounded by conflicts or wall time and under
-        ``assumptions``; the result's counters cover this call only."""
+        """Search, optionally bounded by conflicts or wall time; the
+        result's counters cover this call only."""
         start = time.perf_counter()
-        assumptions = tuple(assumptions)
-        for lit in assumptions:
-            if lit == 0 or abs(lit) > self.num_vars:
-                raise SolverError(
-                    f"assumption literal {lit} is outside the variable "
-                    f"range 1..{self.num_vars}"
-                )
         # A previous call leaves its trail in place; resume from the root.
         self._backtrack(0)
         result = self.stats = SatResult(status="unknown")
@@ -536,7 +498,7 @@ class Solver:
             # alone, or an earlier call refuted the CNF; the empty clause
             # is reverse-unit-propagation derivable either way.
             result.status = "unsat"
-            result.proof = self._proof_view((("a", ()),))
+            result.proof = self._proof_view(unsat=True)
             return result
 
         restart_base = 100
@@ -546,8 +508,6 @@ class Solver:
         deadline = current_deadline()
         deadline.check("sat")
         next_prop_check = _PROP_CHECK_INTERVAL
-        #: this call's proof tail (see the module docstring).
-        tail: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
 
         while True:
             conflict = self._propagate()
@@ -565,11 +525,10 @@ class Solver:
                 result.conflicts += 1
                 conflicts_since_restart += 1
                 if not self.trail_lim:
-                    # A conflict below every assumption: the CNF itself
-                    # is unsatisfiable.  Latch it.
+                    # A conflict at the root: the CNF itself is
+                    # unsatisfiable.  Latch it.
                     self.ok = False
                     result.status = "unsat"
-                    tail = (("a", ()),)
                     break
                 learnt, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
@@ -579,7 +538,6 @@ class Solver:
                     if not self._enqueue(learnt[0], None):
                         self.ok = False
                         result.status = "unsat"
-                        tail = (("a", ()),)
                         break
                 else:
                     clause = _Clause(learnt, learned=True)
@@ -612,39 +570,6 @@ class Solver:
                 self._reduce_learned()
                 continue
 
-            # Install the next pending assumption (assumption index ==
-            # decision level; restarts and backjumps pop them, and this
-            # reinstalls from wherever the trail now stands).
-            installed = False
-            failed: Optional[int] = None
-            while len(self.trail_lim) < len(assumptions):
-                deadline.tick("sat")
-                lit = assumptions[len(self.trail_lim)]
-                var = lit if lit > 0 else -lit
-                value = self.assigns[var] if lit > 0 else -self.assigns[var]
-                if value > 0:
-                    # Already true: burn an empty level to keep the
-                    # index == level correspondence.
-                    self.trail_lim.append(len(self.trail))
-                    continue
-                if value < 0:
-                    failed = lit
-                    break
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(lit, None)
-                if len(self.trail_lim) > result.max_decision_level:
-                    result.max_decision_level = len(self.trail_lim)
-                installed = True
-                break
-            if failed is not None:
-                core_clause = tuple(self._final_conflict(failed))
-                result.status = "unsat"
-                result.core = tuple(-lit for lit in core_clause)
-                tail = (("a", core_clause), ("a", ()))
-                break
-            if installed:
-                continue
-
             if not self._decide():
                 result.status = "sat"
                 result.model = {
@@ -654,43 +579,21 @@ class Solver:
                 }
                 break
 
-        result.proof = self._proof_view(tail)
+        result.proof = self._proof_view(unsat=result.is_unsat)
         return result
 
     def _proof_view(
-        self, tail: Sequence[Tuple[str, Tuple[int, ...]]]
+        self, unsat: bool
     ) -> Optional[List[Tuple[str, Tuple[int, ...]]]]:
-        """A per-call snapshot: journal copy + call-specific tail.
+        """A per-call snapshot: a copy of the journal, closed by the
+        empty clause when the call refuted the CNF.
 
         The journal itself stays shared and append-only; handing out
         copies keeps earlier results immune to later calls.
         """
         if self._proof is None:
             return None
-        return self._proof + list(tail)
-
-    def _final_conflict(self, failed: int) -> List[int]:
-        """MiniSat ``analyzeFinal``: the clause of negated assumptions
-        whose conjunction forced ``failed`` (a currently-false
-        assumption literal) — i.e. the failure core, as a clause."""
-        out = [-failed]
-        if not self.trail_lim:
-            return out
-        seen = {failed if failed > 0 else -failed}
-        for lit in reversed(self.trail[self.trail_lim[0]:]):
-            var = lit if lit > 0 else -lit
-            if var not in seen:
-                continue
-            seen.discard(var)
-            reason = self.reason[var]
-            if reason is None:
-                out.append(-lit)
-            else:
-                for other in reason.literals:
-                    other_var = other if other > 0 else -other
-                    if other_var != var and self.level[other_var] > 0:
-                        seen.add(other_var)
-        return out
+        return self._proof + [("a", ())] if unsat else list(self._proof)
 
 
 def _luby(index: int) -> int:
@@ -725,20 +628,19 @@ class SessionPool:
     """LRU pool of live solvers keyed by CNF digest.
 
     The campaign grid hits the same digest repeatedly (ROB-size-
-    independent rewritten formulas; budget-escalation retries), so a
-    lookup that lands on a live solver resumes with every learned
-    clause, activity and phase intact.  Eviction is size-based LRU; a
-    pool is confined to one process (solvers are not picklable) —
-    parallel campaign workers each build their own.
+    independent rewritten formulas; budget-escalation retries whose
+    re-encoding repeats the CNF), so a lookup that lands on a live
+    solver resumes with every learned clause, activity and phase
+    intact.  Eviction is LRU beyond
+    :data:`MAX_SESSIONS` solvers; a pool is confined to one process
+    (solvers are not picklable) — parallel campaign workers each build
+    their own.
     """
 
-    def __init__(self, max_sessions: int = 8) -> None:
-        if max_sessions < 1:
-            raise ValueError("max_sessions must be >= 1")
+    def __init__(self) -> None:
         self._solvers: "OrderedDict[Tuple[str, bool], Solver]" = (
             OrderedDict()
         )
-        self.max_sessions = max_sessions
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -766,7 +668,7 @@ class SessionPool:
         tracer.add("sat.session_misses", 1)
         solver = Solver(cnf, log_proof=log_proof)
         self._solvers[key] = solver
-        for _ in range(len(self._solvers) - self.max_sessions):
+        for _ in range(len(self._solvers) - MAX_SESSIONS):
             self._solvers.popitem(last=False)
             self.evictions += 1
             tracer.add("sat.session_evictions", 1)

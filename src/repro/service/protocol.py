@@ -54,6 +54,13 @@ class ServiceError(CampaignError):
         self.retry_after = retry_after
 
 
+def _integer(value: Any, name: str) -> int:
+    """``value`` if it is a JSON integer; a 400 naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServiceError(400, f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def parse_grid(grid: str) -> List[Tuple[int, int]]:
     """Parse the campaign CLI's ``N1xK1,N2xK2,...`` grid shorthand."""
     from ..campaign.cli import _parse_grid
@@ -137,8 +144,10 @@ class SubmitRequest:
                 )
             bug_fields = {
                 "bug_kind": bug["kind"],
-                "bug_entry": int(bug.get("entry", 1)),
-                "bug_operand": int(bug.get("operand", 1)),
+                "bug_entry": _integer(bug.get("entry", 1), "bug.entry"),
+                "bug_operand": _integer(
+                    bug.get("operand", 1), "bug.operand"
+                ),
             }
         budgets_in = payload.get("budgets") or {}
         if not isinstance(budgets_in, Mapping):
@@ -155,13 +164,21 @@ class SubmitRequest:
             for name in _BUDGET_FIELDS
             if budgets_in.get(name) is not None
         }
+        for name, value in budgets.items():
+            if name == "max_conflicts":
+                _integer(value, "budgets.max_conflicts")
+            elif isinstance(value, bool) \
+                    or not isinstance(value, (int, float)):
+                raise ServiceError(
+                    400, f"budgets.{name} must be a number, got {value!r}"
+                )
 
         configs: List[Dict[str, Any]] = []
         raw_configs = payload.get("configs")
         if raw_configs is not None:
             if not isinstance(raw_configs, list):
                 raise ServiceError(400, "configs must be a JSON list")
-            for item in raw_configs:
+            for index, item in enumerate(raw_configs):
                 if not isinstance(item, Mapping) or "n_rob" not in item \
                         or "issue_width" not in item:
                     raise ServiceError(
@@ -177,10 +194,19 @@ class SubmitRequest:
                         f"unknown family {item_family!r}; "
                         f"use one of {family_names()}",
                     )
+                retire_width = item.get("retire_width")
+                if retire_width is not None:
+                    retire_width = _integer(
+                        retire_width, f"configs[{index}].retire_width"
+                    )
                 configs.append({
-                    "n_rob": int(item["n_rob"]),
-                    "issue_width": int(item["issue_width"]),
-                    "retire_width": item.get("retire_width"),
+                    "n_rob": _integer(
+                        item["n_rob"], f"configs[{index}].n_rob"
+                    ),
+                    "issue_width": _integer(
+                        item["issue_width"], f"configs[{index}].issue_width"
+                    ),
+                    "retire_width": retire_width,
                     "family": item_family,
                 })
         grid = payload.get("grid")

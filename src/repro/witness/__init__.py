@@ -15,13 +15,7 @@ The subsystem that stops the repository from trusting its own solver:
 """
 
 from .certify import certify_result
-from .drup import (
-    DrupCheckResult,
-    DrupProof,
-    DrupStep,
-    check_drup,
-    cnf_with_assumptions,
-)
+from .drup import DrupCheckResult, DrupProof, DrupStep, check_drup
 from .reconstruct import (
     TermCounterexample,
     reconstruct_counterexample,
@@ -36,7 +30,6 @@ __all__ = [
     "DrupProof",
     "DrupCheckResult",
     "check_drup",
-    "cnf_with_assumptions",
     "TermCounterexample",
     "reconstruct_counterexample",
     "replay_assignment",

@@ -45,7 +45,6 @@ __all__ = [
     "DrupProof",
     "DrupCheckResult",
     "check_drup",
-    "cnf_with_assumptions",
 ]
 
 
@@ -233,20 +232,6 @@ class _ClauseDb:
                 if not assign(unassigned):
                     return True
         return False
-
-
-def cnf_with_assumptions(cnf: Cnf, assumptions: Sequence[int]) -> Cnf:
-    """``cnf`` plus one unit clause per assumption literal.
-
-    An assumption-UNSAT verdict from :meth:`repro.sat.solver.Solver.solve`
-    certifies against this formula, not against ``cnf`` alone: the
-    solver's proof ends with the failed-assumption core clause, which is
-    RUP only once the assumptions are available as units.  Learned
-    clauses never resolve on assumptions, so the same journal prefix
-    stays valid for every call.
-    """
-    clauses = list(cnf.clauses) + [(literal,) for literal in assumptions]
-    return Cnf(num_vars=cnf.num_vars, clauses=clauses)
 
 
 def check_drup(cnf: Cnf, proof: DrupProof) -> DrupCheckResult:

@@ -1,23 +1,22 @@
-"""Incremental assumption-based solving on :class:`repro.sat.Solver`:
-equivalence with monolithic solving, learned-clause soundness across
-calls, mid-session DRUP certification, failed-assumption cores, and the
-session pool behind :func:`repro.sat.solve_cnf`."""
+"""Repeated calls on :class:`repro.sat.Solver`: a budget-stopped call
+resumed to the cold verdict, learned clauses kept across calls, per-call
+DRUP certification, and the session pool behind
+:func:`repro.sat.solve_cnf`."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SolverError
 from repro.sat import (
     Cnf,
     SessionPool,
     Solver,
     cnf_digest,
     current_session_pool,
-    solve_by_enumeration,
     solve_cnf,
     use_session_pool,
 )
-from repro.witness import DrupProof, check_drup, cnf_with_assumptions
+from repro.sat.solver import MAX_SESSIONS
+from repro.witness import DrupProof, check_drup
 
 
 def _cnf(num_vars, clauses):
@@ -27,143 +26,87 @@ def _cnf(num_vars, clauses):
     return cnf
 
 
-def _monolithic(cnf, assumptions):
-    """Cold-solve ``cnf`` with the assumptions baked in as units."""
-    return solve_cnf(cnf_with_assumptions(cnf, assumptions))
+def _php(pigeons, holes):
+    """The pigeonhole principle: ``pigeons`` pigeons in ``holes`` holes,
+    unsatisfiable whenever ``pigeons > holes``."""
 
-
-# A small pigeonhole-style UNSAT core: 3 pigeons, 2 holes.
-def _php32():
     def var(pigeon, hole):
-        return 1 + pigeon * 2 + hole
+        return 1 + pigeon * holes + hole
 
-    clauses = [[var(p, 0), var(p, 1)] for p in range(3)]
-    for hole in range(2):
-        for p1 in range(3):
-            for p2 in range(p1 + 1, 3):
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for hole in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
                 clauses.append([-var(p1, hole), -var(p2, hole)])
-    return _cnf(6, clauses)
+    return _cnf(pigeons * holes, clauses)
 
 
+def _certifies(cnf, result):
+    return check_drup(cnf, DrupProof.from_solver_steps(result.proof)).ok
+
+
+# Random 3-CNFs near the satisfiability threshold, where a budget of one
+# to three conflicts often stops the first call short of a verdict.
 clause_strategy = st.lists(
-    st.integers(min_value=1, max_value=5).flatmap(
+    st.integers(min_value=1, max_value=10).flatmap(
         lambda v: st.sampled_from([v, -v])
     ),
-    min_size=1,
-    max_size=4,
-)
-cnf_strategy = st.lists(clause_strategy, min_size=1, max_size=12)
-assumptions_strategy = st.lists(
-    st.integers(min_value=1, max_value=5).flatmap(
-        lambda v: st.sampled_from([v, -v])
-    ),
+    min_size=3,
     max_size=3,
-    unique_by=abs,
 )
+cnf_strategy = st.lists(clause_strategy, min_size=30, max_size=50)
 
 
-class TestAssumptionEquivalence:
+class TestResumedSearch:
     @settings(max_examples=150, deadline=None)
-    @given(clauses=cnf_strategy, assumptions=assumptions_strategy)
-    def test_matches_monolithic_units(self, clauses, assumptions):
-        cnf = _cnf(5, clauses)
-        expected = _monolithic(cnf, assumptions)
-        result = Solver(cnf).solve(assumptions=assumptions)
-        assert result.status == expected.status
-        if result.is_sat:
-            assert cnf.check_assignment(result.model)
-            for lit in assumptions:
-                assert result.model[abs(lit)] == (lit > 0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(clauses=cnf_strategy, assumptions=assumptions_strategy)
-    def test_matches_exhaustive_reference(self, clauses, assumptions):
-        cnf = _cnf(5, clauses)
-        witness = solve_by_enumeration(cnf_with_assumptions(cnf, assumptions))
-        result = Solver(cnf).solve(assumptions=assumptions)
-        assert result.status == ("sat" if witness is not None else "unsat")
-
-    def test_assumption_out_of_range_raises(self):
-        solver = Solver(_cnf(2, [[1, 2]]))
-        try:
-            solver.solve(assumptions=[7])
-        except SolverError:
-            pass
+    @given(clauses=cnf_strategy, budget=st.integers(min_value=1, max_value=3))
+    def test_budget_stopped_call_resumes_to_the_cold_verdict(
+        self, clauses, budget
+    ):
+        cnf = _cnf(10, clauses)
+        cold = solve_cnf(cnf)
+        solver = Solver(cnf, log_proof=True)
+        first = solver.solve(max_conflicts=budget)
+        assert first.status in ("unknown", cold.status)
+        assert first.conflicts <= budget
+        resumed = solver.solve()
+        assert resumed.status == cold.status
+        if resumed.is_sat:
+            assert cnf.check_assignment(resumed.model)
         else:
-            raise AssertionError("expected SolverError")
-
-    def test_core_names_responsible_assumptions(self):
-        # 1 and 2 force 3; assuming -3 alongside an irrelevant 4 must
-        # produce a core that mentions only the responsible literals.
-        cnf = _cnf(4, [[-1, -2, 3]])
-        result = Solver(cnf).solve(assumptions=[1, 2, -3, 4])
-        assert result.is_unsat
-        assert result.core is not None
-        assert set(result.core) <= {1, 2, -3}
-        assert -3 in result.core
-        # The core alone is already unsatisfiable with the CNF.
-        recheck = Solver(cnf).solve(assumptions=result.core)
-        assert recheck.is_unsat
-
-    def test_failed_assumptions_do_not_latch_unsat(self):
-        cnf = _cnf(2, [[1, 2]])
-        solver = Solver(cnf)
-        assert solver.solve(assumptions=[-1, -2]).is_unsat
-        # The CNF itself is still satisfiable afterwards.
-        assert solver.solve().is_sat
-        assert solver.solve(assumptions=[1]).is_sat
+            assert _certifies(cnf, resumed)
 
 
 class TestLearnedClausePersistence:
     def test_three_calls_share_learning_and_stay_sound(self):
-        cnf = _php32()
-        solver = Solver(cnf, log_proof=True)
+        cnf = _php(5, 4)
         cold = solve_cnf(cnf)
         assert cold.is_unsat
 
-        outcomes = []
-        for assumptions in ([1], [2, 4], []):
-            result = solver.solve(assumptions=assumptions)
-            outcomes.append(result)
-            expected = _monolithic(cnf, assumptions)
-            assert result.status == expected.status == "unsat"
-            proof = DrupProof.from_solver_steps(result.proof)
-            assert check_drup(
-                cnf_with_assumptions(cnf, assumptions), proof
-            ).ok
-        # Later calls resume the learned clause database instead of
-        # re-deriving it: total conflicts must not grow per call.
-        assert outcomes[2].conflicts <= cold.conflicts
+        solver = Solver(cnf, log_proof=True)
+        stopped = solver.solve(max_conflicts=10)
+        assert stopped.status == "unknown"
+        assert stopped.conflicts == 10
+        resumed = solver.solve()
+        assert resumed.is_unsat
+        assert _certifies(cnf, resumed)
+        # The resumed call keeps what the stopped one learned instead of
+        # re-deriving it: it needs no more conflicts than a cold solve.
+        assert resumed.conflicts <= cold.conflicts
+        third = solver.solve()
+        assert third.is_unsat
+        assert third.conflicts == 0
+        assert _certifies(cnf, third)
 
     def test_latched_unsat_is_instant_and_certifiable(self):
-        cnf = _php32()
+        cnf = _php(3, 2)
         solver = Solver(cnf, log_proof=True)
         first = solver.solve()
         assert first.is_unsat
-        second = solver.solve(assumptions=[1])
+        second = solver.solve()
         assert second.is_unsat
         assert second.conflicts == 0
-        assert check_drup(
-            cnf, DrupProof.from_solver_steps(second.proof)
-        ).ok
-
-    def test_add_clause_between_calls(self):
-        solver = Solver(_cnf(2, [[1, 2]]))
-        assert solver.solve(assumptions=[-1]).is_sat
-        assert solver.add_clause([-2])
-        result = solver.solve(assumptions=[-1])
-        assert result.is_unsat
-        assert solver.solve(assumptions=[1]).is_sat
-
-    def test_add_clause_before_the_first_call(self):
-        solver = Solver(Cnf(num_vars=2))
-        assert solver.add_clause([1, 2])
-        result = solver.solve(assumptions=[-1])
-        assert result.is_sat
-        assert result.model[2] is True
-        result = solver.solve(assumptions=[-1, -2])
-        assert result.is_unsat
-        assert result.core is not None
+        assert _certifies(cnf, second)
 
     def test_sat_model_is_complete_for_check_assignment(self):
         cnf = _cnf(3, [[1, 2], [-1, 3]])
@@ -174,43 +117,31 @@ class TestLearnedClausePersistence:
 
 class TestMidSessionProofs:
     def test_every_call_proof_stands_alone(self):
-        # Interleave assumption-unsat, sat, and real-unsat calls; each
-        # UNSAT proof must certify against its own per-call view.
-        cnf = _cnf(3, [[1, 2], [-1, 3], [-2, 3]])
+        # Interleave budget-stopped and UNSAT calls; each UNSAT proof
+        # must certify against the CNF on its own.
+        cnf = _php(5, 4)
         solver = Solver(cnf, log_proof=True)
 
-        r1 = solver.solve(assumptions=[-3])
-        assert r1.is_unsat
-        assert check_drup(
-            cnf_with_assumptions(cnf, [-3]),
-            DrupProof.from_solver_steps(r1.proof),
-        ).ok
+        stopped = solver.solve(max_conflicts=5)
+        assert stopped.status == "unknown"
+        assert not _certifies(cnf, stopped)
+        stopped_steps = list(stopped.proof)
 
-        r2 = solver.solve(assumptions=[3])
-        assert r2.is_sat
+        first = solver.solve()
+        assert first.is_unsat
+        assert _certifies(cnf, first)
+        first_steps = list(first.proof)
+        # The stopped call's view is a prefix the journal grew past.
+        assert first.proof[:len(stopped_steps)] == stopped_steps
+        assert len(first.proof) > len(stopped_steps)
 
-        r3 = solver.solve(assumptions=[-3, 1])
-        assert r3.is_unsat
-        assert check_drup(
-            cnf_with_assumptions(cnf, [-3, 1]),
-            DrupProof.from_solver_steps(r3.proof),
-        ).ok
-        # Earlier results must be immune to later journal growth.
-        assert check_drup(
-            cnf_with_assumptions(cnf, [-3]),
-            DrupProof.from_solver_steps(r1.proof),
-        ).ok
-
-    def test_tautological_assumption_pair(self):
-        cnf = _cnf(2, [[1, 2]])
-        result = Solver(cnf, log_proof=True).solve(
-            assumptions=[1, -1]
-        )
-        assert result.is_unsat
-        assert check_drup(
-            cnf_with_assumptions(cnf, [1, -1]),
-            DrupProof.from_solver_steps(result.proof),
-        ).ok
+        again = solver.solve(max_conflicts=1)
+        assert again.is_unsat
+        assert _certifies(cnf, again)
+        # Earlier results must be immune to later calls.
+        assert stopped.proof == stopped_steps
+        assert first.proof == first_steps
+        assert _certifies(cnf, first)
 
 
 CASES = [
@@ -236,8 +167,8 @@ class TestSessionPool:
         assert cnf_digest(a) != cnf_digest(c)
 
     def test_hits_misses_and_resume(self):
-        pool = SessionPool(max_sessions=4)
-        cnf = _php32()
+        pool = SessionPool()
+        cnf = _php(3, 2)
         first = _pooled(pool, cnf)
         second = _pooled(pool, cnf)
         assert first.is_unsat and second.is_unsat
@@ -254,15 +185,15 @@ class TestSessionPool:
         assert pool.misses == 2
 
     def test_lru_eviction(self):
-        pool = SessionPool(max_sessions=2)
-        cnfs = [_cnf(2, [[1, 2]]), _cnf(2, [[-1, 2]]), _cnf(2, [[1, -2]])]
+        pool = SessionPool()
+        cnfs = [_cnf(2 + n, [[1, 2]]) for n in range(MAX_SESSIONS + 1)]
         for cnf in cnfs:
             _pooled(pool, cnf)
-        assert len(pool) == 2
+        assert len(pool) == MAX_SESSIONS
         assert pool.evictions == 1
         # The oldest digest was evicted; touching it is a miss again.
         _pooled(pool, cnfs[0])
-        assert pool.misses == 4
+        assert pool.misses == MAX_SESSIONS + 2
 
     def test_ambient_pool_scope(self):
         assert current_session_pool() is None

@@ -156,6 +156,21 @@ class TestPlumbing:
         run_app(manager, scenario)
 
 
+    def test_non_numeric_config_field_is_400(self, tmp_path):
+        manager = make_manager(tmp_path, CountingVerify())
+
+        async def scenario(host, port):
+            status, _h, payload = await json_request(
+                host, port, "POST", "/v1/sessions",
+                {"configs": [{"n_rob": "abc", "issue_width": 1}]},
+            )
+            assert status == 400
+            assert "n_rob" in payload["error"]
+
+        run_app(manager, scenario)
+        assert "service.errors" not in manager.metrics.values()
+
+
 class TestSubmitFlow:
     def test_submit_longpoll_result(self, tmp_path):
         verify = CountingVerify()

@@ -40,7 +40,8 @@ class TestParseHappyPath:
             "certify": True,
             "analyze": True,
             "client": "tester",
-            "budgets": {"max_conflicts": 100, "max_seconds": 1.5},
+            "budgets": {"max_conflicts": 100, "max_seconds": 1.5,
+                        "max_wall_seconds": 2, "max_memory_mb": 64},
         })
         (job,) = request.jobs
         assert job.method == "positive_equality"
@@ -49,6 +50,8 @@ class TestParseHappyPath:
         assert job.bug_entry == 3
         assert job.max_conflicts == 100
         assert job.max_seconds == pytest.approx(1.5)
+        assert job.max_wall_seconds == 2
+        assert job.max_memory_mb == 64
         assert request.certify and request.analyze
         assert request.client == "tester"
 
@@ -119,6 +122,39 @@ class TestParseRejections:
             SubmitRequest.parse(
                 {"configs": [{"n_rob": 0, "issue_width": 1}]}
             )
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"configs": [{"n_rob": "abc", "issue_width": 1}]},
+         "configs[0].n_rob"),
+        ({"configs": [{"n_rob": 2, "issue_width": "1"}]},
+         "configs[0].issue_width"),
+        ({"configs": [{"n_rob": 2, "issue_width": 1},
+                      {"n_rob": 2.5, "issue_width": 1}]},
+         "configs[1].n_rob"),
+        ({"configs": [{"n_rob": True, "issue_width": 1}]},
+         "configs[0].n_rob"),
+        ({"configs": [{"n_rob": 2, "issue_width": 1,
+                       "retire_width": "two"}]},
+         "configs[0].retire_width"),
+        ({"grid": "2x1", "bug": {"kind": "dropped-flush", "entry": "x"}},
+         "bug.entry"),
+        ({"grid": "2x1",
+          "bug": {"kind": "forward-wrong-source", "operand": [2]}},
+         "bug.operand"),
+        ({"grid": "2x1", "budgets": {"max_conflicts": "lots"}},
+         "budgets.max_conflicts"),
+        ({"grid": "2x1", "budgets": {"max_conflicts": 1.5}},
+         "budgets.max_conflicts"),
+        ({"grid": "2x1", "budgets": {"max_seconds": "soon"}},
+         "budgets.max_seconds"),
+        ({"grid": "2x1", "budgets": {"max_memory_mb": False}},
+         "budgets.max_memory_mb"),
+    ])
+    def test_non_numeric_field_is_a_400_naming_it(self, payload, field):
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse(payload)
+        assert _status(excinfo) == 400
+        assert field in str(excinfo.value)
 
     def test_job_ceiling(self):
         configs = [{"n_rob": 2, "issue_width": 1}] * (
