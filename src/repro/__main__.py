@@ -59,11 +59,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import verify
+from .core.cli import add_run_options, verify_from_args
 from .errors import AnalysisError, BudgetExhausted, ReproError
-from .processor.bugs import Bug, BugKind
-from .processor.families import family_names
-from .processor.params import ProcessorConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,87 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
             "'campaign' subcommand for crash-safe batches."
         ),
     )
-    parser.add_argument(
-        "--rob", type=int, default=16, help="reorder-buffer size N (default 16)"
-    )
-    parser.add_argument(
-        "--width", type=int, default=4, help="issue width k (default 4)"
-    )
-    parser.add_argument(
-        "--retire-width",
-        type=int,
-        default=None,
-        help="retire width l (default: same as the issue width)",
-    )
-    parser.add_argument(
-        "--family",
-        choices=family_names(),
-        default="reg-reg",
-        help=(
-            "workload family: reg-reg (the seed register-register model), "
-            "branch (speculative branches with misprediction recovery), "
-            "mem (loads/stores with store-to-load forwarding), or mixed "
-            "(both); default reg-reg"
-        ),
-    )
-    parser.add_argument(
-        "--method",
-        choices=("rewriting", "positive_equality"),
-        default="rewriting",
-        help="verification method (default: rewriting)",
-    )
-    parser.add_argument(
-        "--criterion",
-        choices=("disjunction", "case_split"),
-        default="disjunction",
-        help="correctness criterion (default: the paper's disjunction)",
-    )
-    parser.add_argument(
-        "--bug",
-        choices=BugKind.ALL,
-        default=None,
-        help="plant a defect before verifying",
-    )
-    parser.add_argument(
-        "--entry", type=int, default=1, help="ROB entry the defect applies to"
-    )
-    parser.add_argument(
-        "--operand",
-        type=int,
-        choices=(1, 2),
-        default=1,
-        help="data operand the defect applies to",
-    )
-    parser.add_argument(
-        "--max-conflicts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="abort when the SAT solver exceeds this many conflicts",
-    )
-    parser.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="abort when SAT solving exceeds this wall-clock budget",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="pipeline-wide wall-clock deadline, enforced at every stage "
-        "(simulation, rewriting, encoding, SAT, witness) — unlike "
-        "--max-seconds, which only the SAT solver honors",
-    )
-    parser.add_argument(
-        "--max-memory",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="memory budget for the whole run, in MiB",
-    )
+    add_run_options(parser)
     parser.add_argument(
         "--analyze",
         action="store_true",
@@ -231,25 +148,9 @@ def main(argv=None) -> int:
         return witness_main(argv[1:])
     args = build_parser().parse_args(argv)
     try:
-        config = ProcessorConfig(
-            n_rob=args.rob,
-            issue_width=args.width,
-            retire_width=args.retire_width,
-            family=args.family,
-        )
-        bug = None
-        if args.bug is not None:
-            bug = Bug(args.bug, entry=args.entry, operand=args.operand)
-            print(f"Planted defect: {bug.describe()}")
-        result = verify(
-            config,
-            method=args.method,
-            bug=bug,
-            criterion=args.criterion,
-            max_conflicts=args.max_conflicts,
-            max_seconds=args.max_seconds,
-            max_wall_seconds=args.deadline,
-            max_memory_mb=args.max_memory,
+        result = verify_from_args(
+            args,
+            announce=print,
             analyze=args.analyze or args.strict,
             strict=args.strict,
             certify=args.certify,

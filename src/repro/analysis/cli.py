@@ -4,12 +4,17 @@ Examples::
 
     python -m repro lint
     python -m repro lint --grid 3x2,4x2 --method rewriting
+    python -m repro lint --no-rules --grid 2x1,3x2 --family branch
     python -m repro lint --json
     python -m repro lint --rules-only
 
 The default run audits the rewrite-rule registry (side conditions,
 soundness, critical-pair confluence and termination) plus a couple of
 small processor configurations under both verification methods.
+``--grid`` takes the campaign's ``NxK,...`` form
+(:func:`repro.core.cli.parse_grid`) and ``--family``, ``--method`` and
+``--criterion`` the single-run CLI's choices; each configuration is
+encoded as :func:`repro.core.verify` encodes it.
 ``--rules-only`` and ``--no-rules`` exclude each other.  Exit status:
 0 — no error-level findings; 1 — at least one error-level finding
 (soundness invariant violated); 2 — the lint run itself was
@@ -29,7 +34,10 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
+from ..core.cli import add_family_option, parse_grid
+from ..core.verifier import METHODS
 from ..errors import ReproError
+from ..processor.correctness import CRITERIA
 from ..processor.params import ProcessorConfig
 from .diagnostics import ERROR, WARNING
 from .pipeline import AnalysisReport, build_report
@@ -56,15 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N1xK1,N2xK2,...",
         help=f"configurations to audit (default: {DEFAULT_GRID})",
     )
+    add_family_option(parser)
     parser.add_argument(
         "--method",
-        choices=("rewriting", "positive_equality", "both"),
+        choices=(*METHODS, "both"),
         default="both",
         help="verification method(s) to audit (default: both)",
     )
     parser.add_argument(
         "--criterion",
-        choices=("disjunction", "case_split"),
+        choices=CRITERIA,
         default="disjunction",
         help="correctness criterion (default: disjunction)",
     )
@@ -92,40 +101,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_grid(grid: str) -> List[ProcessorConfig]:
-    configs: List[ProcessorConfig] = []
-    for chunk in grid.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+def _configs(args: argparse.Namespace) -> List[ProcessorConfig]:
+    configs = []
+    for n_rob, width in parse_grid(args.grid):
         try:
-            n_text, k_text = chunk.lower().split("x", 1)
-            configs.append(
-                ProcessorConfig(n_rob=int(n_text), issue_width=int(k_text))
-            )
+            configs.append(ProcessorConfig(n_rob, width, family=args.family))
         except ValueError as exc:
-            raise ReproError(
-                f"bad --grid entry {chunk!r}; expected the form NxK "
-                f"(e.g. 3x2): {exc}"
-            )
+            raise ValueError(
+                f"bad --grid entry '{n_rob}x{width}': {exc}"
+            ) from None
     return configs
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        configs = [] if args.rules_only else _parse_grid(args.grid)
-        if args.method == "both":
-            methods: Sequence[str] = ("rewriting", "positive_equality")
-        else:
-            methods = (args.method,)
         report = build_report(
-            configs,
-            methods=methods,
+            [] if args.rules_only else _configs(args),
+            methods=METHODS if args.method == "both" else (args.method,),
             criterion=args.criterion,
             check_rules=not args.no_rules,
         )
-    except ReproError as exc:
+    except (ReproError, ValueError) as exc:
         print(f"lint failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

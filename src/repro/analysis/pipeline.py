@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..core.verifier import METHODS
 from ..encode.evc import EncodedValidity, encode_validity
 from ..eufm.traversal import term_variables
 from ..processor.bugs import Bug
@@ -181,7 +182,7 @@ def analyze_config(
             return diagnostics
         diagnostics.append(rewrite_tally_diagnostic(rewrite, subject))
         formula = rewrite.reduced_formula
-        memory_mode = "conservative"
+        memory_mode = rewrite.memory_mode
     elif method == "positive_equality":
         formula = build_correctness_formula(artifacts, criterion=criterion)
         memory_mode = "precise"
@@ -198,7 +199,7 @@ def analyze_config(
 
 def build_report(
     configs: Sequence[ProcessorConfig],
-    methods: Sequence[str] = ("rewriting", "positive_equality"),
+    methods: Sequence[str] = METHODS,
     criterion: str = "disjunction",
     check_rules: bool = True,
 ) -> AnalysisReport:

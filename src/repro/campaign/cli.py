@@ -4,8 +4,10 @@ Job sources (combine freely; at least one is required unless resuming):
 
 * ``--spec jobs.json`` — a JSON list of job dicts
   (see :meth:`repro.campaign.jobs.Job.to_dict`);
-* ``--grid "8x2,16x4"`` — generate one job per ``NxK`` configuration
-  using the shared ``--method``/``--criterion``/``--bug`` options;
+* ``--grid "8x2,16x4"`` — generate one job per ``NxK`` configuration;
+  the single-run CLI's flags other than the sizes (``--family``,
+  ``--method``, ``--bug``, the budgets, ...) apply to every such job
+  (:func:`repro.core.cli.add_check_options`);
 * neither — resume the jobs recorded in the journal.
 
 The journal (``--journal``) makes the campaign crash-safe: re-running the
@@ -35,9 +37,8 @@ import os
 import sys
 from typing import List, Optional
 
+from ..core.cli import add_check_options, parse_grid
 from ..errors import CampaignError, JournalError
-from ..processor.bugs import BugKind
-from ..processor.families import family_names
 from .faults import Fault, FaultPlan
 from .jobs import Job
 from .runner import CampaignRunner, DegradePolicy, RetryPolicy
@@ -50,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro campaign",
         description=(
             "Run a batch of verification jobs with retries, budget "
-            "escalation, graceful degradation and a crash-safe journal."
+            "escalation, graceful degradation and a crash-safe journal.  "
+            "The budget flags set each job's first attempt; every retry "
+            "multiplies them by --escalation."
         ),
     )
     parser.add_argument(
@@ -69,64 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N1xK1,N2xK2,...",
         help="generate jobs for the given ROB-size x issue-width configs",
     )
-    parser.add_argument(
-        "--method",
-        choices=("rewriting", "positive_equality"),
-        default="rewriting",
-        help="method for --grid jobs (default: rewriting)",
-    )
-    parser.add_argument(
-        "--criterion",
-        choices=("disjunction", "case_split"),
-        default="disjunction",
-        help="correctness criterion for --grid jobs",
-    )
-    parser.add_argument(
-        "--family",
-        choices=family_names(),
-        default="reg-reg",
-        help="workload family for --grid jobs (default: reg-reg)",
-    )
-    parser.add_argument(
-        "--bug",
-        choices=BugKind.ALL,
-        default=None,
-        help="plant this defect in every --grid job",
-    )
-    parser.add_argument(
-        "--entry", type=int, default=1, help="ROB entry for --bug"
-    )
-    parser.add_argument(
-        "--max-conflicts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="base per-attempt conflict budget (escalated on retries)",
-    )
-    parser.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help="base per-attempt wall-clock budget (escalated on retries)",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="S",
-        help="base per-attempt pipeline-wide deadline in seconds, "
-        "enforced at every stage and escalated on retries "
-        "(unlike --max-seconds, which only the SAT solver honors)",
-    )
-    parser.add_argument(
-        "--max-memory",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="base per-attempt memory budget in MiB (escalated on "
-        "retries); exhaustion is retried like the paper's 4 GB kills",
-    )
+    add_check_options(parser)
     parser.add_argument(
         "--max-attempts",
         type=int,
@@ -221,24 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_grid(grid: str) -> List[tuple]:
-    configs = []
-    for chunk in grid.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            n_text, k_text = chunk.lower().split("x", 1)
-            configs.append((int(n_text), int(k_text)))
-        except ValueError:
-            raise CampaignError(
-                f"bad --grid entry {chunk!r}; expected the form NxK (e.g. 8x2)"
-            )
-    if not configs:
-        raise CampaignError("--grid names no configurations")
-    return configs
-
-
 def _collect_jobs(args: argparse.Namespace) -> Optional[List[Job]]:
     jobs: List[Job] = []
     if args.spec:
@@ -250,7 +178,11 @@ def _collect_jobs(args: argparse.Namespace) -> Optional[List[Job]]:
             )
         jobs.extend(Job.from_dict(item) for item in payload)
     if args.grid:
-        for n_rob, width in _parse_grid(args.grid):
+        try:
+            sizes = parse_grid(args.grid)
+        except ValueError as exc:
+            raise CampaignError(str(exc)) from None
+        for n_rob, width in sizes:
             jobs.append(
                 Job.build(
                     n_rob,
@@ -260,6 +192,7 @@ def _collect_jobs(args: argparse.Namespace) -> Optional[List[Job]]:
                     criterion=args.criterion,
                     bug_kind=args.bug,
                     bug_entry=args.entry,
+                    bug_operand=args.operand,
                     max_conflicts=args.max_conflicts,
                     max_seconds=args.max_seconds,
                     max_wall_seconds=args.deadline,

@@ -96,16 +96,9 @@ def _run_traced(
                 failure_detail=f"{failure.stage}: {failure.detail}",
                 rewrite=rewrite,
             )
-        # The conservative memory abstraction (Table 5) is justified by
-        # the full reduction; when the engine declines to reduce (branch
-        # families, rewrite.reduction == "none") the unreduced formula is
-        # decided with the precise memory model, like the baseline.
-        memory_mode = (
-            "conservative" if rewrite.reduction == "full" else "precise"
-        )
         validity = check_validity(
             rewrite.reduced_formula,
-            memory_mode=memory_mode,
+            memory_mode=rewrite.memory_mode,
             max_conflicts=max_conflicts,
             max_seconds=max_seconds,
             log_proof=certify,
@@ -146,7 +139,6 @@ def verify(
     max_conflicts: Optional[int] = None,
     max_seconds: Optional[float] = None,
     max_wall_seconds: Optional[float] = None,
-    max_cpu_seconds: Optional[float] = None,
     max_memory_mb: Optional[float] = None,
     analyze: bool = False,
     strict: bool = False,
@@ -167,7 +159,7 @@ def verify(
             4 GB memory limit in the scaling experiments.  The exception's
             ``timings`` dict still carries the phase timings accumulated
             before the abort, and its ``seconds`` the "sat" span's.
-        max_wall_seconds / max_cpu_seconds: *pipeline-wide* deadline,
+        max_wall_seconds: *pipeline-wide* wall-clock deadline,
             enforced cooperatively at every stage (tlsim, rewriting, each
             encoding stage, the SAT loop, witness reconstruction) via an
             ambient :class:`repro.guard.Deadline`; raises
@@ -205,11 +197,7 @@ def verify(
     analyze = analyze or strict
     guard_deadline = None
     guard_scope = nullcontext()
-    if (
-        max_wall_seconds is not None
-        or max_cpu_seconds is not None
-        or max_memory_mb is not None
-    ):
+    if max_wall_seconds is not None or max_memory_mb is not None:
         memory = (
             MemoryBudget.from_mb(max_memory_mb)
             if max_memory_mb is not None
@@ -217,7 +205,6 @@ def verify(
         )
         guard_deadline = current_deadline().derive(
             max_wall_seconds=max_wall_seconds,
-            max_cpu_seconds=max_cpu_seconds,
             memory=memory,
         )
         guard_scope = use_deadline(guard_deadline)

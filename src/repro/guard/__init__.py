@@ -1,8 +1,8 @@
 """Supervision and resource governance for the verification pipeline.
 
 ``repro.guard`` makes long-running verification cooperative and
-killable: ambient :class:`Deadline` objects (wall/CPU budgets checked at
-every pipeline layer), :class:`MemoryBudget` (charged counters plus
+killable: ambient :class:`Deadline` objects (a wall-clock budget checked
+at every pipeline layer), :class:`MemoryBudget` (charged counters plus
 sampling), and a per-config-family :class:`CircuitBreaker` for
 campaigns.  See :mod:`repro.guard.deadline` for the check-site
 discipline and :mod:`repro.campaign.parallel` for the worker heartbeat

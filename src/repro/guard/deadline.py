@@ -4,7 +4,7 @@ The paper's wide-issue configurations take hours of CPU, and the eij /
 transitivity encodings can blow up exponentially in the worst case; a
 service-shaped runtime therefore needs *every* pipeline layer — not just
 the CDCL loop — to honor a budget.  A :class:`Deadline` carries a
-wall-clock budget, a CPU budget and an optional
+wall-clock budget and an optional
 :class:`~repro.guard.memory.MemoryBudget`, and is installed as ambient
 state via a ContextVar exactly like the observability tracer
 (:mod:`repro.obs.tracer`): instrumented layers call
@@ -18,12 +18,12 @@ Check discipline (mirrors how the layers are instrumented):
 * ``check(stage)`` — unconditional; called at stage entry and at coarse
   loop heads (a simulation cycle, a rewrite entry, a witness-minimization
   variable).  Emits a heartbeat (rate-limited), applies any injected
-  stage delay, then tests the wall/CPU/memory budgets and raises
+  stage delay, then tests the wall and memory budgets and raises
   :class:`~repro.errors.BudgetExhausted` (or
   :class:`~repro.errors.MemoryBudgetExhausted`) naming the stage.
 * ``tick(stage)`` — rate-limited; called once per DAG node inside the
   traversal hot loops.  Counts a node against the memory budget and runs
-  a full ``check`` every :attr:`tick_every` ticks.
+  a full ``check`` every :data:`TICK_EVERY` ticks.
 
 Deadlines compose: :meth:`Deadline.derive` builds a child whose budgets
 are capped by the parent's remaining allowance and which inherits the
@@ -45,9 +45,13 @@ __all__ = [
     "Deadline",
     "NullDeadline",
     "NULL_DEADLINE",
+    "TICK_EVERY",
     "current_deadline",
     "use_deadline",
 ]
+
+#: How many :meth:`Deadline.tick` calls run one full :meth:`Deadline.check`.
+TICK_EVERY = 256
 
 
 class Deadline:
@@ -55,16 +59,13 @@ class Deadline:
 
     __slots__ = (
         "max_wall_seconds",
-        "max_cpu_seconds",
         "memory",
         "heartbeat",
         "heartbeat_interval",
-        "tick_every",
         "stage_delays",
         "checks",
         "heartbeats_sent",
         "_start_wall",
-        "_start_cpu",
         "_next_beat",
         "_ticks",
         "_next_check_tick",
@@ -73,58 +74,41 @@ class Deadline:
     def __init__(
         self,
         max_wall_seconds: Optional[float] = None,
-        max_cpu_seconds: Optional[float] = None,
         memory: Optional[MemoryBudget] = None,
         *,
         heartbeat: Optional[Callable[[str], None]] = None,
         heartbeat_interval: float = 1.0,
-        tick_every: int = 256,
         stage_delays: Optional[Dict[str, float]] = None,
     ) -> None:
         self.max_wall_seconds = max_wall_seconds
-        self.max_cpu_seconds = max_cpu_seconds
         self.memory = memory
         self.heartbeat = heartbeat
         self.heartbeat_interval = heartbeat_interval
-        self.tick_every = max(1, int(tick_every))
         #: stage name (or ``"*"``) -> seconds each check of that stage
         #: sleeps; the ``slow`` fault's injection point.
         self.stage_delays: Dict[str, float] = dict(stage_delays or {})
         self.checks = 0
         self.heartbeats_sent = 0
         self._start_wall = time.monotonic()
-        self._start_cpu = time.process_time()
         self._next_beat = self._start_wall  # first check beats immediately
         self._ticks = 0
-        self._next_check_tick = self.tick_every
+        self._next_check_tick = TICK_EVERY
 
     # -- clocks ----------------------------------------------------------
 
     @property
     def bounded(self) -> bool:
-        """True when any budget (wall, CPU or memory) is set."""
-        return (
-            self.max_wall_seconds is not None
-            or self.max_cpu_seconds is not None
-            or self.memory is not None
-        )
+        """True when a wall or memory budget is set."""
+        return self.max_wall_seconds is not None or self.memory is not None
 
     def elapsed_wall(self) -> float:
         return time.monotonic() - self._start_wall
-
-    def elapsed_cpu(self) -> float:
-        return time.process_time() - self._start_cpu
 
     def remaining_wall(self) -> Optional[float]:
         """Seconds of wall budget left; ``None`` when unbounded."""
         if self.max_wall_seconds is None:
             return None
         return max(0.0, self.max_wall_seconds - self.elapsed_wall())
-
-    def remaining_cpu(self) -> Optional[float]:
-        if self.max_cpu_seconds is None:
-            return None
-        return max(0.0, self.max_cpu_seconds - self.elapsed_cpu())
 
     # -- the check sites -------------------------------------------------
 
@@ -152,26 +136,16 @@ class Deadline:
                     budget_kind="wall",
                     stage=stage,
                 )
-        if self.max_cpu_seconds is not None:
-            cpu = self.elapsed_cpu()
-            if cpu > self.max_cpu_seconds:
-                raise BudgetExhausted(
-                    f"CPU deadline of {self.max_cpu_seconds:.3f}s exceeded "
-                    f"in stage {stage!r} ({cpu:.3f}s CPU spent)",
-                    seconds=cpu,
-                    budget_kind="cpu",
-                    stage=stage,
-                )
         if self.memory is not None:
             self.memory.check(stage)
 
     def tick(self, stage: str) -> None:
-        """Per-DAG-node site: charge a node, check every ``tick_every``."""
+        """Per-DAG-node site: charge a node, check every ``TICK_EVERY``."""
         self._ticks += 1
         if self.memory is not None:
             self.memory.charged_nodes += 1
         if self._ticks >= self._next_check_tick:
-            self._next_check_tick = self._ticks + self.tick_every
+            self._next_check_tick = self._ticks + TICK_EVERY
             self.check(stage)
 
     def charge(self, nodes: int = 0, bytes_: int = 0) -> None:
@@ -189,7 +163,6 @@ class Deadline:
     def derive(
         self,
         max_wall_seconds: Optional[float] = None,
-        max_cpu_seconds: Optional[float] = None,
         memory: Optional[MemoryBudget] = None,
     ) -> "Deadline":
         """A child deadline with fresh clock anchors.
@@ -199,15 +172,11 @@ class Deadline:
         supervisor), and the heartbeat sink, injected stage delays and —
         unless overridden — memory budget are inherited by reference.
         """
-        wall = _cap(max_wall_seconds, self.remaining_wall())
-        cpu = _cap(max_cpu_seconds, self.remaining_cpu())
         return Deadline(
-            max_wall_seconds=wall,
-            max_cpu_seconds=cpu,
+            max_wall_seconds=_cap(max_wall_seconds, self.remaining_wall()),
             memory=memory if memory is not None else self.memory,
             heartbeat=self.heartbeat,
             heartbeat_interval=self.heartbeat_interval,
-            tick_every=self.tick_every,
             stage_delays=self.stage_delays,
         )
 
@@ -240,7 +209,6 @@ class NullDeadline:
 
     __slots__ = ()
     max_wall_seconds = None
-    max_cpu_seconds = None
     memory = None
     heartbeat = None
     bounded = False
@@ -265,26 +233,15 @@ class NullDeadline:
     def elapsed_wall(self) -> float:
         return 0.0
 
-    def elapsed_cpu(self) -> float:
-        return 0.0
-
     def remaining_wall(self) -> Optional[float]:
-        return None
-
-    def remaining_cpu(self) -> Optional[float]:
         return None
 
     def derive(
         self,
         max_wall_seconds: Optional[float] = None,
-        max_cpu_seconds: Optional[float] = None,
         memory: Optional[MemoryBudget] = None,
     ) -> Deadline:
-        return Deadline(
-            max_wall_seconds=max_wall_seconds,
-            max_cpu_seconds=max_cpu_seconds,
-            memory=memory,
-        )
+        return Deadline(max_wall_seconds=max_wall_seconds, memory=memory)
 
     def counters(self) -> Dict[str, float]:
         return {}

@@ -15,12 +15,20 @@ tolerances — the perf-regression gate used by CI::
 JSON / Chrome trace-event form)::
 
     python -m repro trace --rob 4 --width 2
+    python -m repro trace --rob 3 --width 1 --family branch
     python -m repro trace --rob 8 --width 4 --format chrome --out t.json
 
+``record`` and ``trace`` take the single-run CLI's run flags, defaults
+included (:func:`repro.core.cli.add_run_options`).  ``record`` writes the
+run's configuration, method, criterion and planted bug into the
+snapshot's ``meta``; ``compare`` refuses two snapshots whose ``meta``
+disagree on any of them, since their counts measure different runs.
+
 Exit status: ``perf compare`` returns 0 when every metric is within
-tolerance and 1 otherwise; ``record``/``trace`` mirror the single-run
-CLI (0 proved, 1 bug found) and use 2 for setup errors, an invalid
-configuration included.
+tolerance, 1 otherwise, and 2 for setup errors (an unreadable snapshot,
+a bad ``--tol``, snapshots of different runs); ``record``/``trace``
+mirror the single-run CLI (0 proved, 1 bug found) and use 2 for setup
+errors, an invalid configuration included.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
+from ..core.cli import add_run_options, verify_from_args
 from ..errors import ReproError
 from .metrics import (
     DEFAULT_TOLERANCES,
@@ -47,42 +56,14 @@ from .exporters import (
 
 __all__ = ["perf_main", "trace_main"]
 
-
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rob", type=int, default=4,
-                        help="reorder-buffer size N (default 4)")
-    parser.add_argument("--width", type=int, default=2,
-                        help="issue width k (default 2)")
-    parser.add_argument(
-        "--method",
-        choices=("rewriting", "positive_equality"),
-        default="rewriting",
-    )
-    parser.add_argument(
-        "--criterion",
-        choices=("disjunction", "case_split"),
-        default="disjunction",
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=None, metavar="S",
-        help="run under a pipeline-wide wall-clock deadline; guard "
-        "activity shows up as guard.* counters on the trace",
-    )
-    parser.add_argument(
-        "--max-memory", type=float, default=None, metavar="MB",
-        help="run under a cooperative memory budget (see --deadline)",
-    )
-
-
-def _run_traced(args: argparse.Namespace):
-    from ..core import verify
-    from ..processor.params import ProcessorConfig
-
-    config = ProcessorConfig(n_rob=args.rob, issue_width=args.width)
-    return verify(
-        config, method=args.method, criterion=args.criterion,
-        max_wall_seconds=args.deadline, max_memory_mb=args.max_memory,
-    )
+#: The ``meta`` fields naming the run a snapshot measured, each with the
+#: value a snapshot that lacks the field reads as.
+RUN_FIELDS = (
+    ("config", None),
+    ("method", None),
+    ("criterion", "disjunction"),
+    ("bug", None),
+)
 
 
 def _parse_tolerance(text: str) -> Tuple[str, Tolerance]:
@@ -124,7 +105,7 @@ def build_perf_parser() -> argparse.ArgumentParser:
     record = sub.add_parser(
         "record", help="run one traced verification and save its metrics"
     )
-    _add_run_options(record)
+    add_run_options(record)
     record.add_argument(
         "--out", default="perf_snapshot.json", metavar="FILE",
         help="where to write the MetricsSnapshot JSON",
@@ -174,12 +155,15 @@ def perf_main(argv: Optional[List[str]] = None) -> int:
 
 def _perf_record(args: argparse.Namespace) -> int:
     try:
-        result = _run_traced(args)
+        result = verify_from_args(args)
     except (ReproError, ValueError) as exc:
         print(f"perf record failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2
-    snapshot = snapshot_from_result(result)
+    snapshot = snapshot_from_result(result, meta={
+        "criterion": args.criterion,
+        "bug": result.bug.describe() if result.bug is not None else None,
+    })
     snapshot.save(args.out)
     print(f"recorded {len(snapshot.metrics)} metrics -> {args.out}")
     if args.trace_out:
@@ -200,6 +184,19 @@ def _perf_compare(args: argparse.Namespace) -> int:
         overrides = [_parse_tolerance(text) for text in args.tol]
     except (OSError, ValueError) as exc:
         print(f"perf compare error: {exc}", file=sys.stderr)
+        return 2
+    differ = [
+        f"{name} {baseline.meta.get(name, default)!r} != "
+        f"{current.meta.get(name, default)!r}"
+        for name, default in RUN_FIELDS
+        if baseline.meta.get(name, default) != current.meta.get(name, default)
+    ]
+    if differ:
+        print(
+            "perf compare error: the snapshots measure different runs "
+            f"({'; '.join(differ)})",
+            file=sys.stderr,
+        )
         return 2
     rules = list(overrides) + list(DEFAULT_TOLERANCES)
     if args.default_rel is not None or args.default_abs is not None:
@@ -224,7 +221,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
             "Run one traced verification and export its span tree."
         ),
     )
-    _add_run_options(parser)
+    add_run_options(parser)
     parser.add_argument(
         "--format", choices=("tree", "json", "chrome"), default="tree",
         help="output format (default: human-readable tree)",
@@ -239,7 +236,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
 def trace_main(argv: Optional[List[str]] = None) -> int:
     args = build_trace_parser().parse_args(argv)
     try:
-        result = _run_traced(args)
+        result = verify_from_args(args)
     except (ReproError, ValueError) as exc:
         print(f"trace failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -12,9 +12,11 @@ The branch and load-store workload families
 wrong-path retirement, a dropped misprediction flush, stale store-to-load
 forwarding, and out-of-program-order store commit.  Those kinds only make
 sense in a design that actually hosts the corresponding logic, so
-:meth:`Bug.check_family` rejects, say, a ``stale-load-forward`` bug in a
+:meth:`Bug.check` rejects, say, a ``stale-load-forward`` bug in a
 ``reg-reg`` configuration instead of silently verifying an unbugged
-design.
+design; it equally rejects any bug planted in a slice or slot where the
+defect changes nothing.  The processor builder and the service's request
+parser both call it.
 """
 
 from __future__ import annotations
@@ -127,6 +129,51 @@ class Bug:
             raise ValueError(
                 f"bug {self.kind!r} targets load-store logic, but family "
                 f"{family.name!r} has no data memory"
+            )
+
+    def check(self, config) -> None:
+        """Reject a defect planted where ``config``'s design has no logic
+        for it: a family without the targeted logic
+        (:meth:`check_family`), or a slice or slot below which the defect
+        changes nothing.  Either way the "buggy" design would verify as
+        correct.
+
+        Args:
+            config: a :class:`repro.processor.params.ProcessorConfig`.
+
+        Raises:
+            ValueError: naming the bug and where it could be planted.
+        """
+        self.check_family(config.family_spec)
+        n, k, l = config.n_rob, config.issue_width, config.retire_width
+        if self.kind == BugKind.PC_SINGLE_INCREMENT:
+            if k < 2:
+                raise ValueError(
+                    f"bug {self.kind!r} needs issue width >= 2: it drops "
+                    "the second NextPC of a fetch group"
+                )
+            return
+        producer = "execution slices with an older producer"
+        producers = "execution slices with two older producers"
+        retirement = "retirement slots"
+        neighbour = "retirement slots after the first"
+        low, high, where = {
+            BugKind.FORWARD_WRONG_SOURCE: (2, n, producer),
+            BugKind.EXECUTE_IGNORES_HAZARD: (2, n, producer),
+            BugKind.FORWARD_STALE_RESULT: (3, n, producers),
+            BugKind.STALE_LOAD_FORWARD: (3, n, producers),
+            BugKind.RETIRE_WITHOUT_RESULT: (1, l, retirement),
+            BugKind.RETIRE_IGNORES_VALID: (1, l, retirement),
+            BugKind.RETIRE_OUT_OF_ORDER: (2, l, neighbour),
+            BugKind.STORE_ORDER: (2, l, neighbour),
+            BugKind.WRONG_PATH_RETIRE: (2, l, neighbour),
+            BugKind.DROPPED_FLUSH: (2, n + k, "slots with an older entry"),
+        }[self.kind]
+        if not low <= self.entry <= high:
+            raise ValueError(
+                f"bug {self.kind!r} at entry {self.entry} would change "
+                f"nothing: this design plants it in {where}, "
+                f"{low} <= entry <= {high}"
             )
 
     def describe(self) -> str:

@@ -186,8 +186,7 @@ def build_ooo_processor(
     n, k = config.n_rob, config.issue_width
     family = config.family_spec
     if bug is not None:
-        bug.check_family(family)
-        _check_placement(bug, config)
+        bug.check(config)
     has_b, has_m = family.has_branches, family.has_memory
     vars_by_name: Dict[str, Expr] = {}
 
@@ -246,43 +245,6 @@ def build_ooo_processor(
         nd_fetch=[bvar(f"NDFetch{j}") for j in range(1, k + 1)],
         vars=vars_by_name,
     )
-
-
-def _check_placement(bug: Bug, config: ProcessorConfig) -> None:
-    """Reject a defect planted where the design has no logic for it.
-
-    Anywhere else than the slices or slots below the defect changes
-    nothing, and the "buggy" design would verify as correct.
-    """
-    n, k, l = config.n_rob, config.issue_width, config.retire_width
-    if bug.kind == BugKind.PC_SINGLE_INCREMENT:
-        if k < 2:
-            raise ValueError(
-                f"bug {bug.kind!r} needs issue width >= 2: it drops the "
-                "second NextPC of a fetch group"
-            )
-        return
-    producer = "execution slices with an older producer"
-    producers = "execution slices with two older producers"
-    retirement = "retirement slots"
-    neighbour = "retirement slots after the first"
-    low, high, where = {
-        BugKind.FORWARD_WRONG_SOURCE: (2, n, producer),
-        BugKind.EXECUTE_IGNORES_HAZARD: (2, n, producer),
-        BugKind.FORWARD_STALE_RESULT: (3, n, producers),
-        BugKind.STALE_LOAD_FORWARD: (3, n, producers),
-        BugKind.RETIRE_WITHOUT_RESULT: (1, l, retirement),
-        BugKind.RETIRE_IGNORES_VALID: (1, l, retirement),
-        BugKind.RETIRE_OUT_OF_ORDER: (2, l, neighbour),
-        BugKind.STORE_ORDER: (2, l, neighbour),
-        BugKind.WRONG_PATH_RETIRE: (2, l, neighbour),
-        BugKind.DROPPED_FLUSH: (2, n + k, "slots with an older entry"),
-    }[bug.kind]
-    if not low <= bug.entry <= high:
-        raise ValueError(
-            f"bug {bug.kind!r} at entry {bug.entry} would change nothing: "
-            f"this design plants it in {where}, {low} <= entry <= {high}"
-        )
 
 
 # ----------------------------------------------------------------------

@@ -134,6 +134,16 @@ class RewriteResult:
     def succeeded(self) -> bool:
         return self.failure is None
 
+    @property
+    def memory_mode(self) -> str:
+        """The memory model ``reduced_formula`` is decided with.
+
+        The conservative abstraction (Table 5) is justified by the full
+        reduction; an unreduced formula is decided with the precise
+        model, like the Positive-Equality baseline.
+        """
+        return "conservative" if self.reduction == "full" else "precise"
+
 
 def rewrite_diagram(
     artifacts: DiagramArtifacts, criterion: str = "disjunction"

@@ -2,14 +2,15 @@
 
 A *submit request* is a JSON document describing a batch of
 verification jobs — either an explicit ``configs`` list or a ``grid``
-string (the campaign CLI's ``NxK,...`` shorthand), plus shared
-method/criterion/family/bug options (``family`` may also be set per
-config), certification and analysis switches, and
-optional per-attempt base budgets.  :meth:`SubmitRequest.parse`
-validates it into campaign :class:`~repro.campaign.jobs.Job` objects;
-:func:`job_options` distills the verdict-relevant options of one job
-into the mapping :func:`repro.core.keys.canonical_key` hashes for the
-result cache.
+string (the ``NxK,...`` shorthand of :func:`repro.core.cli.parse_grid`),
+plus shared method/criterion/family/bug options (``family`` may also be
+set per config), certification and analysis switches, and optional
+per-attempt base budgets.  :meth:`SubmitRequest.parse` validates it into
+campaign :class:`~repro.campaign.jobs.Job` objects, refusing any job
+that can only fail (an invalid configuration, or a bug its design has no
+logic for); :func:`job_options` distills the verdict-relevant options of
+one job into the mapping :func:`repro.core.keys.canonical_key` hashes for
+the result cache.
 
 Budgets are deliberately *not* part of :func:`job_options`: they bound
 the search, not the verdict, and the cache only ever stores definitive
@@ -19,21 +20,22 @@ outcomes (see :mod:`repro.service.cache`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..campaign.jobs import Job
+from ..core.cli import parse_grid
+from ..core.verifier import METHODS
 from ..errors import CampaignError
 from ..processor.bugs import BugKind
+from ..processor.correctness import CRITERIA
 from ..processor.families import family_names
 
-__all__ = ["ServiceError", "SubmitRequest", "job_options", "parse_grid"]
+__all__ = ["ServiceError", "SubmitRequest", "job_options"]
 
 #: Hard ceiling on jobs per submit: a single request cannot smuggle in
 #: an unbounded campaign; callers split larger sweeps across sessions.
 MAX_JOBS_PER_REQUEST = 256
 
-_METHODS = ("rewriting", "positive_equality")
-_CRITERIA = ("disjunction", "case_split")
 _BUDGET_FIELDS = (
     "max_conflicts", "max_seconds", "max_wall_seconds", "max_memory_mb",
 )
@@ -59,13 +61,6 @@ def _integer(value: Any, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ServiceError(400, f"{name} must be an integer, got {value!r}")
     return value
-
-
-def parse_grid(grid: str) -> List[Tuple[int, int]]:
-    """Parse the campaign CLI's ``N1xK1,N2xK2,...`` grid shorthand."""
-    from ..campaign.cli import _parse_grid
-
-    return _parse_grid(grid)
 
 
 def job_options(job: Job, certify: bool, analyze: bool) -> Dict[str, Any]:
@@ -113,15 +108,15 @@ class SubmitRequest:
                 400, f"unknown request field(s): {sorted(unknown)}"
             )
         method = payload.get("method", "rewriting")
-        if method not in _METHODS:
+        if method not in METHODS:
             raise ServiceError(
-                400, f"unknown method {method!r}; use one of {_METHODS}"
+                400, f"unknown method {method!r}; use one of {METHODS}"
             )
         criterion = payload.get("criterion", "disjunction")
-        if criterion not in _CRITERIA:
+        if criterion not in CRITERIA:
             raise ServiceError(
                 400,
-                f"unknown criterion {criterion!r}; use one of {_CRITERIA}",
+                f"unknown criterion {criterion!r}; use one of {CRITERIA}",
             )
         family = payload.get("family", "reg-reg")
         if not isinstance(family, str) or family not in family_names():
@@ -217,7 +212,7 @@ class SubmitRequest:
                 for n_rob, width in parse_grid(grid):
                     configs.append({"n_rob": n_rob, "issue_width": width,
                                     "retire_width": None, "family": family})
-            except CampaignError as exc:
+            except ValueError as exc:
                 raise ServiceError(400, str(exc))
         if not configs:
             raise ServiceError(
@@ -248,9 +243,17 @@ class SubmitRequest:
                 # (campaign semantics: a bad config lands INCONCLUSIVE);
                 # the service rejects it up front instead of admitting a
                 # job that can only fail.
-                job.config()
+                config = job.config()
             except (CampaignError, ValueError) as exc:
                 raise ServiceError(400, f"bad configuration {spec}: {exc}")
+            try:
+                bug = job.bug()
+                if bug is not None:
+                    bug.check(config)
+            except ValueError as exc:
+                raise ServiceError(
+                    400, f"bad bug for configuration {spec}: {exc}"
+                )
             # Duplicate configurations in one request keep distinct job
             # ids (the journal requires uniqueness); the session dedupes
             # them by cache key before any work runs.

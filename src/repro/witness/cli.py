@@ -6,6 +6,9 @@ Subcommands::
     witness explain --rob 4 --width 2 --bug pc-single-increment
     witness check --cnf formula.cnf --proof proof.drup
 
+``certify`` and ``explain`` take the single-run CLI's run flags, defaults
+included (:func:`repro.core.cli.add_run_options`).
+
 ``certify`` runs one verification with ``certify=True`` and reports the
 witness: for a correct design the solver's DRUP proof is re-checked by
 the independent reverse-unit-propagation checker; for a buggy one the
@@ -20,7 +23,7 @@ term-level counterexample and prints the full minimized diagnosis.
 solver involved at all — the offline trust anchor for CI artifacts.
 
 Exit status: 0 — the witness validated (proof checked / counterexample
-replayed); 1 — it did not; 2 — the SAT budget ran out; 3 — a structural
+replayed); 1 — it did not; 2 — a budget ran out; 3 — a structural
 error (no certifiable artifact, unparsable files, bad config).
 """
 
@@ -31,10 +34,8 @@ import json
 import sys
 from typing import List, Optional
 
+from ..core.cli import add_run_options, verify_from_args
 from ..errors import BudgetExhausted, ReproError, WitnessError
-from ..processor.bugs import Bug, BugKind
-from ..processor.families import family_names
-from ..processor.params import ProcessorConfig
 from .drup import DrupProof, check_drup
 
 __all__ = ["build_parser", "main"]
@@ -51,43 +52,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_options(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--rob", type=int, default=4, help="ROB size N")
-        cmd.add_argument("--width", type=int, default=2, help="issue width k")
-        cmd.add_argument(
-            "--retire-width", type=int, default=None, help="retire width l"
-        )
-        cmd.add_argument(
-            "--family",
-            choices=family_names(),
-            default="reg-reg",
-            help="workload family (default: reg-reg)",
-        )
-        cmd.add_argument(
-            "--method",
-            choices=("rewriting", "positive_equality"),
-            default="rewriting",
-        )
-        cmd.add_argument(
-            "--criterion",
-            choices=("disjunction", "case_split"),
-            default="disjunction",
-        )
-        cmd.add_argument("--bug", choices=BugKind.ALL, default=None)
-        cmd.add_argument("--entry", type=int, default=1)
-        cmd.add_argument("--operand", type=int, choices=(1, 2), default=1)
-        cmd.add_argument("--max-conflicts", type=int, default=None)
-        cmd.add_argument("--max-seconds", type=float, default=None)
+    certify = sub.add_parser(
+        "certify", help="verify one configuration and validate its witness"
+    )
+    explain = sub.add_parser(
+        "explain",
+        help="verify a (buggy) configuration and print the minimized "
+        "term-level counterexample diagnosis",
+    )
+    for cmd in (certify, explain):
+        add_run_options(cmd)
         cmd.add_argument(
             "--json",
             action="store_true",
             help="print the witness summary as JSON instead of text",
         )
-
-    certify = sub.add_parser(
-        "certify", help="verify one configuration and validate its witness"
-    )
-    add_run_options(certify)
     certify.add_argument(
         "--proof-out",
         metavar="FILE",
@@ -99,42 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the exact CNF the proof certifies here (DIMACS)",
     )
 
-    explain = sub.add_parser(
-        "explain",
-        help="verify a (buggy) configuration and print the minimized "
-        "term-level counterexample diagnosis",
-    )
-    add_run_options(explain)
-
     check = sub.add_parser(
         "check", help="re-check a stored DRUP proof against a stored CNF"
     )
     check.add_argument("--cnf", required=True, metavar="FILE")
     check.add_argument("--proof", required=True, metavar="FILE")
     return parser
-
-
-def _run_certified(args: argparse.Namespace):
-    from ..core import verify
-
-    config = ProcessorConfig(
-        n_rob=args.rob,
-        issue_width=args.width,
-        retire_width=args.retire_width,
-        family=args.family,
-    )
-    bug = None
-    if args.bug is not None:
-        bug = Bug(args.bug, entry=args.entry, operand=args.operand)
-    return verify(
-        config,
-        method=args.method,
-        bug=bug,
-        criterion=args.criterion,
-        max_conflicts=args.max_conflicts,
-        max_seconds=args.max_seconds,
-        certify=True,
-    )
 
 
 def _emit(witness, as_json: bool) -> None:
@@ -145,7 +94,7 @@ def _emit(witness, as_json: bool) -> None:
 
 
 def _certify_main(args: argparse.Namespace) -> int:
-    result = _run_certified(args)
+    result = verify_from_args(args, certify=True)
     witness = result.witness
     print(result.summary())
     _emit(witness, args.json)
@@ -179,7 +128,7 @@ def _certify_main(args: argparse.Namespace) -> int:
 
 
 def _explain_main(args: argparse.Namespace) -> int:
-    result = _run_certified(args)
+    result = verify_from_args(args, certify=True)
     witness = result.witness
     if witness.kind != "counterexample":
         print(

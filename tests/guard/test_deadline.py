@@ -12,6 +12,7 @@ from repro.guard import (
     current_deadline,
     use_deadline,
 )
+from repro.guard.deadline import TICK_EVERY
 
 
 class TestBudgets:
@@ -31,33 +32,22 @@ class TestBudgets:
         assert info.value.stage == "encode.eij"
         assert info.value.seconds > 0.0
 
-    def test_cpu_budget_expires(self):
-        deadline = Deadline(max_cpu_seconds=0.0)
-        # Burn a little CPU so process_time visibly advances.
-        sum(i * i for i in range(200_000))
-        with pytest.raises(BudgetExhausted) as info:
-            deadline.check("rewrite")
-        assert info.value.budget_kind == "cpu"
-        assert info.value.stage == "rewrite"
-
     def test_remaining_clamps_to_zero(self):
         deadline = Deadline(max_wall_seconds=0.0)
         time.sleep(0.005)
         assert deadline.remaining_wall() == 0.0
-        assert deadline.remaining_cpu() is None
 
     def test_elapsed_clocks_advance(self):
         deadline = Deadline()
         time.sleep(0.01)
         assert deadline.elapsed_wall() >= 0.01
-        assert deadline.elapsed_cpu() >= 0.0
 
 
 class TestTicks:
     def test_tick_checks_only_every_interval(self):
-        deadline = Deadline(max_wall_seconds=0.0, tick_every=64)
+        deadline = Deadline(max_wall_seconds=0.0)
         time.sleep(0.005)
-        for _ in range(63):
+        for _ in range(TICK_EVERY - 1):
             deadline.tick("sat")  # below the interval: no check, no raise
         assert deadline.checks == 0
         with pytest.raises(BudgetExhausted):
@@ -155,11 +145,11 @@ class TestAmbient:
 
 class TestCounters:
     def test_counters_report_activity(self):
-        deadline = Deadline(tick_every=4)
+        deadline = Deadline()
         deadline.check("a")
-        for _ in range(8):
+        for _ in range(2 * TICK_EVERY):
             deadline.tick("b")
         counters = deadline.counters()
         assert counters["guard.checks"] == 3.0  # 1 explicit + 2 from ticks
-        assert counters["guard.ticks"] == 8.0
+        assert counters["guard.ticks"] == 2 * TICK_EVERY
         assert counters["guard.heartbeats"] == 0.0

@@ -75,7 +75,7 @@ class TestAccounting:
 class TestDeadlineIntegration:
     def test_ticks_charge_nodes_to_the_budget(self):
         budget = MemoryBudget(1 << 30)
-        deadline = Deadline(memory=budget, tick_every=1000)
+        deadline = Deadline(memory=budget)
         for _ in range(10):
             deadline.tick("encode.tseitin")
         assert budget.charged_nodes == 10

@@ -120,6 +120,47 @@ class TestPerfRecordCompare:
         assert csv.read_text().startswith("metric,value\n")
 
 
+class TestRunIdentity:
+    def test_snapshot_of_another_size_is_a_setup_error(self, tmp_path, capsys):
+        # Every count of a 3x2 run is below the 4x2 baseline's, so only
+        # the run check stops the gate from passing it.
+        current = tmp_path / "current.json"
+        assert perf_main(
+            ["record", "--rob", "3", "--width", "2", "--out", str(current)]
+        ) == 0
+        capsys.readouterr()
+        assert perf_main(["compare", str(BASELINE), str(current)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("perf compare error: ")
+        assert "config 'OOO processor: 4-entry ROB" in err
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--method", "positive_equality"], "method"),
+        (["--criterion", "case_split"], "criterion"),
+        (["--bug", "forward-wrong-source", "--entry", "2"], "bug"),
+    ])
+    def test_snapshot_of_another_check_is_a_setup_error(
+        self, flags, field, tmp_path, capsys
+    ):
+        base, current = tmp_path / "base.json", tmp_path / "current.json"
+        perf_main(["record", *RUN, "--out", str(base)])
+        perf_main(["record", *RUN, *flags, "--out", str(current)])
+        capsys.readouterr()
+        assert perf_main(["compare", str(base), str(current)]) == 2
+        err = capsys.readouterr().err
+        assert f"({field} " in err and "config" not in err
+
+    def test_missing_fields_read_as_their_defaults(self, tmp_path, capsys):
+        base, current = tmp_path / "base.json", tmp_path / "current.json"
+        perf_main(["record", *RUN, "--out", str(current)])
+        snapshot = MetricsSnapshot.load(current)
+        assert (snapshot.meta["criterion"], snapshot.meta["bug"]) == \
+            ("disjunction", None)
+        del snapshot.meta["criterion"], snapshot.meta["bug"]
+        snapshot.save(base)
+        assert perf_main(["compare", str(base), str(current)]) == 0
+
+
 class TestTraceCommand:
     def test_tree_output(self, capsys):
         assert trace_main([*RUN]) == 0
@@ -182,3 +223,22 @@ class TestCommittedBaseline:
         assert set(MetricsSnapshot.load(current).metrics) == set(
             MetricsSnapshot.load(BASELINE).metrics
         )
+
+    def test_fresh_record_has_the_baseline_counts(self, tmp_path):
+        current = tmp_path / "current.json"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        record = subprocess.run(
+            [sys.executable, "-m", "repro", "perf", "record",
+             "--rob", "4", "--width", "2", "--out", str(current)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert record.returncode == 0, record.stderr
+
+        def counts(path):
+            return {
+                name: value
+                for name, value in MetricsSnapshot.load(path).metrics.items()
+                if not name.startswith(("cpu.", "timings."))
+            }
+
+        assert counts(current) == counts(BASELINE)

@@ -156,6 +156,21 @@ class TestParseRejections:
         assert _status(excinfo) == 400
         assert field in str(excinfo.value)
 
+    @pytest.mark.parametrize("payload", [
+        {"grid": "4x2", "bug": {"kind": "store-order", "entry": 2}},
+        {"grid": "4x2",
+         "bug": {"kind": "forward-wrong-source", "entry": 2, "operand": 3}},
+        {"grid": "4x2", "bug": {"kind": "forward-wrong-source", "entry": 9}},
+        {"grid": "4x1", "bug": {"kind": "pc-single-increment"}},
+    ], ids=["family-lacks-memory", "operand-3", "entry-past-rob",
+            "width-1-pc-bug"])
+    def test_bug_that_can_only_fail_is_a_400_naming_it(self, payload):
+        # Admitted, each job would spend its attempts and end INCONCLUSIVE.
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse(payload)
+        assert _status(excinfo) == 400
+        assert "bug" in str(excinfo.value)
+
     def test_job_ceiling(self):
         configs = [{"n_rob": 2, "issue_width": 1}] * (
             MAX_JOBS_PER_REQUEST + 1
