@@ -25,7 +25,8 @@ def _experiment():
     correct = verify(config)
 
     try:
-        verify(config, method="positive_equality", bug=bug, max_seconds=PE_BUDGET)
+        verify(config, method="positive_equality", bug=bug,
+               max_wall_seconds=PE_BUDGET)
         pe_only = "finished (unexpected at this size)"
     except TimeoutError:
         pe_only = f">{PE_BUDGET:.0f}s (budget, cf. paper's out-of-memory)"

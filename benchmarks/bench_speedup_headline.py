@@ -22,7 +22,9 @@ PE_BUDGET = 600.0 if FULL else 120.0
 
 
 def _experiment():
-    pe = verify(COMPARE, method="positive_equality", max_seconds=PE_BUDGET)
+    pe = verify(
+        COMPARE, method="positive_equality", max_wall_seconds=PE_BUDGET
+    )
     rw = verify(COMPARE, method="rewriting")
     beyond = verify(BEYOND, method="rewriting")
     return pe, rw, beyond

@@ -4,7 +4,7 @@ when only Positive Equality (no rewriting rules) is used.
 The paper shows a ~3-orders-of-magnitude jump from an 4-entry to an
 8-entry reorder buffer and an out-of-memory failure (4 GB) at 16 entries.
 At this reproduction's scale the same super-exponential wall appears a few
-sizes earlier; a CPU-time budget plays the role of the paper's memory
+sizes earlier; a wall-clock budget plays the role of the paper's memory
 limit and exhausted cells are reported as ``>budget``.
 """
 
@@ -32,7 +32,7 @@ def _sweep():
                 result = verify(
                     ProcessorConfig(n_rob=size, issue_width=width),
                     method="positive_equality",
-                    max_seconds=PE_ONLY_BUDGET_SECONDS,
+                    max_wall_seconds=PE_ONLY_BUDGET_SECONDS,
                 )
                 assert result.correct, "correct design reported buggy"
                 cpu = layer_cpu(result.trace.children, "sat")

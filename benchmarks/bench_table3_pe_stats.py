@@ -8,6 +8,8 @@ scale; the row structure matches the paper's.
 """
 
 from repro.core import render_rows
+from repro.errors import BudgetExhausted
+from repro.guard import Deadline, use_deadline
 from repro.obs import Tracer, use_tracer
 from repro.processor import ProcessorConfig, build_correctness_formula, run_diagram
 from repro.encode import encode_validity
@@ -30,13 +32,13 @@ def _sweep():
         phi = build_correctness_formula(artifacts)
         encoded = encode_validity(phi, memory_mode="precise")
         tracer = Tracer()
-        with use_tracer(tracer):
-            sat = solve_cnf(encoded.cnf, max_seconds=PE_ONLY_BUDGET_SECONDS)
-        cpu = (
-            f"{layer_cpu(tracer.roots, 'sat'):.2f}"
-            if sat.status != "unknown"
-            else f">{PE_ONLY_BUDGET_SECONDS:.0f}"
-        )
+        budget = Deadline(max_wall_seconds=PE_ONLY_BUDGET_SECONDS)
+        try:
+            with use_tracer(tracer), use_deadline(budget):
+                solve_cnf(encoded.cnf)
+            cpu = f"{layer_cpu(tracer.roots, 'sat'):.2f}"
+        except BudgetExhausted:
+            cpu = f">{PE_ONLY_BUDGET_SECONDS:.0f}"
         stats = encoded.stats
         columns[width] = [
             stats.eij_primary,

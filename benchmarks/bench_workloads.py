@@ -78,7 +78,7 @@ def _cell(family: str, method: str, size: int) -> dict:
     }
     start = time.time()
     try:
-        result = verify(config, method=method, max_seconds=BUDGET_SECONDS)
+        result = verify(config, method=method, max_wall_seconds=BUDGET_SECONDS)
     except TimeoutError:
         row.update(status="budget", wall_seconds=round(time.time() - start, 2))
         return row

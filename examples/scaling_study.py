@@ -23,7 +23,7 @@ def run_pe(size: int) -> str:
         result = verify(
             ProcessorConfig(n_rob=size, issue_width=min(WIDTH, size)),
             method="positive_equality",
-            max_seconds=PE_BUDGET_SECONDS,
+            max_wall_seconds=PE_BUDGET_SECONDS,
         )
         return f"{result.timings['total']:.2f}s ({result.encoding_stats.cnf_clauses} clauses)"
     except TimeoutError:

@@ -7,7 +7,7 @@ Single-run examples::
     python -m repro --rob 2 --width 1 --method positive_equality
     python -m repro --rob 8 --width 2 --family mem
     python -m repro --rob 4 --width 2 --family branch --bug dropped-flush --entry 2
-    python -m repro --rob 16 --width 4 --max-conflicts 50000 --max-seconds 30
+    python -m repro --rob 16 --width 4 --max-conflicts 50000 --deadline 30
 
 Campaign mode (batches with retries, budget escalation and a crash-safe
 journal; see :mod:`repro.campaign.cli`)::
@@ -49,9 +49,10 @@ Version (package + rule-registry provenance, one line each)::
     python -m repro --version
 
 Exit status of a single run: 0 — the design was proved correct; 1 — a bug
-was found; 2 — the SAT budget was exhausted before a verdict; 3 — an
-invalid configuration or another structured verification error (including
-strict-mode soundness findings).
+was found; 2 — a budget (conflicts, deadline, memory) ran out before a
+verdict; 3 — an invalid configuration (a negative budget included) or
+another structured verification error (including strict-mode soundness
+findings).
 """
 
 from __future__ import annotations
@@ -179,9 +180,8 @@ def main(argv=None) -> int:
         stage_text = f" in stage {exc.stage!r}" if exc.stage else ""
         print(
             f"budget exhausted{spent_text}{stage_text}: {exc}\n"
-            "hint: raise --max-conflicts/--max-seconds/--deadline/"
-            "--max-memory, or use 'python -m repro campaign' for "
-            "automatic budget escalation",
+            "hint: raise --max-conflicts/--deadline/--max-memory, or use "
+            "'python -m repro campaign' for automatic budget escalation",
             file=sys.stderr,
         )
         return 2

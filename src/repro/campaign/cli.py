@@ -171,7 +171,10 @@ def _collect_jobs(args: argparse.Namespace) -> Optional[List[Job]]:
     jobs: List[Job] = []
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+            try:
+                payload = json.load(handle)
+            except ValueError as exc:
+                raise CampaignError(f"{args.spec}: not JSON: {exc}") from None
         if not isinstance(payload, list):
             raise CampaignError(
                 f"{args.spec}: expected a JSON list of job dicts"
@@ -194,7 +197,6 @@ def _collect_jobs(args: argparse.Namespace) -> Optional[List[Job]]:
                     bug_entry=args.entry,
                     bug_operand=args.operand,
                     max_conflicts=args.max_conflicts,
-                    max_seconds=args.max_seconds,
                     max_wall_seconds=args.deadline,
                     max_memory_mb=args.max_memory,
                 )
@@ -220,7 +222,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 base_conflicts=args.max_conflicts
                 if args.max_conflicts is not None
                 else RetryPolicy.base_conflicts,
-                base_seconds=args.max_seconds,
                 base_wall_seconds=args.deadline,
                 base_memory_mb=args.max_memory,
             ),

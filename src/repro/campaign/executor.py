@@ -115,15 +115,15 @@ class JobExecutor:
         used = 0
         last_detail = ""
         for attempt in range(start_attempt, self.retry.max_attempts + 1):
-            max_conflicts, max_seconds = self.retry.budget_for(job, attempt)
-            max_wall, max_memory = self.retry.guard_budget_for(job, attempt)
+            max_conflicts, max_wall, max_memory = self.retry.budget_for(
+                job, attempt
+            )
             start_event: Dict[str, object] = {
                 "event": "start",
                 "job_id": job.job_id,
                 "attempt": attempt,
                 "method": method,
                 "max_conflicts": max_conflicts,
-                "max_seconds": max_seconds,
             }
             # Guard budgets ride in the start record only when enforced,
             # so journals of unsupervised campaigns keep their old shape.
@@ -168,7 +168,6 @@ class JobExecutor:
                         bug=job.bug(),
                         criterion=job.criterion,
                         max_conflicts=max_conflicts,
-                        max_seconds=max_seconds,
                         **extra,
                     )
             except (BudgetExhausted, MemoryError) as exc:

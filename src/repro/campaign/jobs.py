@@ -2,7 +2,7 @@
 
 A :class:`Job` is a fully serializable description of one verification
 run — processor configuration, method, optional planted bug, and the
-*base* SAT budget of the first attempt (the runner escalates it on
+*base* budgets of the first attempt (the runner escalates them on
 retries).  A :class:`JobResult` is the terminal record the campaign
 produces for every job; its ``status`` is always one of
 :data:`TERMINAL_STATES`.
@@ -11,14 +11,14 @@ produces for every job; its ``status`` is always one of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.results import VerificationResult
 from ..errors import CampaignError
 from ..processor.bugs import Bug
 from ..processor.params import ProcessorConfig
 
-__all__ = ["TERMINAL_STATES", "Job", "JobResult"]
+__all__ = ["TERMINAL_STATES", "BUDGET_FIELDS", "Job", "JobResult"]
 
 #: Every job ends in exactly one of these states.  ``PROVED`` — the design
 #: satisfies the Burch–Dill criterion; ``BUG_FOUND`` — verification
@@ -26,6 +26,30 @@ __all__ = ["TERMINAL_STATES", "Job", "JobResult"]
 #: ``INCONCLUSIVE`` — every budget/fallback was exhausted without a
 #: verdict (the campaign analogue of the paper's out-of-memory entries).
 TERMINAL_STATES = ("PROVED", "BUG_FOUND", "INCONCLUSIVE")
+
+#: The JSON type of every job-spec field, and whether it may be null.
+_SPEC_TYPES: Dict[str, Tuple[Tuple[type, ...], bool]] = {
+    "job_id": ((str,), False),
+    "n_rob": ((int,), False),
+    "issue_width": ((int,), False),
+    "retire_width": ((int,), True),
+    "family": ((str,), False),
+    "method": ((str,), False),
+    "criterion": ((str,), False),
+    "bug_kind": ((str,), True),
+    "bug_entry": ((int,), False),
+    "bug_operand": ((int,), False),
+    "max_conflicts": ((int,), True),
+    "max_wall_seconds": ((int, float), True),
+    "max_memory_mb": ((int, float), True),
+}
+
+_TYPE_NAMES = {
+    (str,): "a string", (int,): "an integer", (int, float): "a number",
+}
+
+#: The job fields holding a base budget of the first attempt.
+BUDGET_FIELDS = ("max_conflicts", "max_wall_seconds", "max_memory_mb")
 
 
 @dataclass(frozen=True)
@@ -43,12 +67,10 @@ class Job:
     bug_kind: Optional[str] = None
     bug_entry: int = 1
     bug_operand: int = 1
-    #: base budgets of attempt 1; ``None`` defers to the runner's policy.
-    max_conflicts: Optional[int] = None
-    max_seconds: Optional[float] = None
-    #: base *supervision* budgets of attempt 1 — a pipeline-wide wall
-    #: deadline and memory ceiling (see :mod:`repro.guard`); ``None``
+    #: base budgets of attempt 1 — SAT conflicts, the run's wall-clock
+    #: deadline and its memory ceiling (see :mod:`repro.guard`); ``None``
     #: defers to the runner's policy, which may also leave them unset.
+    max_conflicts: Optional[int] = None
     max_wall_seconds: Optional[float] = None
     max_memory_mb: Optional[float] = None
 
@@ -96,20 +118,53 @@ class Job:
             "bug_entry": self.bug_entry,
             "bug_operand": self.bug_operand,
             "max_conflicts": self.max_conflicts,
-            "max_seconds": self.max_seconds,
             "max_wall_seconds": self.max_wall_seconds,
             "max_memory_mb": self.max_memory_mb,
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Job":
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise CampaignError(
-                f"job spec has unknown field(s): {sorted(unknown)}"
-            )
+    def from_dict(cls, data: Any) -> "Job":
+        """The job a :meth:`to_dict` spec describes.
+
+        Raises :class:`CampaignError` naming the field for a spec of the
+        wrong JSON shape or a negative budget.  Value ranges stay with
+        :class:`ProcessorConfig`, so a bad size still lands the job
+        ``INCONCLUSIVE``.  Specs written while jobs had a SAT-only
+        ``max_seconds`` budget carry ``"max_seconds": null``, which is
+        dropped; a non-null one is refused.
+        """
+        if not isinstance(data, Mapping):
+            raise CampaignError(f"job spec must be an object, got {data!r}")
+        data = dict(data)
         if "job_id" not in data:
             raise CampaignError("job spec is missing 'job_id'")
+        where = f"job spec {data['job_id']!r}"
+        if data.pop("max_seconds", None) is not None:
+            raise CampaignError(
+                f"{where}: max_seconds is gone; use max_wall_seconds, "
+                "the run's wall-clock deadline"
+            )
+        unknown = set(data) - set(_SPEC_TYPES)
+        if unknown:
+            raise CampaignError(
+                f"{where} has unknown field(s): {sorted(unknown)}"
+            )
+        for name, value in data.items():
+            types, nullable = _SPEC_TYPES[name]
+            if value is None and nullable:
+                continue
+            if isinstance(value, bool) or not isinstance(value, types):
+                expected = _TYPE_NAMES[types]
+                if nullable:
+                    expected += " or null"
+                raise CampaignError(
+                    f"{where}: {name} must be {expected}, got {value!r}"
+                )
+        for name in BUDGET_FIELDS:
+            if data.get(name) is not None and data[name] < 0:
+                raise CampaignError(
+                    f"{where}: {name} must not be negative, got {data[name]!r}"
+                )
         return cls(**data)
 
     @classmethod

@@ -89,29 +89,13 @@ def _campaign_context() -> multiprocessing.context.BaseContext:
 def _worker_main(
     worker_id: int, inbox: Any, outbox: Any, options: Dict[str, Any]
 ) -> None:
-    """Worker entry: install the session pool, then pull job tasks."""
-    from ..sat.solver import SessionPool, use_session_pool
+    """Worker entry: pull job tasks until the ``None`` shutdown sentinel."""
+    from ..guard.deadline import Deadline, use_deadline
+    from ..obs.tracer import Tracer, use_tracer
 
     verify_fn = options.get("verify_fn")
     if verify_fn is None:
         from ..core.verifier import verify as verify_fn
-
-    # The session pool is per-process state, installed once OUTSIDE the
-    # task loop: it only pays off if it survives from one job to the next.
-    with use_session_pool(SessionPool()):
-        _worker_loop(worker_id, inbox, outbox, options, verify_fn)
-
-
-def _worker_loop(
-    worker_id: int,
-    inbox: Any,
-    outbox: Any,
-    options: Dict[str, Any],
-    verify_fn: Callable,
-) -> None:
-    """Pull job tasks until the ``None`` shutdown sentinel."""
-    from ..guard.deadline import Deadline, use_deadline
-    from ..obs.tracer import Tracer, use_tracer
 
     while True:
         task = inbox.get()

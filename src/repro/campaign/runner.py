@@ -42,7 +42,6 @@ from ..guard.breaker import SHORT_CIRCUIT_PREFIX, CircuitBreaker
 from ..guard.deadline import Deadline, use_deadline
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer, use_tracer
-from ..sat.solver import SessionPool, use_session_pool
 from .executor import JobExecutor
 from .faults import FaultPlan
 from .jobs import Job, JobResult
@@ -55,20 +54,18 @@ __all__ = ["RetryPolicy", "DegradePolicy", "CampaignRunner", "CampaignReport"]
 class RetryPolicy:
     """Budget and escalation schedule for verification attempts.
 
-    Attempt ``a`` (1-based) runs with ``base * escalation**(a - 1)``
-    conflicts/seconds, the conflicts capped at ``conflicts_cap``.  The
-    base comes from the job when set, otherwise from this policy; a base
-    of ``None`` means unbounded (no budget of that kind is enforced).
+    Attempt ``a`` (1-based) runs with ``base * escalation**(a - 1)`` of
+    each budget — SAT conflicts, the run's wall-clock deadline and its
+    memory ceiling (see :mod:`repro.guard`) — the conflicts capped at
+    ``conflicts_cap``.  The base comes from the job when set, otherwise
+    from this policy; a base of ``None`` means unbounded (no budget of
+    that kind is enforced).  By default only the conflicts are bounded.
     """
 
     max_attempts: int = 3
     escalation: float = 2.0
     base_conflicts: Optional[int] = 100_000
     conflicts_cap: int = 2_000_000
-    base_seconds: Optional[float] = None
-    #: supervision budgets (see :mod:`repro.guard`): a pipeline-wide wall
-    #: deadline and memory ceiling per attempt, escalated like the SAT
-    #: budgets.  ``None`` (the default) enforces neither.
     base_wall_seconds: Optional[float] = None
     base_memory_mb: Optional[float] = None
 
@@ -77,36 +74,33 @@ class RetryPolicy:
             raise CampaignError("max_attempts must be at least 1")
         if self.escalation < 1.0:
             raise CampaignError("escalation factor must be >= 1")
+        for name in ("base_conflicts", "base_wall_seconds", "base_memory_mb"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise CampaignError(
+                    f"{name} must not be negative, got {value!r}"
+                )
 
     def budget_for(
         self, job: Job, attempt: int
-    ) -> Tuple[Optional[int], Optional[float]]:
-        """The (max_conflicts, max_seconds) budget of one attempt."""
+    ) -> Tuple[Optional[int], Optional[float], Optional[float]]:
+        """The (max_conflicts, max_wall_seconds, max_memory_mb) budgets of
+        one attempt — all escalated alike, so a conflict, wall-clock or
+        memory kill retries bigger, the paper's 4 GB-limit protocol."""
         factor = self.escalation ** (attempt - 1)
-        base_c = job.max_conflicts if job.max_conflicts is not None \
-            else self.base_conflicts
-        conflicts = None
-        if base_c is not None:
-            conflicts = min(int(base_c * factor), self.conflicts_cap)
-        base_s = job.max_seconds if job.max_seconds is not None \
-            else self.base_seconds
-        seconds = None if base_s is None else base_s * factor
-        return conflicts, seconds
 
-    def guard_budget_for(
-        self, job: Job, attempt: int
-    ) -> Tuple[Optional[float], Optional[float]]:
-        """The (max_wall_seconds, max_memory_mb) supervision budget of one
-        attempt — escalated exactly like the SAT budget, so a wall-clock
-        or memory kill retries bigger, the paper's 4 GB-limit protocol."""
-        factor = self.escalation ** (attempt - 1)
-        base_w = job.max_wall_seconds if job.max_wall_seconds is not None \
-            else self.base_wall_seconds
-        wall = None if base_w is None else base_w * factor
-        base_m = job.max_memory_mb if job.max_memory_mb is not None \
-            else self.base_memory_mb
-        memory = None if base_m is None else base_m * factor
-        return wall, memory
+        def scaled(mine, default):
+            base = mine if mine is not None else default
+            return None if base is None else base * factor
+
+        conflicts = scaled(job.max_conflicts, self.base_conflicts)
+        if conflicts is not None:
+            conflicts = min(int(conflicts), self.conflicts_cap)
+        return (
+            conflicts,
+            scaled(job.max_wall_seconds, self.base_wall_seconds),
+            scaled(job.max_memory_mb, self.base_memory_mb),
+        )
 
 
 @dataclass(frozen=True)
@@ -378,13 +372,9 @@ class CampaignRunner:
     # ------------------------------------------------------------------
 
     def _check_spec_drift(self, job: Job, journaled: Dict[str, object]) -> None:
-        """Raise when a supplied job disagrees with its journaled spec."""
-        try:
-            recorded = Job.from_dict(journaled).to_dict()
-        except CampaignError:
-            # A spec this build cannot even parse would be replaced
-            # wholesale; the drift check only guards silent divergence.
-            return
+        """Raise when a supplied job disagrees with its journaled spec, or
+        the journaled spec is one this build refuses."""
+        recorded = Job.from_dict(journaled).to_dict()
         current = job.to_dict()
         drifted = sorted(
             name for name in current if current[name] != recorded.get(name)
@@ -496,22 +486,6 @@ class CampaignRunner:
             log=self._log,
             fault_journal=journal,
         )
-        # One live session pool for the whole batch: same-digest CNFs
-        # across jobs (and across a job's escalation retries) resume
-        # incrementally.
-        with use_session_pool(SessionPool()):
-            self._run_jobs_inline(
-                executor, to_run, journal, failed_attempts, results
-            )
-
-    def _run_jobs_inline(
-        self,
-        executor: JobExecutor,
-        to_run: List[Job],
-        journal: Journal,
-        failed_attempts: Dict[Tuple[str, str], int],
-        results: Dict[str, JobResult],
-    ) -> None:
         for job in to_run:
             if self._breaker is not None and self._breaker.is_open(
                 job.breaker_key()

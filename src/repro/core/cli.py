@@ -104,20 +104,12 @@ def add_check_options(parser: argparse.ArgumentParser) -> None:
         help="abort when the SAT solver exceeds this many conflicts",
     )
     parser.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="abort when SAT solving exceeds this wall-clock budget",
-    )
-    parser.add_argument(
         "--deadline",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="pipeline-wide wall-clock deadline, enforced at every stage "
-        "(simulation, rewriting, encoding, SAT, witness) — unlike "
-        "--max-seconds, which only the SAT solver honors",
+        help="wall-clock deadline for the whole run, enforced at every "
+        "stage (simulation, rewriting, encoding, SAT, witness)",
     )
     parser.add_argument(
         "--max-memory",
@@ -183,7 +175,6 @@ def verify_from_args(
         bug=bug,
         criterion=args.criterion,
         max_conflicts=args.max_conflicts,
-        max_seconds=args.max_seconds,
         max_wall_seconds=args.deadline,
         max_memory_mb=args.max_memory,
         **options,

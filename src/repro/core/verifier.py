@@ -77,7 +77,6 @@ def _run_traced(
     bug: Optional[Bug],
     criterion: str,
     max_conflicts: Optional[int],
-    max_seconds: Optional[float],
     certify: bool = False,
 ) -> VerificationResult:
     """The pipeline proper, run under an open "verify" span."""
@@ -100,7 +99,6 @@ def _run_traced(
             rewrite.reduced_formula,
             memory_mode=rewrite.memory_mode,
             max_conflicts=max_conflicts,
-            max_seconds=max_seconds,
             log_proof=certify,
         )
         return VerificationResult(
@@ -118,7 +116,6 @@ def _run_traced(
         formula,
         memory_mode="precise",
         max_conflicts=max_conflicts,
-        max_seconds=max_seconds,
         log_proof=certify,
     )
     return VerificationResult(
@@ -137,7 +134,6 @@ def verify(
     bug: Optional[Bug] = None,
     criterion: str = "disjunction",
     max_conflicts: Optional[int] = None,
-    max_seconds: Optional[float] = None,
     max_wall_seconds: Optional[float] = None,
     max_memory_mb: Optional[float] = None,
     analyze: bool = False,
@@ -153,19 +149,20 @@ def verify(
         bug: optional planted defect (see :mod:`repro.processor.bugs`).
         criterion: ``"disjunction"`` (the paper's formula) or
             ``"case_split"`` (the stronger fetch-count criterion).
-        max_conflicts / max_seconds: SAT budget; raises
+        max_conflicts: SAT conflict budget; raises
             :class:`repro.errors.BudgetExhausted` (a :class:`TimeoutError`
             subclass) when exhausted — this plays the role of the paper's
             4 GB memory limit in the scaling experiments.  The exception's
             ``timings`` dict still carries the phase timings accumulated
             before the abort, and its ``seconds`` the "sat" span's.
-        max_wall_seconds: *pipeline-wide* wall-clock deadline,
-            enforced cooperatively at every stage (tlsim, rewriting, each
-            encoding stage, the SAT loop, witness reconstruction) via an
-            ambient :class:`repro.guard.Deadline`; raises
+        max_wall_seconds: the run's wall-clock deadline, enforced
+            cooperatively at every stage (tlsim, rewriting, each encoding
+            stage, the SAT loop, witness reconstruction) via an ambient
+            :class:`repro.guard.Deadline`; raises
             :class:`repro.errors.BudgetExhausted` whose ``stage`` names
-            the layer that hit the limit.  Unlike ``max_seconds`` (which
-            only the SAT solver honors), this bounds the whole run.
+            the layer that hit the limit.  Zero is legal (an immediate
+            exhaustion); a negative budget of either kind is a
+            ``ValueError``.
         max_memory_mb: memory budget for the run (charged DAG-node and
             learned-clause counters plus sampling; see
             :class:`repro.guard.MemoryBudget`); raises
@@ -194,6 +191,12 @@ def verify(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; use one of {METHODS}")
+    for name, budget in (
+        ("max_conflicts", max_conflicts),
+        ("max_wall_seconds", max_wall_seconds),
+    ):
+        if budget is not None and budget < 0:
+            raise ValueError(f"{name} must not be negative, got {budget!r}")
     analyze = analyze or strict
     guard_deadline = None
     guard_scope = nullcontext()
@@ -213,8 +216,7 @@ def verify(
         with guard_scope, use_tracer(tracer):
             with tracer.span("verify"):
                 result = _run_traced(
-                    config, method, bug, criterion, max_conflicts,
-                    max_seconds, certify,
+                    config, method, bug, criterion, max_conflicts, certify,
                 )
                 if analyze:
                     from ..analysis.pipeline import analyze_verification

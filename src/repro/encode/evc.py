@@ -208,13 +208,12 @@ def check_validity(
     memory_mode: str = "precise",
     cnf_encoding: str = "polarity",
     max_conflicts: Optional[int] = None,
-    max_seconds: Optional[float] = None,
     log_proof: bool = False,
 ) -> ValidityResult:
     """Encode ``phi`` and decide its validity with the CDCL solver.
 
-    The CNF goes through :func:`repro.sat.solver.solve_cnf`, which
-    resumes a live solver when a session pool is ambient.
+    The CNF goes through :func:`repro.sat.solver.solve_cnf`, bounded by
+    ``max_conflicts`` and the ambient deadline.
 
     ``log_proof=True`` makes the solver record a DRUP clause proof on
     ``sat_result.proof`` (certified against ``encoded.cnf`` — the exact
@@ -229,20 +228,14 @@ def check_validity(
     sat_result = solve_cnf(
         encoded.cnf,
         max_conflicts=max_conflicts,
-        max_seconds=max_seconds,
         log_proof=log_proof,
     )
     if sat_result.status == "unknown":
-        budget_kind = (
-            "conflicts"
-            if max_conflicts is not None and sat_result.conflicts >= max_conflicts
-            else "seconds"
-        )
         raise BudgetExhausted(
             "SAT budget exhausted before the validity check completed "
             f"({sat_result.conflicts} conflicts)",
             conflicts=sat_result.conflicts,
-            budget_kind=budget_kind,
+            budget_kind="conflicts",
         )
     valid = sat_result.is_unsat
     counterexample = None

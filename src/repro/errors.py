@@ -47,8 +47,8 @@ class BudgetExhausted(ReproError, TimeoutError):
         seconds: wall-clock seconds spent before the abort (if known):
             the elapsed deadline for a guard budget, the "sat" span's
             wall time for the SAT solver's own budget.
-        budget_kind: ``"conflicts"``, ``"seconds"``, ``"wall"``,
-            ``"memory"`` or ``"splits"``.
+        budget_kind: ``"conflicts"``, ``"wall"``, ``"memory"`` or
+            ``"splits"``.
         stage: pipeline stage that observed the exhaustion (``"tlsim"``,
             ``"rewrite"``, ``"encode.eij"``, ``"sat"``, ``"witness"``,
             ...) when a :class:`repro.guard.Deadline` raised it; ``None``

@@ -96,11 +96,25 @@ class MetricsSnapshot:
         return {"meta": dict(self.meta), "metrics": dict(self.metrics)}
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "MetricsSnapshot":
-        metrics = {
-            str(k): float(v) for k, v in data.get("metrics", {}).items()
-        }
-        return cls(metrics=metrics, meta=dict(data.get("meta", {})))
+    def from_dict(cls, data: Any) -> "MetricsSnapshot":
+        """The snapshot :meth:`to_dict` wrote; ``ValueError`` naming the
+        problem when ``data`` has another shape."""
+        if not isinstance(data, dict):
+            raise ValueError("a metrics snapshot must be a JSON object")
+        metrics = data.get("metrics", {})
+        meta = data.get("meta", {})
+        for name, value in (("metrics", metrics), ("meta", meta)):
+            if not isinstance(value, dict):
+                raise ValueError(f"snapshot {name!r} must be a JSON object")
+        for name, value in metrics.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(
+                    f"snapshot metric {name!r} must be a number, got {value!r}"
+                )
+        return cls(
+            metrics={name: float(value) for name, value in metrics.items()},
+            meta=dict(meta),
+        )
 
     def save(self, path) -> None:
         """Write the snapshot as pretty-printed, sorted JSON."""

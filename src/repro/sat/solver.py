@@ -12,74 +12,45 @@ Implementation notes: assignments are stored as small integers
 literal ``lit`` is ``assigns[|lit|] * sign(lit)``; the propagation loop
 inlines these tests — they account for the bulk of the runtime.
 
-Repeated calls: :meth:`Solver.solve` may be called again on the same
-solver — the session pool resumes a search whose previous call ran out
-of its conflict or time budget.  Each call restarts from the root, and
-learned clauses, variable activities and saved phases carry over.  Once
-a call refutes the CNF the instance is latched unsatisfiable, and every
-later call answers ``"unsat"`` at once.
-
 Proof logging (``log_proof=True``): the solver records a DRUP clause
 proof — every learned clause (post-minimization, including learned
 units) and every learned-clause deletion of
-:meth:`Solver._reduce_learned` — as ``("a"|"d", literals)`` steps in one
-append-only journal.  Every learned clause is implied by the CNF alone,
-so the journal spans calls.  An UNSAT call's :attr:`SatResult.proof` is
-a copy of the journal plus the empty clause, ``journal + [("a", ())]``,
-checkable against the CNF.  The copy keeps earlier results immune to
-later calls.  Logging is **off by default** and the hot propagation
-loop is untouched either way; only the (comparatively rare)
+:meth:`Solver._reduce_learned` — as ``("a"|"d", literals)`` steps.  An
+UNSAT result's :attr:`SatResult.proof` ends with the empty clause and is
+checkable against the CNF.  Logging is **off by default** and the hot
+propagation loop is untouched either way; only the (comparatively rare)
 conflict-analysis and clause-deletion paths test the flag.  The proof is
 validated by the *independent* reverse-unit-propagation checker in
 :mod:`repro.witness.drup`, which shares no code with this module.
 
-Sessions: :func:`solve_cnf` is the pipeline's one way into this module.
-Under an ambient :class:`SessionPool` (:func:`use_session_pool`) it
-resumes the live solver of a CNF seen before — the campaign grid hits
-the same digest for ROB-size-independent rewritten formulas, and a
-budget-escalation retry does when its re-encoding repeats the CNF — and
-otherwise solves on a fresh :class:`Solver`.
+:func:`solve_cnf` is the pipeline's one way into this module: it solves
+each CNF once, on a fresh :class:`Solver`.  Its only budget is
+``max_conflicts``; wall-clock and memory limits come from the ambient
+:class:`repro.guard.Deadline`, which the search polls.
 """
 
 from __future__ import annotations
 
-import hashlib
-import time
-from collections import OrderedDict
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SolverError
 from ..guard.deadline import current_deadline
 from ..obs.tracer import current_tracer
 from .cnf import Cnf
 
-__all__ = [
-    "SatResult",
-    "Solver",
-    "solve_cnf",
-    "SessionPool",
-    "cnf_digest",
-    "current_session_pool",
-    "use_session_pool",
-]
+__all__ = ["SatResult", "Solver", "solve_cnf"]
 
-#: Propagations between wall-clock/deadline checks in the main loop.  The
-#: conflict path also checks, but a propagation-heavy run with few
-#: conflicts would otherwise never look at the clock at all.
+#: Propagations between deadline checks in the main loop.  Counting
+#: propagations rather than conflicts keeps a conflict-free cascade
+#: under the clock too.
 _PROP_CHECK_INTERVAL = 2048
 
 #: Rough per-learned-clause overhead in bytes (clause object + watch-list
 #: entries), on top of 8 bytes per literal; charged to the ambient
 #: memory budget.
 _CLAUSE_BYTES = 88
-
-#: Live solvers a :class:`SessionPool` keeps before evicting the least
-#: recently used one.
-MAX_SESSIONS = 8
 
 
 @dataclass
@@ -123,10 +94,8 @@ class _Clause:
 class Solver:
     """CDCL solver over a :class:`repro.sat.cnf.Cnf` instance.
 
-    :meth:`solve` may be called repeatedly (see the module docstring).
-    ``ok`` turns False once the instance is known unsatisfiable — an
-    input clause is falsified at the root, or a search refutes the CNF —
-    and stays False.
+    ``ok`` is False when loading the clauses already refuted the CNF (an
+    input clause is falsified by the input units alone).
     """
 
     def __init__(self, cnf: Cnf, log_proof: bool = False) -> None:
@@ -482,23 +451,18 @@ class Solver:
     # Main loop
     # ------------------------------------------------------------------
 
-    def solve(
-        self,
-        max_conflicts: Optional[int] = None,
-        max_seconds: Optional[float] = None,
-    ) -> SatResult:
-        """Search, optionally bounded by conflicts or wall time; the
-        result's counters cover this call only."""
-        start = time.perf_counter()
-        # A previous call leaves its trail in place; resume from the root.
-        self._backtrack(0)
-        result = self.stats = SatResult(status="unknown")
+    def solve(self, max_conflicts: Optional[int] = None) -> SatResult:
+        """Search until a verdict or ``max_conflicts`` conflicts.
+
+        A solver decides its CNF once: build a fresh one per call (as
+        :func:`solve_cnf` does).
+        """
+        result = self.stats
         if not self.ok:
-            # Latched: an input clause was falsified by the input units
-            # alone, or an earlier call refuted the CNF; the empty clause
-            # is reverse-unit-propagation derivable either way.
+            # Loading the clauses refuted the CNF; the empty clause is
+            # reverse-unit-propagation derivable from the input units.
             result.status = "unsat"
-            result.proof = self._proof_view(unsat=True)
+            result.proof = None if self._proof is None else [("a", ())]
             return result
 
         restart_base = 100
@@ -512,22 +476,13 @@ class Solver:
         while True:
             conflict = self._propagate()
             if result.propagations >= next_prop_check:
-                # The clock must be consulted on the propagation counter
-                # too: a propagation-heavy run with few conflicts would
-                # never reach the conflict path's check below.
                 next_prop_check = result.propagations + _PROP_CHECK_INTERVAL
-                if max_seconds is not None and \
-                        time.perf_counter() - start > max_seconds:
-                    result.status = "unknown"
-                    break
                 deadline.check("sat")
             if conflict is not None:
                 result.conflicts += 1
                 conflicts_since_restart += 1
                 if not self.trail_lim:
-                    # A conflict at the root: the CNF itself is
-                    # unsatisfiable.  Latch it.
-                    self.ok = False
+                    # A conflict at the root: the CNF is unsatisfiable.
                     result.status = "unsat"
                     break
                 learnt, back_level = self._analyze(conflict)
@@ -536,7 +491,6 @@ class Solver:
                     self._proof.append(("a", tuple(learnt)))
                 if len(learnt) == 1:
                     if not self._enqueue(learnt[0], None):
-                        self.ok = False
                         result.status = "unsat"
                         break
                 else:
@@ -555,10 +509,6 @@ class Solver:
                 if max_conflicts is not None and result.conflicts >= max_conflicts:
                     result.status = "unknown"
                     break
-                if max_seconds is not None and result.conflicts % 256 == 0:
-                    if time.perf_counter() - start > max_seconds:
-                        result.status = "unknown"
-                        break
                 continue
 
             if conflicts_since_restart >= conflicts_until_restart:
@@ -579,21 +529,10 @@ class Solver:
                 }
                 break
 
-        result.proof = self._proof_view(unsat=result.is_unsat)
+        if self._proof is not None and result.is_unsat:
+            self._proof.append(("a", ()))
+        result.proof = self._proof
         return result
-
-    def _proof_view(
-        self, unsat: bool
-    ) -> Optional[List[Tuple[str, Tuple[int, ...]]]]:
-        """A per-call snapshot: a copy of the journal, closed by the
-        empty clause when the call refuted the CNF.
-
-        The journal itself stays shared and append-only; handing out
-        copies keeps earlier results immune to later calls.
-        """
-        if self._proof is None:
-            return None
-        return self._proof + [("a", ())] if unsat else list(self._proof)
 
 
 def _luby(index: int) -> int:
@@ -614,113 +553,22 @@ def _luby(index: int) -> int:
     return 1 << level
 
 
-def cnf_digest(cnf: Cnf) -> str:
-    """Content digest of a CNF (structure only — names are metadata)."""
-    hasher = hashlib.sha256()
-    hasher.update(f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n".encode())
-    for clause in cnf.clauses:
-        hasher.update(" ".join(map(str, clause)).encode())
-        hasher.update(b"\n")
-    return hasher.hexdigest()
-
-
-class SessionPool:
-    """LRU pool of live solvers keyed by CNF digest.
-
-    The campaign grid hits the same digest repeatedly (ROB-size-
-    independent rewritten formulas; budget-escalation retries whose
-    re-encoding repeats the CNF), so a lookup that lands on a live
-    solver resumes with every learned clause, activity and phase
-    intact.  Eviction is LRU beyond
-    :data:`MAX_SESSIONS` solvers; a pool is confined to one process
-    (solvers are not picklable) — parallel campaign workers each build
-    their own.
-    """
-
-    def __init__(self) -> None:
-        self._solvers: "OrderedDict[Tuple[str, bool], Solver]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._solvers)
-
-    def solver(self, cnf: Cnf, log_proof: bool = False) -> Solver:
-        """The live solver for ``cnf``, built on first sight.
-
-        Proof-logging and non-logging sessions are kept distinct: a
-        certifying call must not inherit a journal-less solver.  Hits,
-        misses and evictions are mirrored onto the ambient tracer's
-        current span as ``sat.session_*`` counters.
-        """
-        key = (cnf_digest(cnf), bool(log_proof))
-        tracer = current_tracer()
-        solver = self._solvers.get(key)
-        if solver is not None:
-            self.hits += 1
-            tracer.add("sat.session_hits", 1)
-            self._solvers.move_to_end(key)
-            return solver
-        self.misses += 1
-        tracer.add("sat.session_misses", 1)
-        solver = Solver(cnf, log_proof=log_proof)
-        self._solvers[key] = solver
-        for _ in range(len(self._solvers) - MAX_SESSIONS):
-            self._solvers.popitem(last=False)
-            self.evictions += 1
-            tracer.add("sat.session_evictions", 1)
-        return solver
-
-
-_SESSION_POOL: ContextVar[Optional[SessionPool]] = ContextVar(
-    "repro_sat_session_pool", default=None
-)
-
-
-def current_session_pool() -> Optional[SessionPool]:
-    """The ambient session pool, or None when solving cold."""
-    return _SESSION_POOL.get()
-
-
-@contextmanager
-def use_session_pool(
-    pool: Optional[SessionPool],
-) -> Iterator[Optional[SessionPool]]:
-    """Install ``pool`` as the ambient session pool for a scope."""
-    token = _SESSION_POOL.set(pool)
-    try:
-        yield pool
-    finally:
-        _SESSION_POOL.reset(token)
-
-
 def solve_cnf(
     cnf: Cnf,
     max_conflicts: Optional[int] = None,
-    max_seconds: Optional[float] = None,
     log_proof: bool = False,
 ) -> SatResult:
-    """Solve ``cnf`` — on the ambient pool's live solver for it, if a
-    :class:`SessionPool` is installed, else on a fresh :class:`Solver`.
+    """Solve ``cnf`` on a fresh :class:`Solver`.
 
     With ``log_proof=True`` the solver records a DRUP clause proof on
     ``result.proof`` (see the module docstring); off by default.  The
     call, clause loading included, is recorded as the ``"sat"`` span
-    (with the full counter set and any ``sat.session_*`` counters) on
-    the ambient tracer; a no-op unless one is installed.
+    (with the full counter set) on the ambient tracer; a no-op unless one
+    is installed.
     """
     with current_tracer().span("sat") as span:
-        pool = current_session_pool()
-        if pool is None:
-            solver = Solver(cnf, log_proof=log_proof)
-        else:
-            solver = pool.solver(cnf, log_proof=log_proof)
-        result = solver.solve(
-            max_conflicts=max_conflicts, max_seconds=max_seconds
-        )
+        solver = Solver(cnf, log_proof=log_proof)
+        result = solver.solve(max_conflicts)
         span.add("sat.variables", solver.num_vars)
         span.add("sat.clauses", len(solver.clauses))
         span.add("sat.decisions", result.decisions)

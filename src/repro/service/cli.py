@@ -32,6 +32,7 @@ import sys
 from typing import List, Optional
 
 from ..campaign.runner import DegradePolicy, RetryPolicy
+from ..errors import CampaignError
 from .app import ServiceApp
 from .sessions import SessionManager
 
@@ -140,16 +141,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     log = (lambda message: None) if args.quiet else (
         lambda message: print(message, flush=True)
     )
-    retry = RetryPolicy(
-        max_attempts=args.max_attempts,
-        escalation=args.escalation,
-        base_conflicts=args.max_conflicts
-        if args.max_conflicts is not None
-        else RetryPolicy.base_conflicts,
-        base_wall_seconds=args.deadline,
-        base_memory_mb=args.max_memory,
-    )
     try:
+        retry = RetryPolicy(
+            max_attempts=args.max_attempts,
+            escalation=args.escalation,
+            base_conflicts=args.max_conflicts
+            if args.max_conflicts is not None
+            else RetryPolicy.base_conflicts,
+            base_wall_seconds=args.deadline,
+            base_memory_mb=args.max_memory,
+        )
         manager = SessionManager(
             args.data_dir,
             queue_limit=args.queue_limit,
@@ -162,7 +163,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ),
             log=log,
         )
-    except OSError as exc:
+    except (CampaignError, OSError) as exc:
         print(f"serve error: {exc}", file=sys.stderr)
         return 2
     requeued = manager.reattach()

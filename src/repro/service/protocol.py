@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..campaign.jobs import Job
+from ..campaign.jobs import BUDGET_FIELDS, Job
 from ..core.cli import parse_grid
 from ..core.verifier import METHODS
 from ..errors import CampaignError
@@ -35,10 +35,6 @@ __all__ = ["ServiceError", "SubmitRequest", "job_options"]
 #: Hard ceiling on jobs per submit: a single request cannot smuggle in
 #: an unbounded campaign; callers split larger sweeps across sessions.
 MAX_JOBS_PER_REQUEST = 256
-
-_BUDGET_FIELDS = (
-    "max_conflicts", "max_seconds", "max_wall_seconds", "max_memory_mb",
-)
 
 
 class ServiceError(CampaignError):
@@ -147,16 +143,16 @@ class SubmitRequest:
         budgets_in = payload.get("budgets") or {}
         if not isinstance(budgets_in, Mapping):
             raise ServiceError(400, "budgets must be a JSON object")
-        bad_budget = set(budgets_in) - set(_BUDGET_FIELDS)
+        bad_budget = set(budgets_in) - set(BUDGET_FIELDS)
         if bad_budget:
             raise ServiceError(
                 400,
                 f"unknown budget field(s): {sorted(bad_budget)}; "
-                f"use {_BUDGET_FIELDS}",
+                f"use {BUDGET_FIELDS}",
             )
         budgets = {
             name: budgets_in[name]
-            for name in _BUDGET_FIELDS
+            for name in BUDGET_FIELDS
             if budgets_in.get(name) is not None
         }
         for name, value in budgets.items():
@@ -166,6 +162,10 @@ class SubmitRequest:
                     or not isinstance(value, (int, float)):
                 raise ServiceError(
                     400, f"budgets.{name} must be a number, got {value!r}"
+                )
+            if value < 0:
+                raise ServiceError(
+                    400, f"budgets.{name} must not be negative, got {value!r}"
                 )
 
         configs: List[Dict[str, Any]] = []

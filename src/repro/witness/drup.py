@@ -7,7 +7,9 @@ database accumulated so far) and clause *deletions*, ending in the empty
 clause.  A clause ``C`` is RUP when assuming the negation of every literal
 of ``C`` and running unit propagation over the database yields a conflict;
 every first-UIP learned clause of a CDCL solver has this property, so the
-solver's learned-clause log *is* a proof.
+solver's learned-clause log *is* a proof.  The solver decides each CNF in
+one call, so that call's log, closed by the empty clause, is the whole
+proof.
 
 Independence is the whole point of this module: :func:`check_drup` shares
 **no code** with :class:`repro.sat.solver.Solver`.  The solver uses

@@ -51,8 +51,7 @@ class TestAnalyzeFlag:
         # verify_fn overrides without an ``analyze`` parameter must keep
         # working as long as the runner's analyze flag stays off.
         def stub(config, method="rewriting", bug=None,
-                 criterion="disjunction", max_conflicts=None,
-                 max_seconds=None):
+                 criterion="disjunction", max_conflicts=None):
             return VerificationResult(
                 config=config, method=method, bug=bug, correct=True,
                 timings={"total": 0.0},

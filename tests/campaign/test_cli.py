@@ -2,8 +2,22 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main as repro_main
+from repro.campaign import Journal
 from repro.campaign.cli import main as campaign_main
+
+#: Job specs ``Job.from_dict`` refuses, with the word its error names.
+BAD_SPECS = {
+    "ill-typed-size": ({"job_id": "x", "n_rob": "abc", "issue_width": 1},
+                       "n_rob"),
+    "not-an-object": (5, "object"),
+    "retired-max-seconds": ({"job_id": "x", "n_rob": 2, "issue_width": 1,
+                             "max_seconds": 30}, "max_wall_seconds"),
+    "negative-budget": ({"job_id": "x", "n_rob": 2, "issue_width": 1,
+                         "max_conflicts": -1}, "max_conflicts"),
+}
 
 
 class TestGridCampaigns:
@@ -57,6 +71,60 @@ class TestSpecCampaigns:
             "--journal", str(tmp_path / "c.jsonl"), "--spec", str(spec),
         ])
         assert code == 2
+
+    def test_non_json_spec_is_a_setup_error(self, tmp_path, capsys):
+        spec = tmp_path / "jobs.json"
+        spec.write_text('[{"job_id": ')
+        code = campaign_main([
+            "--journal", str(tmp_path / "c.jsonl"), "--spec", str(spec),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("campaign error: ")
+
+    @pytest.mark.parametrize("name", sorted(BAD_SPECS))
+    def test_bad_job_spec_is_a_setup_error_leaving_no_journal(
+        self, name, tmp_path, capsys
+    ):
+        item, word = BAD_SPECS[name]
+        spec = tmp_path / "jobs.json"
+        spec.write_text(json.dumps([item]))
+        journal = tmp_path / "c.jsonl"
+        code = campaign_main(["--journal", str(journal), "--spec", str(spec)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("campaign error: ") and word in err
+        assert "Traceback" not in err
+        assert not journal.exists()
+
+    # Specs an older build journaled before refusing them (a bare number
+    # never reached a journal).
+    @pytest.mark.parametrize(
+        "name", sorted(set(BAD_SPECS) - {"not-an-object"})
+    )
+    def test_journaled_bad_spec_fails_every_resume(
+        self, name, tmp_path, capsys
+    ):
+        item, word = BAD_SPECS[name]
+        journal = str(tmp_path / "c.jsonl")
+        with Journal(journal) as handle:
+            handle.append({"event": "enqueue", "job": item})
+        for _ in range(2):
+            assert campaign_main(["--journal", journal]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("campaign error: ") and word in err
+
+    @pytest.mark.parametrize("flag", ["--max-conflicts", "--deadline",
+                                      "--max-memory"])
+    def test_negative_budget_flag_is_a_setup_error(
+        self, flag, tmp_path, capsys
+    ):
+        journal = tmp_path / "c.jsonl"
+        code = campaign_main(
+            ["--journal", str(journal), "--grid", "2x1", flag, "-1"]
+        )
+        assert code == 2
+        assert "must not be negative" in capsys.readouterr().err
+        assert not journal.exists()
 
 
 class TestParallelAndInjection:

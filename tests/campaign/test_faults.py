@@ -149,7 +149,7 @@ class TestCrashFaults:
         report = CampaignRunner(path, verify_fn=spy).run(jobs)
         assert report.counts() == {"PROVED": 2}
         # Only the in-flight job is re-run.
-        assert [key[:2] for key, _, _ in spy.calls] == [(2, 2)]
+        assert [key[:2] for key, _ in spy.calls] == [(2, 2)]
 
     def test_journal_corrupt_crash_leaves_recoverable_journal(self, tmp_path):
         path = str(tmp_path / "j.jsonl")

@@ -25,7 +25,7 @@ from repro.errors import CampaignError
 
 
 def fake_verify(config, method="rewriting", bug=None, criterion="disjunction",
-                max_conflicts=None, max_seconds=None):
+                max_conflicts=None):
     """Instant always-proves verify; module-level so workers can pickle it."""
     return VerificationResult(
         config=config, method=method, bug=None, correct=True,

@@ -32,11 +32,10 @@ class SpyVerify:
         self.calls = []
 
     def __call__(self, config, method="rewriting", bug=None,
-                 criterion="disjunction", max_conflicts=None,
-                 max_seconds=None):
+                 criterion="disjunction", max_conflicts=None):
         key = (config.n_rob, config.issue_width, method)
         ordinal = sum(1 for c in self.calls if c[0] == key)
-        self.calls.append((key, max_conflicts, max_seconds))
+        self.calls.append((key, max_conflicts))
         exc = self.script.get((key, ordinal))
         if exc is not None:
             raise exc
@@ -48,26 +47,37 @@ class TestRetryPolicy:
         policy = RetryPolicy(base_conflicts=100, escalation=2.0,
                              conflicts_cap=350)
         job = Job.build(2, 1)
-        assert policy.budget_for(job, 1) == (100, None)
-        assert policy.budget_for(job, 2) == (200, None)
-        assert policy.budget_for(job, 3) == (350, None)  # capped
+        assert policy.budget_for(job, 1) == (100, None, None)
+        assert policy.budget_for(job, 2) == (200, None, None)
+        assert policy.budget_for(job, 3) == (350, None, None)  # capped
 
     def test_job_budget_overrides_policy_base(self):
-        policy = RetryPolicy(base_conflicts=100, escalation=3.0)
-        job = Job.build(2, 1, max_conflicts=10, max_seconds=1.0)
-        conflicts, seconds = policy.budget_for(job, 2)
+        policy = RetryPolicy(base_conflicts=100, escalation=3.0,
+                             base_wall_seconds=5.0, base_memory_mb=64)
+        job = Job.build(2, 1, max_conflicts=10, max_wall_seconds=1.0)
+        conflicts, wall, memory = policy.budget_for(job, 2)
         assert conflicts == 30
-        assert seconds == pytest.approx(3.0)
+        assert wall == pytest.approx(3.0)
+        assert memory == pytest.approx(192)
 
     def test_unbounded_budgets(self):
         policy = RetryPolicy(base_conflicts=None)
-        assert policy.budget_for(Job.build(2, 1), 1) == (None, None)
+        assert policy.budget_for(Job.build(2, 1), 1) == (None, None, None)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(CampaignError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(CampaignError):
             RetryPolicy(escalation=0.5)
+
+    @pytest.mark.parametrize(
+        "name", ["base_conflicts", "base_wall_seconds", "base_memory_mb"]
+    )
+    def test_rejects_negative_base_budgets(self, name):
+        with pytest.raises(CampaignError) as excinfo:
+            RetryPolicy(**{name: -1})
+        assert name in str(excinfo.value)
+        RetryPolicy(**{name: 0})  # zero stays legal
 
 
 class TestTerminalStates:
@@ -256,6 +266,54 @@ class TestResume:
                 [Job.build(2, 1), Job.build(2, 1)]
             )
 
+    @pytest.mark.parametrize("resupply", [False, True])
+    def test_journal_with_retired_max_seconds_is_a_pure_replay(
+        self, tmp_path, resupply
+    ):
+        # The journal layout written while jobs had a SAT-only
+        # ``max_seconds`` budget: null in every enqueue spec and start
+        # record.
+        path = str(tmp_path / "j.jsonl")
+        jobs = [Job.build(2, 1), Job.build(3, 1)]
+        with Journal(path) as journal:
+            for job in jobs:
+                journal.append({"event": "enqueue",
+                                "job": {**job.to_dict(), "max_seconds": None}})
+            for job in jobs:
+                journal.append({"event": "start", "job_id": job.job_id,
+                                "attempt": 1, "method": "rewriting",
+                                "max_conflicts": 100000,
+                                "max_seconds": None})
+                journal.append({"event": "finish", "job_id": job.job_id,
+                                "status": "PROVED", "method": "rewriting",
+                                "attempts": 1, "detail": "",
+                                "diagnostics": [], "metrics": {},
+                                "witness": None, "worker": None})
+        spy = SpyVerify()
+        report = CampaignRunner(path, verify_fn=spy).run(
+            jobs if resupply else None
+        )
+        assert spy.calls == []
+        assert report.replayed == 2
+        assert report.counts() == {"PROVED": 2}
+
+    @pytest.mark.parametrize("resupply", [False, True])
+    def test_journaled_non_null_max_seconds_is_refused(
+        self, tmp_path, resupply
+    ):
+        path = str(tmp_path / "j.jsonl")
+        with Journal(path) as journal:
+            journal.append({"event": "enqueue", "job": {
+                **Job.build(2, 1).to_dict(), "max_seconds": 30.0,
+            }})
+        spy = SpyVerify()
+        with pytest.raises(CampaignError) as excinfo:
+            CampaignRunner(path, verify_fn=spy).run(
+                [Job.build(2, 1)] if resupply else None
+            )
+        assert "max_wall_seconds" in str(excinfo.value)
+        assert spy.calls == []
+
 
 class TestSpecDrift:
     def test_resupplying_identical_spec_is_fine(self, tmp_path):
@@ -359,6 +417,61 @@ class TestJobSerialization:
         with pytest.raises(CampaignError):
             Job.from_dict({"job_id": "x", "n_rob": 2, "issue_width": 1,
                            "bogus": True})
+
+    def test_null_max_seconds_is_dropped(self):
+        job = Job.build(2, 1, max_wall_seconds=5.0)
+        assert Job.from_dict({**job.to_dict(), "max_seconds": None}) == job
+
+    @pytest.mark.parametrize("value", [30.0, 0])
+    def test_non_null_max_seconds_names_max_wall_seconds(self, value):
+        with pytest.raises(CampaignError) as excinfo:
+            Job.from_dict({**Job.build(2, 1).to_dict(), "max_seconds": value})
+        assert "max_wall_seconds" in str(excinfo.value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("job_id", 7),
+        ("n_rob", "abc"),
+        ("n_rob", True),
+        ("issue_width", 1.5),
+        ("issue_width", None),
+        ("retire_width", "2"),
+        ("family", None),
+        ("method", 1),
+        ("criterion", ["disjunction"]),
+        ("bug_kind", 3),
+        ("bug_entry", None),
+        ("bug_operand", False),
+        ("max_conflicts", 1.5),
+        ("max_wall_seconds", "soon"),
+        ("max_memory_mb", True),
+    ])
+    def test_ill_typed_field_is_refused_by_name(self, field, value):
+        spec = {**Job.build(2, 1).to_dict(), field: value}
+        with pytest.raises(CampaignError) as excinfo:
+            Job.from_dict(spec)
+        assert f"{field} must be" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "field", ["max_conflicts", "max_wall_seconds", "max_memory_mb"]
+    )
+    def test_negative_budget_is_refused_by_name(self, field):
+        spec = {**Job.build(2, 1).to_dict(), field: -1}
+        with pytest.raises(CampaignError) as excinfo:
+            Job.from_dict(spec)
+        assert f"{field} must not be negative" in str(excinfo.value)
+        assert Job.from_dict({**spec, field: 0}).to_dict()[field] == 0
+
+    def test_non_object_spec_is_refused(self):
+        with pytest.raises(CampaignError) as excinfo:
+            Job.from_dict(5)
+        assert "must be an object" in str(excinfo.value)
+
+    def test_bad_size_stays_a_run_time_error(self):
+        # Value ranges belong to ProcessorConfig: under campaign
+        # semantics such a job lands INCONCLUSIVE rather than refused.
+        job = Job.from_dict({"job_id": "x", "n_rob": 0, "issue_width": 1})
+        with pytest.raises(ValueError):
+            job.config()
 
     def test_result_requires_terminal_state(self):
         with pytest.raises(CampaignError):

@@ -58,8 +58,13 @@ class TestMain:
             ["--rob", "2", "--width", "3"],
             ["--rob", "2", "--width", "1", "--retire-width", "0"],
             ["--bug", "retire-ignores-valid", "--entry", "0"],
+            ["--rob", "2", "--width", "1", "--max-conflicts", "-1"],
+            ["--rob", "2", "--width", "1", "--deadline", "-1"],
+            ["--rob", "2", "--width", "1", "--max-memory", "-1"],
         ],
-        ids=["empty-rob", "width-over-rob", "zero-retire-width", "entry-zero"],
+        ids=["empty-rob", "width-over-rob", "zero-retire-width", "entry-zero",
+             "negative-max-conflicts", "negative-deadline",
+             "negative-max-memory"],
     )
     def test_invalid_configuration_exits_three(self, argv, capsys):
         # One error line, not a traceback and not the "bug found" status.
@@ -73,15 +78,19 @@ class TestMain:
                      "positive_equality"])
         assert code == 0
 
-    def test_max_seconds_flag(self, capsys):
+    def test_deadline_flag(self, capsys):
         code = main(
             ["--rob", "3", "--width", "3", "--method", "positive_equality",
-             "--max-seconds", "0.05"]
+             "--deadline", "0.05"]
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "budget exhausted" in err
+        assert re.search(r"budget exhausted .* in stage '[^']+'", err)
         assert "Traceback" not in err
+
+    def test_max_seconds_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--max-seconds", "1"])
 
     def test_max_conflicts_flag(self, capsys):
         code = main(

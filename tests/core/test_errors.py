@@ -67,14 +67,22 @@ class TestVerifyBudgetPath:
             assert phase in exc.timings, phase
         assert exc.timings["total"] > 0
 
-    def test_seconds_budget_reports_its_kind(self):
+    def test_wall_budget_reports_its_kind(self):
         with pytest.raises(BudgetExhausted) as info:
             verify(
                 ProcessorConfig(n_rob=3, issue_width=3),
                 method="positive_equality",
-                max_seconds=0.01,
+                max_wall_seconds=0.0,
             )
-        assert info.value.budget_kind == "seconds"
+        assert info.value.budget_kind == "wall"
+
+    @pytest.mark.parametrize(
+        "budget", [{"max_conflicts": -1}, {"max_wall_seconds": -0.5}]
+    )
+    def test_negative_budget_is_a_value_error(self, budget):
+        with pytest.raises(ValueError) as info:
+            verify(ProcessorConfig(n_rob=2, issue_width=1), **budget)
+        assert f"{next(iter(budget))} must not be negative" in str(info.value)
 
 
 class TestSolverErrors:

@@ -1,6 +1,6 @@
 """Every command that runs verifications takes the single-run CLI's run
 flags, and the runs use them: ``trace``, ``perf record`` and ``witness
-certify|explain`` all thirteen, ``campaign --grid`` all but the sizes,
+certify|explain`` all twelve, ``campaign --grid`` all but the sizes,
 ``lint`` the family; ``campaign``, ``lint`` and the service read one grid
 grammar."""
 
@@ -12,7 +12,7 @@ from repro.__main__ import main
 from repro.obs.metrics import MetricsSnapshot
 from repro.service.protocol import ServiceError, SubmitRequest
 
-#: The thirteen run flags, each away from its default: a store-order bug
+#: The twelve run flags, each away from its default: a store-order bug
 #: planted in a 2-entry ``mem`` design, decided by Positive Equality under
 #: generous budgets.
 ALL_FLAGS = [
@@ -20,8 +20,7 @@ ALL_FLAGS = [
     "--family", "mem", "--method", "positive_equality",
     "--criterion", "case_split",
     "--bug", "store-order", "--entry", "2", "--operand", "2",
-    "--max-conflicts", "100000", "--max-seconds", "60",
-    "--deadline", "60", "--max-memory", "1024",
+    "--max-conflicts", "100000", "--deadline", "60", "--max-memory", "1024",
 ]
 CONFIG = (
     "OOO processor: 2-entry ROB, issue width 1, retire width 2, family mem"
@@ -31,8 +30,6 @@ CONFIG = (
 EXHAUSTING = {
     "max-conflicts": ["--rob", "3", "--width", "3",
                       "--method", "positive_equality", "--max-conflicts", "1"],
-    "max-seconds": ["--rob", "3", "--width", "3",
-                    "--method", "positive_equality", "--max-seconds", "0"],
     "deadline": ["--rob", "2", "--width", "1", "--deadline", "0"],
     "max-memory": ["--rob", "2", "--width", "1", "--max-memory", "0.001"],
 }

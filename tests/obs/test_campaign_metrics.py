@@ -88,11 +88,8 @@ class TestCampaignJournalsMetrics:
         journaled = set(finish["metrics"])
         assert recorded <= journaled
         # Beyond perf record's names, a campaign job carries only the
-        # counters of the campaign's own supervision and session pool.
-        assert all(
-            name.startswith(("guard.", "sat.session_"))
-            for name in journaled - recorded
-        )
+        # counters of the campaign's own supervision.
+        assert all(name.startswith("guard.") for name in journaled - recorded)
 
     def test_metrics_survive_crash_and_resume(self, tmp_path):
         path = str(tmp_path / "j.jsonl")

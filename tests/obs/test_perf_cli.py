@@ -106,6 +106,27 @@ class TestPerfRecordCompare:
         assert code == 2
         assert "perf compare error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, problem", [
+        ([], "must be a JSON object"),
+        ({"metrics": [1, 2]}, "'metrics' must be a JSON object"),
+        ({"metrics": {"a": None}}, "metric 'a' must be a number"),
+    ])
+    def test_malformed_snapshot_is_a_setup_error(
+        self, payload, problem, tmp_path, capsys
+    ):
+        # Valid JSON of the wrong shape is a setup error (exit 2), never
+        # a traceback that reads as a regression (exit 1).
+        good = tmp_path / "good.json"
+        assert perf_main(["record", *RUN, "--out", str(good)]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        for pair in ([good, bad], [bad, good]):
+            assert perf_main(["compare", *map(str, pair)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("perf compare error: ")
+            assert problem in err
+
     def test_record_writes_trace_and_csv_sidecars(self, tmp_path):
         base = tmp_path / "base.json"
         trace = tmp_path / "trace.json"

@@ -6,7 +6,6 @@ import pytest
 from repro import ProcessorConfig, verify
 from repro.errors import BudgetExhausted
 from repro.obs import NULL_TRACER, current_tracer, snapshot_from_result
-from repro.sat import SessionPool, use_session_pool
 
 CONFIG = ProcessorConfig(n_rob=4, issue_width=2)
 
@@ -115,27 +114,6 @@ class TestSatSpan:
             result.validity.encoded.cnf.num_vars
         )
         assert span.counters["sat.proof_steps"] == len(sat_result.proof)
-        assert not any(
-            name.startswith("sat.session_")
-            for name in result.trace.all_counters()
-        )
-
-    def test_pooled_runs_count_sessions_inside_the_sat_span(self):
-        pool = SessionPool()
-        with use_session_pool(pool):
-            first = verify(CONFIG)
-            second = verify(CONFIG)
-        assert (pool.misses, pool.hits) == (1, 1)
-        for result, counter in (
-            (first, "sat.session_misses"),
-            (second, "sat.session_hits"),
-        ):
-            span = _only_sat_span(result)
-            _assert_counters_match(span, result.validity.sat_result)
-            assert span.counters[counter] == 1
-            # Session bookkeeping is SAT work: it never lands on "verify".
-            assert result.trace.all_counters()[counter] == 1
-            assert counter not in result.trace.counters
 
 
 class TestBudgetPathTimings:

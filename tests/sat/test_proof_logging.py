@@ -33,6 +33,12 @@ class TestProofLogging:
         assert result.is_unsat
         assert result.proof[-1] == ("a", ())
 
+    def test_init_time_refutation_proof_checks(self):
+        cnf = _cnf(1, [[1], [-1]])
+        result = solve_cnf(cnf, log_proof=True)
+        assert result.is_unsat
+        assert check_drup(cnf, DrupProof.from_solver_steps(result.proof)).ok
+
     def test_propagation_conflict_logs_empty_clause(self):
         result = solve_cnf(
             _cnf(3, [[1], [-1, 2], [-2, 3], [-3]]), log_proof=True

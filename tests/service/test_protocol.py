@@ -40,8 +40,8 @@ class TestParseHappyPath:
             "certify": True,
             "analyze": True,
             "client": "tester",
-            "budgets": {"max_conflicts": 100, "max_seconds": 1.5,
-                        "max_wall_seconds": 2, "max_memory_mb": 64},
+            "budgets": {"max_conflicts": 100, "max_wall_seconds": 2,
+                        "max_memory_mb": 64},
         })
         (job,) = request.jobs
         assert job.method == "positive_equality"
@@ -49,7 +49,6 @@ class TestParseHappyPath:
         assert job.bug_kind == "forward-wrong-source"
         assert job.bug_entry == 3
         assert job.max_conflicts == 100
-        assert job.max_seconds == pytest.approx(1.5)
         assert job.max_wall_seconds == 2
         assert job.max_memory_mb == 64
         assert request.certify and request.analyze
@@ -103,6 +102,29 @@ class TestParseRejections:
                                  "budgets": {"max_lightyears": 3}})
         assert "max_lightyears" in str(excinfo.value)
 
+    def test_retired_max_seconds_budget_lists_the_allowed_fields(self):
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse({"grid": "2x1", "budgets": {"max_seconds": 5}})
+        assert _status(excinfo) == 400
+        message = str(excinfo.value)
+        assert "max_seconds" in message
+        for allowed in ("max_conflicts", "max_wall_seconds", "max_memory_mb"):
+            assert allowed in message
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_conflicts", -1),
+        ("max_wall_seconds", -0.5),
+        ("max_memory_mb", -64),
+    ])
+    def test_negative_budget_is_a_400_naming_it(self, name, value):
+        # Admitted, the job could only exhaust its budget and fail.
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse({"grid": "2x1", "budgets": {name: value}})
+        assert _status(excinfo) == 400
+        assert f"budgets.{name}" in str(excinfo.value)
+        zero = SubmitRequest.parse({"grid": "2x1", "budgets": {name: 0}})
+        assert getattr(zero.jobs[0], name) == 0
+
     def test_empty_request(self):
         with pytest.raises(ServiceError) as excinfo:
             SubmitRequest.parse({})
@@ -145,8 +167,8 @@ class TestParseRejections:
          "budgets.max_conflicts"),
         ({"grid": "2x1", "budgets": {"max_conflicts": 1.5}},
          "budgets.max_conflicts"),
-        ({"grid": "2x1", "budgets": {"max_seconds": "soon"}},
-         "budgets.max_seconds"),
+        ({"grid": "2x1", "budgets": {"max_wall_seconds": "soon"}},
+         "budgets.max_wall_seconds"),
         ({"grid": "2x1", "budgets": {"max_memory_mb": False}},
          "budgets.max_memory_mb"),
     ])
@@ -182,10 +204,10 @@ class TestParseRejections:
 
 class TestJobOptions:
     def test_budgets_never_leak_into_the_cache_key_options(self):
-        job = Job.build(4, 2, max_conflicts=100, max_seconds=1.0)
+        job = Job.build(4, 2, max_conflicts=100, max_wall_seconds=1.0)
         options = job_options(job, certify=False, analyze=False)
         assert "max_conflicts" not in options
-        assert "max_seconds" not in options
+        assert "max_wall_seconds" not in options
 
     def test_bug_fields_are_none_without_a_bug(self):
         job = Job.build(4, 2)
@@ -212,24 +234,6 @@ class TestJobOptions:
         ]
         assert "sat_backend" not in options
         assert "incremental_sat" not in options
-
-    def test_canonical_key_unmoved_by_ambient_session_pool(self):
-        # The verdict belongs to the CNF, not to the solver that decides
-        # it: neither a backend name nor the campaign's live SAT sessions
-        # may reach the key.
-        from repro.core.keys import canonical_key
-        from repro.sat import SessionPool, use_session_pool
-
-        job = Job.build(4, 2)
-        config = {"n_rob": 4, "issue_width": 2}
-        options = job_options(job, certify=False, analyze=False)
-        assert "sat_backend" not in options
-        baseline = canonical_key(config, options, registry_version="t")
-        with use_session_pool(SessionPool()):
-            assert job_options(job, certify=False, analyze=False) == options
-            assert canonical_key(
-                config, options, registry_version="t"
-            ) == baseline
 
 
 class TestFamilyField:

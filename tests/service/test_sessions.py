@@ -351,6 +351,34 @@ class TestReattach:
         results = revived.result_dict(manager2.store)["results"]
         assert {r["status"] for r in results.values()} == {"PROVED"}
 
+    def test_request_document_with_retired_max_seconds_reattaches(
+        self, tmp_path
+    ):
+        # Older builds wrote ``"max_seconds": null`` into every job spec.
+        import json
+        import os
+
+        manager1 = make_manager(tmp_path, CountingVerify())
+        session = manager1.submit(SubmitRequest.parse({"grid": "2x1"}))
+        path = os.path.join(session.directory, "request.json")
+        with open(path) as handle:
+            document = json.load(handle)
+        for spec in document["jobs"]:
+            spec["max_seconds"] = None
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+
+        verify2 = CountingVerify()
+        manager2 = make_manager(tmp_path, verify2)
+        assert manager2.reattach() == [session.session_id]
+        manager2.start()
+        try:
+            revived = wait_done(manager2, manager2.get(session.session_id))
+            assert revived.state == "completed"
+            assert verify2.calls == [(2, 1, "rewriting")]
+        finally:
+            manager2.stop()
+
     def test_unreadable_request_document_is_skipped(self, tmp_path):
         manager1 = make_manager(tmp_path, CountingVerify())
         session = manager1.submit(SubmitRequest.parse({"grid": "2x1"}))
