@@ -17,8 +17,14 @@ status: 0 when every job is ``PROVED``, 1 when any job is ``BUG_FOUND``,
 
 ``--workers N`` fans jobs out to N worker processes; the parent stays
 the single journal writer, so resume semantics are identical to a
-sequential run.  ``--inject KIND@JOB_ID[:ATTEMPT]`` plants a
-deterministic fault (for smoke-testing the recovery paths, e.g. in CI).
+sequential run.  ``--hang-timeout S`` is the one supervision knob: a
+worker silent for S seconds is killed and its job re-queued.
+``--inject KIND@JOB_ID[:ATTEMPT]`` plants a deterministic fault (for
+smoke-testing the recovery paths, e.g. in CI).
+
+The retry flags (:func:`add_retry_options`) and the budget flags are
+shared with ``serve``, which builds its policies with the same
+:func:`retry_policies`.
 
 Examples::
 
@@ -35,7 +41,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..core.cli import add_check_options, parse_grid
 from ..errors import CampaignError, JournalError
@@ -43,7 +49,52 @@ from .faults import Fault, FaultPlan
 from .jobs import Job
 from .runner import CampaignRunner, DegradePolicy, RetryPolicy
 
-__all__ = ["build_parser", "main"]
+__all__ = ["add_retry_options", "build_parser", "main", "retry_policies"]
+
+
+def add_retry_options(parser: argparse.ArgumentParser) -> None:
+    """The flags of the retry schedule: attempts, escalation, fallback."""
+    parser.add_argument(
+        "--max-attempts",
+        type=int,
+        default=3,
+        metavar="A",
+        help="attempts per method before degrading (default 3)",
+    )
+    parser.add_argument(
+        "--escalation",
+        type=float,
+        default=2.0,
+        metavar="F",
+        help="budget multiplier between attempts (default 2.0)",
+    )
+    parser.add_argument(
+        "--no-degrade",
+        action="store_true",
+        help="record INCONCLUSIVE instead of falling back to "
+        "positive_equality when rewriting exhausts its retries",
+    )
+
+
+def retry_policies(
+    args: argparse.Namespace,
+) -> Tuple[RetryPolicy, DegradePolicy]:
+    """The policies that :func:`add_retry_options`' flags and the budget
+    flags (:func:`repro.core.cli.add_budget_options`) name; the budgets
+    become every job's first-attempt base."""
+    retry = RetryPolicy(
+        max_attempts=args.max_attempts,
+        escalation=args.escalation,
+        base_conflicts=args.max_conflicts
+        if args.max_conflicts is not None
+        else RetryPolicy.base_conflicts,
+        base_wall_seconds=args.deadline,
+        base_memory_mb=args.max_memory,
+    )
+    degrade = DegradePolicy(
+        fallback_method=None if args.no_degrade else "positive_equality"
+    )
+    return retry, degrade
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,26 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate jobs for the given ROB-size x issue-width configs",
     )
     add_check_options(parser)
-    parser.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        metavar="A",
-        help="attempts per method before degrading (default 3)",
-    )
-    parser.add_argument(
-        "--escalation",
-        type=float,
-        default=2.0,
-        metavar="F",
-        help="budget multiplier between attempts (default 2.0)",
-    )
-    parser.add_argument(
-        "--no-degrade",
-        action="store_true",
-        help="record INCONCLUSIVE instead of falling back to "
-        "positive_equality when rewriting exhausts its retries",
-    )
+    add_retry_options(parser)
     parser.add_argument(
         "--fresh",
         action="store_true",
@@ -126,30 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
         "single journal writer",
     )
     parser.add_argument(
-        "--breaker",
-        type=int,
-        default=None,
-        metavar="K",
-        help="open a per-config-group circuit (same method/criterion/"
-        "width/workload family) after K consecutive INCONCLUSIVE "
-        "results; the group's remaining jobs short-circuit instead of "
-        "burning their budgets (default: off)",
-    )
-    parser.add_argument(
         "--hang-timeout",
         type=float,
         default=30.0,
         metavar="S",
         help="with --workers: kill workers silent for S seconds and "
-        "re-queue their job as a WorkerHung failed attempt (default 30)",
-    )
-    parser.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=1.0,
-        metavar="S",
-        help="with --workers: seconds between worker heartbeats "
-        "(default 1.0; keep well under --hang-timeout)",
+        "re-queue their job as a WorkerHung failed attempt; workers "
+        "beat every S/10 seconds (default 30)",
     )
     parser.add_argument(
         "--inject",
@@ -214,20 +229,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         fault_plan = None
         if args.inject:
             fault_plan = FaultPlan(Fault.parse(text) for text in args.inject)
+        retry, degrade = retry_policies(args)
         runner = CampaignRunner(
             args.journal,
-            retry=RetryPolicy(
-                max_attempts=args.max_attempts,
-                escalation=args.escalation,
-                base_conflicts=args.max_conflicts
-                if args.max_conflicts is not None
-                else RetryPolicy.base_conflicts,
-                base_wall_seconds=args.deadline,
-                base_memory_mb=args.max_memory,
-            ),
-            degrade=DegradePolicy(
-                fallback_method=None if args.no_degrade else "positive_equality"
-            ),
+            retry=retry,
+            degrade=degrade,
             fault_plan=fault_plan,
             log=log,
             strict_journal=args.strict_journal,
@@ -236,9 +242,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             workers=args.workers
             if args.workers is not None
             else (os.cpu_count() or 1),
-            breaker_threshold=args.breaker,
             hang_timeout=args.hang_timeout,
-            heartbeat_interval=args.heartbeat_interval,
         )
         report = runner.run(jobs)
     except (CampaignError, JournalError, OSError) as exc:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.results import VerificationResult
+from ..core.verifier import budget_problem
 from ..errors import CampaignError
 from ..processor.bugs import Bug
 from ..processor.params import ProcessorConfig
@@ -74,6 +75,16 @@ class Job:
     max_wall_seconds: Optional[float] = None
     max_memory_mb: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        for name in BUDGET_FIELDS:
+            value = getattr(self, name)
+            problem = value is not None and budget_problem(name, value)
+            if problem:
+                raise CampaignError(
+                    f"job spec {self.job_id!r}: {name} {problem}, "
+                    f"got {value!r}"
+                )
+
     def config(self) -> ProcessorConfig:
         return ProcessorConfig(
             n_rob=self.n_rob,
@@ -86,24 +97,6 @@ class Job:
         if self.bug_kind is None:
             return None
         return Bug(self.bug_kind, entry=self.bug_entry, operand=self.bug_operand)
-
-    def breaker_key(self) -> str:
-        """Config-sibling key for the circuit breaker.
-
-        Jobs sharing one key differ only in reorder-buffer size — the
-        axis the paper's scaling tables sweep.  When K siblings in a row
-        end INCONCLUSIVE, the larger configurations in the group are
-        hopeless too (cost grows monotonically with ``n_rob``), so the
-        breaker short-circuits them instead of burning their budgets.
-        """
-        parts = [self.method, f"k{self.issue_width}", self.criterion]
-        if self.family != "reg-reg":
-            parts.append(self.family)
-        if self.retire_width is not None:
-            parts.append(f"l{self.retire_width}")
-        if self.bug_kind is not None:
-            parts.append(f"{self.bug_kind}@{self.bug_entry}.{self.bug_operand}")
-        return "/".join(parts)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -127,7 +120,8 @@ class Job:
         """The job a :meth:`to_dict` spec describes.
 
         Raises :class:`CampaignError` naming the field for a spec of the
-        wrong JSON shape or a negative budget.  Value ranges stay with
+        wrong JSON shape or a budget :func:`verify` refuses (a negative
+        one, or a memory budget of zero).  Value ranges stay with
         :class:`ProcessorConfig`, so a bad size still lands the job
         ``INCONCLUSIVE``.  Specs written while jobs had a SAT-only
         ``max_seconds`` budget carry ``"max_seconds": null``, which is
@@ -159,11 +153,6 @@ class Job:
                     expected += " or null"
                 raise CampaignError(
                     f"{where}: {name} must be {expected}, got {value!r}"
-                )
-        for name in BUDGET_FIELDS:
-            if data.get(name) is not None and data[name] < 0:
-                raise CampaignError(
-                    f"{where}: {name} must not be negative, got {data[name]!r}"
                 )
         return cls(**data)
 

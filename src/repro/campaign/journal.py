@@ -165,12 +165,21 @@ class JournalReplay:
         return (rec for rec in self.records if rec.get("event") == kind)
 
     def job_specs(self) -> Dict[str, Dict[str, Any]]:
-        """Job specs journaled by ``enqueue`` events, in order."""
+        """Job specs journaled by ``enqueue`` events, in order.
+
+        Raises :class:`JournalError` naming the first ``enqueue`` record
+        whose job is not an object with a string ``job_id``.
+        """
         specs: Dict[str, Dict[str, Any]] = {}
         for rec in self.events("enqueue"):
-            job = rec.get("job", {})
-            if "job_id" in job:
-                specs.setdefault(job["job_id"], job)
+            job = rec.get("job")
+            if not isinstance(job, dict) \
+                    or not isinstance(job.get("job_id"), str):
+                raise JournalError(
+                    f"enqueue record {rec!r} holds no job object with a "
+                    "string job_id"
+                )
+            specs.setdefault(job["job_id"], job)
         return specs
 
     def finished(self) -> Dict[str, Dict[str, Any]]:

@@ -27,8 +27,9 @@ one — livelocked in a C extension, swapping, deadlocked — stays alive and
 silent forever.  Every worker therefore installs an ambient heartbeat
 :class:`~repro.guard.Deadline` around each job: the pipeline's own
 deadline check sites double as heartbeat emitters, streaming throttled
-``heartbeat`` events (never journaled) over the result queue.  A busy
-worker silent for ``hang_timeout`` seconds is declared hung; the parent
+``heartbeat`` events (never journaled) over the result queue, ten per
+``hang_timeout`` (:data:`BEATS_PER_HANG_TIMEOUT`).  A busy worker silent
+for ``hang_timeout`` seconds is declared hung; the parent
 drains the queue once more (a beat may be in flight), then escalates
 ``terminate()`` → ``kill()``, journals the in-flight attempt as
 ``attempt_failed`` with error ``WorkerHung``, re-queues the job, and
@@ -52,7 +53,6 @@ from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import CampaignError
-from ..guard.breaker import CircuitBreaker
 from .executor import JobExecutor
 from .faults import Fault, FaultPlan, InjectedCrash
 from .jobs import Job, JobResult
@@ -60,9 +60,15 @@ from .journal import Journal
 
 __all__ = [
     "ParallelCampaignExecutor",
+    "BEATS_PER_HANG_TIMEOUT",
     "WORKER_CRASH_ERROR",
     "WORKER_HUNG_ERROR",
 ]
+
+#: Heartbeats a busy worker sends per ``hang_timeout``: its heartbeat
+#: interval is ``hang_timeout / BEATS_PER_HANG_TIMEOUT``, so a worker
+#: reads as hung only after ten beat intervals of silence.
+BEATS_PER_HANG_TIMEOUT = 10
 
 #: ``error`` value journaled for attempts whose worker process died.
 WORKER_CRASH_ERROR = "WorkerCrashed"
@@ -123,7 +129,7 @@ def _worker_main(
         tracer = Tracer()
         # The heartbeat deadline (no budgets of its own): every deadline
         # check site anywhere in the pipeline now doubles as a liveness
-        # beat to the parent, throttled to one per heartbeat_interval.
+        # beat to the parent, throttled to one per heartbeat interval.
         # Attempt-scoped supervision budgets derive from it in the
         # executor, inheriting the sink — a supervised attempt needs no
         # extra wiring to stay observable.
@@ -134,7 +140,7 @@ def _worker_main(
                 "job_id": job.job_id,
                 "stage": stage,
             }),
-            heartbeat_interval=options.get("heartbeat_interval", 1.0),
+            heartbeat_interval=options["heartbeat_interval"],
         )
         try:
             with use_deadline(heartbeat), use_tracer(tracer):
@@ -205,17 +211,13 @@ class ParallelCampaignExecutor:
         failed_attempts: Dict[Tuple[str, str], int],
         on_finish: Callable[[Job, JobResult], None],
         merge_metrics: Callable[[Dict[str, float]], None],
-        breaker: Optional[CircuitBreaker] = None,
-        short_circuit: Optional[Callable[[Job], JobResult]] = None,
         hang_timeout: float = 30.0,
-        heartbeat_interval: float = 1.0,
     ) -> None:
         if workers < 1:
             raise CampaignError("workers must be at least 1")
-        if hang_timeout <= heartbeat_interval:
+        if not hang_timeout > 0:  # NaN fails too
             raise CampaignError(
-                "hang_timeout must exceed heartbeat_interval, or every "
-                "healthy worker reads as hung between beats"
+                f"hang_timeout must be positive, got {hang_timeout!r}"
             )
         self.workers = workers
         self._options = {
@@ -224,7 +226,7 @@ class ParallelCampaignExecutor:
             "analyze": analyze,
             "certify": certify,
             "verify_fn": verify_fn,
-            "heartbeat_interval": heartbeat_interval,
+            "heartbeat_interval": hang_timeout / BEATS_PER_HANG_TIMEOUT,
         }
         self._fault_plan = fault_plan
         self._journal = journal
@@ -232,8 +234,6 @@ class ParallelCampaignExecutor:
         self._failed = failed_attempts
         self._on_finish = on_finish
         self._merge_metrics = merge_metrics
-        self._breaker = breaker
-        self._short_circuit = short_circuit
         self._hang_timeout = hang_timeout
         self._ctx = _campaign_context()
         #: worker processes that died mid-job (each journaled + retried).
@@ -259,7 +259,7 @@ class ParallelCampaignExecutor:
             self._spawn_worker()
         try:
             while remaining > 0:
-                remaining -= self._dispatch()
+                self._dispatch()
                 if self._poll(0.2):
                     remaining -= self._handle(self._outbox.get())
                 # Reap every iteration, not only on poll timeouts: steady
@@ -307,29 +307,11 @@ class ParallelCampaignExecutor:
 
     # -- scheduling ------------------------------------------------------
 
-    def _dispatch(self) -> int:
-        """Hand pending jobs to idle workers (one job per worker).
-
-        Returns the number of jobs finished *without* running — pending
-        jobs whose config family's circuit breaker opened are drained to
-        short-circuit ``INCONCLUSIVE`` results here, before they can
-        claim a worker.
-        """
-        finished = 0
-        if self._breaker is not None and self._short_circuit is not None \
-                and self._pending:
-            kept: deque = deque()
-            while self._pending:
-                job = self._pending.popleft()
-                if self._breaker.is_open(job.breaker_key()):
-                    self._on_finish(job, self._short_circuit(job))
-                    finished += 1
-                else:
-                    kept.append(job)
-            self._pending = kept
+    def _dispatch(self) -> None:
+        """Hand pending jobs to idle workers (one job per worker)."""
         for handle in self._pool:
             if not self._pending:
-                return finished
+                return
             if handle.job is not None or not handle.process.is_alive():
                 continue
             job = self._pending.popleft()
@@ -349,7 +331,6 @@ class ParallelCampaignExecutor:
             })
             handle.job = job
             handle.last_beat = time.monotonic()
-        return finished
 
     def _poll(self, timeout: float) -> bool:
         """True when a result-queue message is ready within ``timeout``."""

@@ -37,8 +37,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..core.verifier import budget_problem
 from ..errors import CampaignError
-from ..guard.breaker import SHORT_CIRCUIT_PREFIX, CircuitBreaker
 from ..guard.deadline import Deadline, use_deadline
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer, use_tracer
@@ -76,10 +76,9 @@ class RetryPolicy:
             raise CampaignError("escalation factor must be >= 1")
         for name in ("base_conflicts", "base_wall_seconds", "base_memory_mb"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise CampaignError(
-                    f"{name} must not be negative, got {value!r}"
-                )
+            problem = value is not None and budget_problem(name, value)
+            if problem:
+                raise CampaignError(f"{name} {problem}, got {value!r}")
 
     def budget_for(
         self, job: Job, attempt: int
@@ -215,19 +214,11 @@ class CampaignRunner:
         workers: worker processes to fan jobs out to; ``1`` (the default)
             runs everything in this process.  The parent stays the single
             journal writer either way (see :mod:`repro.campaign.parallel`).
-        breaker_threshold: open a per-config-family circuit after this
-            many *consecutive* ``INCONCLUSIVE`` outcomes in the family
-            (see :meth:`repro.campaign.jobs.Job.breaker_key`); the family's
-            remaining jobs short-circuit to ``INCONCLUSIVE`` without
-            running and one ``circuit_open`` event is journaled.
-            ``None`` (the default) disables the breaker.
         hang_timeout: parallel runs only — seconds of heartbeat silence
             after which a busy worker is declared hung, escalated
             terminate→kill, journaled as a ``WorkerHung`` failed attempt,
-            and its job re-queued.
-        heartbeat_interval: parallel runs only — seconds between worker
-            heartbeats (emitted from the pipeline's deadline check
-            sites).  Keep well under ``hang_timeout``.
+            and its job re-queued.  Workers beat ten times per timeout
+            (see :mod:`repro.campaign.parallel`).
     """
 
     def __init__(
@@ -243,9 +234,7 @@ class CampaignRunner:
         analyze: bool = False,
         certify: bool = False,
         workers: int = 1,
-        breaker_threshold: Optional[int] = None,
         hang_timeout: float = 30.0,
-        heartbeat_interval: float = 1.0,
     ) -> None:
         self._verify_is_default = verify_fn is None
         if verify_fn is None:
@@ -264,11 +253,6 @@ class CampaignRunner:
         self.certify = certify
         self.workers = workers
         self.hang_timeout = hang_timeout
-        self.heartbeat_interval = heartbeat_interval
-        self._breaker = (
-            CircuitBreaker(breaker_threshold)
-            if breaker_threshold is not None else None
-        )
 
     # ------------------------------------------------------------------
 
@@ -324,10 +308,6 @@ class CampaignRunner:
                     results[job.job_id] = result
                     replayed += 1
                     self._log(f"{job.job_id}: {result.status} (from journal)")
-                    # Re-seed the breaker so a resumed campaign reaches
-                    # the same short-circuit decisions (the open
-                    # transition was journaled live; don't re-journal).
-                    self._record_breaker(job, result, journal=None)
                     self._invoke_callback(job, result, journal)
                 else:
                     to_run.append(job)
@@ -420,54 +400,11 @@ class CampaignRunner:
         journal.append({"event": "finish", **result.to_dict()})
         results[job.job_id] = result
         self._registry.merge(result.metrics)
-        self._record_breaker(job, result, journal)
         self._log(
             f"{job.job_id}: {result.status} after "
             f"{result.attempts} attempt(s) via {result.method}"
         )
         self._invoke_callback(job, result, journal)
-
-    def _record_breaker(
-        self, job: Job, result: JobResult, journal: Optional[Journal]
-    ) -> None:
-        """Feed one terminal outcome to the circuit breaker.
-
-        Short-circuited results (the breaker's own decisions, marked by
-        their detail prefix) are never recorded — they would keep a
-        family's failure streak alive without new evidence.  The open
-        transition is journaled once, live (``journal=None`` on replay).
-        """
-        if self._breaker is None:
-            return
-        if result.detail.startswith(SHORT_CIRCUIT_PREFIX):
-            return
-        family = job.breaker_key()
-        opened = self._breaker.record(
-            family, result.status == "INCONCLUSIVE"
-        )
-        if opened:
-            if journal is not None:
-                journal.append({
-                    "event": "circuit_open",
-                    "family": family,
-                    "job_id": job.job_id,
-                    "threshold": self._breaker.threshold,
-                })
-            self._log(
-                f"circuit breaker OPEN for family {family!r} after "
-                f"{self._breaker.threshold} consecutive INCONCLUSIVE "
-                "result(s); its remaining jobs will short-circuit"
-            )
-
-    def _short_circuit_result(self, job: Job) -> JobResult:
-        """The INCONCLUSIVE outcome of a job the breaker refused to run."""
-        return JobResult(
-            job_id=job.job_id,
-            status="INCONCLUSIVE",
-            method=job.method,
-            attempts=0,
-            detail=f"{SHORT_CIRCUIT_PREFIX} for family {job.breaker_key()!r}",
-        )
 
     def _run_sequential(
         self,
@@ -487,13 +424,6 @@ class CampaignRunner:
             fault_journal=journal,
         )
         for job in to_run:
-            if self._breaker is not None and self._breaker.is_open(
-                job.breaker_key()
-            ):
-                self._finish_job(
-                    job, self._short_circuit_result(job), journal, results
-                )
-                continue
             tracer = Tracer()
             # A per-job ambient deadline (no budgets of its own): the
             # anchor `slow` faults attach their stage delays to, and the
@@ -541,10 +471,7 @@ class CampaignRunner:
                 job, result, journal, results
             ),
             merge_metrics=merge,
-            breaker=self._breaker,
-            short_circuit=self._short_circuit_result,
             hang_timeout=self.hang_timeout,
-            heartbeat_interval=self.heartbeat_interval,
         )
         executor.run(to_run)
         crashes = executor.worker_crashes

@@ -4,9 +4,10 @@ One run is one :func:`~repro.core.verify` call, named by the same flags
 wherever it is asked for: ``python -m repro``, ``trace``, ``perf
 record`` and ``witness certify|explain`` take them all
 (:func:`add_run_options`); ``campaign --grid`` takes them without the
-sizes, which its grid supplies (:func:`add_check_options`); ``lint``
-takes the family (:func:`add_family_option`); and ``campaign``, ``lint``
-and the service read the same ``NxK,...`` grid (:func:`parse_grid`).
+sizes, which its grid supplies (:func:`add_check_options`); ``serve``
+takes the budgets (:func:`add_budget_options`); ``lint`` takes the
+family (:func:`add_family_option`); and ``campaign``, ``lint`` and the
+service read the same ``NxK,...`` grid (:func:`parse_grid`).
 :func:`verify_from_args` turns the parsed flags into the run.
 
 The command-line modules import this one; ``import repro`` does not.
@@ -25,6 +26,7 @@ from .results import VerificationResult
 from .verifier import METHODS, verify
 
 __all__ = [
+    "add_budget_options",
     "add_check_options",
     "add_family_option",
     "add_run_options",
@@ -96,6 +98,11 @@ def add_check_options(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="data operand the defect applies to",
     )
+    add_budget_options(parser)
+
+
+def add_budget_options(parser: argparse.ArgumentParser) -> None:
+    """The three budgets of a run: conflicts, wall clock and memory."""
     parser.add_argument(
         "--max-conflicts",
         type=int,

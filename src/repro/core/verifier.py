@@ -41,9 +41,25 @@ from ..processor.params import ProcessorConfig
 from ..rewriting.engine import rewrite_diagram
 from .results import VerificationResult
 
-__all__ = ["verify", "METHODS"]
+__all__ = ["verify", "budget_problem", "METHODS"]
 
 METHODS = ("rewriting", "positive_equality")
+
+
+def budget_problem(name: str, value: float) -> Optional[str]:
+    """Why ``value`` is no legal budget called ``name``, or None.
+
+    Zero conflicts or wall seconds is legal, an immediate exhaustion; a
+    memory budget (a ``name`` ending in ``memory_mb``) must be positive,
+    since no run fits in zero bytes.  The campaign and the service check
+    their budgets with this too, so a budget they admit is one
+    :func:`verify` accepts.
+    """
+    if value < 0:
+        return "must not be negative"
+    if value == 0 and name.endswith("memory_mb"):
+        return "must be positive"
+    return None
 
 
 def _derive_timings(root: Span) -> Dict[str, float]:
@@ -166,7 +182,8 @@ def verify(
         max_memory_mb: memory budget for the run (charged DAG-node and
             learned-clause counters plus sampling; see
             :class:`repro.guard.MemoryBudget`); raises
-            :class:`repro.errors.MemoryBudgetExhausted`.
+            :class:`repro.errors.MemoryBudgetExhausted`.  It must be
+            positive: zero or less is a ``ValueError``.
             When a deadline is already ambient (e.g. inside a campaign
             worker), the new budgets are capped by its remaining
             allowance and its heartbeat sink is inherited.
@@ -194,9 +211,11 @@ def verify(
     for name, budget in (
         ("max_conflicts", max_conflicts),
         ("max_wall_seconds", max_wall_seconds),
+        ("max_memory_mb", max_memory_mb),
     ):
-        if budget is not None and budget < 0:
-            raise ValueError(f"{name} must not be negative, got {budget!r}")
+        problem = budget is not None and budget_problem(name, budget)
+        if problem:
+            raise ValueError(f"{name} {problem}, got {budget!r}")
     analyze = analyze or strict
     guard_deadline = None
     guard_scope = nullcontext()

@@ -2,14 +2,12 @@
 
 ``repro.guard`` makes long-running verification cooperative and
 killable: ambient :class:`Deadline` objects (a wall-clock budget checked
-at every pipeline layer), :class:`MemoryBudget` (charged counters plus
-sampling), and a per-config-family :class:`CircuitBreaker` for
-campaigns.  See :mod:`repro.guard.deadline` for the check-site
+at every pipeline layer) and :class:`MemoryBudget` (charged counters
+plus sampling).  See :mod:`repro.guard.deadline` for the check-site
 discipline and :mod:`repro.campaign.parallel` for the worker heartbeat
 protocol built on top of the deadline check sites.
 """
 
-from .breaker import SHORT_CIRCUIT_PREFIX, CircuitBreaker
 from .deadline import (
     NULL_DEADLINE,
     Deadline,
@@ -20,8 +18,6 @@ from .deadline import (
 from .memory import MemoryBudget
 
 __all__ = [
-    "CircuitBreaker",
-    "SHORT_CIRCUIT_PREFIX",
     "Deadline",
     "NullDeadline",
     "NULL_DEADLINE",

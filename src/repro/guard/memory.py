@@ -79,7 +79,10 @@ class MemoryBudget:
 
     @classmethod
     def from_mb(cls, megabytes: float) -> "MemoryBudget":
-        return cls(int(megabytes * 1024 * 1024))
+        """A budget of ``megabytes`` MiB; a positive budget below one
+        byte rounds up to one byte instead of raising."""
+        max_bytes = int(megabytes * 1024 * 1024)
+        return cls(max(1, max_bytes) if megabytes > 0 else max_bytes)
 
     # -- lifecycle -------------------------------------------------------
 

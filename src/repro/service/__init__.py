@@ -20,9 +20,8 @@ certification) in a long-lived asyncio HTTP/JSON service:
   (:mod:`repro.service.store`).
 
 Backpressure is explicit: a bounded admission queue answers ``429`` with
-``Retry-After`` when full, a concurrency limit bounds running sessions,
-and a service-wide circuit breaker short-circuits config families that
-keep ending ``INCONCLUSIVE``.  The server survives ``SIGKILL``: every
+``Retry-After`` when full, and a concurrency limit bounds running
+sessions.  The server survives ``SIGKILL``: every
 session's request document and journal are durable, so a restarted
 server re-attaches unfinished sessions and resumes their in-flight jobs
 from the journal instead of rerunning finished ones.

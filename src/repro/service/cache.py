@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
+
+from .store import write_durably
 
 __all__ = ["CacheEntry", "ResultCache", "CACHEABLE_STATES"]
 
@@ -123,24 +124,8 @@ class ResultCache:
         status = entry.result.get("status")
         if status not in CACHEABLE_STATES:
             return False
-        path = self._path(entry.key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         payload = json.dumps(entry.to_dict(), sort_keys=True, indent=1)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        write_durably(self._path(entry.key), payload.encode("utf-8"))
         return True
 
     # ------------------------------------------------------------------

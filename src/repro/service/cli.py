@@ -4,7 +4,7 @@ Examples::
 
     python -m repro serve --data-dir ./service-data
     python -m repro serve --port 8080 --max-running 2 --session-workers 2
-    python -m repro serve --queue-limit 4 --breaker 3 --deadline 30
+    python -m repro serve --queue-limit 4 --max-attempts 2 --deadline 30
 
 The server prints one ``ready`` line with the bound address once it is
 accepting requests (port 0 picks a free port — the line is how scripts
@@ -31,7 +31,8 @@ import signal
 import sys
 from typing import List, Optional
 
-from ..campaign.runner import DegradePolicy, RetryPolicy
+from ..campaign.cli import add_retry_options, retry_policies
+from ..core.cli import add_budget_options
 from ..errors import CampaignError
 from .app import ServiceApp
 from .sessions import SessionManager
@@ -45,7 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Long-lived verification service: HTTP/JSON job submission, "
             "a content-addressed result cache, journal-backed sessions "
-            "that survive kill -9, and explicit backpressure."
+            "that survive kill -9, and explicit backpressure.  The budget "
+            "flags set the first attempt of every job whose request names "
+            "no budget of its own; every retry multiplies them by "
+            "--escalation."
         ),
     )
     parser.add_argument(
@@ -73,36 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--session-workers", type=int, default=1, metavar="N",
         help="campaign worker processes per session (default 1)",
     )
-    parser.add_argument(
-        "--breaker", type=int, default=None, metavar="K",
-        help="short-circuit a config family after K consecutive "
-        "INCONCLUSIVE outcomes, service-wide (default: off)",
-    )
-    parser.add_argument(
-        "--max-attempts", type=int, default=3, metavar="A",
-        help="verification attempts per method per job (default 3)",
-    )
-    parser.add_argument(
-        "--escalation", type=float, default=2.0, metavar="F",
-        help="budget multiplier between attempts (default 2.0)",
-    )
-    parser.add_argument(
-        "--max-conflicts", type=int, default=None, metavar="N",
-        help="default base SAT conflict budget per attempt",
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=None, metavar="S",
-        help="default base pipeline-wide deadline per attempt, seconds",
-    )
-    parser.add_argument(
-        "--max-memory", type=float, default=None, metavar="MB",
-        help="default base memory budget per attempt, MiB",
-    )
-    parser.add_argument(
-        "--no-degrade", action="store_true",
-        help="go straight to INCONCLUSIVE instead of falling back to "
-        "positive_equality",
-    )
+    add_budget_options(parser)
+    add_retry_options(parser)
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress lines"
     )
@@ -142,25 +118,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         lambda message: print(message, flush=True)
     )
     try:
-        retry = RetryPolicy(
-            max_attempts=args.max_attempts,
-            escalation=args.escalation,
-            base_conflicts=args.max_conflicts
-            if args.max_conflicts is not None
-            else RetryPolicy.base_conflicts,
-            base_wall_seconds=args.deadline,
-            base_memory_mb=args.max_memory,
-        )
+        retry, degrade = retry_policies(args)
         manager = SessionManager(
             args.data_dir,
             queue_limit=args.queue_limit,
             max_running=args.max_running,
             session_workers=args.session_workers,
-            breaker_threshold=args.breaker,
             retry=retry,
-            degrade=DegradePolicy(
-                fallback_method=None if args.no_degrade else "positive_equality"
-            ),
+            degrade=degrade,
             log=log,
         )
     except (CampaignError, OSError) as exc:

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from ..campaign.jobs import BUDGET_FIELDS, Job
 from ..core.cli import parse_grid
-from ..core.verifier import METHODS
+from ..core.verifier import METHODS, budget_problem
 from ..errors import CampaignError
 from ..processor.bugs import BugKind
 from ..processor.correctness import CRITERIA
@@ -163,9 +163,10 @@ class SubmitRequest:
                 raise ServiceError(
                     400, f"budgets.{name} must be a number, got {value!r}"
                 )
-            if value < 0:
+            problem = budget_problem(name, value)
+            if problem:
                 raise ServiceError(
-                    400, f"budgets.{name} must not be negative, got {value!r}"
+                    400, f"budgets.{name} {problem}, got {value!r}"
                 )
 
         configs: List[Dict[str, Any]] = []

@@ -27,11 +27,10 @@ Scheduling and backpressure are explicit and bounded:
 * a **running-session limit** (``max_running`` scheduler threads), and a
   per-session worker count (``session_workers``) bounding each
   campaign's process fan-out — together the service's concurrency
-  ceiling;
-* a service-wide **circuit breaker** shared across sessions: config
-  families that keep ending ``INCONCLUSIVE`` are short-circuited at
-  admission (and mid-campaign by the runner's own breaker), so known
-  budget sinks stop consuming capacity.
+  ceiling.
+
+Every admitted job that misses the cache runs: an ``INCONCLUSIVE``
+outcome is never cached, so the next request for it runs it again.
 
 The manager is plain threads + locks (no asyncio): the HTTP layer
 (:mod:`repro.service.app`) calls into it from executor threads, and unit
@@ -44,7 +43,6 @@ import json
 import os
 import queue
 import secrets
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -55,11 +53,10 @@ from ..campaign.jobs import Job, JobResult
 from ..errors import CampaignError
 from ..campaign.runner import CampaignRunner, DegradePolicy, RetryPolicy
 from ..core.keys import canonical_key, config_dict
-from ..guard.breaker import SHORT_CIRCUIT_PREFIX, CircuitBreaker
 from ..obs.metrics import MetricsRegistry
 from .cache import CacheEntry, ResultCache
 from .protocol import ServiceError, SubmitRequest, job_options
-from .store import ArtifactStore, ArtifactStoringVerify
+from .store import ArtifactStore, ArtifactStoringVerify, write_durably
 
 __all__ = ["JobView", "Session", "SessionManager"]
 
@@ -76,8 +73,7 @@ class JobView:
 
     job: Job
     cache_key: str
-    #: ``cached`` | ``deduped`` | ``short-circuited`` | ``pending`` |
-    #: ``running`` | ``done``
+    #: ``cached`` | ``deduped`` | ``pending`` | ``running`` | ``done``
     state: str
     result: Optional[Dict[str, Any]] = None
     #: served from the result cache without running anything.
@@ -162,24 +158,6 @@ class Session:
         return self.state in ("completed", "failed")
 
 
-def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
-    """Durably (fsync) write a JSON document via temp-file + rename."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=1)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
 class SessionManager:
     """Owns the cache, the artifact store, and the session scheduler.
 
@@ -191,9 +169,6 @@ class SessionManager:
         max_running: scheduler threads = sessions running concurrently.
         session_workers: ``workers`` for each session's campaign runner
             (1 = in-process; >1 fans out to a multiprocessing pool).
-        breaker_threshold: consecutive ``INCONCLUSIVE`` outcomes per
-            config family before the service short-circuits the family,
-            both at admission and inside each campaign; ``None`` = off.
         retry / degrade: campaign policies shared by every session
             (request budgets ride on the jobs themselves).
         verify_fn: test seam; defaults to the artifact-storing wrapper
@@ -206,7 +181,6 @@ class SessionManager:
         queue_limit: int = 16,
         max_running: int = 1,
         session_workers: int = 1,
-        breaker_threshold: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         degrade: Optional[DegradePolicy] = None,
         verify_fn: Optional[Callable] = None,
@@ -224,16 +198,11 @@ class SessionManager:
         self.queue_limit = queue_limit
         self.max_running = max_running
         self.session_workers = session_workers
-        self.breaker_threshold = breaker_threshold
         self.retry = retry or RetryPolicy()
         self.degrade = degrade or DegradePolicy()
         self.verify_fn = verify_fn or ArtifactStoringVerify(self.store.root)
         self._log = log or (lambda message: None)
         self.metrics = MetricsRegistry()
-        self._breaker = (
-            CircuitBreaker(breaker_threshold)
-            if breaker_threshold is not None else None
-        )
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         self.sessions: Dict[str, Session] = {}
@@ -301,10 +270,11 @@ class SessionManager:
         # Durable before acknowledged: the request document is what a
         # restarted server re-attaches from.
         try:
-            _atomic_write_json(
+            document = {"session_id": session_id,
+                        "created": session.created, **request.to_dict()}
+            write_durably(
                 os.path.join(directory, "request.json"),
-                {"session_id": session_id, "created": session.created,
-                 **request.to_dict()},
+                json.dumps(document, sort_keys=True, indent=1).encode("utf-8"),
             )
         except BaseException:
             if to_run:
@@ -334,7 +304,7 @@ class SessionManager:
         return session
 
     def _build_job_views(self, session: Session) -> None:
-        """Key, dedupe, cache-check and breaker-check every job."""
+        """Key, dedupe and cache-check every job."""
         request = session.request
         by_key: Dict[str, str] = {}
         for job in request.jobs:
@@ -357,19 +327,6 @@ class SessionManager:
                 view.cached = True
                 view.result = entry.result
                 self.metrics.inc("service.cache.hits")
-            elif self._breaker is not None and self._breaker.is_open(
-                job.breaker_key()
-            ):
-                view.state = "short-circuited"
-                view.result = JobResult(
-                    job_id=job.job_id,
-                    status="INCONCLUSIVE",
-                    method=job.method,
-                    attempts=0,
-                    detail=f"{SHORT_CIRCUIT_PREFIX} for family "
-                           f"{job.breaker_key()!r} (service breaker)",
-                ).to_dict()
-                self.metrics.inc("service.breaker_short_circuits")
             else:
                 self.metrics.inc("service.cache.misses")
             session.jobs[job.job_id] = view
@@ -386,7 +343,7 @@ class SessionManager:
                     )
                     view.cached = source.cached
                     view.state = "done" if source.state in (
-                        "done", "cached", "short-circuited"
+                        "done", "cached"
                     ) else view.state
 
     # -- re-attach ------------------------------------------------------
@@ -434,9 +391,7 @@ class SessionManager:
             finished = replay.finished()
             for view in session.jobs.values():
                 record = finished.get(view.job.job_id)
-                if record is not None and view.state in (
-                    "pending", "cached", "short-circuited"
-                ):
+                if record is not None and view.state in ("pending", "cached"):
                     view.state = "done"
                     view.cached = False
                     view.result = {
@@ -520,7 +475,6 @@ class SessionManager:
             analyze=request.analyze,
             certify=request.certify,
             workers=min(self.session_workers, max(1, len(to_run))),
-            breaker_threshold=self.breaker_threshold,
         )
         report = runner.run(to_run)
         self.metrics.merge({
@@ -540,7 +494,7 @@ class SessionManager:
     def _job_finished(
         self, session: Session, job: Job, result: JobResult
     ) -> None:
-        """Terminal-result hook: update views, cache, and the breaker."""
+        """Terminal-result hook: update the views and the cache."""
         record = result.to_dict()
         view = session.jobs.get(job.job_id)
         with self._changed:
@@ -549,8 +503,7 @@ class SessionManager:
                 view.result = record
             session.version += 1
             self._changed.notify_all()
-        short_circuited = result.detail.startswith(SHORT_CIRCUIT_PREFIX)
-        if view is not None and not short_circuited:
+        if view is not None:
             artifacts = []
             witness = record.get("witness") or {}
             if witness.get("digest") and self.store.has(witness["digest"]):
@@ -567,10 +520,6 @@ class SessionManager:
             ))
             if stored:
                 self.metrics.inc("service.cache.stored")
-        if self._breaker is not None and not short_circuited:
-            self._breaker.record(
-                job.breaker_key(), result.status == "INCONCLUSIVE"
-            )
 
     # -- queries --------------------------------------------------------
 
@@ -611,10 +560,6 @@ class SessionManager:
             "max_running": self.max_running,
             "cache_entries": len(self.cache),
             "artifacts": len(self.store),
-            "open_families": (
-                list(self._breaker.open_families)
-                if self._breaker is not None else []
-            ),
             "metrics": self.metrics.values(),
         }
 

@@ -21,6 +21,10 @@ executor, so artifact persistence works identically in-process and in
 ``--session-workers`` worker processes (each worker re-opens the store
 by path; the blobs are content-addressed, so concurrent writers of the
 same artifact commute).
+
+:func:`write_durably` is the one temp-file + ``fsync`` + rename writer
+behind every file the service keeps: cache entries, artifact blobs and
+their ``.meta`` media types, and session request documents.
 """
 
 from __future__ import annotations
@@ -30,7 +34,32 @@ import os
 import tempfile
 from typing import Any, Dict, Optional
 
-__all__ = ["ArtifactStore", "ArtifactStoringVerify"]
+__all__ = ["ArtifactStore", "ArtifactStoringVerify", "write_durably"]
+
+
+def write_durably(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data`` atomically and durably.
+
+    The bytes go to a temp file in the target directory, which is
+    flushed and fsynced before ``os.replace`` renames it over ``path``:
+    a crash leaves either the old file or the whole new one, plus at
+    worst a ``*.tmp`` orphan that readers ignore.
+    """
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
 
 
 class ArtifactStore:
@@ -55,43 +84,12 @@ class ArtifactStore:
         path = self._path(digest)
         if os.path.exists(path):
             return digest
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
+        write_durably(path, data)
+        meta = {"media_type": media_type, "size": len(data)}
+        write_durably(
+            path + ".meta", json.dumps(meta, sort_keys=True).encode("utf-8")
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        self._write_meta(digest, media_type, len(data))
         return digest
-
-    def _write_meta(self, digest: str, media_type: str, size: int) -> None:
-        meta_path = self._path(digest) + ".meta"
-        payload = json.dumps(
-            {"media_type": media_type, "size": size}, sort_keys=True
-        )
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(meta_path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_path, meta_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
 
     def get(self, digest: str) -> Optional[bytes]:
         path = self._path(digest)  # malformed digests raise, never miss

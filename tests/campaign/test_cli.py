@@ -6,7 +6,10 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.campaign import Journal
+from repro.campaign.cli import build_parser as campaign_parser
 from repro.campaign.cli import main as campaign_main
+from repro.campaign.cli import retry_policies
+from repro.service.cli import build_parser as serve_parser
 
 #: Job specs ``Job.from_dict`` refuses, with the word its error names.
 BAD_SPECS = {
@@ -17,6 +20,8 @@ BAD_SPECS = {
                              "max_seconds": 30}, "max_wall_seconds"),
     "negative-budget": ({"job_id": "x", "n_rob": 2, "issue_width": 1,
                          "max_conflicts": -1}, "max_conflicts"),
+    "zero-memory-budget": ({"job_id": "x", "n_rob": 2, "issue_width": 1,
+                            "max_memory_mb": 0.0}, "max_memory_mb"),
 }
 
 
@@ -96,11 +101,9 @@ class TestSpecCampaigns:
         assert "Traceback" not in err
         assert not journal.exists()
 
-    # Specs an older build journaled before refusing them (a bare number
-    # never reached a journal).
-    @pytest.mark.parametrize(
-        "name", sorted(set(BAD_SPECS) - {"not-an-object"})
-    )
+    # Specs an older build journaled before refusing them, and a
+    # CRC-valid record whose job is no object at all.
+    @pytest.mark.parametrize("name", sorted(BAD_SPECS))
     def test_journaled_bad_spec_fails_every_resume(
         self, name, tmp_path, capsys
     ):
@@ -124,6 +127,22 @@ class TestSpecCampaigns:
         )
         assert code == 2
         assert "must not be negative" in capsys.readouterr().err
+        assert not journal.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_zero_memory_budget_is_a_setup_error(
+        self, workers, tmp_path, capsys
+    ):
+        journal = tmp_path / "c.jsonl"
+        code = campaign_main([
+            "--journal", str(journal), "--grid", "2x1",
+            "--max-memory", "0", "--workers", workers,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("campaign error: ")
+        assert "max_memory_mb must be positive" in err
+        assert "Traceback" not in err
         assert not journal.exists()
 
 
@@ -206,3 +225,15 @@ class TestResumeFlow:
         ])
         assert code == 4
         assert "INCONCLUSIVE" in capsys.readouterr().out
+
+
+class TestSharedRetryOptions:
+    @pytest.mark.parametrize("tail", [
+        [],
+        ["--max-attempts", "5", "--escalation", "3", "--no-degrade"],
+        ["--max-conflicts", "7", "--deadline", "2.5", "--max-memory", "64"],
+    ])
+    def test_campaign_and_serve_build_equal_policies(self, tail):
+        campaign_args = campaign_parser().parse_args(["--journal", "j"] + tail)
+        serve_args = serve_parser().parse_args(tail)
+        assert retry_policies(campaign_args) == retry_policies(serve_args)

@@ -77,7 +77,15 @@ class TestRetryPolicy:
         with pytest.raises(CampaignError) as excinfo:
             RetryPolicy(**{name: -1})
         assert name in str(excinfo.value)
-        RetryPolicy(**{name: 0})  # zero stays legal
+
+    @pytest.mark.parametrize("name", ["base_conflicts", "base_wall_seconds"])
+    def test_zero_base_budget_stays_legal(self, name):
+        RetryPolicy(**{name: 0})
+
+    def test_rejects_zero_base_memory(self):
+        with pytest.raises(CampaignError) as excinfo:
+            RetryPolicy(base_memory_mb=0)
+        assert "base_memory_mb must be positive" in str(excinfo.value)
 
 
 class TestTerminalStates:
@@ -459,7 +467,18 @@ class TestJobSerialization:
         with pytest.raises(CampaignError) as excinfo:
             Job.from_dict(spec)
         assert f"{field} must not be negative" in str(excinfo.value)
-        assert Job.from_dict({**spec, field: 0}).to_dict()[field] == 0
+
+    @pytest.mark.parametrize("field", ["max_conflicts", "max_wall_seconds"])
+    def test_zero_budget_is_legal(self, field):
+        spec = {**Job.build(2, 1).to_dict(), field: 0}
+        assert Job.from_dict(spec).to_dict()[field] == 0
+
+    @pytest.mark.parametrize("value", [0, 0.0])
+    def test_zero_memory_budget_is_refused(self, value):
+        spec = {**Job.build(2, 1).to_dict(), "max_memory_mb": value}
+        with pytest.raises(CampaignError) as excinfo:
+            Job.from_dict(spec)
+        assert "max_memory_mb must be positive" in str(excinfo.value)
 
     def test_non_object_spec_is_refused(self):
         with pytest.raises(CampaignError) as excinfo:

@@ -1,4 +1,4 @@
-"""Supervised execution: hang detection, new fault kinds, circuit breaker.
+"""Supervised execution: hang detection, new fault kinds, guard budgets.
 
 The parallel hang tests use real worker processes and the real verify on
 tiny configurations, because the property under test — a silent worker is
@@ -17,6 +17,7 @@ from repro.campaign import (
     FaultKind,
     FaultPlan,
     Job,
+    Journal,
     RetryPolicy,
 )
 from repro.campaign.parallel import (
@@ -201,7 +202,6 @@ class TestHungWorkers:
             fault_plan=plan,
             workers=2,
             hang_timeout=1.0,
-            heartbeat_interval=0.1,
         ).run([Job.build(2, 1), Job.build(3, 1)])
 
         assert report.results["rw-N2-k1"].status == "INCONCLUSIVE"
@@ -229,23 +229,23 @@ class TestHungWorkers:
             retry=RetryPolicy(max_attempts=1, base_conflicts=None),
             workers=2,
             hang_timeout=30.0,
-            heartbeat_interval=0.1,
         ).run([Job.build(2, 1), Job.build(3, 1)])
         assert report.counts() == {"PROVED": 2}
         assert "campaign.worker_hangs" not in report.metrics
         assert "campaign.worker_crashes" not in report.metrics
 
-    def test_hang_timeout_must_exceed_heartbeat_interval(self, tmp_path):
-        with pytest.raises(CampaignError):
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+    def test_hang_timeout_must_be_positive(self, tmp_path, timeout):
+        with pytest.raises(CampaignError) as excinfo:
             CampaignRunner(
                 str(tmp_path / "bad.jsonl"),
                 workers=2,
-                hang_timeout=0.5,
-                heartbeat_interval=1.0,
+                hang_timeout=timeout,
             ).run([Job.build(2, 1), Job.build(3, 1)])
+        assert "hang_timeout" in str(excinfo.value)
 
 
-# -- circuit breaker in the runner --------------------------------------
+# -- every job runs ------------------------------------------------------
 
 
 def failing_verify(config, **kwargs):
@@ -262,91 +262,56 @@ def proving_verify(config, method="rewriting", **kwargs):
 FAMILY_JOBS = [Job.build(n, 1) for n in (2, 3, 4, 6)]
 
 
-def breaker_runner(path, verify_fn, threshold=2):
-    return CampaignRunner(
-        path,
-        retry=RetryPolicy(max_attempts=1, base_conflicts=None),
-        degrade=DegradePolicy(fallback_method=None),
-        verify_fn=verify_fn,
-        breaker_threshold=threshold,
-    )
-
-
-class TestCircuitBreaker:
-    def test_opens_and_short_circuits_the_family(self, tmp_path):
-        path = str(tmp_path / "breaker.jsonl")
-        report = breaker_runner(path, failing_verify).run(FAMILY_JOBS)
-        assert all(
-            r.status == "INCONCLUSIVE" for r in report.results.values()
-        )
-        # The first two fail on their own; the rest never run.
-        assert report.results["rw-N4-k1"].attempts == 0
-        assert report.results["rw-N6-k1"].detail.startswith(
-            "circuit breaker open"
-        )
-        opens = [
-            e for e in journal_events(path)
-            if e.get("event") == "circuit_open"
-        ]
-        assert len(opens) == 1
-        assert opens[0]["threshold"] == 2
-        assert opens[0]["family"] == FAMILY_JOBS[0].breaker_key()
-
-    def test_resume_reseeds_without_rejournaling(self, tmp_path):
-        path = str(tmp_path / "breaker.jsonl")
-        breaker_runner(path, failing_verify).run(FAMILY_JOBS)
-        extra = FAMILY_JOBS + [Job.build(8, 1)]
-        report = breaker_runner(path, failing_verify).run(extra)
-        assert report.results["rw-N8-k1"].detail.startswith(
-            "circuit breaker open"
-        )
-        opens = [
-            e for e in journal_events(path)
-            if e.get("event") == "circuit_open"
-        ]
-        assert len(opens) == 1  # not re-journaled on replay
-
-    def test_success_keeps_the_family_closed(self, tmp_path):
-        path = str(tmp_path / "ok.jsonl")
-        report = breaker_runner(path, proving_verify).run(FAMILY_JOBS)
-        assert report.counts() == {"PROVED": len(FAMILY_JOBS)}
-        assert not [
-            e for e in journal_events(path)
-            if e.get("event") == "circuit_open"
-        ]
-
-    def test_different_families_are_isolated(self, tmp_path):
-        jobs = [
-            Job.build(2, 1), Job.build(3, 1),  # k=1: will fail and open
-            Job.build(2, 2, method="positive_equality",
-                      job_id="pe-N2-k2"),
-        ]
-
-        def verify_fn(config, method="rewriting", **kwargs):
-            if method == "rewriting":
-                raise BudgetExhausted("stub", conflicts=0, seconds=0.0)
-            return proving_verify(config, method=method, **kwargs)
-
-        report = breaker_runner(
-            str(tmp_path / "fam.jsonl"), verify_fn
-        ).run(jobs)
-        assert report.results["pe-N2-k2"].status == "PROVED"
-        assert report.results["rw-N3-k1"].status == "INCONCLUSIVE"
-
-    def test_disabled_by_default(self, tmp_path):
-        path = str(tmp_path / "off.jsonl")
+class TestEveryJobRuns:
+    def test_every_failing_job_runs_its_own_attempt(self, tmp_path):
+        path = str(tmp_path / "fail.jsonl")
         report = CampaignRunner(
             path,
             retry=RetryPolicy(max_attempts=1, base_conflicts=None),
             degrade=DegradePolicy(fallback_method=None),
             verify_fn=failing_verify,
         ).run(FAMILY_JOBS)
-        # Without a breaker every job burns its own budget.
+        # Siblings that differ only in ROB size each spend their own
+        # budget: no outcome is inferred from another job's.
         assert all(r.attempts == 1 for r in report.results.values())
-        assert not [
-            e for e in journal_events(path)
-            if e.get("event") == "circuit_open"
-        ]
+        assert all(
+            r.status == "INCONCLUSIVE" for r in report.results.values()
+        )
+
+    def test_parent_journal_with_short_circuits_is_a_pure_replay(
+        self, tmp_path
+    ):
+        # The layout older builds wrote when a family's circuit opened:
+        # two failures, a circuit_open record, and short-circuited
+        # finishes with attempts 0 for the remaining siblings.
+        path = str(tmp_path / "old.jsonl")
+        finish = {"event": "finish", "status": "INCONCLUSIVE",
+                  "method": "rewriting", "diagnostics": [], "metrics": {},
+                  "witness": None, "worker": None}
+        with Journal(path) as journal:
+            for job in FAMILY_JOBS:
+                journal.append({"event": "enqueue", "job": job.to_dict()})
+            for job in FAMILY_JOBS[:2]:
+                journal.append({**finish, "job_id": job.job_id,
+                                "attempts": 1, "detail": "stub"})
+            journal.append({"event": "circuit_open",
+                            "family": "rewriting/k1/disjunction",
+                            "job_id": FAMILY_JOBS[1].job_id,
+                            "threshold": 2})
+            for job in FAMILY_JOBS[2:]:
+                journal.append({
+                    **finish, "job_id": job.job_id, "attempts": 0,
+                    "detail": "circuit breaker open for family "
+                              "'rewriting/k1/disjunction'",
+                })
+        calls = []
+        report = CampaignRunner(
+            path, verify_fn=lambda *args, **kwargs: calls.append(args),
+        ).run()
+        assert calls == []
+        assert report.replayed == len(FAMILY_JOBS)
+        assert report.counts() == {"INCONCLUSIVE": len(FAMILY_JOBS)}
+        assert report.results["rw-N6-k1"].attempts == 0
 
 
 # -- guard budgets through the campaign ---------------------------------

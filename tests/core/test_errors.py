@@ -84,6 +84,11 @@ class TestVerifyBudgetPath:
             verify(ProcessorConfig(n_rob=2, issue_width=1), **budget)
         assert f"{next(iter(budget))} must not be negative" in str(info.value)
 
+    def test_zero_memory_budget_is_a_value_error_naming_it(self):
+        with pytest.raises(ValueError) as info:
+            verify(ProcessorConfig(n_rob=2, issue_width=1), max_memory_mb=0)
+        assert "max_memory_mb must be positive" in str(info.value)
+
 
 class TestSolverErrors:
     def test_out_of_range_literal_raises_solver_error(self):

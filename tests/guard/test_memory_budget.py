@@ -18,6 +18,11 @@ class TestConstruction:
         budget = MemoryBudget.from_mb(2)
         assert budget.max_bytes == 2 * 1024 * 1024
 
+    def test_from_mb_rounds_a_sub_byte_budget_up_to_one_byte(self):
+        assert MemoryBudget.from_mb(1e-9).max_bytes == 1
+        with pytest.raises(ValueError):
+            MemoryBudget.from_mb(0)
+
 
 class TestAccounting:
     def test_charged_bytes_trip_the_check(self):

@@ -155,12 +155,6 @@ class TestJobPlumbing:
     def test_default_family_keeps_seed_job_ids(self):
         assert Job.build(4, 2).job_id == "rw-N4-k2"
 
-    def test_breaker_key_separates_families(self):
-        assert Job.build(4, 2, family="mem").breaker_key() != \
-            Job.build(4, 2, family="branch").breaker_key()
-        assert Job.build(4, 2).breaker_key() == \
-            Job.build(8, 2).breaker_key()
-
     def test_job_round_trips_family(self):
         job = Job.build(4, 2, family="mixed")
         assert Job.from_dict(job.to_dict()) == job

@@ -122,8 +122,20 @@ class TestParseRejections:
             SubmitRequest.parse({"grid": "2x1", "budgets": {name: value}})
         assert _status(excinfo) == 400
         assert f"budgets.{name}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", ["max_conflicts", "max_wall_seconds"])
+    def test_zero_budget_is_admitted(self, name):
         zero = SubmitRequest.parse({"grid": "2x1", "budgets": {name: 0}})
         assert getattr(zero.jobs[0], name) == 0
+
+    def test_zero_memory_budget_is_a_400_naming_it(self):
+        # No run fits in zero bytes; admitted, the job would crash.
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse(
+                {"grid": "2x1", "budgets": {"max_memory_mb": 0}}
+            )
+        assert _status(excinfo) == 400
+        assert "budgets.max_memory_mb must be positive" in str(excinfo.value)
 
     def test_empty_request(self):
         with pytest.raises(ServiceError) as excinfo:

@@ -1,5 +1,5 @@
-"""Session-manager tests: cache semantics, dedupe, backpressure, the
-service breaker, and crash re-attach (repro.service.sessions)."""
+"""Session-manager tests: cache semantics, dedupe, backpressure and
+crash re-attach (repro.service.sessions)."""
 
 import threading
 import time
@@ -247,31 +247,6 @@ class TestBackpressure:
             wait_done(manager, running)
         finally:
             gate.set()
-            manager.stop()
-
-
-class TestServiceBreaker:
-    def test_known_inconclusive_family_is_short_circuited(self, tmp_path):
-        verify = CountingVerify(exc=BudgetExhausted("nope", conflicts=1))
-        manager = make_manager(tmp_path, verify, breaker_threshold=1)
-        manager.start()
-        try:
-            first = manager.submit(SubmitRequest.parse({"grid": "2x1"}))
-            first = wait_done(manager, first)
-            (view,) = first.jobs.values()
-            assert view.result["status"] == "INCONCLUSIVE"
-            calls_before = len(verify.calls)
-
-            second = manager.submit(SubmitRequest.parse({"grid": "2x1"}))
-            assert second.done()  # refused work at admission
-            (view2,) = second.jobs.values()
-            assert view2.state == "short-circuited"
-            assert view2.result["status"] == "INCONCLUSIVE"
-            assert "circuit breaker open" in view2.result["detail"]
-            assert len(verify.calls) == calls_before
-            assert manager.metrics.values()[
-                "service.breaker_short_circuits"] == 1
-        finally:
             manager.stop()
 
 

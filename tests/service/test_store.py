@@ -2,6 +2,8 @@
 ``--certify`` round-trip: real witness artifacts must come back from the
 store byte-identical."""
 
+import os
+
 import pytest
 
 from repro import Bug, ProcessorConfig, verify
@@ -29,6 +31,20 @@ class TestBlobSemantics:
     def test_missing_digest_is_none(self, tmp_path):
         assert ArtifactStore(str(tmp_path)).get(DIGEST_A) is None
         assert ArtifactStore(str(tmp_path)).has(DIGEST_A) is False
+
+    def test_put_fsyncs_the_blob_and_its_media_type(
+        self, tmp_path, monkeypatch
+    ):
+        # A crash must not keep a blob whose .meta was lost: both writes
+        # reach the disk before put returns.
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))
+        )
+        ArtifactStore(str(tmp_path)).put(DIGEST_A, b"x", "text/x-drup")
+        assert len(synced) == 2
+        assert not list(tmp_path.glob("*/*.tmp"))
 
     def test_media_type_defaults_without_sidecar(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
