@@ -215,10 +215,6 @@ class ParallelCampaignExecutor:
     ) -> None:
         if workers < 1:
             raise CampaignError("workers must be at least 1")
-        if not hang_timeout > 0:  # NaN fails too
-            raise CampaignError(
-                f"hang_timeout must be positive, got {hang_timeout!r}"
-            )
         self.workers = workers
         self._options = {
             "retry": retry,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.verifier import budget_problem
-from ..errors import CampaignError
+from ..errors import CampaignError, JournalError
 from ..guard.deadline import Deadline, use_deadline
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer, use_tracer
@@ -112,6 +112,24 @@ class DegradePolicy:
     """
 
     fallback_method: Optional[str] = "positive_equality"
+
+
+def _replayed_result(record: Dict[str, object]) -> JobResult:
+    """The result a journaled ``finish`` record holds.
+
+    Raises :class:`JournalError` naming a record whose ``status`` is
+    missing or not a string, or whose ``attempts`` is not an integer.
+    """
+    attempts = record.get("attempts", 1)
+    if not isinstance(record.get("status"), str) \
+            or isinstance(attempts, bool) or not isinstance(attempts, int):
+        raise JournalError(
+            f"finish record {record!r} holds no string status and "
+            "integer attempts"
+        )
+    result = JobResult.from_dict(record)
+    result.from_journal = True
+    return result
 
 
 @dataclass
@@ -218,7 +236,9 @@ class CampaignRunner:
             after which a busy worker is declared hung, escalated
             terminate→kill, journaled as a ``WorkerHung`` failed attempt,
             and its job re-queued.  Workers beat ten times per timeout
-            (see :mod:`repro.campaign.parallel`).
+            (see :mod:`repro.campaign.parallel`).  It must be positive,
+            whatever the worker count: it is checked here, before
+            anything is journaled.
     """
 
     def __init__(
@@ -241,6 +261,10 @@ class CampaignRunner:
             from ..core.verifier import verify as verify_fn
         if workers < 1:
             raise CampaignError("workers must be at least 1")
+        if not hang_timeout > 0:  # NaN fails too
+            raise CampaignError(
+                f"hang_timeout must be positive, got {hang_timeout!r}"
+            )
         self.journal_path = journal_path
         self.retry = retry or RetryPolicy()
         self.degrade = degrade or DegradePolicy()
@@ -290,6 +314,11 @@ class CampaignRunner:
                 self._check_spec_drift(job, known_specs[job.job_id])
 
         finished = replay.finished()
+        replayable = {
+            job.job_id: _replayed_result(finished[job.job_id])
+            for job in job_list
+            if job.job_id in finished
+        }
         failed_attempts = replay.failed_attempts()
         results: Dict[str, JobResult] = {}
         replayed = 0
@@ -302,9 +331,8 @@ class CampaignRunner:
                     journal.append({"event": "enqueue", "job": job.to_dict()})
             to_run: List[Job] = []
             for job in job_list:
-                if job.job_id in finished:
-                    result = JobResult.from_dict(finished[job.job_id])
-                    result.from_journal = True
+                if job.job_id in replayable:
+                    result = replayable[job.job_id]
                     results[job.job_id] = result
                     replayed += 1
                     self._log(f"{job.job_id}: {result.status} (from journal)")

@@ -17,15 +17,21 @@ initial entry ``i`` the engine
    writes-register-file / is-store kind conjuncts);
 4. proves the written data equal (rule 3) by a case split on
    ``ValidResult_i`` — and, in the memory families, on the entry's
-   symbolic instruction-kind variables.  Each case is one
-   :func:`~repro.eufm.traversal.substitute` walk per side: it moves the
-   implementation's reads across the already-proven seam, fixes the
-   case's variables to constants and treats the preceding states as
-   opaque stops.  Operands of instructions executed during the regular
-   cycle then need the forwarding walk: the forwarding chain is checked
-   level by level against the updates of the specification-side write
-   chain the operand is read from (the same walk handles register
-   forwarding and store-to-load forwarding);
+   symbolic instruction-kind variables.  One walk per chain marks the
+   entry's *cone* (:func:`~repro.rewriting.rules.case_cone`): the nodes
+   of both sides' data from which a case variable or the seam is
+   reachable.  Each case is then one
+   :func:`~repro.eufm.traversal.substitute` walk per side that rebuilds
+   the cone alone: it moves the implementation's reads across the
+   already-proven seam, fixes the case's variables to constants and
+   treats the preceding states and the cone's frontier as opaque stops,
+   so the older entries' forwarding and availability chains are never
+   rebuilt.  Operands of instructions executed during the regular cycle
+   then need the forwarding walk: the forwarding chain is checked level
+   by level against the updates of the specification-side write chain
+   the operand is read from, a prefix of the chain the engine decomposed
+   once per run (the same walk handles register forwarding and
+   store-to-load forwarding);
 5. removes the proven pair from both sides (rule 4).
 
 The memory families maintain *two* update chains per side — the Register
@@ -80,6 +86,7 @@ from ..processor.families import Family
 from ..processor.isa import ALU, MEM_ADDR, kind_precedence, writes_reg_file
 from .rules import (
     RuleViolation,
+    case_cone,
     contexts_disjoint,
     merge_contexts,
     prove_forwarding_matches_read,
@@ -152,7 +159,8 @@ def rewrite_diagram(
 
     Recorded as a ``"rewrite"`` span on the ambient tracer, carrying the
     per-rule firing counts (``rewrite.rule.remove`` counts the updates
-    removed) and the number of entries proved.
+    removed), the number of entries proved and ``rewrite.cone_nodes``,
+    the rule-3 cone sizes summed over entries and chains.
     """
     with current_tracer().span("rewrite") as span:
         result = _rewrite_diagram(artifacts, criterion)
@@ -440,6 +448,12 @@ def _process_entry(
     # states map to themselves: the case split treats them as opaque.
     stops = {loc.spec_prev: loc.spec_prev for loc in located}
     seam = {**stops, **{loc.flush_prev: loc.spec_prev for loc in located}}
+    # The forwarding walk reads the updates beneath each of these states:
+    # a prefix of the specification-side chain decomposed once per run.
+    prefixes = {
+        loc.spec_prev: chain.spec_chain.prefix(entry - 1)
+        for chain, loc in zip(chains, located)
+    }
 
     # --- Rule 3: data equality by case split -----------------------------
     if family.has_memory:
@@ -453,19 +467,32 @@ def _process_entry(
             ({load_var: FALSE, store_var: FALSE}, "alu"),
         ]
         dmem_cases = [({load_var: FALSE, store_var: TRUE}, "store")]
+        kind_vars = [load_var, store_var]
     else:
         rf_cases = [({}, "alu")]
         dmem_cases = []
+        kind_vars = []
+    # Everything a case walk maps to something else: the nodes of an
+    # entry's data that reach none of these rebuild to themselves.
+    keys = [
+        valid_var, vres_var, *kind_vars, *(loc.flush_prev for loc in located)
+    ]
 
+    tracer = current_tracer()
     for chain, loc in zip(chains, located):
         cases = rf_cases if chain.name == "RegFile" else dmem_cases
+        cone_size, frontier = case_cone(
+            (loc.impl_data, loc.spec_item.data), keys, stops
+        )
+        tracer.add("rewrite.cone_nodes", cone_size)
         failure = _prove_data_equal(
             entry,
             chain.name,
             loc.impl_data,
             loc.spec_item.data,
-            seam,
-            stops,
+            {**frontier, **seam},
+            {**frontier, **stops},
+            prefixes,
             cases,
             valid_var,
             vres_var,
@@ -490,8 +517,9 @@ def _prove_data_equal(
     chain_name: str,
     impl_data: Term,
     spec_data: Term,
-    seam: Dict[Expr, Expr],
-    stops: Dict[Expr, Expr],
+    impl_map: Dict[Expr, Expr],
+    spec_map: Dict[Expr, Expr],
+    prefixes: Dict[Term, UpdateChain],
     kind_cases: List[Tuple[Dict[BoolVar, Formula], str]],
     valid_var: BoolVar,
     vres_var: BoolVar,
@@ -502,15 +530,18 @@ def _prove_data_equal(
     merged context, by case split on ``ValidResult_i`` and (memory
     families) the entry's instruction-kind variables.
 
-    Each case rewrites each side in one :func:`substitute` walk: the
-    implementation side across ``seam`` (which also holds the opaque
-    ``stops``), the specification side under ``stops`` alone, both with
-    the case's variables fixed to constants."""
+    Each case rewrites each side in one :func:`substitute` walk with the
+    case's variables fixed to constants: the implementation side under
+    ``impl_map`` (the seam, the opaque preceding states and the cone's
+    frontier), the specification side under ``spec_map`` (the same
+    without the seam).  ``prefixes`` holds the decomposed
+    specification-side chain below each preceding state, for the
+    forwarding walk."""
     # Case 1: ValidResult_i — both sides must write the initial Result_i
     # (regardless of the instruction's kind).
     case: Dict[Expr, Expr] = {vres_var: TRUE, valid_var: TRUE}
-    impl_true = substitute(impl_data, {**seam, **case})
-    spec_true = substitute(spec_data, {**stops, **case})
+    impl_true = substitute(impl_data, {**impl_map, **case})
+    spec_true = substitute(spec_data, {**spec_map, **case})
     if impl_true is not result_var or spec_true is not result_var:
         return RewriteFailure(
             entry,
@@ -522,8 +553,8 @@ def _prove_data_equal(
     # Case 2: NOT ValidResult_i — one sub-case per (non-vacuous) kind.
     for assignment, label in kind_cases:
         case = {vres_var: FALSE, valid_var: TRUE, **assignment}
-        impl_false = substitute(impl_data, {**seam, **case})
-        spec_false = substitute(spec_data, {**stops, **case})
+        impl_false = substitute(impl_data, {**impl_map, **case})
+        spec_false = substitute(spec_data, {**spec_map, **case})
         if impl_false is spec_false:
             continue
         # Subcase 2.1: the instruction may have executed during the regular
@@ -575,7 +606,7 @@ def _prove_data_equal(
             for candidate in executed_conjuncts:
                 try:
                     prove_forwarding_matches_read(
-                        forwarded, spec_read, candidate
+                        forwarded, spec_read, candidate, prefixes
                     )
                     proved = True
                     _tally(rules_applied, "forwarding")

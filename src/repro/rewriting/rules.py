@@ -13,20 +13,21 @@ shape), exactly as the paper prescribes:
   merge under context ``Valid_i``.
 * :func:`split_on_guard` — views a formula as an ITE on a given guard,
   undoing the builder's connective normal forms.
+* :func:`case_cone` — rule 3's case split: the nodes of an entry's data
+  that a case can change.  Each case is one
+  :func:`repro.eufm.traversal.substitute` walk that fixes the case's
+  variables to constants, treats the preceding-state sub-DAGs as opaque
+  stops and, given the cone's frontier as further stops, rebuilds the
+  cone alone.
 * :func:`prove_forwarding_matches_read` — rule 3, subcase 2.1: the
   synchronized walk of the forwarding chain and the availability chain
   against the updates of the specification-side write chain the operand
-  is read from.
-
-The case split on ``ValidResult_i`` (rule 3) itself needs no helper of
-its own: each case is one :func:`repro.eufm.traversal.substitute` walk
-that fixes the case's variables to constants and treats the
-preceding-state sub-DAGs as opaque stops.
+  is read from, taken from the prefix the engine decomposed once.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..errors import ReproError
 from ..eufm import builder
@@ -34,6 +35,7 @@ from ..eufm.ast import (
     FALSE,
     TRUE,
     And,
+    Expr,
     Formula,
     FormulaITE,
     Not,
@@ -42,13 +44,15 @@ from ..eufm.ast import (
     Term,
     TermITE,
 )
-from .updates import ChainItem, decompose_chain
+from ..guard.deadline import current_deadline
+from .updates import ChainItem, UpdateChain
 
 __all__ = [
     "conjuncts",
     "contexts_disjoint",
     "merge_contexts",
     "split_on_guard",
+    "case_cone",
     "prove_forwarding_matches_read",
     "RuleViolation",
 ]
@@ -154,10 +158,64 @@ def split_on_guard(
     return None
 
 
+def case_cone(
+    roots: Collection[Expr],
+    keys: Collection[Expr],
+    stops: Collection[Expr],
+) -> Tuple[int, Dict[Expr, Expr]]:
+    """The part of ``roots`` a rule-3 case walk can change.
+
+    The cone is the set of nodes above ``stops`` from which a node of
+    ``keys`` (the case variables and the seam) is reachable, the keys
+    included; the walk descends into neither keys nor stops.  Returns the
+    cone's size and its *frontier*: each child of a cone node that lies
+    outside the cone, and each root outside it, mapped to itself.  No key
+    is reachable from a frontier node, so
+    :func:`~repro.eufm.traversal.substitute` rebuilds it to itself;
+    added to a case's mapping as stops, the frontier confines the walk to
+    the cone without changing its result.
+    """
+    deadline = current_deadline()
+    key_uids = {node.uid for node in keys}
+    bounds = key_uids | {node.uid for node in stops}
+    # Keyed by uid: an int hashes in C, an Expr through ``__hash__``.
+    seen: Dict[int, Expr] = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        uid = node.uid
+        if uid in seen:
+            continue
+        deadline.tick("rewrite")
+        seen[uid] = node
+        if uid not in bounds:
+            stack.extend(node.children)
+    # A node is interned after its children, so ascending uids visit
+    # every child before its parents.
+    cone = key_uids.intersection(seen)
+    inner: List[Expr] = []
+    for uid in sorted(seen):
+        if uid in bounds:
+            continue
+        node = seen[uid]
+        for child in node.children:
+            if child.uid in cone:
+                cone.add(uid)
+                inner.append(node)
+                break
+    frontier = {root: root for root in roots if root.uid not in cone}
+    for node in inner:
+        for child in node.children:
+            if child.uid not in cone:
+                frontier[child] = child
+    return len(cone), frontier
+
+
 def prove_forwarding_matches_read(
     forwarded: Term,
     spec_read: Term,
     availability: Formula,
+    prefixes: Mapping[Term, UpdateChain],
 ) -> None:
     """Rule 3, subcase 2.1: the forwarded operand equals the spec-side read.
 
@@ -166,24 +224,30 @@ def prove_forwarding_matches_read(
     initial Register File; ``spec_read`` is the specification-side
     ``read(state, src)`` of the same source register, taken as it is:
     ``state`` is the guarded write chain of the preceding updates (data
-    ``SpecData_j``); ``availability`` mirrors the forwarding chain,
-    yielding ``ValidResult_j`` on a match.
+    ``SpecData_j``), which ``prefixes`` must hold already decomposed,
+    keyed by its final state; ``availability`` mirrors the forwarding
+    chain, yielding ``ValidResult_j`` on a match.
 
     The forwarding and availability chains are walked in lockstep with
-    the updates of ``decompose_chain(state)``, newest first.  At each
-    level the forwarding guard must be the update's write condition
-    ``context AND addr = src``; the implementation leaf ``Result_j`` must
-    be the update data's ``ValidResult_j``-branch, and availability must
-    yield exactly ``ValidResult_j`` (so the operand is only consumed once
-    the producer has a result).  Below the oldest update the forwarding
-    chain must end in ``read(base, src)``.  A ``spec_read`` that is not a
-    read has no levels: the forwarded term must be that very node.
-    Raises :class:`RuleViolation` with the offending level otherwise.
+    the updates of ``prefixes[state]``, newest first.  At each level the
+    forwarding guard must be the update's write condition ``context AND
+    addr = src``; the implementation leaf ``Result_j`` must be the update
+    data's ``ValidResult_j``-branch, and availability must yield exactly
+    ``ValidResult_j`` (so the operand is only consumed once the producer
+    has a result).  Below the oldest update the forwarding chain must end
+    in ``read(base, src)``.  A ``spec_read`` that is not a read has no
+    levels: the forwarded term must be that very node.  Raises
+    :class:`RuleViolation` with the offending level otherwise.
     """
     items: List[ChainItem] = []
     bottom = spec_read
     if isinstance(spec_read, Read):
-        chain = decompose_chain(spec_read.mem)
+        chain = prefixes.get(spec_read.mem)
+        if chain is None:
+            raise RuleViolation(
+                "the specification-side read is not from a decomposed "
+                "chain state"
+            )
         items = chain.items
         bottom = builder.read(chain.base, spec_read.addr)
     fwd, avail = forwarded, availability

@@ -54,6 +54,11 @@ class UpdateChain:
             return self.base
         return self.items[count - 1].post_state
 
+    def prefix(self, count: int) -> "UpdateChain":
+        """The chain of the first ``count`` updates, ending at
+        :meth:`state_after` ``(count)``."""
+        return UpdateChain(base=self.base, items=self.items[:count])
+
 
 def decompose_chain(mem: Term) -> UpdateChain:
     """Decompose a guarded write chain, keeping the intermediate states.

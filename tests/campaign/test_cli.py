@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.campaign import Journal
+from repro.campaign import Job, Journal
 from repro.campaign.cli import build_parser as campaign_parser
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.cli import retry_policies
@@ -192,6 +192,24 @@ class TestParallelAndInjection:
         ])
         assert code == 2
 
+    # One job, or two jobs on two workers: the value is checked before
+    # anything is journaled, whatever the job or worker count.
+    @pytest.mark.parametrize("grid", ["2x1", "2x1,3x1"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_non_positive_hang_timeout_is_a_setup_error_leaving_no_journal(
+        self, grid, workers, tmp_path, capsys
+    ):
+        journal = tmp_path / "c.jsonl"
+        code = campaign_main([
+            "--journal", str(journal), "--grid", grid,
+            "--hang-timeout", "0", "--workers", workers,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("campaign error: ")
+        assert "hang_timeout must be positive" in err
+        assert not journal.exists()
+
 
 class TestResumeFlow:
     def test_second_run_replays_journal(self, tmp_path, capsys):
@@ -214,6 +232,30 @@ class TestResumeFlow:
     def test_resume_with_no_journal_is_a_setup_error(self, tmp_path, capsys):
         code = campaign_main(["--journal", str(tmp_path / "missing.jsonl")])
         assert code == 2
+
+    # CRC-valid finish records an older or foreign writer could leave.
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"status": 5},
+        {"status": "PROVED", "attempts": "abc"},
+        {"status": "PROVED", "attempts": 1.5},
+    ], ids=["no-status", "non-string-status", "string-attempts",
+            "float-attempts"])
+    def test_malformed_finish_record_fails_every_resume(
+        self, extra, tmp_path, capsys
+    ):
+        journal = str(tmp_path / "c.jsonl")
+        record = {"event": "finish", "job_id": "rw-N2-k1", **extra}
+        with Journal(journal) as handle:
+            handle.append({"event": "enqueue",
+                           "job": Job.build(2, 1).to_dict()})
+            handle.append(record)
+        for _ in range(2):
+            assert campaign_main(["--journal", journal]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("campaign error: finish record ")
+            assert "'job_id': 'rw-N2-k1'" in err
+            assert "Traceback" not in err
 
     def test_inconclusive_grid_exits_four(self, tmp_path, capsys):
         # A hopeless budget with degradation disabled: INCONCLUSIVE -> 4.

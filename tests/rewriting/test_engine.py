@@ -4,6 +4,7 @@ import pytest
 
 from repro.encode import check_validity
 from repro.eufm import bool_variables, term_variables
+from repro.obs.tracer import Tracer, use_tracer
 from repro.processor import (
     Bug,
     BugKind,
@@ -91,6 +92,25 @@ class TestRewriteCorrectDesigns:
         result = rewrite_diagram(artifacts, criterion="case_split")
         validity = check_validity(result.reduced_formula, memory_mode="conservative")
         assert validity.valid is True
+
+
+def _cone_nodes(n, k):
+    artifacts = run_diagram(ProcessorConfig(n_rob=n, issue_width=k))
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = rewrite_diagram(artifacts)
+    assert result.succeeded, result.failure
+    return tracer.root.counters["rewrite.cone_nodes"]
+
+
+class TestCaseCone:
+    def test_cone_nodes_grow_linearly_with_the_rob(self):
+        """Each entry's rule-3 walks rebuild a cone of bounded size, so
+        doubling N about doubles the summed count; walks that rebuilt the
+        older entries' forwarding chains would grow it quadratically.
+        Unlike CPU time, the count shows that even at small N."""
+        small, large = _cone_nodes(32, 2), _cone_nodes(64, 2)
+        assert 0 < large <= 2.1 * small
 
 
 class TestRewriteBuggyDesigns:

@@ -20,6 +20,7 @@ from repro.rewriting import (
     RuleViolation,
     conjuncts,
     contexts_disjoint,
+    decompose_chain,
     merge_contexts,
     prove_forwarding_matches_read,
     split_on_guard,
@@ -139,42 +140,50 @@ class TestForwardingWalk:
             avail = ite_formula(match, vres, avail)
         return fwd, read(mem, src), avail
 
+    @staticmethod
+    def _prove(fwd, spec, avail):
+        """The walk against the chain ``spec`` reads, decomposed as the
+        engine does: once, keyed by its final state."""
+        prove_forwarding_matches_read(
+            fwd, spec, avail, {spec.mem: decompose_chain(spec.mem)}
+        )
+
     def test_single_producer(self):
         fwd, spec, avail = self._chains([1])
-        prove_forwarding_matches_read(fwd, spec, avail)
+        self._prove(fwd, spec, avail)
 
     def test_three_producers(self):
         fwd, spec, avail = self._chains([1, 2, 3])
-        prove_forwarding_matches_read(fwd, spec, avail)
+        self._prove(fwd, spec, avail)
 
     def test_empty_chain(self):
         fwd, spec, avail = self._chains([])
-        prove_forwarding_matches_read(fwd, spec, avail)
+        self._prove(fwd, spec, avail)
 
     def test_wrong_guard_rejected(self):
         fwd, spec, avail = self._chains([1, 2])
         # Tamper: change the outermost guard of the forwarding chain.
         bad = ite_term(bvar("other_guard"), fwd.then, fwd.els)
         with pytest.raises(RuleViolation):
-            prove_forwarding_matches_read(bad, spec, avail)
+            self._prove(bad, spec, avail)
 
     def test_wrong_result_rejected(self):
         fwd, spec, avail = self._chains([1, 2])
         bad = ite_term(fwd.cond, tvar("WrongResult"), fwd.els)
         with pytest.raises(RuleViolation):
-            prove_forwarding_matches_read(bad, spec, avail)
+            self._prove(bad, spec, avail)
 
     def test_wrong_availability_rejected(self):
         fwd, spec, avail = self._chains([1])
         with pytest.raises(RuleViolation):
-            prove_forwarding_matches_read(fwd, spec, bvar("unrelated"))
+            self._prove(fwd, spec, bvar("unrelated"))
 
     def test_chain_one_level_short_rejected(self):
         # The forwarding chain skips the oldest producer's update.
         fwd, _, _ = self._chains([2, 3])
         _, spec, avail = self._chains([1, 2, 3])
         with pytest.raises(RuleViolation, match="level 2: chain shapes"):
-            prove_forwarding_matches_read(fwd, spec, avail)
+            self._prove(fwd, spec, avail)
 
     def test_chain_one_level_too_long_rejected(self):
         # The forwarding chain tests a producer the specification side
@@ -182,4 +191,13 @@ class TestForwardingWalk:
         fwd, _, avail = self._chains([1, 2, 3])
         _, spec, _ = self._chains([2, 3])
         with pytest.raises(RuleViolation, match="level 2: chain shapes"):
-            prove_forwarding_matches_read(fwd, spec, avail)
+            self._prove(fwd, spec, avail)
+
+    def test_read_from_an_undecomposed_state_rejected(self):
+        # The prefixes hold another chain than the one the read is from.
+        fwd, spec, avail = self._chains([1, 2])
+        _, other, _ = self._chains([1])
+        with pytest.raises(RuleViolation, match="not from a decomposed"):
+            prove_forwarding_matches_read(
+                fwd, spec, avail, {other.mem: decompose_chain(other.mem)}
+            )
