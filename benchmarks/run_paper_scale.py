@@ -14,7 +14,8 @@ INCONCLUSIVE instead of aborting the sweep — the same protocol the paper
 applies with its 4 GB memory limit.  Pass ``--fresh`` to discard previous
 progress and ``--workers N`` to fan the configurations out to a worker
 pool (the parent stays the sole journal writer, so resume still works).
-The table is appended to ``benchmarks/results/paper_scale.txt``.
+The table is appended to ``benchmarks/results/paper_scale.txt``, under the
+command line that made it; earlier tables and notes there are kept.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ CONFIGS = [
 ]
 
 HEADER = (
+    "(peak GB: the high-water mark of this process's RSS when the row "
+    "finished; - for a row replayed from the journal)\n"
     f"{'config':>16}  {'status':>12}  {'simulate':>9}  {'rewrite':>8}  "
     f"{'translate':>9}  {'SAT':>7}  {'total':>8}  {'clauses':>8}  "
     f"{'peak GB':>8}"
@@ -45,7 +48,8 @@ HEADER = (
 
 def _format_row(job: Job, result) -> str:
     m = result.metrics
-    peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6
+    peak_gb = "-" if result.from_journal else (
+        f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6:.2f}")
     clauses = int(m.get("encode.cnf_clauses", 0))
     return (
         f"{f'N={job.n_rob}, k={job.issue_width}':>16}  "
@@ -54,7 +58,7 @@ def _format_row(job: Job, result) -> str:
         f"{m.get('timings.rewrite', 0.0):>7.1f}s  "
         f"{m.get('timings.translate', 0.0):>8.2f}s  "
         f"{m.get('timings.sat', 0.0):>6.2f}s  "
-        f"{m.get('timings.total', 0.0):>7.1f}s  {clauses:>8}  {peak_gb:>8.2f}"
+        f"{m.get('timings.total', 0.0):>7.1f}s  {clauses:>8}  {peak_gb:>8}"
     )
 
 
@@ -89,7 +93,8 @@ def main() -> int:
         return 2
 
     print(HEADER)
-    lines = [HEADER]
+    command = " ".join(["python benchmarks/run_paper_scale.py", *sys.argv[1:]])
+    lines = ["", command, HEADER]
 
     def on_result(job: Job, result) -> None:
         line = _format_row(job, result)
@@ -106,7 +111,8 @@ def main() -> int:
     )
     report = runner.run(jobs)
 
-    (RESULTS_DIR / "paper_scale.txt").write_text("\n".join(lines) + "\n")
+    with open(RESULTS_DIR / "paper_scale.txt", "a") as table:
+        table.write("\n".join(lines) + "\n")
     counts = report.counts()
     if counts.get("BUG_FOUND"):
         print("verification FAILED for some configuration", file=sys.stderr)

@@ -14,9 +14,9 @@ Three invariants keep the rest of the stack honest:
   pipeline eventually; the lint reports them at the stage boundary with
   an explanation instead.
 * **intern-cache reachability** — nodes interned but unreachable from
-  the formulas of interest are dead weight kept alive by the global
-  cache (reported as info with counts; expected mid-campaign, worth
-  seeing in a report).
+  the formulas of interest: the run's intern table keeps every node the
+  run built, intermediate stages included, until the next run starts
+  (reported as info with counts; expected, worth seeing in a report).
 """
 
 from __future__ import annotations
@@ -148,7 +148,8 @@ def audit_intern_reachability(*roots: Expr) -> List[Diagnostic]:
         check="dag.interned-unreachable",
         message=(
             f"{unreachable} of {interned} interned node(s) are unreachable "
-            "from the audited formulas; the global cache keeps them alive"
+            "from the audited formulas; the run's intern table keeps "
+            "them alive until the next run starts"
         ),
         data={"interned": interned, "reachable": reachable,
               "unreachable": unreachable},

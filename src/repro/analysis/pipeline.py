@@ -3,13 +3,14 @@
 :func:`analyze_encoding` audits the artifacts of one
 :func:`repro.encode.evc.encode_validity` run — polarity cross-check,
 maximal-diversity audit, transitivity completeness, propositional
-residue, clause hygiene and DAG hygiene.  :func:`analyze_config` drives
-the same pipeline the verifier uses (simulate, optionally rewrite,
-encode) for a processor configuration and audits every stage, adding the
-rewrite-rule application tally.  :func:`build_report` / ``repro lint``
-run :func:`analyze_config` over a set of configurations plus the
-rule-registry analysis of :mod:`repro.analysis.rules` (side conditions,
-soundness, confluence and termination).
+residue, clause hygiene and DAG hygiene.  :func:`analyze_config` builds
+the formula the verifier decides for a processor configuration with the
+verifier's own step (:func:`repro.core.verifier.build_formula`), encodes
+it and audits every stage, adding the rewrite-rule application tally.
+:func:`build_report` / ``repro lint`` run :func:`analyze_config` over a
+set of configurations plus the rule-registry analysis of
+:mod:`repro.analysis.rules` (side conditions, soundness, confluence and
+termination).
 
 Findings are :class:`~repro.analysis.diagnostics.Diagnostic` records; an
 :class:`AnalysisReport` wraps a list of them with the exit-code contract
@@ -20,13 +21,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.verifier import METHODS
+from ..core.verifier import METHODS, build_formula
 from ..encode.evc import EncodedValidity, encode_validity
+from ..eufm.ast import run_scope
 from ..eufm.traversal import term_variables
 from ..processor.bugs import Bug
-from ..processor.correctness import build_correctness_formula, run_diagram
 from ..processor.params import ProcessorConfig
-from ..rewriting.engine import rewrite_diagram
 from .cnf_audit import audit_cnf, audit_eij_transitivity
 from .dag_lint import audit_hash_consing, audit_memory_free, audit_propositional
 from .diagnostics import (
@@ -48,8 +48,11 @@ __all__ = [
 ]
 
 
-def analyze_encoding(encoded: EncodedValidity) -> List[Diagnostic]:
-    """Audit every artifact of one EUFM-to-CNF translation."""
+def analyze_encoding(
+    encoded: EncodedValidity, subject: str = ""
+) -> List[Diagnostic]:
+    """Audit every artifact of one EUFM-to-CNF translation; findings that
+    name no subject of their own get ``subject``."""
     diagnostics: List[Diagnostic] = []
 
     memory_free = encoded.memory_free
@@ -113,6 +116,8 @@ def analyze_encoding(encoded: EncodedValidity) -> List[Diagnostic]:
                 "constant verdict"
             ),
         ))
+    for diag in diagnostics:
+        diag.subject = diag.subject or subject
     return diagnostics
 
 
@@ -149,10 +154,7 @@ def analyze_verification(result) -> List[Diagnostic]:
             rewrite_tally_diagnostic(result.rewrite, subject)
         )
     if result.validity is not None:
-        for diag in analyze_encoding(result.validity.encoded):
-            if not diag.subject:
-                diag.subject = subject
-            diagnostics.append(diag)
+        diagnostics.extend(analyze_encoding(result.validity.encoded, subject))
     return diagnostics
 
 
@@ -162,14 +164,17 @@ def analyze_config(
     criterion: str = "disjunction",
     bug: Optional[Bug] = None,
 ) -> List[Diagnostic]:
-    """Drive the verifier's pipeline for ``config`` and audit every stage."""
+    """Build the formula ``verify()`` decides for ``config`` and audit
+    every stage, in a run of its own."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     subject = f"{config.describe()} [{method}]"
     diagnostics: List[Diagnostic] = []
-    artifacts = run_diagram(config, bug=bug)
-
-    if method == "rewriting":
-        rewrite = rewrite_diagram(artifacts, criterion=criterion)
-        if not rewrite.succeeded:
+    with run_scope():
+        rewrite, formula, memory_mode = build_formula(
+            config, method, bug, criterion
+        )
+        if formula is None:
             failure = rewrite.failure
             diagnostics.append(Diagnostic(
                 severity=ERROR,
@@ -180,20 +185,10 @@ def analyze_config(
                 data={"entry": failure.entry, "stage": failure.stage},
             ))
             return diagnostics
-        diagnostics.append(rewrite_tally_diagnostic(rewrite, subject))
-        formula = rewrite.reduced_formula
-        memory_mode = rewrite.memory_mode
-    elif method == "positive_equality":
-        formula = build_correctness_formula(artifacts, criterion=criterion)
-        memory_mode = "precise"
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    encoded = encode_validity(formula, memory_mode=memory_mode)
-    for diag in analyze_encoding(encoded):
-        if not diag.subject:
-            diag.subject = subject
-        diagnostics.append(diag)
+        if rewrite is not None:
+            diagnostics.append(rewrite_tally_diagnostic(rewrite, subject))
+        encoded = encode_validity(formula, memory_mode=memory_mode)
+        diagnostics.extend(analyze_encoding(encoded, subject))
     return diagnostics
 
 

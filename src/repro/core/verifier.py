@@ -26,22 +26,22 @@ mid-run.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from contextlib import nullcontext
+from typing import Dict, Optional, Tuple
 
 from ..encode.evc import check_validity
 from ..errors import AnalysisError, BudgetExhausted
+from ..eufm.ast import Formula, run_scope
 from ..guard.deadline import current_deadline, use_deadline
 from ..guard.memory import MemoryBudget
 from ..obs.tracer import Span, Tracer, use_tracer
 from ..processor.bugs import Bug
 from ..processor.correctness import build_correctness_formula, run_diagram
 from ..processor.params import ProcessorConfig
-from ..rewriting.engine import rewrite_diagram
+from ..rewriting.engine import RewriteResult, rewrite_diagram
 from .results import VerificationResult
 
-__all__ = ["verify", "budget_problem", "METHODS"]
+__all__ = ["verify", "budget_problem", "build_formula", "METHODS"]
 
 METHODS = ("rewriting", "positive_equality")
 
@@ -87,6 +87,20 @@ def _enrich_budget_error(exc: BudgetExhausted, root: Span) -> None:
         exc.seconds = exc.timings.get("sat")
 
 
+def build_formula(
+    config: ProcessorConfig, method: str, bug: Optional[Bug], criterion: str
+) -> Tuple[Optional[RewriteResult], Optional[Formula], str]:
+    """The rewrite result (None under ``positive_equality``), the formula
+    ``method`` decides and its memory mode; a failed rewrite leaves no
+    formula.  ``repro lint`` audits this same formula."""
+    artifacts = run_diagram(config, bug=bug)
+    if method == "rewriting":
+        rewrite = rewrite_diagram(artifacts, criterion=criterion)
+        return rewrite, rewrite.reduced_formula, rewrite.memory_mode
+    formula = build_correctness_formula(artifacts, criterion=criterion)
+    return None, formula, "precise"
+
+
 def _run_traced(
     config: ProcessorConfig,
     method: str,
@@ -96,41 +110,23 @@ def _run_traced(
     certify: bool = False,
 ) -> VerificationResult:
     """The pipeline proper, run under an open "verify" span."""
-    artifacts = run_diagram(config, bug=bug)
-
-    if method == "rewriting":
-        rewrite = rewrite_diagram(artifacts, criterion=criterion)
-        if not rewrite.succeeded:
-            failure = rewrite.failure
-            return VerificationResult(
-                config=config,
-                method=method,
-                bug=bug,
-                correct=False,
-                suspected_entry=failure.entry,
-                failure_detail=f"{failure.stage}: {failure.detail}",
-                rewrite=rewrite,
-            )
-        validity = check_validity(
-            rewrite.reduced_formula,
-            memory_mode=rewrite.memory_mode,
-            max_conflicts=max_conflicts,
-            log_proof=certify,
-        )
+    rewrite, formula, memory_mode = build_formula(
+        config, method, bug, criterion
+    )
+    if formula is None:
+        failure = rewrite.failure
         return VerificationResult(
             config=config,
             method=method,
             bug=bug,
-            correct=validity.valid,
+            correct=False,
+            suspected_entry=failure.entry,
+            failure_detail=f"{failure.stage}: {failure.detail}",
             rewrite=rewrite,
-            validity=validity,
-            counterexample=validity.counterexample,
         )
-
-    formula = build_correctness_formula(artifacts, criterion=criterion)
     validity = check_validity(
         formula,
-        memory_mode="precise",
+        memory_mode=memory_mode,
         max_conflicts=max_conflicts,
         log_proof=certify,
     )
@@ -139,6 +135,7 @@ def _run_traced(
         method=method,
         bug=bug,
         correct=validity.valid,
+        rewrite=rewrite,
         validity=validity,
         counterexample=validity.counterexample,
     )
@@ -217,39 +214,38 @@ def verify(
         if problem:
             raise ValueError(f"{name} {problem}, got {budget!r}")
     analyze = analyze or strict
-    guard_deadline = None
-    guard_scope = nullcontext()
-    if max_wall_seconds is not None or max_memory_mb is not None:
-        memory = (
-            MemoryBudget.from_mb(max_memory_mb)
-            if max_memory_mb is not None
-            else None
-        )
-        guard_deadline = current_deadline().derive(
-            max_wall_seconds=max_wall_seconds,
-            memory=memory,
-        )
-        guard_scope = use_deadline(guard_deadline)
-    tracer = Tracer()
-    try:
-        with guard_scope, use_tracer(tracer):
-            with tracer.span("verify"):
-                result = _run_traced(
-                    config, method, bug, criterion, max_conflicts, certify,
-                )
-                if analyze:
-                    from ..analysis.pipeline import analyze_verification
+    # The run owns the intern table; its budgets start once it has it.
+    with run_scope():
+        guard_deadline = None
+        guard_scope = nullcontext()
+        if max_wall_seconds is not None or max_memory_mb is not None:
+            memory = None
+            if max_memory_mb is not None:
+                memory = MemoryBudget.from_mb(max_memory_mb)
+            guard_deadline = current_deadline().derive(
+                max_wall_seconds=max_wall_seconds, memory=memory,
+            )
+            guard_scope = use_deadline(guard_deadline)
+        tracer = Tracer()
+        try:
+            with guard_scope, use_tracer(tracer):
+                with tracer.span("verify"):
+                    result = _run_traced(
+                        config, method, bug, criterion, max_conflicts, certify,
+                    )
+                    if analyze:
+                        from ..analysis.pipeline import analyze_verification
 
-                    with tracer.span("analyze"):
-                        result.diagnostics = analyze_verification(result)
-                if certify:
-                    from ..witness.certify import certify_result
+                        with tracer.span("analyze"):
+                            result.diagnostics = analyze_verification(result)
+                    if certify:
+                        from ..witness.certify import certify_result
 
-                    with tracer.span("witness"):
-                        result.witness = certify_result(result)
-    except BudgetExhausted as exc:
-        _enrich_budget_error(exc, tracer.root)
-        raise
+                        with tracer.span("witness"):
+                            result.witness = certify_result(result)
+        except BudgetExhausted as exc:
+            _enrich_budget_error(exc, tracer.root)
+            raise
 
     root = tracer.root
     # Publish the supervision counters (guard.*) onto the root span —

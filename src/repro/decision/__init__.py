@@ -12,7 +12,6 @@ from .splitter import (
     is_satisfiable,
     is_valid,
 )
-from .splitter import prove_equal_under
 
 __all__ = [
     "Env",
@@ -21,5 +20,4 @@ __all__ = [
     "DecisionBudget",
     "is_satisfiable",
     "is_valid",
-    "prove_equal_under",
 ]

@@ -29,7 +29,6 @@ from ..eufm.ast import (
     Expr,
     Formula,
     Read,
-    Term,
     TermITE,
     UFApp,
     UPApp,
@@ -150,17 +149,3 @@ def _pick_atom(phi: Formula) -> Optional[Formula]:
     # leaf-level guard, which folds ITEs early.
     return min(candidates, key=lambda atom: atom.uid)
 
-
-def prove_equal_under(
-    lhs: Term,
-    rhs: Term,
-    context: Formula,
-    budget: Optional[DecisionBudget] = None,
-) -> bool:
-    """True when ``context -> lhs = rhs`` is valid.
-
-    Used by the rewriting engine to discharge the data-equality obligations
-    of Sect. 6 when purely structural comparison is insufficient.
-    """
-    obligation = builder.implies(context, builder.eq(lhs, rhs))
-    return is_valid(obligation, budget)

@@ -29,7 +29,6 @@ Two strategies, both used in the paper's tool flow:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
@@ -45,8 +44,6 @@ __all__ = [
     "eliminate_memories",
     "abstract_memories_conservative",
 ]
-
-_fresh_counter = itertools.count(1)
 
 #: Rounds of :func:`eliminate_memories` before it gives up on a fixpoint;
 #: ordinary correctness formulas converge in one.
@@ -95,7 +92,8 @@ def eliminate_memories(phi: Formula) -> MemoryElimResult:
             if isinstance(node, Eq) and (
                 node.lhs in memory_sorted or node.rhs in memory_sorted
             ):
-                fresh = builder.tvar(f"addr*{next(_fresh_counter)}")
+                index = len(result.fresh_addresses) + 1
+                fresh = builder.tvar(f"addr*{index}")
                 result.fresh_addresses.append(fresh)
                 if polarity.get(node, POS) & NEG:
                     result.negative_memory_equations.append(node)

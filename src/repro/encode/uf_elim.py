@@ -17,7 +17,6 @@ elimination); the registry returned here feeds the ``e_ij`` leaf encoding.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -38,8 +37,6 @@ from ..eufm.traversal import iter_dag, rebuild
 from ..guard.deadline import current_deadline
 
 __all__ = ["UFElimResult", "eliminate_uf"]
-
-_fresh_counter = itertools.count(1)
 
 
 @dataclass
@@ -113,7 +110,7 @@ def _eliminate_app(
     for seen_args, value in entries:
         if seen_args == args:
             return value
-    fresh = builder.tvar(f"vc!{symbol}!{len(entries) + 1}!{next(_fresh_counter)}")
+    fresh = builder.tvar(f"vc!{symbol}!{len(entries) + 1}")
     result.fresh_term_vars.append(fresh)
     result.provenance[fresh] = (symbol, args)
     if polarity_info is None or polarity_info.is_g_symbol(symbol):
@@ -138,7 +135,7 @@ def _eliminate_pred(
     for seen_args, value in entries:
         if seen_args == args:
             return value
-    fresh = builder.bvar(f"vp!{symbol}!{len(entries) + 1}!{next(_fresh_counter)}")
+    fresh = builder.bvar(f"vp!{symbol}!{len(entries) + 1}")
     result.fresh_bool_vars.append(fresh)
     result.provenance[fresh] = (symbol, args)
     replacement: Formula = fresh

@@ -28,6 +28,7 @@ from .ast import (
     Write,
     clear_intern_cache,
     interned_count,
+    run_scope,
 )
 from .builder import (
     and_,
@@ -87,6 +88,7 @@ __all__ = [
     "Write",
     "clear_intern_cache",
     "interned_count",
+    "run_scope",
     # builder
     "and_",
     "bvar",

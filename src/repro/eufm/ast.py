@@ -14,12 +14,16 @@ The syntax follows Burch & Dill (CAV'94) as used by Velev (DATE 2002):
 Every node is interned: structurally identical expressions are the same
 Python object, so equality tests are identity tests and DAG sharing is
 maximal.  Nodes are immutable; construct them through :mod:`repro.eufm.builder`
-which also applies local simplification.
+which also applies local simplification.  One verification run at a time
+owns the intern table (:func:`run_scope`).
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import threading
+from contextlib import contextmanager
 from typing import Iterator, Optional, Tuple
 
 __all__ = [
@@ -44,6 +48,7 @@ __all__ = [
     "intern_node",
     "interned_count",
     "clear_intern_cache",
+    "run_scope",
 ]
 
 
@@ -72,11 +77,36 @@ def clear_intern_cache() -> None:
 
     Existing expression objects stay valid, but newly constructed
     structurally-equal expressions will be fresh objects; only call this
-    between independent verification runs.
+    between independent verification runs (:func:`run_scope` does).
     """
     _intern_table.clear()
     _intern_table[("const", True)] = TRUE
     _intern_table[("const", False)] = FALSE
+
+
+_run_lock = threading.Lock()
+
+
+def _new_run_lock() -> None:
+    # A child forked while another thread held the lock inherits it held,
+    # with no thread left to release it.
+    global _run_lock
+    _run_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_run_lock)
+
+
+@contextmanager
+def run_scope() -> Iterator[None]:
+    """Run one verification on an empty intern table, holding a lock that
+    is not re-entrant, so runs in other threads wait (enter it before the
+    run's budgets start).  The run's nodes stay interned after it, until
+    the next run starts."""
+    with _run_lock:
+        clear_intern_cache()
+        yield
 
 
 class Expr:

@@ -61,7 +61,6 @@ variables and depends only on the newly fetched instructions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -94,8 +93,6 @@ from .rules import (
 from .updates import ChainItem, UpdateChain, decompose_chain
 
 __all__ = ["RewriteFailure", "RewriteResult", "rewrite_diagram"]
-
-_fresh_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -635,12 +632,11 @@ def _build_reduced_formula(
     instructions.
     """
     family = artifacts.config.family_spec
-    counter = next(_fresh_counter)
-    fresh_rf = builder.tvar(f"RegFile_equal_state{counter}")
+    fresh_rf = builder.tvar("RegFile_equal_state")
     impl_map: Dict[Term, Term] = {artifacts.rf_impl_mid: fresh_rf}
     spec_map: Dict[Term, Term] = {artifacts.spec_states[0].reg_file: fresh_rf}
     if family.has_memory:
-        fresh_dmem = builder.tvar(f"DMem_equal_state{counter}")
+        fresh_dmem = builder.tvar("DMem_equal_state")
         impl_map[artifacts.dmem_impl_mid] = fresh_dmem
         spec_map[artifacts.spec_states[0].dmem] = fresh_dmem
 

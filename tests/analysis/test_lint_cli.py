@@ -1,10 +1,6 @@
 """The ``python -m repro lint`` command and the strict verify mode."""
 
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -16,8 +12,6 @@ from repro.analysis.cli import main as lint_main
 from repro.core import verify
 from repro.errors import AnalysisError
 from repro.eufm import builder
-
-SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 class TestLintCli:
@@ -139,44 +133,23 @@ class TestStrictVerify:
         assert "cnf.zero-literal" in err
 
 
-#: Prints the CNF sizes ``analyze_config`` audits and ``verify()``
-#: decides for one family at N=2, k=1, each built on an empty intern
-#: table: node uids order the encoding, so a run after another could
-#: encode differently.
-_AUDITED_AND_DECIDED = """
-import json, sys
-from repro import ProcessorConfig, verify
-from repro.analysis import pipeline
-from repro.eufm import clear_intern_cache
-
-config = ProcessorConfig(2, 1, family=sys.argv[1])
-encode, audited = pipeline.encode_validity, []
-pipeline.encode_validity = lambda *a, **k: audited.append(encode(*a, **k)) \\
-    or audited[-1]
-decided = verify(config).encoding_stats
-clear_intern_cache()
-pipeline.analyze_config(config, method="rewriting")
-(encoded,) = audited
-print(json.dumps([
-    [encoded.stats.cnf_vars, encoded.stats.cnf_clauses],
-    [decided.cnf_vars, decided.cnf_clauses],
-]))
-"""
-
-
 class TestAuditedEncoding:
     @pytest.mark.parametrize("family", ["reg-reg", "branch", "mem", "mixed"])
-    def test_lint_audits_the_cnf_verify_decides(self, family):
+    def test_lint_audits_the_cnf_verify_decides(self, family, monkeypatch):
         # Branch families decline the reduction, so verify() decides the
         # unreduced formula with the precise memory model; the audit must
         # encode it the same way, not with the conservative abstraction.
-        # A fresh interpreter, since clearing the intern table here would
-        # break tests that compare nodes built at collection time.
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.run(
-            [sys.executable, "-c", _AUDITED_AND_DECIDED, family],
-            capture_output=True, text=True, env=env, timeout=120,
+        from repro.analysis import pipeline
+
+        config = ProcessorConfig(2, 1, family=family)
+        encode, audited = pipeline.encode_validity, []
+        monkeypatch.setattr(
+            pipeline, "encode_validity",
+            lambda *args, **kwargs: audited.append(encode(*args, **kwargs))
+            or audited[-1],
         )
-        assert proc.returncode == 0, proc.stderr
-        audited, decided = json.loads(proc.stdout)
-        assert audited == decided
+        decided = verify(config).encoding_stats
+        pipeline.analyze_config(config, method="rewriting")
+        (encoded,) = audited
+        assert (encoded.stats.cnf_vars, encoded.stats.cnf_clauses) == (
+            decided.cnf_vars, decided.cnf_clauses)

@@ -7,7 +7,6 @@ from repro.decision import (
     DecisionBudget,
     is_satisfiable,
     is_valid,
-    prove_equal_under,
 )
 from repro.eufm import (
     FALSE,
@@ -159,19 +158,6 @@ class TestIteTheory:
         forwarded = ite_term(eq(dest, src), result, rf_data)
         spec_read = ite_term(eq(dest, src), result, rf_data)
         assert is_valid(eq(forwarded, spec_read))
-
-
-class TestProveEqualUnder:
-    def test_equal_under_context(self):
-        x, y = tvar("x"), tvar("y")
-        assert prove_equal_under(uf("f", [x]), uf("f", [y]), eq(x, y))
-
-    def test_not_equal_without_context(self):
-        x, y = tvar("x"), tvar("y")
-        assert not prove_equal_under(uf("f", [x]), uf("f", [y]), TRUE)
-
-    def test_false_context_proves_anything(self):
-        assert prove_equal_under(tvar("x"), tvar("y"), FALSE)
 
 
 class TestBudget:

@@ -6,13 +6,7 @@ twin of ``tests/processor/test_golden_diagram.py``.  Each configuration
 pins the outcome (success, reduction, the failing slice), the per-rule
 tally and a Merkle digest of every reduced output, recorded from a
 known-good build.
-
-The fresh ``RegFile_equal_state<n>`` / ``DMem_equal_state<n>`` variables
-take their suffix from a process-global counter, so it depends on which
-tests ran first; the digest hashes those names without it.
 """
-
-import re
 
 import pytest
 
@@ -22,27 +16,6 @@ from repro.processor.families import FAMILIES, family_names
 from repro.rewriting import rewrite_diagram
 
 from ..processor.test_golden_diagram import _ENTRY, _merkle
-
-_FRESH = re.compile(r"^((?:RegFile|DMem)_equal_state)\d+$")
-
-
-class _Unnumbered:
-    """A node seen with the fresh equal-state names' counter dropped."""
-
-    def __init__(self, node):
-        self._node = node
-
-    def __getattr__(self, attr):
-        return getattr(self._node, attr)
-
-    @property
-    def name(self):
-        name = getattr(self._node, "name", None)
-        return None if name is None else _FRESH.sub(r"\1", name)
-
-    @property
-    def children(self):
-        return tuple(_Unnumbered(child) for child in self._node.children)
 
 
 def _configurations():
@@ -83,7 +56,7 @@ def _outcome(family, n_rob, width, criterion, kind):
         None if failure is None else (
             failure.entry, failure.stage, failure.detail),
         dict(sorted(result.rules_applied.items())),
-        _merkle([None if r is None else _Unnumbered(r) for r in roots]),
+        _merkle(roots),
     )
 
 
