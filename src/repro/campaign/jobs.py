@@ -121,9 +121,9 @@ class Job:
 
         Raises :class:`CampaignError` naming the field for a spec of the
         wrong JSON shape or a budget :func:`verify` refuses (a negative
-        one, or a memory budget of zero).  Value ranges stay with
-        :class:`ProcessorConfig`, so a bad size still lands the job
-        ``INCONCLUSIVE``.  Specs written while jobs had a SAT-only
+        or non-finite one, or a memory budget of zero).  Value ranges
+        stay with :class:`ProcessorConfig`, so a bad size still lands the
+        job ``INCONCLUSIVE``.  Specs written while jobs had a SAT-only
         ``max_seconds`` budget carry ``"max_seconds": null``, which is
         dropped; a non-null one is refused.
         """

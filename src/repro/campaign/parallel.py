@@ -407,37 +407,15 @@ class ParallelCampaignExecutor:
             completed += self._handle(self._outbox.get())
         for handle in dead:
             self._pool.remove(handle)
-            job = handle.job
-            if job is None:
+            if handle.job is None:
                 continue
             exitcode = handle.process.exitcode
-            attempt, method = self._in_flight.pop(
-                job.job_id,
-                (None, self._last_method.get(job.job_id, job.method)),
-            )
-            if attempt is None:
-                attempt = self._failed.get((job.job_id, method), 0) + 1
-            self._journal.append({
-                "event": "attempt_failed",
-                "job_id": job.job_id,
-                "attempt": attempt,
-                "method": method,
-                "error": WORKER_CRASH_ERROR,
-                "detail": (
-                    f"worker {handle.worker_id} exited with code {exitcode} "
-                    f"mid-attempt; job re-queued"
-                ),
-            })
-            self._failed[(job.job_id, method)] = (
-                self._failed.get((job.job_id, method), 0) + 1
-            )
             self.worker_crashes += 1
-            self._log(
-                f"{job.job_id}: worker {handle.worker_id} crashed "
-                f"(exit {exitcode}); journaled failed attempt {attempt} "
-                f"and re-queued"
+            self._requeue_failed(
+                handle, WORKER_CRASH_ERROR,
+                f"exited with code {exitcode} mid-attempt",
+                f"crashed (exit {exitcode})",
             )
-            self._pending.appendleft(job)
         self._replenish_pool()
         return completed
 
@@ -471,43 +449,53 @@ class ParallelCampaignExecutor:
                 continue
             if now - handle.last_beat <= self._hang_timeout:
                 continue  # the drain surfaced a beat after all
-            job = handle.job
             silence = now - handle.last_beat
             how = _escalate_stop(handle.process)
             # Remove before the dead-worker reaper runs, or the kill
             # would be double-journaled as a crash.
             self._pool.remove(handle)
-            attempt, method = self._in_flight.pop(
-                job.job_id,
-                (None, self._last_method.get(job.job_id, job.method)),
-            )
-            if attempt is None:
-                attempt = self._failed.get((job.job_id, method), 0) + 1
-            self._journal.append({
-                "event": "attempt_failed",
-                "job_id": job.job_id,
-                "attempt": attempt,
-                "method": method,
-                "error": WORKER_HUNG_ERROR,
-                "detail": (
-                    f"worker {handle.worker_id} sent no heartbeat for "
-                    f"{silence:.1f}s (timeout {self._hang_timeout:g}s); "
-                    f"{how} (exit code {handle.process.exitcode}); "
-                    "job re-queued"
-                ),
-            })
-            self._failed[(job.job_id, method)] = (
-                self._failed.get((job.job_id, method), 0) + 1
-            )
             self.worker_hangs += 1
-            self._log(
-                f"{job.job_id}: worker {handle.worker_id} hung "
-                f"(silent {silence:.1f}s, {how}); journaled failed "
-                f"attempt {attempt} and re-queued"
+            self._requeue_failed(
+                handle, WORKER_HUNG_ERROR,
+                f"sent no heartbeat for {silence:.1f}s "
+                f"(timeout {self._hang_timeout:g}s); "
+                f"{how} (exit code {handle.process.exitcode})",
+                f"hung (silent {silence:.1f}s, {how})",
             )
-            self._pending.appendleft(job)
         self._replenish_pool()
         return completed
+
+    def _requeue_failed(
+        self, handle: _WorkerHandle, error: str, detail: str, what: str
+    ) -> None:
+        """Journal the in-flight attempt of ``handle``'s job as failed
+        with ``error`` and put the job back at the head of the queue.
+
+        ``detail`` (journaled) and ``what`` (logged) say what became of
+        the worker.
+        """
+        job = handle.job
+        attempt, method = self._in_flight.pop(
+            job.job_id,
+            (None, self._last_method.get(job.job_id, job.method)),
+        )
+        failed = self._failed.get((job.job_id, method), 0)
+        if attempt is None:
+            attempt = failed + 1
+        self._journal.append({
+            "event": "attempt_failed",
+            "job_id": job.job_id,
+            "attempt": attempt,
+            "method": method,
+            "error": error,
+            "detail": f"worker {handle.worker_id} {detail}; job re-queued",
+        })
+        self._failed[(job.job_id, method)] = failed + 1
+        self._log(
+            f"{job.job_id}: worker {handle.worker_id} {what}; journaled "
+            f"failed attempt {attempt} and re-queued"
+        )
+        self._pending.appendleft(job)
 
     def _replenish_pool(self) -> None:
         """Keep the pool sized to the remaining work."""

@@ -32,6 +32,7 @@ unchanged; a worker that dies mid-job is journaled as a failed attempt
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -72,8 +73,11 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise CampaignError("max_attempts must be at least 1")
-        if self.escalation < 1.0:
-            raise CampaignError("escalation factor must be >= 1")
+        if not 1.0 <= self.escalation < math.inf:
+            raise CampaignError(
+                "escalation factor must be a finite number >= 1, "
+                f"got {self.escalation!r}"
+            )
         for name in ("base_conflicts", "base_wall_seconds", "base_memory_mb"):
             value = getattr(self, name)
             problem = value is not None and budget_problem(name, value)

@@ -26,6 +26,7 @@ mid-run.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from typing import Dict, Optional, Tuple
 
@@ -51,10 +52,13 @@ def budget_problem(name: str, value: float) -> Optional[str]:
 
     Zero conflicts or wall seconds is legal, an immediate exhaustion; a
     memory budget (a ``name`` ending in ``memory_mb``) must be positive,
-    since no run fits in zero bytes.  The campaign and the service check
-    their budgets with this too, so a budget they admit is one
+    since no run fits in zero bytes.  NaN and infinity are refused: an
+    unbounded budget is one left unset.  The campaign and the service
+    check their budgets with this too, so a budget they admit is one
     :func:`verify` accepts.
     """
+    if isinstance(value, float) and not math.isfinite(value):
+        return "must be a finite number"
     if value < 0:
         return "must not be negative"
     if value == 0 and name.endswith("memory_mb"):

@@ -38,7 +38,10 @@ from .ast import (
 from .traversal import iter_dag
 from ..guard.deadline import current_deadline
 
-__all__ = ["Interpretation", "MemVal", "evaluate", "infer_memory_sorts", "SortError"]
+__all__ = [
+    "Interpretation", "MemVal", "evaluate", "evaluate_nodes",
+    "infer_memory_sorts", "SortError",
+]
 
 
 class SortError(TypeError):
@@ -217,11 +220,16 @@ def infer_memory_sorts(*roots: Expr) -> Set[Expr]:
 
 def evaluate(root: Expr, interp: Interpretation) -> Value:
     """Evaluate ``root`` (and its whole DAG) under ``interp``."""
+    return evaluate_nodes(root, interp)[root]
+
+
+def evaluate_nodes(root: Expr, interp: Interpretation) -> Dict[Expr, Value]:
+    """The value under ``interp`` of every node of ``root``'s DAG."""
     memory_sorted = infer_memory_sorts(root)
     values: Dict[Expr, Value] = {}
     for node in iter_dag(root):
         values[node] = _eval_node(node, values, interp, memory_sorted)
-    return values[root]
+    return values
 
 
 def _eval_node(

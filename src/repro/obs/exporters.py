@@ -18,7 +18,7 @@ Four output formats:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .metrics import MetricsSnapshot
 from .tracer import Span
@@ -127,20 +127,32 @@ def trace_to_chrome(root: Span, pid: int = 1, tid: int = 1) -> Dict[str, Any]:
 
 def trace_from_chrome(payload: Dict[str, Any]) -> List[Span]:
     """Rebuild span trees from a Chrome trace produced by
-    :func:`trace_to_chrome`.
-
-    Uses the embedded ``spanIndex``/``parentIndex`` links when present
-    (exact round-trip); falls back to interval containment per
-    pid/tid track for traces from other producers.
+    :func:`trace_to_chrome`, through the ``spanIndex``/``parentIndex``
+    links it embeds; a trace without them raises :class:`ValueError`.
     """
-    events = payload.get("traceEvents", [])
-    complete = [ev for ev in events if ev.get("ph") == "X"]
-    if all(
-        isinstance(ev.get("args"), dict) and "spanIndex" in ev["args"]
-        for ev in complete
-    ) and complete:
-        return _from_indexed(complete)
-    return _from_containment(complete)
+    events = [
+        ev for ev in payload.get("traceEvents", []) if ev.get("ph") == "X"
+    ]
+    by_index: Dict[int, Span] = {}
+    parents: Dict[int, int] = {}
+    for event in events:
+        args = event.get("args")
+        if not isinstance(args, dict) or "spanIndex" not in args:
+            raise ValueError(
+                f"trace event {event.get('name')!r} has no spanIndex; "
+                "only traces written by trace_to_chrome can be read"
+            )
+        index = int(args["spanIndex"])
+        by_index[index] = _span_of_event(event)
+        parents[index] = int(args.get("parentIndex", -1))
+    roots: List[Span] = []
+    for index in sorted(by_index):
+        parent = parents[index]
+        if parent in by_index:
+            by_index[parent].children.append(by_index[index])
+        else:
+            roots.append(by_index[index])
+    return roots
 
 
 def _span_of_event(event: Dict[str, Any]) -> Span:
@@ -153,45 +165,6 @@ def _span_of_event(event: Dict[str, Any]) -> Span:
     for name, value in (args.get("counters") or {}).items():
         span.counters[str(name)] = float(value)
     return span
-
-
-def _from_indexed(events: List[Dict[str, Any]]) -> List[Span]:
-    by_index: Dict[int, Span] = {}
-    parents: Dict[int, int] = {}
-    for event in events:
-        index = int(event["args"]["spanIndex"])
-        by_index[index] = _span_of_event(event)
-        parents[index] = int(event["args"].get("parentIndex", -1))
-    roots: List[Span] = []
-    for index in sorted(by_index):
-        parent = parents[index]
-        if parent in by_index:
-            by_index[parent].children.append(by_index[index])
-        else:
-            roots.append(by_index[index])
-    return roots
-
-
-def _from_containment(events: List[Dict[str, Any]]) -> List[Span]:
-    eps = 1e-9
-    roots: List[Span] = []
-    tracks: Dict[Tuple[Any, Any], List[Tuple[float, float, Span]]] = {}
-    for event in events:
-        key = (event.get("pid"), event.get("tid"))
-        span = _span_of_event(event)
-        start = span.start_offset
-        end = start + span.wall_seconds
-        stack = tracks.setdefault(key, [])
-        while stack and not (
-            start >= stack[-1][0] - eps and end <= stack[-1][1] + eps
-        ):
-            stack.pop()
-        if stack:
-            stack[-1][2].children.append(span)
-        else:
-            roots.append(span)
-        stack.append((start, end, span))
-    return roots
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Verification-as-a-service: the async job server.
+"""Verification-as-a-service: the job server.
 
 ``python -m repro serve`` wraps the campaign substrate (crash-safe
 journal, retry/escalation executor, supervision budgets, witness
-certification) in a long-lived asyncio HTTP/JSON service:
+certification) in a long-lived HTTP/JSON service, one thread per
+connection (:mod:`repro.service.app`):
 
 * **submit** — ``POST /v1/sessions`` accepts a verification request
   (explicit configs or a grid, plus method/criterion/bug/certify

@@ -1,11 +1,10 @@
-"""The asyncio HTTP/JSON transport of the verification service.
+"""The HTTP/JSON transport of the verification service.
 
-A deliberately small HTTP/1.1 server on raw :mod:`asyncio` streams (the
-environment ships no third-party HTTP framework, and the service speaks
-only JSON and SSE).  One request per connection, explicit
-``Connection: close``; blocking work (cache lookups, long-poll waits)
-runs in the default executor so the event loop stays responsive under
-many concurrent clients.
+The standard library's :class:`http.server.ThreadingHTTPServer` serves
+each connection on a thread of its own, and that thread calls the
+thread-safe :class:`~repro.service.sessions.SessionManager` directly, so
+a long-poll or an event stream blocks only its own connection.  One
+request per connection, explicit ``Connection: close``.
 
 Endpoints (all JSON unless noted):
 
@@ -28,13 +27,19 @@ Backpressure surfaces here as HTTP: a full admission queue answers
 ``429`` with a ``Retry-After`` header (the scheduler's own estimate),
 malformed requests ``400``, unknown sessions/artifacts ``404``, and an
 oversized body ``413`` — the service never buffers unbounded input.
+Every error, the standard library's own parse errors included, is a
+JSON ``{"error": ...}`` body.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-from typing import Any, Dict, Optional, Tuple
+import math
+import socket
+import socketserver
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Dict, List, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..campaign.journal import JournalTailer
@@ -45,8 +50,6 @@ __all__ = ["ServiceApp"]
 
 #: Upper bound on request bodies; a submit request is a few KiB.
 MAX_BODY_BYTES = 1 << 20
-#: Upper bound on the request line + headers block.
-MAX_HEAD_BYTES = 1 << 16
 #: Ceiling on one long-poll / SSE attachment; clients re-attach.
 MAX_WAIT_SECONDS = 60.0
 _SSE_POLL_SECONDS = 0.15
@@ -63,249 +66,167 @@ def _version_payload() -> Dict[str, Any]:
     }
 
 
-class _HttpError(Exception):
-    def __init__(self, status: int, message: str,
-                 retry_after: Optional[float] = None) -> None:
-        super().__init__(message)
-        self.status = status
-        self.retry_after = retry_after
+def _wait_seconds(query: Dict[str, str], default: float) -> float:
+    """The ``wait`` query parameter, capped at :data:`MAX_WAIT_SECONDS`."""
+    raw = query.get("wait")
+    if raw is None:
+        return default
+    try:
+        wait = float(raw)
+    except ValueError:
+        wait = math.nan
+    if not 0 <= wait < math.inf:
+        raise ServiceError(
+            400, f"wait must be a finite number of seconds >= 0, got {raw!r}"
+        )
+    return min(wait, MAX_WAIT_SECONDS)
 
 
-_REASONS = {
-    200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+class ServiceApp(ThreadingHTTPServer):
+    """Binds a :class:`~repro.service.sessions.SessionManager` to HTTP.
 
+    Construction binds the socket and starts the manager's scheduler;
+    :meth:`serve_forever` serves, and :meth:`server_close` closes the
+    socket and stops the manager.
+    """
 
-class ServiceApp:
-    """Binds a :class:`~repro.service.sessions.SessionManager` to HTTP."""
-
-    def __init__(self, manager: SessionManager) -> None:
+    def __init__(self, manager: SessionManager, host: str, port: int) -> None:
         self.manager = manager
-        self._server: Optional[asyncio.AbstractServer] = None
+        if ":" in host:  # an IPv6 address
+            self.address_family = socket.AF_INET6
+        super().__init__((host, port), _Handler)
+        manager.start()
 
-    # -- server lifecycle ----------------------------------------------
+    def server_bind(self) -> None:
+        # HTTPServer's own server_bind also reverse-resolves the host
+        # name, which only CGI reads.
+        socketserver.TCPServer.server_bind(self)
 
-    async def start(self, host: str, port: int) -> Tuple[str, int]:
-        """Bind and start serving; returns the bound (host, port)."""
-        self.manager.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port
-        )
-        sock = self._server.sockets[0]
-        bound = sock.getsockname()
-        return bound[0], bound[1]
+    def server_close(self) -> None:
+        super().server_close()
+        self.manager.stop()
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
 
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.manager.stop
-        )
+class _Handler(BaseHTTPRequestHandler):
+    server: ServiceApp
+    protocol_version = "HTTP/1.1"
+    # Answer a request line without a version with a status line and
+    # headers, as every other request.
+    default_request_version = "HTTP/1.0"
+    #: set once a status line is written; an error after it just ends
+    #: the response (an event stream) instead of writing a second one.
+    _head_sent = False
 
-    # -- connection handling -------------------------------------------
+    def __getattr__(self, name: str) -> Any:
+        # Every method reaches the router, which answers 404/405 itself.
+        if name.startswith("do_"):
+            return self._handle
+        raise AttributeError(name)
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def handle(self) -> None:
         try:
-            try:
-                method, path, headers = await self._read_head(reader)
-                body = await self._read_body(reader, headers)
-            except _HttpError as exc:
-                await self._send_error(writer, exc)
-                return
-            except (asyncio.IncompleteReadError, ConnectionError,
-                    asyncio.LimitOverrunError):
-                return
-            self.manager.metrics.inc("service.requests")
-            try:
-                await self._dispatch(writer, method, path, body)
-            except ServiceError as exc:
-                await self._send_error(writer, _HttpError(
-                    exc.status, str(exc), exc.retry_after
-                ))
-            except _HttpError as exc:
-                await self._send_error(writer, exc)
-            except ConnectionError:
-                pass
-            except Exception as exc:  # never leak a traceback as a hang
-                self.manager.metrics.inc("service.errors")
-                await self._send_error(writer, _HttpError(
-                    500, f"{type(exc).__name__}: {exc}"
-                ))
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            super().handle()
+        except ConnectionError:
+            pass  # the client hung up: nobody is left to answer
 
-    async def _read_head(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, Dict[str, str]]:
+    def _handle(self) -> None:
+        manager = self.server.manager
         try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            raise _HttpError(413, "request head too large")
-        if len(head) > MAX_HEAD_BYTES:
-            raise _HttpError(413, "request head too large")
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split(" ")
-        if len(parts) != 3:
-            raise _HttpError(400, f"malformed request line {lines[0]!r}")
-        method, target, _http = parts
-        headers: Dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, _sep, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return method.upper(), target, headers
+            body = self._read_body()
+            manager.metrics.inc("service.requests")
+            self._route(body)
+        except ServiceError as exc:
+            self.send_error(exc.status, str(exc), retry_after=exc.retry_after)
+        except ConnectionError:
+            raise  # the client hung up; see handle()
+        except Exception as exc:  # never leak a traceback as a hang
+            manager.metrics.inc("service.errors")
+            self.send_error(500, f"{type(exc).__name__}: {exc}")
 
-    async def _read_body(
-        self, reader: asyncio.StreamReader, headers: Dict[str, str]
-    ) -> bytes:
+    def _read_body(self) -> bytes:
         try:
-            length = int(headers.get("content-length", "0"))
+            length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            raise _HttpError(400, "bad Content-Length")
+            raise ServiceError(400, "bad Content-Length")
         if length < 0 or length > MAX_BODY_BYTES:
-            raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-        if length == 0:
-            return b""
-        return await reader.readexactly(length)
+            raise ServiceError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+        return self.rfile.read(length)
 
     # -- routing --------------------------------------------------------
 
-    async def _dispatch(
-        self, writer: asyncio.StreamWriter, method: str, target: str,
-        body: bytes,
-    ) -> None:
-        url = urlsplit(target)
+    def _route(self, body: bytes) -> None:
+        method = self.command.upper()
+        url = urlsplit(self.path)
         path = url.path.rstrip("/") or "/"
         query = {
             name: values[-1]
             for name, values in parse_qs(url.query).items()
         }
         segments = [seg for seg in path.split("/") if seg]
+        manager = self.server.manager
         if path == "/healthz" and method == "GET":
-            await self._send_json(writer, 200, {"ok": True})
+            self._send_json(200, {"ok": True})
         elif path == "/version" and method == "GET":
-            await self._send_json(writer, 200, _version_payload())
+            self._send_json(200, _version_payload())
         elif path == "/metrics" and method == "GET":
-            stats = await asyncio.get_running_loop().run_in_executor(
-                None, self.manager.stats
-            )
-            await self._send_json(writer, 200, stats)
+            self._send_json(200, manager.stats())
         elif path == "/v1/sessions" and method == "POST":
-            await self._submit(writer, body)
+            self._submit(body)
         elif len(segments) == 3 and segments[:2] == ["v1", "sessions"]:
-            self._require(method, "GET")
-            await self._status(writer, segments[2], query)
+            _require(method, "GET")
+            self._status(segments[2], query)
         elif len(segments) == 4 and segments[:2] == ["v1", "sessions"] \
                 and segments[3] == "result":
-            self._require(method, "GET")
-            await self._result(writer, segments[2])
+            _require(method, "GET")
+            session = manager.get(segments[2])
+            self._send_json(200, session.result_dict(manager.store))
         elif len(segments) == 4 and segments[:2] == ["v1", "sessions"] \
                 and segments[3] == "events":
-            self._require(method, "GET")
-            await self._events(writer, segments[2], query)
+            _require(method, "GET")
+            self._events(segments[2], query)
         elif len(segments) == 3 and segments[:2] == ["v1", "artifacts"]:
-            self._require(method, "GET")
-            await self._artifact(writer, segments[2])
+            _require(method, "GET")
+            self._artifact(segments[2])
         else:
-            raise _HttpError(404, f"no route for {method} {path}")
-
-    @staticmethod
-    def _require(method: str, expected: str) -> None:
-        if method != expected:
-            raise _HttpError(405, f"use {expected}")
+            raise ServiceError(404, f"no route for {method} {path}")
 
     # -- handlers -------------------------------------------------------
 
-    async def _submit(
-        self, writer: asyncio.StreamWriter, body: bytes
-    ) -> None:
+    def _submit(self, body: bytes) -> None:
         try:
             payload = json.loads(body.decode("utf-8") or "null")
         except ValueError:
-            raise _HttpError(400, "body is not valid JSON")
+            raise ServiceError(400, "body is not valid JSON")
         request = SubmitRequest.parse(payload)
-        loop = asyncio.get_running_loop()
-        session = await loop.run_in_executor(
-            None, self.manager.submit, request
-        )
-        await self._send_json(writer, 200, {
+        session = self.server.manager.submit(request)
+        self._send_json(200, {
             **session.status_dict(),
             # An all-cache-hit request is already complete: say so, so
             # clients skip the status polling round-trip entirely.
             "complete": session.done(),
         })
 
-    async def _status(
-        self, writer: asyncio.StreamWriter, session_id: str,
-        query: Dict[str, str],
-    ) -> None:
-        loop = asyncio.get_running_loop()
+    def _status(self, session_id: str, query: Dict[str, str]) -> None:
+        wait = _wait_seconds(query, 0.0)
         try:
-            wait = min(float(query.get("wait", 0.0)), MAX_WAIT_SECONDS)
             version = int(query.get("version", -1))
         except ValueError:
-            raise _HttpError(400, "wait/version must be numeric")
+            raise ServiceError(400, "version must be an integer")
+        manager = self.server.manager
         if wait > 0:
-            session = await loop.run_in_executor(
-                None, self.manager.wait_for_change,
-                session_id, version, wait,
-            )
+            session = manager.wait_for_change(session_id, version, wait)
         else:
-            session = await loop.run_in_executor(
-                None, self.manager.get, session_id
-            )
-        await self._send_json(writer, 200, session.status_dict())
+            session = manager.get(session_id)
+        self._send_json(200, session.status_dict())
 
-    async def _result(
-        self, writer: asyncio.StreamWriter, session_id: str
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        session = await loop.run_in_executor(
-            None, self.manager.get, session_id
-        )
-        payload = await loop.run_in_executor(
-            None, session.result_dict, self.manager.store
-        )
-        await self._send_json(writer, 200, payload)
-
-    async def _events(
-        self, writer: asyncio.StreamWriter, session_id: str,
-        query: Dict[str, str],
-    ) -> None:
+    def _events(self, session_id: str, query: Dict[str, str]) -> None:
         """SSE: stream the session's journal records as they land."""
-        loop = asyncio.get_running_loop()
-        session = await loop.run_in_executor(
-            None, self.manager.get, session_id
-        )
-        try:
-            budget = min(
-                float(query.get("wait", MAX_WAIT_SECONDS)), MAX_WAIT_SECONDS
-            )
-        except ValueError:
-            raise _HttpError(400, "wait must be numeric")
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream\r\n"
-            b"Cache-Control: no-store\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        await writer.drain()
+        session = self.server.manager.get(session_id)
+        budget = _wait_seconds(query, MAX_WAIT_SECONDS)
+        self._send_head(200, {
+            "Content-Type": "text/event-stream",
+            "Cache-Control": "no-store",
+        })
         tailer = JournalTailer(session.journal_path)
         # Attachment is bounded by ``budget``: ticks drain pending
         # journal records; the stream ends early once the session is
@@ -314,81 +235,78 @@ class ServiceApp:
         # are idempotent, keyed by job/attempt).
         ticks = max(1, int(budget / _SSE_POLL_SECONDS))
         for _tick in range(ticks):
-            records = await loop.run_in_executor(None, tailer.poll)
-            for record in records:
-                data = json.dumps(record, sort_keys=True)
-                writer.write(f"data: {data}\n\n".encode("utf-8"))
-            if records:
-                await writer.drain()
+            records = tailer.poll()
             if session.done():
                 # One final drain so records between the last poll and
                 # the terminal transition are not lost.
-                records = await loop.run_in_executor(None, tailer.poll)
-                for record in records:
-                    data = json.dumps(record, sort_keys=True)
-                    writer.write(f"data: {data}\n\n".encode("utf-8"))
+                self._send_records(records + tailer.poll())
                 break
-            await asyncio.sleep(_SSE_POLL_SECONDS)
+            self._send_records(records)
+            time.sleep(_SSE_POLL_SECONDS)
         payload = json.dumps(
             {"state": session.state, "version": session.version},
             sort_keys=True,
         )
-        writer.write(f"event: state\ndata: {payload}\n\n".encode("utf-8"))
-        await writer.drain()
+        self.wfile.write(f"event: state\ndata: {payload}\n\n".encode("utf-8"))
 
-    async def _artifact(
-        self, writer: asyncio.StreamWriter, digest: str
-    ) -> None:
-        loop = asyncio.get_running_loop()
+    def _send_records(self, records: List[Dict[str, Any]]) -> None:
+        if records:
+            self.wfile.write("".join(
+                f"data: {json.dumps(record, sort_keys=True)}\n\n"
+                for record in records
+            ).encode("utf-8"))
+
+    def _artifact(self, digest: str) -> None:
+        store = self.server.manager.store
         try:
-            data = await loop.run_in_executor(
-                None, self.manager.store.get, digest
-            )
+            data = store.get(digest)
         except ValueError:
-            raise _HttpError(400, f"malformed artifact digest {digest!r}")
+            raise ServiceError(400, f"malformed artifact digest {digest!r}")
         if data is None:
-            raise _HttpError(404, f"no artifact {digest!r}")
-        media_type = await loop.run_in_executor(
-            None, self.manager.store.media_type, digest
-        )
-        self.manager.metrics.inc("service.artifacts_served")
-        await self._send_raw(writer, 200, data, media_type)
+            raise ServiceError(404, f"no artifact {digest!r}")
+        self.server.manager.metrics.inc("service.artifacts_served")
+        self._send(200, data, store.media_type(digest))
 
     # -- responses ------------------------------------------------------
 
-    async def _send_json(
-        self, writer: asyncio.StreamWriter, status: int, payload: Any,
+    def _send_head(self, status: int, headers: Dict[str, str]) -> None:
+        self._head_sent = True
+        self.send_response_only(status)
+        for name, value in {**headers, "Connection": "close"}.items():
+            self.send_header(name, value)
+        self.end_headers()
+
+    def _send(
+        self, status: int, body: bytes, media_type: str,
         retry_after: Optional[float] = None,
     ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        await self._send_raw(
-            writer, status, body, "application/json", retry_after
-        )
-
-    async def _send_raw(
-        self, writer: asyncio.StreamWriter, status: int, body: bytes,
-        media_type: str, retry_after: Optional[float] = None,
-    ) -> None:
-        reason = _REASONS.get(status, "Unknown")
-        head = [
-            f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {media_type}",
-            f"Content-Length: {len(body)}",
-            "Connection: close",
-        ]
+        headers = {"Content-Type": media_type,
+                   "Content-Length": str(len(body))}
         if retry_after is not None:
-            head.append(f"Retry-After: {max(1, int(round(retry_after)))}")
-        writer.write(
-            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
-        )
-        await writer.drain()
+            headers["Retry-After"] = str(max(1, int(round(retry_after))))
+        self._send_head(status, headers)
+        self.wfile.write(body)
 
-    async def _send_error(
-        self, writer: asyncio.StreamWriter, exc: _HttpError
+    def _send_json(
+        self, status: int, payload: Any, retry_after: Optional[float] = None,
     ) -> None:
-        try:
-            await self._send_json(
-                writer, exc.status, {"error": str(exc)}, exc.retry_after
-            )
-        except (ConnectionError, OSError):
-            pass
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._send(status, body, "application/json", retry_after)
+
+    def send_error(
+        self, code: int, message: Optional[str] = None,
+        explain: Optional[str] = None, retry_after: Optional[float] = None,
+    ) -> None:
+        """Every error, the standard library's parse errors included, as
+        a JSON ``{"error": ...}`` body."""
+        if self._head_sent:
+            return
+        message = message or self.responses[code][0]
+        if explain is not None:
+            message = f"{message}: {explain}"
+        self._send_json(code, {"error": message}, retry_after)
+
+
+def _require(method: str, expected: str) -> None:
+    if method != expected:
+        raise ServiceError(405, f"use {expected}")

@@ -26,7 +26,6 @@ A quick round-trip with curl::
 from __future__ import annotations
 
 import argparse
-import asyncio
 import signal
 import sys
 from typing import List, Optional
@@ -85,33 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _serve(app: ServiceApp, host: str, port: int,
-                 log) -> None:
-    bound_host, bound_port = await app.start(host, port)
-    print(f"ready http://{bound_host}:{bound_port}", flush=True)
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    for signame in ("SIGINT", "SIGTERM"):
-        try:
-            loop.add_signal_handler(
-                getattr(signal, signame), stop.set
-            )
-        except (NotImplementedError, OSError):  # pragma: no cover
-            pass
-    serve_task = asyncio.ensure_future(app.serve_forever())
-    stop_task = asyncio.ensure_future(stop.wait())
-    try:
-        await asyncio.wait(
-            {serve_task, stop_task},
-            return_when=asyncio.FIRST_COMPLETED,
-        )
-    finally:
-        serve_task.cancel()
-        stop_task.cancel()
-        log("shutting down")
-        await app.close()
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     log = (lambda message: None) if args.quiet else (
@@ -128,17 +100,23 @@ def main(argv: Optional[List[str]] = None) -> int:
             degrade=degrade,
             log=log,
         )
+        requeued = manager.reattach()
+        app = ServiceApp(manager, args.host, args.port)
     except (CampaignError, OSError) as exc:
         print(f"serve error: {exc}", file=sys.stderr)
         return 2
-    requeued = manager.reattach()
     if requeued:
         log(f"re-attached {len(requeued)} unfinished session(s)")
-    app = ServiceApp(manager)
+    # SIGTERM stops the server the way Ctrl-C does.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        asyncio.run(_serve(app, args.host, args.port, log))
-    except KeyboardInterrupt:  # pragma: no cover - signal path
+        host, port = app.server_address[:2]
+        print(f"ready http://{host}:{port}", flush=True)
+        app.serve_forever()
+    except KeyboardInterrupt:
         pass
+    log("shutting down")
+    app.server_close()
     return 0
 
 

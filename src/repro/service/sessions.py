@@ -32,9 +32,9 @@ Scheduling and backpressure are explicit and bounded:
 Every admitted job that misses the cache runs: an ``INCONCLUSIVE``
 outcome is never cached, so the next request for it runs it again.
 
-The manager is plain threads + locks (no asyncio): the HTTP layer
-(:mod:`repro.service.app`) calls into it from executor threads, and unit
-tests drive it directly.
+The manager is plain threads + locks: the HTTP layer
+(:mod:`repro.service.app`) calls into it from each connection's own
+thread, and unit tests drive it directly.
 """
 
 from __future__ import annotations

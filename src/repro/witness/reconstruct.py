@@ -43,10 +43,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..encode.evc import EncodedValidity
 from ..errors import WitnessError
 from ..eufm.ast import Eq, Expr, TermVar
-from ..eufm.evaluator import Interpretation, _eval_node, infer_memory_sorts
+from ..eufm.evaluator import Interpretation, evaluate, evaluate_nodes
 from ..eufm.polarity import NEG
 from ..eufm.printer import to_sexpr
-from ..eufm.traversal import iter_dag, term_variables
+from ..eufm.traversal import term_variables
 from ..guard.deadline import current_deadline
 from ..obs.tracer import current_tracer
 
@@ -266,37 +266,18 @@ def build_interpretation(
         prov = encoded.uf_elim.provenance
         for fresh in encoded.uf_elim.fresh_term_vars:
             symbol, args = prov[fresh]
-            arg_values = tuple(_evaluate(arg, interp) for arg in args)
+            arg_values = tuple(evaluate(arg, interp) for arg in args)
             if arg_values not in interp.uf_table(symbol):
                 interp.set_uf(symbol, arg_values, interp.term_value(fresh.name))
         for fresh in encoded.uf_elim.fresh_bool_vars:
             symbol, args = prov[fresh]
-            arg_values = tuple(_evaluate(arg, interp) for arg in args)
+            arg_values = tuple(evaluate(arg, interp) for arg in args)
             if arg_values not in interp.up_table(symbol):
                 value = assignment.get(fresh.name)
                 if value is None:
                     value = interp.bool_value(fresh.name)
                 interp.set_up(symbol, arg_values, value)
     return interp, classes
-
-
-def _evaluate(root: Expr, interp: Interpretation):
-    """Evaluate ``root`` and memoize per-node values (shared DAG walk)."""
-    memory_sorted = infer_memory_sorts(root)
-    values: Dict[Expr, object] = {}
-    for node in iter_dag(root):
-        values[node] = _eval_node(node, values, interp, memory_sorted)
-    return values[root]
-
-
-def _evaluate_with_values(
-    root: Expr, interp: Interpretation
-) -> Tuple[object, Dict[Expr, object]]:
-    memory_sorted = infer_memory_sorts(root)
-    values: Dict[Expr, object] = {}
-    for node in iter_dag(root):
-        values[node] = _eval_node(node, values, interp, memory_sorted)
-    return values[root], values
 
 
 def replay_assignment(
@@ -309,7 +290,7 @@ def replay_assignment(
     this returns ``False``.
     """
     interp, _ = build_interpretation(encoded, assignment)
-    value = _evaluate(encoded.memory_free, interp)
+    value = evaluate(encoded.memory_free, interp)
     if not isinstance(value, bool):  # pragma: no cover - formula root
         raise WitnessError("replay target did not evaluate to a Boolean")
     return value
@@ -351,7 +332,7 @@ def _find_disagreements(
     """
     if encoded.polarity is None:
         return []
-    _, values = _evaluate_with_values(encoded.memory_free, interp)
+    values = evaluate_nodes(encoded.memory_free, interp)
     found: List[str] = []
     seen: Set[Expr] = set()
     for node, mask in encoded.polarity.polarity.items():
@@ -396,7 +377,7 @@ def reconstruct_counterexample(
                 ptable = interp.up_table(symbol)
                 if ptable:
                     up_tables[symbol] = sorted(ptable.items())
-        replay_value = _evaluate(encoded.memory_free, interp)
+        replay_value = evaluate(encoded.memory_free, interp)
         cex = TermCounterexample(
             raw_assignment=dict(assignment),
             classes=classes,

@@ -1,5 +1,7 @@
 """Campaign runner tests: budgets, escalation, degradation, resume."""
 
+import math
+
 import pytest
 
 from repro import ProcessorConfig
@@ -77,6 +79,21 @@ class TestRetryPolicy:
         with pytest.raises(CampaignError) as excinfo:
             RetryPolicy(**{name: -1})
         assert name in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name", ["base_conflicts", "base_wall_seconds", "base_memory_mb"]
+    )
+    def test_rejects_non_finite_base_budgets(self, name, value):
+        with pytest.raises(CampaignError) as excinfo:
+            RetryPolicy(**{name: value})
+        assert f"{name} must be a finite number" in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_escalation(self, value):
+        with pytest.raises(CampaignError) as excinfo:
+            RetryPolicy(escalation=value)
+        assert "escalation" in str(excinfo.value)
 
     @pytest.mark.parametrize("name", ["base_conflicts", "base_wall_seconds"])
     def test_zero_base_budget_stays_legal(self, name):
@@ -467,6 +484,14 @@ class TestJobSerialization:
         with pytest.raises(CampaignError) as excinfo:
             Job.from_dict(spec)
         assert f"{field} must not be negative" in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["max_wall_seconds", "max_memory_mb"])
+    def test_non_finite_budget_is_refused_by_name(self, field, value):
+        spec = {**Job.build(2, 1).to_dict(), field: value}
+        with pytest.raises(CampaignError) as excinfo:
+            Job.from_dict(spec)
+        assert f"{field} must be a finite number" in str(excinfo.value)
 
     @pytest.mark.parametrize("field", ["max_conflicts", "max_wall_seconds"])
     def test_zero_budget_is_legal(self, field):

@@ -51,6 +51,14 @@ class TestMain:
         assert code == 3
         assert "2 <= entry <= 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag, name", [
+        ("--deadline", "max_wall_seconds"), ("--max-memory", "max_memory_mb"),
+    ])
+    def test_non_finite_budget_exits_three(self, flag, name, value, capsys):
+        assert main(["--rob", "2", "--width", "1", flag, value]) == 3
+        assert f"{name} must be a finite number" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

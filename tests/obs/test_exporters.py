@@ -1,5 +1,7 @@
 """Exporter tests: span-tree rendering, JSON/Chrome round-trips, CSV."""
 
+import pytest
+
 from repro.obs import (
     MetricsSnapshot,
     Span,
@@ -82,22 +84,13 @@ class TestChromeTrace:
         assert [c.name for c in roots[0].children] == ["a", "b"]
         assert roots[0].children[0].children == []
 
-    def test_containment_fallback_for_foreign_traces(self):
-        payload = {
-            "traceEvents": [
-                {"name": "outer", "ph": "X", "ts": 0, "dur": 100,
-                 "pid": 1, "tid": 1},
-                {"name": "inner", "ph": "X", "ts": 10, "dur": 50,
-                 "pid": 1, "tid": 1},
-                {"name": "other-thread", "ph": "X", "ts": 20, "dur": 10,
-                 "pid": 1, "tid": 2},
-            ]
-        }
-        roots = trace_from_chrome(payload)
-        names = {root.name for root in roots}
-        assert names == {"outer", "other-thread"}
-        outer = [r for r in roots if r.name == "outer"][0]
-        assert [c.name for c in outer.children] == ["inner"]
+    def test_trace_without_span_indices_is_refused(self):
+        payload = {"traceEvents": [
+            {"name": "outer", "ph": "X", "ts": 0, "dur": 100,
+             "pid": 1, "tid": 1},
+        ]}
+        with pytest.raises(ValueError, match="'outer' has no spanIndex"):
+            trace_from_chrome(payload)
 
 
 class TestCsv:

@@ -1,5 +1,7 @@
 """Request-vocabulary tests (repro.service.protocol)."""
 
+import math
+
 import pytest
 
 from repro.campaign import Job
@@ -122,6 +124,14 @@ class TestParseRejections:
             SubmitRequest.parse({"grid": "2x1", "budgets": {name: value}})
         assert _status(excinfo) == 400
         assert f"budgets.{name}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["max_wall_seconds", "max_memory_mb"])
+    def test_non_finite_budget_is_a_400_naming_it(self, name, value):
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse({"grid": "2x1", "budgets": {name: value}})
+        assert _status(excinfo) == 400
+        assert f"budgets.{name} must be a finite number" in str(excinfo.value)
 
     @pytest.mark.parametrize("name", ["max_conflicts", "max_wall_seconds"])
     def test_zero_budget_is_admitted(self, name):

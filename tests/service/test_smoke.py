@@ -9,7 +9,8 @@ Scenario (this is also what the CI service-smoke job runs):
 3. a longer campaign is submitted and the server is ``kill -9``-ed
    mid-run;
 4. a restarted server on the same data directory re-attaches the
-   interrupted session from its journal and completes it.
+   interrupted session from its journal and completes it;
+5. SIGTERM stops the restarted server cleanly: exit 0 within 5 s.
 """
 
 import json
@@ -56,6 +57,7 @@ class Server:
             text=True, env=env,
         )
         self.port = None
+        self.killed = False
         self.lines = []
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
@@ -82,6 +84,7 @@ class Server:
 
     def kill(self):
         """SIGKILL — the crash the journal + cache must survive."""
+        self.killed = True
         try:
             self.proc.send_signal(signal.SIGKILL)
         except ProcessLookupError:
@@ -89,14 +92,16 @@ class Server:
         self.proc.wait(timeout=30.0)
 
     def terminate(self):
+        """SIGTERM must stop a live server cleanly: exit 0 within 5 s."""
+        if self.killed:
+            return
+        self.proc.terminate()
         try:
-            self.proc.terminate()
-        except ProcessLookupError:
-            pass
-        try:
-            self.proc.wait(timeout=15.0)
+            status = self.proc.wait(timeout=5.0)
         except subprocess.TimeoutExpired:
             self.kill()
+            raise AssertionError("server still running 5 s after SIGTERM")
+        assert status == 0, "\n".join(self.lines)
 
 
 def poll_until_done(port, session_id, timeout=120.0):
