@@ -15,7 +15,7 @@ Public API highlights:
 * :mod:`repro.encode` — the Positive-Equality EUFM-to-CNF translation.
 * :mod:`repro.sat` — the CDCL SAT solver.
 * :mod:`repro.campaign` — crash-safe batched verification campaigns with
-  retries, budget escalation and graceful degradation.
+  retries and budget escalation.
 * :mod:`repro.service` — the long-lived verification-as-a-service job
   server (``python -m repro serve``) with a content-addressed result
   cache and persistent witness-artifact store.

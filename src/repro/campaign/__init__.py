@@ -13,8 +13,8 @@ infrastructure the paper assumes but never ships:
   checksummed JSONL journal that survives crashes and torn writes;
 * :class:`~repro.campaign.runner.CampaignRunner` — executes jobs with
   per-attempt budgets, retry with exponential budget escalation, journal
-  resume, and graceful degradation to Positive Equality or a structured
-  ``INCONCLUSIVE`` outcome;
+  resume, and a structured ``INCONCLUSIVE`` outcome when a job's method
+  runs out of attempts;
 * :mod:`~repro.campaign.executor` — the per-job attempt loop, shared by
   the sequential path and the parallel workers;
 * :mod:`~repro.campaign.parallel` — process-parallel execution
@@ -30,7 +30,7 @@ Command-line entry point: ``python -m repro campaign`` (see
 from .faults import Fault, FaultKind, FaultPlan, InjectedCrash
 from .jobs import TERMINAL_STATES, Job, JobResult
 from .journal import Journal, JournalReplay
-from .runner import CampaignReport, CampaignRunner, DegradePolicy, RetryPolicy
+from .runner import CampaignReport, CampaignRunner, RetryPolicy
 
 __all__ = [
     "TERMINAL_STATES",
@@ -40,7 +40,6 @@ __all__ = [
     "JournalReplay",
     "CampaignReport",
     "CampaignRunner",
-    "DegradePolicy",
     "RetryPolicy",
     "Fault",
     "FaultKind",

@@ -23,8 +23,8 @@ worker silent for S seconds is killed and its job re-queued.
 smoke-testing the recovery paths, e.g. in CI).
 
 The retry flags (:func:`add_retry_options`) and the budget flags are
-shared with ``serve``, which builds its policies with the same
-:func:`retry_policies`.
+shared with ``serve``, which builds its policy with the same
+:func:`retry_policy`.
 
 Examples::
 
@@ -41,25 +41,25 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.cli import add_check_options, parse_grid
 from ..errors import CampaignError, JournalError
 from .faults import Fault, FaultPlan
 from .jobs import Job
-from .runner import CampaignRunner, DegradePolicy, RetryPolicy
+from .runner import CampaignRunner, RetryPolicy
 
-__all__ = ["add_retry_options", "build_parser", "main", "retry_policies"]
+__all__ = ["add_retry_options", "build_parser", "main", "retry_policy"]
 
 
 def add_retry_options(parser: argparse.ArgumentParser) -> None:
-    """The flags of the retry schedule: attempts, escalation, fallback."""
+    """The flags of the retry schedule: attempts and escalation."""
     parser.add_argument(
         "--max-attempts",
         type=int,
         default=3,
         metavar="A",
-        help="attempts per method before degrading (default 3)",
+        help="attempts per job (default 3)",
     )
     parser.add_argument(
         "--escalation",
@@ -68,21 +68,13 @@ def add_retry_options(parser: argparse.ArgumentParser) -> None:
         metavar="F",
         help="budget multiplier between attempts (default 2.0)",
     )
-    parser.add_argument(
-        "--no-degrade",
-        action="store_true",
-        help="record INCONCLUSIVE instead of falling back to "
-        "positive_equality when rewriting exhausts its retries",
-    )
 
 
-def retry_policies(
-    args: argparse.Namespace,
-) -> Tuple[RetryPolicy, DegradePolicy]:
-    """The policies that :func:`add_retry_options`' flags and the budget
+def retry_policy(args: argparse.Namespace) -> RetryPolicy:
+    """The policy that :func:`add_retry_options`' flags and the budget
     flags (:func:`repro.core.cli.add_budget_options`) name; the budgets
     become every job's first-attempt base."""
-    retry = RetryPolicy(
+    return RetryPolicy(
         max_attempts=args.max_attempts,
         escalation=args.escalation,
         base_conflicts=args.max_conflicts
@@ -91,10 +83,6 @@ def retry_policies(
         base_wall_seconds=args.deadline,
         base_memory_mb=args.max_memory,
     )
-    degrade = DegradePolicy(
-        fallback_method=None if args.no_degrade else "positive_equality"
-    )
-    return retry, degrade
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro campaign",
         description=(
             "Run a batch of verification jobs with retries, budget "
-            "escalation, graceful degradation and a crash-safe journal.  "
+            "escalation and a crash-safe journal.  "
             "The budget flags set each job's first attempt; every retry "
             "multiplies them by --escalation."
         ),
@@ -229,11 +217,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         fault_plan = None
         if args.inject:
             fault_plan = FaultPlan(Fault.parse(text) for text in args.inject)
-        retry, degrade = retry_policies(args)
         runner = CampaignRunner(
             args.journal,
-            retry=retry,
-            degrade=degrade,
+            retry=retry_policy(args),
             fault_plan=fault_plan,
             log=log,
             strict_journal=args.strict_journal,

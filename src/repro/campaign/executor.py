@@ -1,9 +1,9 @@
 """The per-job attempt loop, shared by the sequential and parallel paths.
 
-A :class:`JobExecutor` drives exactly one job to a terminal state:
-retries with exponential budget escalation, graceful degradation to the
-fallback method, and a structured ``INCONCLUSIVE`` when everything is
-exhausted.  It is deliberately journal-agnostic: every record it would
+A :class:`JobExecutor` drives exactly one job to a terminal state under
+the job's own method: retries with exponential budget escalation, and a
+structured ``INCONCLUSIVE`` when the attempts run out or one fails
+structurally.  It is deliberately journal-agnostic: every record it would
 journal is handed to an ``emit`` callable instead, so the same code runs
 
 * inline in :class:`~repro.campaign.runner.CampaignRunner` (``emit``
@@ -15,13 +15,13 @@ The only journal-shaped dependency left is the ``journal-corrupt`` fault
 seam: corrupting the journal's tail needs a file handle, so the optional
 ``fault_journal`` is forwarded to :meth:`FaultPlan.fire`.  Workers pass
 ``None`` — they hold no journal handle, which is precisely the
-single-writer invariant — and the fault degrades to a plain crash.
+single-writer invariant — and the fault becomes a plain crash.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..errors import BudgetExhausted, ReproError
 from ..guard.deadline import current_deadline, use_deadline
@@ -43,7 +43,6 @@ class JobExecutor:
         self,
         verify_fn: Callable,
         retry,
-        degrade,
         fault_plan: Optional[FaultPlan] = None,
         analyze: bool = False,
         certify: bool = False,
@@ -52,7 +51,6 @@ class JobExecutor:
     ) -> None:
         self.verify_fn = verify_fn
         self.retry = retry
-        self.degrade = degrade
         self.fault_plan = fault_plan
         self.analyze = analyze
         self.certify = certify
@@ -61,60 +59,15 @@ class JobExecutor:
 
     # ------------------------------------------------------------------
 
-    def run_job(
-        self,
-        job: Job,
-        emit: EmitFn,
-        failed_attempts: Dict[Tuple[str, str], int],
-    ) -> JobResult:
-        """Drive one job to a terminal state (never raises ReproError)."""
-        method = job.method
-        tried: List[str] = []
-        total_attempts = 0
-        last_detail = ""
-        while True:
-            result, used, detail = self._try_method(
-                job, method, emit, failed_attempts
-            )
-            total_attempts += used
-            if result is not None:
-                result.attempts = total_attempts
-                return result
-            last_detail = detail or last_detail
-            tried.append(method)
-            fallback = self.degrade.fallback_method
-            if (
-                method == "rewriting"
-                and fallback is not None
-                and fallback not in tried
-            ):
-                self._log(
-                    f"{job.job_id}: rewriting exhausted "
-                    f"({last_detail or 'no attempts left'}); "
-                    f"degrading to {fallback}"
-                )
-                method = fallback
-                continue
-            return JobResult(
-                job_id=job.job_id,
-                status="INCONCLUSIVE",
-                method=method,
-                attempts=total_attempts,
-                detail=last_detail or "all budgets and fallbacks exhausted",
-            )
+    def run_job(self, job: Job, emit: EmitFn, failed: int) -> JobResult:
+        """Drive one job to a terminal state (never raises ReproError).
 
-    def _try_method(
-        self,
-        job: Job,
-        method: str,
-        emit: EmitFn,
-        failed_attempts: Dict[Tuple[str, str], int],
-    ) -> Tuple[Optional[JobResult], int, str]:
-        """All attempts of one method; ``(None, n, why)`` when exhausted."""
-        start_attempt = failed_attempts.get((job.job_id, method), 0) + 1
+        ``failed`` counts the job's attempts already journaled as failed;
+        the escalation schedule resumes after them.
+        """
         used = 0
-        last_detail = ""
-        for attempt in range(start_attempt, self.retry.max_attempts + 1):
+        detail = "no attempts left"
+        for attempt in range(failed + 1, self.retry.max_attempts + 1):
             max_conflicts, max_wall, max_memory = self.retry.budget_for(
                 job, attempt
             )
@@ -122,7 +75,7 @@ class JobExecutor:
                 "event": "start",
                 "job_id": job.job_id,
                 "attempt": attempt,
-                "method": method,
+                "method": job.method,
                 "max_conflicts": max_conflicts,
             }
             # Guard budgets ride in the start record only when enforced,
@@ -152,7 +105,7 @@ class JobExecutor:
                 with guard_scope:
                     if self.fault_plan is not None:
                         self.fault_plan.fire(
-                            job.job_id, attempt, method, self.fault_journal
+                            job.job_id, attempt, self.fault_journal
                         )
                     # Only forward opt-in kwargs when they are on, so
                     # custom verify_fn overrides keep their narrower
@@ -164,44 +117,37 @@ class JobExecutor:
                         extra["certify"] = True
                     result = self.verify_fn(
                         job.config(),
-                        method=method,
+                        method=job.method,
                         bug=job.bug(),
                         criterion=job.criterion,
                         max_conflicts=max_conflicts,
                         **extra,
                     )
-            except (BudgetExhausted, MemoryError) as exc:
-                # Recoverable: the next attempt gets an escalated budget
-                # (the paper's protocol: rerun the 4 GB kills bigger).
-                last_detail = f"{type(exc).__name__}: {exc}"
+            except (MemoryError, ReproError, ValueError) as exc:
+                detail = f"{type(exc).__name__}: {exc}"
                 emit({
                     "event": "attempt_failed",
                     "job_id": job.job_id,
                     "attempt": attempt,
-                    "method": method,
+                    "method": job.method,
                     "error": type(exc).__name__,
                     "detail": str(exc),
                 })
-                self._log(
-                    f"{job.job_id}: attempt {attempt}/{self.retry.max_attempts}"
-                    f" ({method}) failed — {last_detail}"
-                )
-                continue
-            except (ReproError, ValueError) as exc:
-                # Structural: a bigger budget cannot help this method.
-                last_detail = f"{type(exc).__name__}: {exc}"
-                emit({
-                    "event": "attempt_failed",
-                    "job_id": job.job_id,
-                    "attempt": attempt,
-                    "method": method,
-                    "error": type(exc).__name__,
-                    "detail": str(exc),
-                })
-                return None, used, last_detail
-            return (
-                JobResult.from_verification(job, method, used, result),
-                used,
-                "",
-            )
-        return None, used, last_detail
+                if isinstance(exc, (BudgetExhausted, MemoryError)):
+                    # Recoverable: the next attempt gets an escalated
+                    # budget (the paper's protocol: rerun the 4 GB kills
+                    # bigger).
+                    self._log(
+                        f"{job.job_id}: attempt {attempt}/"
+                        f"{self.retry.max_attempts} failed — {detail}"
+                    )
+                    continue
+                break  # structural: no bigger budget can help
+            return JobResult.from_verification(job, used, result)
+        return JobResult(
+            job_id=job.job_id,
+            status="INCONCLUSIVE",
+            method=job.method,
+            attempts=used,
+            detail=detail,
+        )

@@ -1,15 +1,16 @@
 """Deterministic fault injection for campaign robustness testing.
 
-The runner's recovery paths — retry with budget escalation, graceful
-degradation, journal resume — only earn trust if they can be exercised on
-demand.  A :class:`FaultPlan` maps ``(job_id, attempt)`` (optionally
-narrowed to a method) to a synthetic failure that fires exactly once, at
-the seam where the runner hands a job to :func:`repro.core.verify`:
+The runner's recovery paths — retry with budget escalation, a
+structured ``INCONCLUSIVE``, journal resume — only earn trust if they can
+be exercised on demand.  A :class:`FaultPlan` maps ``(job_id, attempt)``
+to a synthetic failure that fires exactly once, at the seam where the
+runner hands a job to :func:`repro.core.verify`:
 
 * ``solver-timeout`` — raises :class:`~repro.errors.BudgetExhausted`, the
   exact exception a real SAT budget blow-up produces;
 * ``rewrite-failure`` — raises :class:`~repro.errors.RewriteFailed`, as
-  when the diagram lacks the structure the rewriting rules assume;
+  when the diagram lacks the structure the rewriting rules assume; a
+  structural failure, so the job ends ``INCONCLUSIVE`` without a retry;
 * ``oom`` — raises :class:`MemoryError`, simulating the paper's 4 GB
   memory-limit kills;
 * ``crash`` — raises :class:`InjectedCrash` (a ``BaseException``), which
@@ -23,7 +24,7 @@ the seam where the runner hands a job to :func:`repro.core.verify`:
 * ``memory-bloat`` — allocates ``amount`` MiB in 1 MiB chunks, charging
   the ambient :class:`repro.guard.MemoryBudget` so a configured budget
   trips :class:`~repro.errors.MemoryBudgetExhausted`; without a budget
-  it degrades to a plain :class:`MemoryError`;
+  it ends in a plain :class:`MemoryError`;
 * ``slow`` — injects a per-check delay into one pipeline stage via
   :meth:`repro.guard.Deadline.add_stage_delay`, turning a fast job into
   a deadline-limited one without touching the pipeline.
@@ -38,7 +39,7 @@ the job it is about to run (:meth:`FaultPlan.for_job`), so ``--workers N``
 reproduces the same injected faults as a sequential run regardless of
 which worker a job lands on.  Two kinds change scope in a worker:
 ``crash`` kills only that worker process (the parent journals a failed
-attempt and retries the job), and ``journal-corrupt`` degrades to a plain
+attempt and retries the job), and ``journal-corrupt`` becomes a plain
 crash — workers hold no journal handle, which is the single-writer
 invariant itself, so there is no tail for them to tear.
 """
@@ -99,7 +100,6 @@ class Fault:
         attempt: 1-based attempt number that triggers it, or ``0`` as a
             wildcard — the fault fires on *every* attempt of the job
             (the way to model a *permanent* hang that survives retries).
-        method: restrict to a method phase (``None`` = any method).
         detail: free-form text carried into the raised exception.
         stage: for ``slow``, the pipeline stage to delay (``"*"`` = all).
         amount: kind-specific magnitude — seconds for ``hang``/``slow``,
@@ -109,7 +109,6 @@ class Fault:
     kind: str
     job_id: str
     attempt: int = 1
-    method: Optional[str] = None
     detail: str = ""
     stage: Optional[str] = None
     amount: Optional[float] = None
@@ -138,7 +137,6 @@ class Fault:
             "kind": self.kind,
             "job_id": self.job_id,
             "attempt": self.attempt,
-            "method": self.method,
             "detail": self.detail,
             "stage": self.stage,
             "amount": self.amount,
@@ -248,8 +246,7 @@ class FaultPlan:
         )
 
     def fire(
-        self, job_id: str, attempt: int, method: str,
-        journal: Optional[Journal] = None,
+        self, job_id: str, attempt: int, journal: Optional[Journal] = None
     ) -> None:
         """Raise the planned fault for this attempt, if any."""
         key = (job_id, attempt)
@@ -259,13 +256,11 @@ class FaultPlan:
             fault, wildcard = self._by_key.get((job_id, 0)), True
             if fault is None:
                 return
-        if fault.method is not None and fault.method != method:
-            return
         if wildcard:
             self._wildcard_fires += 1
         else:
             self._fired.add(key)
-        where = f"job {job_id!r} attempt {attempt} ({method})"
+        where = f"job {job_id!r} attempt {attempt}"
         detail = fault.detail or f"injected at {where}"
         if fault.kind == FaultKind.SOLVER_TIMEOUT:
             raise BudgetExhausted(

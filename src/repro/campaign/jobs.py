@@ -24,8 +24,9 @@ __all__ = ["TERMINAL_STATES", "BUDGET_FIELDS", "Job", "JobResult"]
 #: Every job ends in exactly one of these states.  ``PROVED`` — the design
 #: satisfies the Burch–Dill criterion; ``BUG_FOUND`` — verification
 #: produced a counterexample or the rewriting rules flagged a slice;
-#: ``INCONCLUSIVE`` — every budget/fallback was exhausted without a
-#: verdict (the campaign analogue of the paper's out-of-memory entries).
+#: ``INCONCLUSIVE`` — the job's method ran out of attempts, or failed
+#: structurally, without a verdict (the campaign analogue of the paper's
+#: out-of-memory entries).
 TERMINAL_STATES = ("PROVED", "BUG_FOUND", "INCONCLUSIVE")
 
 #: The JSON type of every job-spec field, and whether it may be null.
@@ -188,10 +189,13 @@ class JobResult:
 
     job_id: str
     status: str  # one of TERMINAL_STATES
-    #: the method that produced the verdict (may differ from the job's
-    #: requested method after graceful degradation).
+    #: the job's method (a replayed ``finish`` record of an older build
+    #: may name ``positive_equality`` for a ``rewriting`` job: those
+    #: builds re-ran an exhausted job under it).
     method: str
-    #: total verify attempts across all methods, including failed ones.
+    #: verify attempts this run of the job made, failed ones included
+    #: (a resumed or re-queued job does not count the attempts journaled
+    #: as failed before it).
     attempts: int
     detail: str = ""
     suspected_entry: Optional[int] = None
@@ -227,7 +231,7 @@ class JobResult:
 
     @classmethod
     def from_verification(
-        cls, job: Job, method: str, attempts: int, result: VerificationResult
+        cls, job: Job, attempts: int, result: VerificationResult
     ) -> "JobResult":
         if result.correct:
             status, detail = "PROVED", ""
@@ -249,7 +253,7 @@ class JobResult:
         return cls(
             job_id=job.job_id,
             status=status,
-            method=method,
+            method=job.method,
             attempts=attempts,
             detail=detail,
             suspected_entry=result.suspected_entry,

@@ -190,18 +190,19 @@ class JournalReplay:
                 done[rec["job_id"]] = rec
         return done
 
-    def failed_attempts(self) -> Dict[Tuple[str, str], int]:
-        """Count of recorded failed attempts per (job_id, method).
+    def failed_attempts(self) -> Dict[str, int]:
+        """Count of recorded failed attempts per job id.
 
         Resume semantics: an attempt with a ``start`` but neither
         ``attempt_failed`` nor ``finish`` was in flight at the crash and
         is *re-run* with the same escalated budget, so only explicitly
-        failed attempts advance the escalation schedule.
+        failed attempts advance the escalation schedule.  Every failed
+        attempt of a job counts, whatever method its record names.
         """
-        counts: Dict[Tuple[str, str], int] = {}
+        counts: Dict[str, int] = {}
         for rec in self.events("attempt_failed"):
-            key = (rec.get("job_id", ""), rec.get("method", ""))
-            counts[key] = counts.get(key, 0) + 1
+            job_id = rec.get("job_id", "")
+            counts[job_id] = counts.get(job_id, 0) + 1
         return counts
 
     def callback_errors(self) -> List[Dict[str, Any]]:

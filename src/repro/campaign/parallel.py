@@ -2,7 +2,7 @@
 
 Topology: the parent process owns the journal and a pool of
 :mod:`multiprocessing` workers.  Each worker runs whole jobs (the full
-retry/degrade loop of :class:`~repro.campaign.executor.JobExecutor`) and
+retry loop of :class:`~repro.campaign.executor.JobExecutor`) and
 streams the records the sequential runner would journal — ``start``,
 ``attempt_failed``, finally ``done`` with the serialized
 :class:`~repro.campaign.jobs.JobResult` — over one shared result queue.
@@ -20,7 +20,8 @@ journals the in-flight attempt as ``attempt_failed`` with error
 ``WorkerCrashed``, re-queues the job — whose escalation schedule resumes
 from the journaled failure counts, exactly like a campaign-level resume —
 and spawns a replacement worker.  A job that crashes its worker on every
-attempt therefore converges to ``INCONCLUSIVE`` instead of looping.
+attempt therefore ends ``INCONCLUSIVE`` after its ``max_attempts``
+crashes instead of looping.
 
 Liveness: a crashed worker is visible to process polling, but a *wedged*
 one — livelocked in a C extension, swapping, deadlocked — stays alive and
@@ -50,7 +51,7 @@ import multiprocessing
 import os
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import CampaignError
 from .executor import JobExecutor
@@ -109,14 +110,9 @@ def _worker_main(
             return
         job = Job.from_dict(task["job"])
         faults = [Fault.from_dict(spec) for spec in task["faults"]]
-        failed_attempts = {
-            (job.job_id, method): count
-            for method, count in task["failed_attempts"].items()
-        }
         executor = JobExecutor(
             verify_fn,
             options["retry"],
-            options["degrade"],
             fault_plan=FaultPlan(faults) if faults else None,
             analyze=options["analyze"],
             certify=options.get("certify", False),
@@ -145,7 +141,9 @@ def _worker_main(
         try:
             with use_deadline(heartbeat), use_tracer(tracer):
                 with tracer.span("campaign.job"):
-                    result = executor.run_job(job, outbox.put, failed_attempts)
+                    result = executor.run_job(
+                        job, outbox.put, task["failed_attempts"]
+                    )
         except InjectedCrash:
             os._exit(_CRASH_EXIT_CODE)
         result.worker = worker_id
@@ -201,14 +199,13 @@ class ParallelCampaignExecutor:
         *,
         workers: int,
         retry,
-        degrade,
         analyze: bool,
         verify_fn: Optional[Callable],
         certify: bool = False,
         fault_plan: Optional[FaultPlan],
         journal: Journal,
         log: Callable[[str], None],
-        failed_attempts: Dict[Tuple[str, str], int],
+        failed_attempts: Dict[str, int],
         on_finish: Callable[[Job, JobResult], None],
         merge_metrics: Callable[[Dict[str, float]], None],
         hang_timeout: float = 30.0,
@@ -218,7 +215,6 @@ class ParallelCampaignExecutor:
         self.workers = workers
         self._options = {
             "retry": retry,
-            "degrade": degrade,
             "analyze": analyze,
             "certify": certify,
             "verify_fn": verify_fn,
@@ -239,10 +235,8 @@ class ParallelCampaignExecutor:
         self._outbox = self._ctx.SimpleQueue()
         self._pool: List[_WorkerHandle] = []
         self._next_worker_id = 0
-        #: (attempt, method) of the event-confirmed in-flight attempt.
-        self._in_flight: Dict[str, Tuple[int, str]] = {}
-        #: last method a job was seen starting (survives attempt_failed).
-        self._last_method: Dict[str, str] = {}
+        #: attempt number of each job's event-confirmed in-flight attempt.
+        self._in_flight: Dict[str, int] = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -318,11 +312,7 @@ class ParallelCampaignExecutor:
             )
             handle.inbox.put({
                 "job": job.to_dict(),
-                "failed_attempts": {
-                    method: count
-                    for (job_id, method), count in self._failed.items()
-                    if job_id == job.job_id
-                },
+                "failed_attempts": self._failed.get(job.job_id, 0),
                 "faults": [fault.to_dict() for fault in faults],
             })
             handle.job = job
@@ -356,21 +346,19 @@ class ParallelCampaignExecutor:
         if event == "start":
             job_id = message["job_id"]
             self._touch_worker(job_id)
-            self._in_flight[job_id] = (message["attempt"], message["method"])
-            self._last_method[job_id] = message["method"]
+            self._in_flight[job_id] = message["attempt"]
             self._journal.append(message)
             return 0
         if event == "attempt_failed":
-            key = (message["job_id"], message["method"])
-            self._touch_worker(message["job_id"])
-            self._failed[key] = self._failed.get(key, 0) + 1
-            self._in_flight.pop(message["job_id"], None)
+            job_id = message["job_id"]
+            self._touch_worker(job_id)
+            self._failed[job_id] = self._failed.get(job_id, 0) + 1
+            self._in_flight.pop(job_id, None)
             self._journal.append(message)
             return 0
         if event == "done":
             job_id = message["job_id"]
             self._in_flight.pop(job_id, None)
-            self._last_method.pop(job_id, None)
             for handle in self._pool:
                 if handle.job is not None and handle.job.job_id == job_id:
                     handle.job = None
@@ -475,22 +463,17 @@ class ParallelCampaignExecutor:
         the worker.
         """
         job = handle.job
-        attempt, method = self._in_flight.pop(
-            job.job_id,
-            (None, self._last_method.get(job.job_id, job.method)),
-        )
-        failed = self._failed.get((job.job_id, method), 0)
-        if attempt is None:
-            attempt = failed + 1
+        failed = self._failed.get(job.job_id, 0)
+        attempt = self._in_flight.pop(job.job_id, failed + 1)
         self._journal.append({
             "event": "attempt_failed",
             "job_id": job.job_id,
             "attempt": attempt,
-            "method": method,
+            "method": job.method,
             "error": error,
             "detail": f"worker {handle.worker_id} {detail}; job re-queued",
         })
-        self._failed[(job.job_id, method)] = failed + 1
+        self._failed[job.job_id] = failed + 1
         self._log(
             f"{job.job_id}: worker {handle.worker_id} {what}; journaled "
             f"failed attempt {attempt} and re-queued"

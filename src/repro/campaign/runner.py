@@ -7,13 +7,16 @@ Execution model (per job):
    (exponential budget escalation, capped);
 2. on :class:`~repro.errors.BudgetExhausted` / :class:`MemoryError`,
    journal the failed attempt and retry with the next, larger budget;
-3. when a ``rewriting`` job exhausts its attempts — or the rewrite engine
-   itself fails structurally — degrade gracefully: re-run the job under
-   :attr:`DegradePolicy.fallback_method` (Positive Equality on the full
-   formula) with a fresh attempt schedule;
-4. when every fallback is exhausted too, record a structured
-   ``INCONCLUSIVE`` outcome instead of crashing the batch — the campaign
-   analogue of the paper's out-of-memory table entries.
+3. when the attempts run out — or one fails structurally
+   (:class:`~repro.errors.ReproError` / :class:`ValueError`, which no
+   bigger budget can help) — record a structured ``INCONCLUSIVE``
+   outcome instead of crashing the batch: the campaign analogue of the
+   paper's out-of-memory table entries.
+
+A job runs only its own method.  Journals from builds that re-ran an
+exhausted ``rewriting`` job under ``positive_equality`` still replay:
+their ``finish`` records replay as written, and every ``attempt_failed``
+record of a job counts toward its schedule, whatever method it names.
 
 Every transition is appended to a :class:`~repro.campaign.journal.Journal`
 before/after it happens, so a killed campaign resumes exactly where it
@@ -48,7 +51,7 @@ from .faults import FaultPlan
 from .jobs import Job, JobResult
 from .journal import Journal
 
-__all__ = ["RetryPolicy", "DegradePolicy", "CampaignRunner", "CampaignReport"]
+__all__ = ["RetryPolicy", "CampaignRunner", "CampaignReport"]
 
 
 @dataclass(frozen=True)
@@ -104,18 +107,6 @@ class RetryPolicy:
             scaled(job.max_wall_seconds, self.base_wall_seconds),
             scaled(job.max_memory_mb, self.base_memory_mb),
         )
-
-
-@dataclass(frozen=True)
-class DegradePolicy:
-    """What to do when a method exhausts its retries.
-
-    ``fallback_method`` re-queues failed ``rewriting`` jobs under the
-    Positive-Equality baseline (the full, un-rewritten formula); set it to
-    ``None`` to go straight to ``INCONCLUSIVE``.
-    """
-
-    fallback_method: Optional[str] = "positive_equality"
 
 
 def _replayed_result(record: Dict[str, object]) -> JobResult:
@@ -215,7 +206,6 @@ class CampaignRunner:
     Args:
         journal_path: JSONL journal; created if missing, resumed if not.
         retry: budget/escalation schedule (:class:`RetryPolicy`).
-        degrade: fallback behaviour (:class:`DegradePolicy`).
         verify_fn: override for :func:`repro.core.verify` (tests/monitors).
         fault_plan: optional :class:`~repro.campaign.faults.FaultPlan`
             consulted at the verify seam on every attempt.
@@ -249,7 +239,6 @@ class CampaignRunner:
         self,
         journal_path: str,
         retry: Optional[RetryPolicy] = None,
-        degrade: Optional[DegradePolicy] = None,
         verify_fn: Optional[Callable] = None,
         fault_plan: Optional[FaultPlan] = None,
         on_result: Optional[Callable[[Job, JobResult], None]] = None,
@@ -271,7 +260,6 @@ class CampaignRunner:
             )
         self.journal_path = journal_path
         self.retry = retry or RetryPolicy()
-        self.degrade = degrade or DegradePolicy()
         self.verify_fn = verify_fn
         self.fault_plan = fault_plan
         self.on_result = on_result
@@ -442,13 +430,12 @@ class CampaignRunner:
         self,
         to_run: List[Job],
         journal: Journal,
-        failed_attempts: Dict[Tuple[str, str], int],
+        failed_attempts: Dict[str, int],
         results: Dict[str, JobResult],
     ) -> None:
         executor = JobExecutor(
             self.verify_fn,
             self.retry,
-            self.degrade,
             fault_plan=self.fault_plan,
             analyze=self.analyze,
             certify=self.certify,
@@ -464,7 +451,8 @@ class CampaignRunner:
             with use_deadline(Deadline()), use_tracer(tracer):
                 with tracer.span("campaign.job"):
                     result = executor.run_job(
-                        job, journal.append, failed_attempts
+                        job, journal.append,
+                        failed_attempts.get(job.job_id, 0),
                     )
             span = tracer.root
             self._registry.merge({
@@ -478,7 +466,7 @@ class CampaignRunner:
         self,
         to_run: List[Job],
         journal: Journal,
-        failed_attempts: Dict[Tuple[str, str], int],
+        failed_attempts: Dict[str, int],
         results: Dict[str, JobResult],
     ) -> None:
         from .parallel import ParallelCampaignExecutor
@@ -489,7 +477,6 @@ class CampaignRunner:
         executor = ParallelCampaignExecutor(
             workers=min(self.workers, len(to_run)),
             retry=self.retry,
-            degrade=self.degrade,
             analyze=self.analyze,
             certify=self.certify,
             # The default verify is importable in every worker; only a

@@ -50,7 +50,10 @@ __all__ = ["ServiceApp"]
 
 #: Upper bound on request bodies; a submit request is a few KiB.
 MAX_BODY_BYTES = 1 << 20
-#: Ceiling on one long-poll / SSE attachment; clients re-attach.
+#: Ceiling on one long-poll / SSE attachment; clients re-attach.  Also
+#: each connection's socket timeout: a client silent that long mid-read
+#: (request line, head or body) loses its connection and its thread.
+#: Long-polls wait on the session, not on the socket.
 MAX_WAIT_SECONDS = 60.0
 _SSE_POLL_SECONDS = 0.15
 
@@ -113,6 +116,9 @@ class _Handler(BaseHTTPRequestHandler):
     # Answer a request line without a version with a status line and
     # headers, as every other request.
     default_request_version = "HTTP/1.0"
+    # A read that times out closes the connection (the standard
+    # library's handle_one_request catches the TimeoutError).
+    timeout = MAX_WAIT_SECONDS
     #: set once a status line is written; an error after it just ends
     #: the response (an event stream) instead of writing a second one.
     _head_sent = False
@@ -137,8 +143,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._route(body)
         except ServiceError as exc:
             self.send_error(exc.status, str(exc), retry_after=exc.retry_after)
-        except ConnectionError:
-            raise  # the client hung up; see handle()
+        except (ConnectionError, TimeoutError):
+            raise  # the client hung up or went silent; nobody to answer
         except Exception as exc:  # never leak a traceback as a hang
             manager.metrics.inc("service.errors")
             self.send_error(500, f"{type(exc).__name__}: {exc}")

@@ -30,7 +30,7 @@ import signal
 import sys
 from typing import List, Optional
 
-from ..campaign.cli import add_retry_options, retry_policies
+from ..campaign.cli import add_retry_options, retry_policy
 from ..core.cli import add_budget_options
 from ..errors import CampaignError
 from .app import ServiceApp
@@ -90,14 +90,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         lambda message: print(message, flush=True)
     )
     try:
-        retry, degrade = retry_policies(args)
         manager = SessionManager(
             args.data_dir,
             queue_limit=args.queue_limit,
             max_running=args.max_running,
             session_workers=args.session_workers,
-            retry=retry,
-            degrade=degrade,
+            retry=retry_policy(args),
             log=log,
         )
         requeued = manager.reattach()

@@ -51,7 +51,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..campaign.journal import Journal
 from ..campaign.jobs import Job, JobResult
 from ..errors import CampaignError
-from ..campaign.runner import CampaignRunner, DegradePolicy, RetryPolicy
+from ..campaign.runner import CampaignRunner, RetryPolicy
 from ..core.keys import canonical_key, config_dict
 from ..obs.metrics import MetricsRegistry
 from .cache import CacheEntry, ResultCache
@@ -169,7 +169,7 @@ class SessionManager:
         max_running: scheduler threads = sessions running concurrently.
         session_workers: ``workers`` for each session's campaign runner
             (1 = in-process; >1 fans out to a multiprocessing pool).
-        retry / degrade: campaign policies shared by every session
+        retry: the campaign retry policy shared by every session
             (request budgets ride on the jobs themselves).
         verify_fn: test seam; defaults to the artifact-storing wrapper
             around :func:`repro.core.verify`.
@@ -182,7 +182,6 @@ class SessionManager:
         max_running: int = 1,
         session_workers: int = 1,
         retry: Optional[RetryPolicy] = None,
-        degrade: Optional[DegradePolicy] = None,
         verify_fn: Optional[Callable] = None,
         log: Optional[Callable[[str], None]] = None,
     ) -> None:
@@ -199,7 +198,6 @@ class SessionManager:
         self.max_running = max_running
         self.session_workers = session_workers
         self.retry = retry or RetryPolicy()
-        self.degrade = degrade or DegradePolicy()
         self.verify_fn = verify_fn or ArtifactStoringVerify(self.store.root)
         self._log = log or (lambda message: None)
         self.metrics = MetricsRegistry()
@@ -466,7 +464,6 @@ class SessionManager:
         runner = CampaignRunner(
             session.journal_path,
             retry=self.retry,
-            degrade=self.degrade,
             verify_fn=self.verify_fn,
             on_result=lambda job, result: self._job_finished(
                 session, job, result

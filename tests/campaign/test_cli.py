@@ -8,7 +8,7 @@ from repro.__main__ import main as repro_main
 from repro.campaign import Job, Journal
 from repro.campaign.cli import build_parser as campaign_parser
 from repro.campaign.cli import main as campaign_main
-from repro.campaign.cli import retry_policies
+from repro.campaign.cli import retry_policy
 from repro.service.cli import build_parser as serve_parser
 
 #: Job specs ``Job.from_dict`` refuses, with the word its error names.
@@ -258,12 +258,12 @@ class TestResumeFlow:
             assert "Traceback" not in err
 
     def test_inconclusive_grid_exits_four(self, tmp_path, capsys):
-        # A hopeless budget with degradation disabled: INCONCLUSIVE -> 4.
+        # A hopeless budget: INCONCLUSIVE -> 4.
         journal = str(tmp_path / "c.jsonl")
         code = campaign_main([
             "--journal", journal, "--grid", "3x3",
             "--method", "positive_equality", "--max-conflicts", "1",
-            "--max-attempts", "2", "--no-degrade", "--quiet",
+            "--max-attempts", "2", "--quiet",
         ])
         assert code == 4
         assert "INCONCLUSIVE" in capsys.readouterr().out
@@ -272,10 +272,10 @@ class TestResumeFlow:
 class TestSharedRetryOptions:
     @pytest.mark.parametrize("tail", [
         [],
-        ["--max-attempts", "5", "--escalation", "3", "--no-degrade"],
+        ["--max-attempts", "5", "--escalation", "3"],
         ["--max-conflicts", "7", "--deadline", "2.5", "--max-memory", "64"],
     ])
     def test_campaign_and_serve_build_equal_policies(self, tail):
         campaign_args = campaign_parser().parse_args(["--journal", "j"] + tail)
         serve_args = serve_parser().parse_args(tail)
-        assert retry_policies(campaign_args) == retry_policies(serve_args)
+        assert retry_policy(campaign_args) == retry_policy(serve_args)

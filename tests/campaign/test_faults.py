@@ -5,7 +5,6 @@ import pytest
 
 from repro.campaign import (
     CampaignRunner,
-    DegradePolicy,
     Fault,
     FaultKind,
     FaultPlan,
@@ -16,7 +15,7 @@ from repro.campaign import (
 )
 from repro.errors import BudgetExhausted, CampaignError, RewriteFailed
 
-from .test_runner import SpyVerify
+from .test_runner import SpyVerify, journaled_methods
 
 
 class TestFaultPlanMechanics:
@@ -34,43 +33,42 @@ class TestFaultPlanMechanics:
     def test_faults_fire_exactly_once(self):
         plan = FaultPlan([Fault(FaultKind.SOLVER_TIMEOUT, job_id="a")])
         with pytest.raises(BudgetExhausted):
-            plan.fire("a", 1, "rewriting")
-        plan.fire("a", 1, "rewriting")  # second call: nothing happens
+            plan.fire("a", 1)
+        plan.fire("a", 1)  # second call: nothing happens
         assert plan.fired == 1
-
-    def test_method_restriction(self):
-        plan = FaultPlan([
-            Fault(FaultKind.SOLVER_TIMEOUT, job_id="a", method="rewriting")
-        ])
-        plan.fire("a", 1, "positive_equality")  # no-op: wrong method
-        with pytest.raises(BudgetExhausted):
-            plan.fire("a", 1, "rewriting")
 
     def test_unplanned_attempts_untouched(self):
         plan = FaultPlan([Fault(FaultKind.OOM, job_id="a", attempt=2)])
-        plan.fire("a", 1, "rewriting")
-        plan.fire("b", 2, "rewriting")
+        plan.fire("a", 1)
+        plan.fire("b", 2)
         assert plan.fired == 0
 
 
 class TestInjectedRecoveryPaths:
-    def test_solver_timeout_retries_then_degrades(self, tmp_path):
-        job = Job.build(4, 2)
+    # Two jobs, so that with two workers the campaign really fans out.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solver_timeout_on_every_attempt_goes_inconclusive(
+        self, tmp_path, workers
+    ):
+        path = str(tmp_path / "j.jsonl")
+        job, bystander = Job.build(4, 2), Job.build(2, 1)
         plan = FaultPlan([
-            Fault(FaultKind.SOLVER_TIMEOUT, job_id=job.job_id, attempt=a,
-                  method="rewriting")
+            Fault(FaultKind.SOLVER_TIMEOUT, job_id=job.job_id, attempt=a)
             for a in (1, 2)
         ])
         report = CampaignRunner(
-            str(tmp_path / "j.jsonl"),
+            path,
             retry=RetryPolicy(max_attempts=2),
             fault_plan=plan,
             verify_fn=SpyVerify(),
-        ).run([job])
+            workers=workers,
+        ).run([job, bystander])
         result = report.results[job.job_id]
-        assert result.status == "PROVED"
-        assert result.method == "positive_equality"
-        assert result.attempts == 3
+        assert (result.status, result.method, result.attempts) == \
+            ("INCONCLUSIVE", "rewriting", 2)
+        assert "BudgetExhausted" in result.detail
+        assert report.results[bystander.job_id].status == "PROVED"
+        assert journaled_methods(path) == {"rewriting"}
 
     def test_oom_is_retried_like_a_budget_kill(self, tmp_path):
         job = Job.build(4, 2)
@@ -84,18 +82,24 @@ class TestInjectedRecoveryPaths:
         assert result.method == "rewriting"
         assert result.attempts == 2
 
-    def test_rewrite_failure_degrades_immediately(self, tmp_path):
-        job = Job.build(4, 2)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rewrite_failure_goes_inconclusive_after_one_attempt(
+        self, tmp_path, workers
+    ):
+        path = str(tmp_path / "j.jsonl")
+        job, bystander = Job.build(4, 2), Job.build(2, 1)
         plan = FaultPlan([
             Fault(FaultKind.REWRITE_FAILURE, job_id=job.job_id, attempt=1)
         ])
         report = CampaignRunner(
-            str(tmp_path / "j.jsonl"), fault_plan=plan, verify_fn=SpyVerify()
-        ).run([job])
+            path, fault_plan=plan, verify_fn=SpyVerify(), workers=workers,
+        ).run([job, bystander])
         result = report.results[job.job_id]
-        assert result.status == "PROVED"
-        assert result.method == "positive_equality"
-        assert result.attempts == 2
+        assert (result.status, result.method, result.attempts) == \
+            ("INCONCLUSIVE", "rewriting", 1)
+        assert "RewriteFailed" in result.detail
+        assert report.results[bystander.job_id].status == "PROVED"
+        assert journaled_methods(path) == {"rewriting"}
 
     def test_injected_failures_are_journaled(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -123,8 +127,8 @@ class TestCrashFaults:
         assert set(replay.in_flight()) == {jobs[1].job_id}
 
     def test_crash_is_not_swallowed_by_recovery(self, tmp_path):
-        # InjectedCrash is a BaseException: neither the retry loop nor the
-        # degradation path may catch it.
+        # InjectedCrash is a BaseException: the retry loop may not catch
+        # it.
         job = Job.build(2, 1)
         plan = FaultPlan([Fault(FaultKind.CRASH, job_id=job.job_id)])
         runner = CampaignRunner(

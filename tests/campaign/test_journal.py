@@ -126,7 +126,8 @@ class TestReplayDerivations:
         assert set(replay.finished()) == {"a"}
         assert set(replay.in_flight()) == {"b"}
 
-    def test_failed_attempts_are_counted_per_method(self, tmp_path):
+    def test_failed_attempts_are_counted_per_job(self, tmp_path):
+        # Every failed attempt of a job counts, whatever method it names.
         path = tmp_path / "journal.jsonl"
         _append_all(path, [
             {"event": "attempt_failed", "job_id": "a", "attempt": 1,
@@ -135,11 +136,11 @@ class TestReplayDerivations:
              "method": "rewriting"},
             {"event": "attempt_failed", "job_id": "a", "attempt": 1,
              "method": "positive_equality"},
+            {"event": "attempt_failed", "job_id": "b", "attempt": 1,
+             "method": "rewriting"},
         ])
         replay = Journal.load(str(path))
-        counts = replay.failed_attempts()
-        assert counts[("a", "rewriting")] == 2
-        assert counts[("a", "positive_equality")] == 1
+        assert replay.failed_attempts() == {"a": 3, "b": 1}
 
     def test_job_specs_in_order(self, tmp_path):
         path = tmp_path / "journal.jsonl"

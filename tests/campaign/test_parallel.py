@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignRunner,
-    DegradePolicy,
     Fault,
     FaultKind,
     FaultPlan,
@@ -22,6 +21,8 @@ from repro.campaign.jobs import TERMINAL_STATES
 from repro.campaign.parallel import WORKER_CRASH_ERROR
 from repro.core.results import VerificationResult
 from repro.errors import CampaignError
+
+from .test_runner import journaled_methods
 
 
 def fake_verify(config, method="rewriting", bug=None, criterion="disjunction",
@@ -171,14 +172,14 @@ class TestSingleWriterJournal:
         assert rerun.replayed == len(jobs)
 
     def test_job_that_always_crashes_goes_inconclusive(self, tmp_path):
-        # Crash faults on every attempt of both methods: the job must
-        # converge to INCONCLUSIVE instead of looping forever.
+        # A crash fault on every attempt: the job must end INCONCLUSIVE
+        # after its max_attempts crashes instead of looping forever.
         path = str(tmp_path / "j.jsonl")
         jobs = make_jobs([(2, 1), (2, 2)])
         victim = jobs[0].job_id
         plan = FaultPlan([
             Fault(FaultKind.CRASH, job_id=victim, attempt=attempt)
-            for attempt in (1, 2, 3, 4)
+            for attempt in (1, 2)
         ])
         report = CampaignRunner(
             path, verify_fn=fake_verify, workers=2, fault_plan=plan,
@@ -186,7 +187,8 @@ class TestSingleWriterJournal:
         ).run(jobs)
         assert report.results[victim].status == "INCONCLUSIVE"
         assert report.results[jobs[1].job_id].status == "PROVED"
-        assert report.metrics["campaign.worker_crashes"] == 4
+        assert report.metrics["campaign.worker_crashes"] == 2
+        assert journaled_methods(path) == {"rewriting"}
 
 
 RECOVERABLE = [FaultKind.SOLVER_TIMEOUT, FaultKind.OOM,
@@ -245,7 +247,6 @@ def test_sequential_and_parallel_runs_are_equivalent(
             workers=workers,
             fault_plan=plan,
             retry=RetryPolicy(max_attempts=2, escalation=2.0),
-            degrade=DegradePolicy(fallback_method="positive_equality"),
         ).run(jobs)
         return _attempt_trace(path), report
 

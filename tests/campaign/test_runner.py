@@ -1,4 +1,4 @@
-"""Campaign runner tests: budgets, escalation, degradation, resume."""
+"""Campaign runner tests: budgets, escalation, one method per job, resume."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from repro import ProcessorConfig
 from repro.campaign import (
     CampaignRunner,
-    DegradePolicy,
     Job,
     JobResult,
     Journal,
@@ -128,7 +127,6 @@ class TestTerminalStates:
         runner = CampaignRunner(
             str(tmp_path / "j.jsonl"),
             retry=RetryPolicy(max_attempts=2, escalation=2.0),
-            degrade=DegradePolicy(fallback_method=None),
         )
         report = runner.run([job])
         result = report.results[job.job_id]
@@ -177,66 +175,49 @@ class TestEscalation:
         assert result.attempts == 2
 
 
-class TestDegradation:
-    def test_rewriting_exhaustion_falls_back_to_positive_equality(
+def journaled_methods(path):
+    """The methods named by the start, attempt_failed and finish records."""
+    return {
+        record["method"] for record in Journal.load(path).records
+        if "method" in record
+    }
+
+
+class TestOneMethodPerJob:
+    @pytest.mark.parametrize("method", ["rewriting", "positive_equality"])
+    def test_exhausted_attempts_go_inconclusive(self, tmp_path, method):
+        path = str(tmp_path / "j.jsonl")
+        job = Job.build(4, 2, method=method)
+        key = (4, 2, method)
+        spy = SpyVerify(script={
+            (key, i): BudgetExhausted("attempt dies") for i in range(3)
+        })
+        report = CampaignRunner(
+            path, retry=RetryPolicy(max_attempts=3), verify_fn=spy,
+        ).run([job])
+        result = report.results[job.job_id]
+        assert (result.status, result.method, result.attempts) == \
+            ("INCONCLUSIVE", method, 3)
+        assert "BudgetExhausted" in result.detail
+        assert [call[0] for call in spy.calls] == [key] * 3
+        assert journaled_methods(path) == {method}
+
+    def test_rewrite_failure_goes_inconclusive_without_retrying(
         self, tmp_path
     ):
-        job = Job.build(4, 2)
-        key = (4, 2, "rewriting")
-        spy = SpyVerify(script={
-            (key, i): BudgetExhausted("rewriting attempt dies")
-            for i in range(3)
-        })
-        report = CampaignRunner(
-            str(tmp_path / "j.jsonl"),
-            retry=RetryPolicy(max_attempts=3),
-            verify_fn=spy,
-        ).run([job])
-        result = report.results[job.job_id]
-        assert result.status == "PROVED"
-        assert result.method == "positive_equality"
-        assert result.attempts == 4  # 3 rewriting + 1 fallback
-
-    def test_rewrite_failure_degrades_without_retrying(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
         job = Job.build(4, 2)
         key = (4, 2, "rewriting")
         spy = SpyVerify(script={
             (key, 0): RewriteFailed("no structure", stage="decompose"),
         })
-        report = CampaignRunner(
-            str(tmp_path / "j.jsonl"), verify_fn=spy
-        ).run([job])
+        report = CampaignRunner(path, verify_fn=spy).run([job])
         result = report.results[job.job_id]
-        assert result.status == "PROVED"
-        assert result.method == "positive_equality"
-        assert result.attempts == 2  # structural failure is not retried
-
-    def test_no_degrade_policy_records_inconclusive(self, tmp_path):
-        job = Job.build(4, 2)
-        key = (4, 2, "rewriting")
-        spy = SpyVerify(script={
-            (key, 0): RewriteFailed("no structure", stage="decompose"),
-        })
-        report = CampaignRunner(
-            str(tmp_path / "j.jsonl"),
-            degrade=DegradePolicy(fallback_method=None),
-            verify_fn=spy,
-        ).run([job])
-        assert report.results[job.job_id].status == "INCONCLUSIVE"
-        assert "RewriteFailed" in report.results[job.job_id].detail
-
-    def test_positive_equality_jobs_never_degrade(self, tmp_path):
-        job = Job.build(3, 1, method="positive_equality")
-        key = (3, 1, "positive_equality")
-        spy = SpyVerify(script={
-            (key, i): BudgetExhausted("dies") for i in range(3)
-        })
-        report = CampaignRunner(
-            str(tmp_path / "j.jsonl"),
-            retry=RetryPolicy(max_attempts=3),
-            verify_fn=spy,
-        ).run([job])
-        assert report.results[job.job_id].status == "INCONCLUSIVE"
+        assert (result.status, result.method, result.attempts) == \
+            ("INCONCLUSIVE", "rewriting", 1)
+        assert "RewriteFailed" in result.detail
+        assert len(spy.calls) == 1
+        assert journaled_methods(path) == {"rewriting"}
 
 
 class TestResume:
@@ -280,6 +261,72 @@ class TestResume:
         ).run()
         assert report.results[job.job_id].status == "PROVED"
         assert [c[1] for c in spy.calls] == [40]  # attempt 3 only
+
+    @staticmethod
+    def _write_fallback_journal(path, job, finished):
+        """A journal in the layout of builds that re-ran an exhausted
+        ``rewriting`` job under ``positive_equality``: three failed
+        rewriting attempts, then the fallback's start and, when
+        ``finished``, its PROVED finish."""
+        with Journal(path) as journal:
+            journal.append({"event": "enqueue", "job": job.to_dict()})
+            for attempt in (1, 2, 3):
+                journal.append({"event": "start", "job_id": job.job_id,
+                                "attempt": attempt, "method": "rewriting",
+                                "max_conflicts": 100000})
+                journal.append({"event": "attempt_failed",
+                                "job_id": job.job_id, "attempt": attempt,
+                                "method": "rewriting",
+                                "error": "BudgetExhausted", "detail": "x"})
+            journal.append({"event": "start", "job_id": job.job_id,
+                            "attempt": 1, "method": "positive_equality",
+                            "max_conflicts": 100000})
+            if finished:
+                journal.append({"event": "finish", "job_id": job.job_id,
+                                "status": "PROVED",
+                                "method": "positive_equality",
+                                "attempts": 4, "detail": "",
+                                "suspected_entry": None,
+                                "diagnostics": [], "metrics": {},
+                                "witness": None, "worker": None})
+
+    def test_journaled_fallback_verdict_is_a_pure_replay(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        job = Job.build(4, 2)
+        self._write_fallback_journal(path, job, finished=True)
+        before = Journal.load(path).records
+        spy = SpyVerify()
+        report = CampaignRunner(
+            path, retry=RetryPolicy(max_attempts=3), verify_fn=spy,
+        ).run()
+        result = report.results[job.job_id]
+        assert (result.status, result.method, result.attempts) == \
+            ("PROVED", "positive_equality", 4)
+        assert result.from_journal and report.replayed == 1
+        assert spy.calls == []
+        assert Journal.load(path).records == before
+
+    def test_journal_cut_during_the_fallback_ends_inconclusive(
+        self, tmp_path
+    ):
+        # Every failed attempt counts toward the schedule whatever method
+        # it names, and the fallback's in-flight start is not re-run.
+        path = str(tmp_path / "j.jsonl")
+        job = Job.build(4, 2)
+        self._write_fallback_journal(path, job, finished=False)
+        before = Journal.load(path).records
+        spy = SpyVerify()
+        report = CampaignRunner(
+            path, retry=RetryPolicy(max_attempts=3), verify_fn=spy,
+        ).run()
+        result = report.results[job.job_id]
+        assert (result.status, result.method) == ("INCONCLUSIVE", "rewriting")
+        assert spy.calls == []
+        records = Journal.load(path).records
+        assert records[:len(before)] == before
+        added = records[len(before):]
+        assert [record["event"] for record in added] == ["finish"]
+        assert added[0]["status"] == "INCONCLUSIVE"
 
     def test_empty_journal_resume_is_an_error(self, tmp_path):
         with pytest.raises(CampaignError):

@@ -12,7 +12,6 @@ import pytest
 
 from repro.campaign import (
     CampaignRunner,
-    DegradePolicy,
     Fault,
     FaultKind,
     FaultPlan,
@@ -95,7 +94,7 @@ class TestFaultFiring:
         plan = FaultPlan([Fault.parse("solver-timeout@job:*")])
         for attempt in (1, 2, 3):
             with pytest.raises(BudgetExhausted):
-                plan.fire("job", attempt, "rewriting")
+                plan.fire("job", attempt)
         assert plan.fired == 3
 
     def test_exact_fault_shadows_wildcard_then_stays_one_shot(self):
@@ -104,16 +103,16 @@ class TestFaultFiring:
             Fault.parse("solver-timeout@job:*"),
         ])
         with pytest.raises(BudgetExhausted):
-            plan.fire("job", 1, "rewriting")
+            plan.fire("job", 1)
         with pytest.raises(MemoryError):
-            plan.fire("job", 2, "rewriting")
+            plan.fire("job", 2)
         with pytest.raises(BudgetExhausted):
-            plan.fire("job", 3, "rewriting")
+            plan.fire("job", 3)
 
     def test_bounded_hang_raises_budget_exhausted(self):
         plan = FaultPlan([Fault.parse("hang:0.05@job")])
         with pytest.raises(BudgetExhausted) as info:
-            plan.fire("job", 1, "rewriting")
+            plan.fire("job", 1)
         assert info.value.stage == "injected-hang"
         assert info.value.budget_kind == "wall"
 
@@ -122,18 +121,18 @@ class TestFaultFiring:
         deadline = Deadline(memory=MemoryBudget.from_mb(2))
         with use_deadline(deadline):
             with pytest.raises(MemoryBudgetExhausted):
-                plan.fire("job", 1, "rewriting")
+                plan.fire("job", 1)
 
     def test_memory_bloat_degrades_to_plain_memory_error(self):
         plan = FaultPlan([Fault.parse("memory-bloat:2@job")])
         with pytest.raises(MemoryError):
-            plan.fire("job", 1, "rewriting")
+            plan.fire("job", 1)
 
     def test_slow_attaches_delay_to_ambient_deadline(self):
         plan = FaultPlan([Fault.parse("slow:sat:0.5@job")])
         deadline = Deadline()
         with use_deadline(deadline):
-            plan.fire("job", 1, "rewriting")  # does not raise
+            plan.fire("job", 1)  # does not raise
         assert deadline.stage_delays == {"sat": 0.5}
 
 
@@ -198,7 +197,6 @@ class TestHungWorkers:
         report = CampaignRunner(
             path,
             retry=RetryPolicy(max_attempts=1, base_conflicts=None),
-            degrade=DegradePolicy(fallback_method=None),
             fault_plan=plan,
             workers=2,
             hang_timeout=1.0,
@@ -268,7 +266,6 @@ class TestEveryJobRuns:
         report = CampaignRunner(
             path,
             retry=RetryPolicy(max_attempts=1, base_conflicts=None),
-            degrade=DegradePolicy(fallback_method=None),
             verify_fn=failing_verify,
         ).run(FAMILY_JOBS)
         # Siblings that differ only in ROB size each spend their own

@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro import Bug, ProcessorConfig, verify
-from repro.campaign import CampaignRunner, DegradePolicy, Job, RetryPolicy
+from repro.campaign import CampaignRunner, Job, RetryPolicy
 from repro.campaign.parallel import WORKER_HUNG_ERROR
 from repro.eufm import clear_intern_cache, interned_count, run_scope
 
@@ -114,7 +114,6 @@ def test_worker_forked_inside_another_threads_run_does_not_hang(tmp_path):
         report = CampaignRunner(
             str(path),
             retry=RetryPolicy(max_attempts=1),
-            degrade=DegradePolicy(fallback_method=None),
             workers=2,
             hang_timeout=2.0,
         ).run([Job.build(2, 1), Job.build(3, 1)])

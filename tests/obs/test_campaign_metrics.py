@@ -19,9 +19,7 @@ class TestJobResultMetrics:
             config=config, method="rewriting", bug=None, correct=True,
             trace=root,
         )
-        job_result = JobResult.from_verification(
-            Job.build(2, 1), "rewriting", 1, result
-        )
+        job_result = JobResult.from_verification(Job.build(2, 1), 1, result)
         assert job_result.metrics["timings.total"] == 1.25
         assert job_result.metrics["timings.sat"] == 0.5
         assert job_result.metrics["sat.conflicts"] == 3

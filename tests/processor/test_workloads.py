@@ -64,6 +64,19 @@ class TestRewritingReduction:
         assert result.rewrite.reduction == "none"
         assert result.rewrite.rules_applied.get("fallback") == 1
         assert result.rewrite.reduced_formula is not None
+        # Where the engine declines to reduce, the rewriting flow builds
+        # the same CNF as Positive Equality alone — so a campaign job
+        # gains nothing by re-running under the other method.
+        baseline = verify(
+            ProcessorConfig(2, 1, family=family), method="positive_equality"
+        )
+
+        def shape(stats):
+            return (stats.cnf_vars, stats.cnf_clauses,
+                    stats.eij_primary, stats.other_primary)
+
+        assert shape(result.encoding_stats) == \
+            shape(baseline.encoding_stats)
 
     def test_reg_reg_reduction_is_unchanged(self):
         result = verify(ProcessorConfig(3, 2))

@@ -15,9 +15,8 @@ import time
 import pytest
 
 from repro.campaign import RetryPolicy
-from repro.campaign.runner import DegradePolicy
 from repro.core.results import VerificationResult
-from repro.service.app import ServiceApp
+from repro.service.app import ServiceApp, _Handler
 from repro.service.sessions import SessionManager
 
 
@@ -38,7 +37,6 @@ class CountingVerify:
 
 def make_manager(tmp_path, verify, **kwargs):
     kwargs.setdefault("retry", RetryPolicy(max_attempts=1))
-    kwargs.setdefault("degrade", DegradePolicy(fallback_method=None))
     return SessionManager(str(tmp_path / "data"), verify_fn=verify,
                           **kwargs)
 
@@ -369,6 +367,81 @@ class TestConcurrency:
                 gate.set()
                 for sock in waiting:
                     sock.close()
+
+        try:
+            run_app(manager, scenario)
+        finally:
+            gate.set()
+
+
+class TestIdleConnections:
+    def test_silent_clients_lose_their_connection_and_thread(
+        self, tmp_path, monkeypatch
+    ):
+        timeout = 1.5
+        monkeypatch.setattr(_Handler, "timeout", timeout)
+        gate = threading.Event()
+        manager = make_manager(tmp_path, CountingVerify(block=gate))
+
+        def connect(host, port, data=b""):
+            client = socket.create_connection((host, port), 30.0)
+            client.sendall(data)
+            # Let the server accept before the next connect: its listen
+            # backlog is 5, and a connect past a full backlog waits for
+            # a SYN retransmit.
+            time.sleep(0.01)
+            return client
+
+        def scenario(host, port):
+            baseline = threading.active_count()
+            first = time.monotonic()
+            clients = [connect(host, port) for _ in range(20)]
+            clients.append(
+                connect(host, port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+            )
+            clients.append(connect(
+                host, port,
+                b"POST /v1/sessions HTTP/1.1\r\nContent-Length: 100\r\n"
+                b"\r\n{\"grid\": ",
+            ))
+            opened = time.monotonic()
+            try:
+                # Each silent client holds a handler thread at first...
+                while threading.active_count() < baseline + len(clients):
+                    assert time.monotonic() - first < timeout
+                    time.sleep(0.01)
+                # ...until its read times out and the server drops it.
+                while threading.active_count() > baseline:
+                    assert time.monotonic() - opened < timeout + 1.0, (
+                        f"{threading.active_count() - baseline} handler "
+                        "thread(s) outlived the socket timeout"
+                    )
+                    time.sleep(0.02)
+                for client in clients:
+                    assert client.recv(65536) == b""  # closed, no answer
+            finally:
+                for client in clients:
+                    client.close()
+            status, _h, payload = json_request(host, port, "GET", "/healthz")
+            assert (status, payload) == (200, {"ok": True})
+            assert "service.errors" not in manager.metrics.values()
+
+            # A long-poll waits on the session, not on the socket: one
+            # longer than the socket timeout still answers.
+            _status, _h, submitted = json_request(
+                host, port, "POST", "/v1/sessions", {"grid": "2x1"}
+            )
+            sid = submitted["session"]
+            version = wait_until_running(host, port, sid)["version"]
+            started = time.monotonic()
+            status, _h, payload = json_request(
+                host, port, "GET",
+                f"/v1/sessions/{sid}?wait={timeout + 0.5}&version={version}",
+            )
+            assert status == 200
+            assert payload["state"] == "running"
+            assert time.monotonic() - started >= timeout + 0.5
+            gate.set()
 
         try:
             run_app(manager, scenario)

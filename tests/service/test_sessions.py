@@ -8,7 +8,6 @@ import pytest
 
 from repro.campaign import Journal, RetryPolicy
 from repro.campaign.jobs import JobResult
-from repro.campaign.runner import DegradePolicy
 from repro.core.results import VerificationResult
 from repro.errors import BudgetExhausted
 from repro.service.protocol import ServiceError, SubmitRequest
@@ -38,7 +37,6 @@ class CountingVerify:
 
 def make_manager(tmp_path, verify, **kwargs):
     kwargs.setdefault("retry", RetryPolicy(max_attempts=1))
-    kwargs.setdefault("degrade", DegradePolicy(fallback_method=None))
     return SessionManager(str(tmp_path / "data"), verify_fn=verify,
                           **kwargs)
 
