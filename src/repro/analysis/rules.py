@@ -52,7 +52,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..eufm import builder
 from ..eufm.ast import BoolVar, Expr, Formula, Read, Term, TermVar, Write
-from ..eufm.evaluator import Interpretation, SortError, evaluate, infer_memory_sorts
+from ..eufm.evaluator import EvaluationPlan, Interpretation, SortError
 from ..eufm.polarity import classify
 from ..eufm.traversal import bool_variables, iter_dag, substitute, term_variables
 from ..encode.memory_elim import abstract_memories_conservative
@@ -386,9 +386,9 @@ def small_model_check(
         raise SortError("LHS and RHS have different sorts (term vs formula)")
     equivalence = (builder.eq(left, right) if left.is_term()
                    else builder.iff(left, right))
-    memory_sorted = infer_memory_sorts(equivalence)
+    plan = EvaluationPlan(equivalence)
     value_names = sorted(v.name for v in term_variables(equivalence)
-                         if v not in memory_sorted)
+                         if v not in plan.memory_sorted)
     bool_names = sorted(v.name for v in bool_variables(equivalence))
 
     checked = 0
@@ -409,7 +409,7 @@ def small_model_check(
                 interp = Interpretation(domain, seed, term_assignment,
                                         bool_assignment)
                 checked += 1
-                if not evaluate(equivalence, interp):
+                if not plan.run(interp)[equivalence]:
                     return checked, truncated, dict(
                         domain_size=domain, seed=seed,
                         term_values=term_assignment,

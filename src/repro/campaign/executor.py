@@ -63,9 +63,10 @@ class JobExecutor:
         """Drive one job to a terminal state (never raises ReproError).
 
         ``failed`` counts the job's attempts already journaled as failed;
-        the escalation schedule resumes after them.
+        the escalation schedule resumes after them, and the result's
+        ``attempts`` counts them too.
         """
-        used = 0
+        attempts = failed
         detail = "no attempts left"
         for attempt in range(failed + 1, self.retry.max_attempts + 1):
             max_conflicts, max_wall, max_memory = self.retry.budget_for(
@@ -85,7 +86,7 @@ class JobExecutor:
             if max_memory is not None:
                 start_event["max_memory_mb"] = max_memory
             emit(start_event)
-            used += 1
+            attempts += 1
             # The attempt-scoped supervision deadline: derived from the
             # ambient one (inheriting a worker's heartbeat sink), capped
             # by its remaining allowance, and installed around *both* the
@@ -143,11 +144,11 @@ class JobExecutor:
                     )
                     continue
                 break  # structural: no bigger budget can help
-            return JobResult.from_verification(job, used, result)
+            return JobResult.from_verification(job, attempts, result)
         return JobResult(
             job_id=job.job_id,
             status="INCONCLUSIVE",
             method=job.method,
-            attempts=used,
+            attempts=attempts,
             detail=detail,
         )

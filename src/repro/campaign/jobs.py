@@ -193,9 +193,9 @@ class JobResult:
     #: may name ``positive_equality`` for a ``rewriting`` job: those
     #: builds re-ran an exhausted job under it).
     method: str
-    #: verify attempts this run of the job made, failed ones included
-    #: (a resumed or re-queued job does not count the attempts journaled
-    #: as failed before it).
+    #: verify attempts the job has made, failed ones included: the
+    #: attempts journaled as failed before a resume, or by a crashed or
+    #: hung worker, count too.
     attempts: int
     detail: str = ""
     suspected_entry: Optional[int] = None

@@ -18,13 +18,22 @@ An :class:`Interpretation` maps
 Memory values compare extensionally, and ``read``/``write`` satisfy the
 forwarding property, so the evaluator models exactly the EUFM memory axioms
 used by Burch & Dill.
+
+Evaluation has two halves.  An :class:`EvaluationPlan` is the part that
+does not depend on the interpretation: the roots' DAG in post-order and
+its memory-sorted nodes, computed once.  :meth:`EvaluationPlan.run` is
+one pass over that list under one interpretation.  :func:`evaluate` and
+:func:`evaluate_nodes` build a plan and run it once; a caller that
+evaluates one formula under many interpretations (counterexample
+minimization, the rule checker) builds the plan once and runs it per
+interpretation.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 from .ast import (
     Expr,
@@ -39,8 +48,8 @@ from .traversal import iter_dag
 from ..guard.deadline import current_deadline
 
 __all__ = [
-    "Interpretation", "MemVal", "evaluate", "evaluate_nodes",
-    "infer_memory_sorts", "SortError",
+    "EvaluationPlan", "Interpretation", "MemVal", "evaluate",
+    "evaluate_nodes", "infer_memory_sorts", "SortError",
 ]
 
 
@@ -218,6 +227,30 @@ def infer_memory_sorts(*roots: Expr) -> Set[Expr]:
     return memory
 
 
+class EvaluationPlan:
+    """The interpretation-independent half of evaluating ``roots``.
+
+    ``nodes`` is every node of the roots' DAG in post-order and
+    ``memory_sorted`` the ones that denote memory states.  A plan keeps
+    no interpretation state: each :meth:`run` starts from an empty value
+    table, so one plan serves any number of interpretations.
+    """
+
+    __slots__ = ("nodes", "memory_sorted")
+
+    def __init__(self, *roots: Expr) -> None:
+        self.nodes: Tuple[Expr, ...] = tuple(iter_dag(*roots))
+        self.memory_sorted: Set[Expr] = infer_memory_sorts(*roots)
+
+    def run(self, interp: Interpretation) -> Dict[Expr, Value]:
+        """The value under ``interp`` of every node of the plan."""
+        memory_sorted = self.memory_sorted
+        values: Dict[Expr, Value] = {}
+        for node in self.nodes:
+            values[node] = _eval_node(node, values, interp, memory_sorted)
+        return values
+
+
 def evaluate(root: Expr, interp: Interpretation) -> Value:
     """Evaluate ``root`` (and its whole DAG) under ``interp``."""
     return evaluate_nodes(root, interp)[root]
@@ -225,11 +258,7 @@ def evaluate(root: Expr, interp: Interpretation) -> Value:
 
 def evaluate_nodes(root: Expr, interp: Interpretation) -> Dict[Expr, Value]:
     """The value under ``interp`` of every node of ``root``'s DAG."""
-    memory_sorted = infer_memory_sorts(root)
-    values: Dict[Expr, Value] = {}
-    for node in iter_dag(root):
-        values[node] = _eval_node(node, values, interp, memory_sorted)
-    return values
+    return EvaluationPlan(root).run(interp)
 
 
 def _eval_node(

@@ -55,6 +55,9 @@ MAX_BODY_BYTES = 1 << 20
 #: (request line, head or body) loses its connection and its thread.
 #: Long-polls wait on the session, not on the socket.
 MAX_WAIT_SECONDS = 60.0
+#: The listening socket's backlog: a burst of connects past it waits
+#: for SYN retransmits, a second or more each.
+LISTEN_BACKLOG = 128
 _SSE_POLL_SECONDS = 0.15
 
 
@@ -92,6 +95,8 @@ class ServiceApp(ThreadingHTTPServer):
     :meth:`serve_forever` serves, and :meth:`server_close` closes the
     socket and stops the manager.
     """
+
+    request_queue_size = LISTEN_BACKLOG
 
     def __init__(self, manager: SessionManager, host: str, port: int) -> None:
         self.manager = manager

@@ -15,10 +15,10 @@ interpretation — the counterexample the paper's debugging story needs:
 2. **domain values** — one distinct value per class, so equality of
    values coincides with the model's equality relation;
 3. **function tables** — each fresh ``vc!``/``vp!`` variable carries its
-   ``(symbol, argument-terms)`` provenance from UF elimination; evaluating
-   the (UF-free) argument terms under the interpretation built so far
-   yields concrete argument tuples, and first-occurrence-wins matches the
-   nested-ITE semantics of the encoding exactly;
+   ``(symbol, argument-terms)`` provenance from UF elimination; one pass
+   over the (UF-free) argument terms under the term and Boolean values
+   fixed so far yields concrete argument tuples, and first-occurrence-wins
+   matches the nested-ITE semantics of the encoding exactly;
 4. **replay** — the memory-free correctness formula is evaluated under
    the synthesized interpretation through :mod:`repro.eufm.evaluator`;
    a genuine counterexample must evaluate to ``False``;
@@ -26,6 +26,10 @@ interpretation — the counterexample the paper's debugging story needs:
    don't-cares (replay still falsifies under either value, with the other
    variables held fixed and already-dropped ones at their deterministic
    defaults).
+
+Only the assignment changes between replays; what it does not touch is
+computed once per encoding (``_ReplayPlan``), so a replay is one
+evaluation pass over the provenance arguments and one over the formula.
 
 The replay target is :attr:`~repro.encode.evc.EncodedValidity.memory_free`
 — the exact formula the SAT instance decided.  Under the precise memory
@@ -43,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..encode.evc import EncodedValidity
 from ..errors import WitnessError
 from ..eufm.ast import Eq, Expr, TermVar
-from ..eufm.evaluator import Interpretation, evaluate, evaluate_nodes
+from ..eufm.evaluator import EvaluationPlan, Interpretation
 from ..eufm.polarity import NEG
 from ..eufm.printer import to_sexpr
 from ..eufm.traversal import term_variables
@@ -221,63 +225,115 @@ def _eij_pairs(encoded: EncodedValidity):
     return pairs
 
 
-def build_interpretation(
-    encoded: EncodedValidity, assignment: Dict[str, Optional[bool]]
-) -> Tuple[Interpretation, List[List[str]]]:
-    """Synthesize a concrete EUFM interpretation from a named assignment.
+class _ReplayPlan:
+    """What replaying one :class:`EncodedValidity` needs, computed once.
 
-    Returns the interpretation and the term-variable equivalence classes
-    (transitivity closure of the true ``e_ij`` edges).
+    The term universe, the ``e_ij`` edges, the provenance arguments and
+    the evaluation plans of those arguments and of the memory-free
+    formula do not depend on the assignment being tried, so
+    reconstruction, diagnosis, every minimization replay and the final
+    replay share them.  Raises :class:`~repro.errors.WitnessError` when a
+    provenance argument holds a UF or UP application: the arguments are
+    evaluated in one pass before any table entry is pinned, which agrees
+    with evaluating them one table entry at a time only while no
+    argument reads a table.
     """
-    union = _UnionFind()
-    variables = _term_universe(encoded)
-    for var in variables:
-        union.add(var.name)
-    for pair, eij_var in _eij_pairs(encoded).items():
-        if assignment.get(eij_var.name) is True:
-            a, b = tuple(pair)
-            union.union(a.name, b.name)
 
-    classes = union.classes()
-    # One distinct domain value per class: value equality coincides with
-    # the model's equality relation.  Maximal diversity for p-variables
-    # holds automatically — they sit in no e_ij edge, so they keep
-    # singleton classes and therefore unique values.
-    term_values: Dict[str, int] = {}
-    for value, members in enumerate(classes):
-        for name in members:
-            term_values[name] = value
-    domain_size = max(len(classes), 1)
+    def __init__(self, encoded: EncodedValidity) -> None:
+        self.term_names = [var.name for var in _term_universe(encoded)]
+        self.edges = [
+            (eij_var.name, a.name, b.name)
+            for (a, b), eij_var in _eij_pairs(encoded).items()
+        ]
+        self.root = encoded.memory_free
+        self.formula = EvaluationPlan(encoded.memory_free)
+        # (fresh variable name, symbol, argument terms) per fresh vc!/vp!
+        # variable, in elimination order.
+        self.functions: List[Tuple[str, str, Tuple[Expr, ...]]] = []
+        self.predicates: List[Tuple[str, str, Tuple[Expr, ...]]] = []
+        if encoded.uf_elim is not None:
+            prov = encoded.uf_elim.provenance
+            self.functions = [(fresh.name, *prov[fresh])
+                              for fresh in encoded.uf_elim.fresh_term_vars]
+            self.predicates = [(fresh.name, *prov[fresh])
+                               for fresh in encoded.uf_elim.fresh_bool_vars]
+        self.arguments = EvaluationPlan(*(
+            arg for _, _, args in self.functions + self.predicates
+            for arg in args
+        ))
+        for node in self.arguments.nodes:
+            if node.kind in ("uf", "up"):
+                raise WitnessError(
+                    "a provenance argument holds the application "
+                    f"{to_sexpr(node)}; cannot synthesize the UF/UP tables"
+                )
 
-    interp = Interpretation(domain_size=domain_size, term_values=term_values)
+    def interpretation(
+        self, assignment: Dict[str, Optional[bool]]
+    ) -> Tuple[Interpretation, List[List[str]]]:
+        """Synthesize a concrete EUFM interpretation from a named assignment.
 
-    # Original Boolean variables and the fresh vp! predicate variables.
-    for name, value in assignment.items():
-        if name.startswith("eij!") or value is None:
-            continue
-        interp.set_bool(name, value)
+        Returns the interpretation and the term-variable equivalence
+        classes (transitivity closure of the true ``e_ij`` edges).
+        """
+        union = _UnionFind()
+        for name in self.term_names:
+            union.add(name)
+        for eij_name, a, b in self.edges:
+            if assignment.get(eij_name) is True:
+                union.union(a, b)
 
-    # Function/predicate tables from the provenance of UF elimination.
-    # Provenance argument terms are in the post-elimination language
-    # (UF-free: variables and ITEs only), so they evaluate directly under
-    # the term values fixed above.  First occurrence wins, matching the
-    # nested-ITE chain ITE(args=args_1, vc_1, ...) of the encoding.
-    if encoded.uf_elim is not None:
-        prov = encoded.uf_elim.provenance
-        for fresh in encoded.uf_elim.fresh_term_vars:
-            symbol, args = prov[fresh]
-            arg_values = tuple(evaluate(arg, interp) for arg in args)
-            if arg_values not in interp.uf_table(symbol):
-                interp.set_uf(symbol, arg_values, interp.term_value(fresh.name))
-        for fresh in encoded.uf_elim.fresh_bool_vars:
-            symbol, args = prov[fresh]
-            arg_values = tuple(evaluate(arg, interp) for arg in args)
-            if arg_values not in interp.up_table(symbol):
-                value = assignment.get(fresh.name)
+        classes = union.classes()
+        # One distinct domain value per class: value equality coincides
+        # with the model's equality relation.  Maximal diversity for
+        # p-variables holds automatically — they sit in no e_ij edge, so
+        # they keep singleton classes and therefore unique values.
+        term_values: Dict[str, int] = {}
+        for value, members in enumerate(classes):
+            for name in members:
+                term_values[name] = value
+        domain_size = max(len(classes), 1)
+
+        interp = Interpretation(domain_size=domain_size, term_values=term_values)
+
+        # Original Boolean variables and the fresh vp! predicate variables.
+        for name, value in assignment.items():
+            if name.startswith("eij!") or value is None:
+                continue
+            interp.set_bool(name, value)
+
+        # Function/predicate tables from the provenance of UF elimination.
+        # Provenance argument terms are in the post-elimination language
+        # (UF-free: variables and ITEs only), so one pass evaluates them
+        # all under the term values fixed above.  First occurrence wins,
+        # matching the nested-ITE chain ITE(args=args_1, vc_1, ...) of
+        # the encoding.
+        values = self.arguments.run(interp)
+        pinned_uf: Set[Tuple[str, tuple]] = set()
+        for fresh, symbol, args in self.functions:
+            arg_values = tuple(values[arg] for arg in args)
+            if (symbol, arg_values) not in pinned_uf:
+                pinned_uf.add((symbol, arg_values))
+                interp.set_uf(symbol, arg_values, interp.term_value(fresh))
+        pinned_up: Set[Tuple[str, tuple]] = set()
+        for fresh, symbol, args in self.predicates:
+            arg_values = tuple(values[arg] for arg in args)
+            if (symbol, arg_values) not in pinned_up:
+                pinned_up.add((symbol, arg_values))
+                value = assignment.get(fresh)
                 if value is None:
-                    value = interp.bool_value(fresh.name)
+                    value = interp.bool_value(fresh)
                 interp.set_up(symbol, arg_values, value)
-    return interp, classes
+        return interp, classes
+
+    def replay(self, assignment: Dict[str, Optional[bool]]) -> bool:
+        """Value of the memory-free formula under a fresh interpretation
+        built from ``assignment``."""
+        interp, _ = self.interpretation(assignment)
+        value = self.formula.run(interp)[self.root]
+        if not isinstance(value, bool):  # pragma: no cover - formula root
+            raise WitnessError("replay target did not evaluate to a Boolean")
+        return value
 
 
 def replay_assignment(
@@ -289,23 +345,22 @@ def replay_assignment(
     assignment and evaluates; a counterexample is genuine exactly when
     this returns ``False``.
     """
-    interp, _ = build_interpretation(encoded, assignment)
-    value = evaluate(encoded.memory_free, interp)
-    if not isinstance(value, bool):  # pragma: no cover - formula root
-        raise WitnessError("replay target did not evaluate to a Boolean")
-    return value
+    return _ReplayPlan(encoded).replay(assignment)
 
 
 def _minimize(
-    encoded: EncodedValidity, assignment: Dict[str, Optional[bool]]
-) -> Dict[str, bool]:
+    plan: _ReplayPlan, assignment: Dict[str, Optional[bool]]
+) -> Tuple[Dict[str, bool], int]:
     """Greedy don't-care elimination: drop a variable when the formula
     still replays false under *both* of its values (other variables held
-    fixed; dropped ones at their deterministic seed defaults)."""
+    fixed; dropped ones at their deterministic seed defaults).
+
+    Returns the minimized assignment and the number of replays made."""
     current: Dict[str, bool] = {
         name: value for name, value in assignment.items() if value is not None
     }
     deadline = current_deadline()
+    replays = 0
     for name in sorted(current):
         deadline.check("witness")
         kept = current.pop(name)
@@ -313,26 +368,28 @@ def _minimize(
         for candidate in (True, False):
             trial = dict(current)
             trial[name] = candidate
-            if replay_assignment(encoded, trial):
+            replays += 1
+            if plan.replay(trial):
                 still_false = False
                 break
         if not still_false:
             current[name] = kept
-    return current
+    return current, replays
 
 
 def _find_disagreements(
-    encoded: EncodedValidity, interp: Interpretation
+    encoded: EncodedValidity, values: Dict[Expr, object]
 ) -> List[str]:
     """Positively-occurring equations the interpretation falsifies.
 
-    These are the equalities the correctness formula *asserts* (spec
-    state = implementation state after the Burch–Dill diagram) and the
-    counterexample breaks — the most useful lines of the diagnosis.
+    ``values`` are the memory-free formula's node values under the
+    interpretation.  These are the equalities the correctness formula
+    *asserts* (spec state = implementation state after the Burch–Dill
+    diagram) and the counterexample breaks — the most useful lines of
+    the diagnosis.
     """
     if encoded.polarity is None:
         return []
-    values = evaluate_nodes(encoded.memory_free, interp)
     found: List[str] = []
     seen: Set[Expr] = set()
     for node, mask in encoded.polarity.polarity.items():
@@ -360,12 +417,14 @@ def reconstruct_counterexample(
     Builds the interpretation, replays the formula, optionally minimizes
     the assignment, and collects the diagnosis.  Raises
     :class:`~repro.errors.WitnessError` when the encoding artifacts
-    needed for reconstruction are missing (constant collapse).
+    needed for reconstruction are missing (constant collapse), or when a
+    provenance argument holds a UF or UP application.
     """
     tracer = current_tracer()
     current_deadline().check("witness")
     with tracer.span("witness.reconstruct"):
-        interp, classes = build_interpretation(encoded, assignment)
+        plan = _ReplayPlan(encoded)
+        interp, classes = plan.interpretation(assignment)
         uf_tables = {}
         up_tables = {}
         if encoded.uf_elim is not None:
@@ -377,13 +436,13 @@ def reconstruct_counterexample(
                 ptable = interp.up_table(symbol)
                 if ptable:
                     up_tables[symbol] = sorted(ptable.items())
-        replay_value = evaluate(encoded.memory_free, interp)
+        values = plan.formula.run(interp)
+        replay_value = values[plan.root]
         cex = TermCounterexample(
             raw_assignment=dict(assignment),
             classes=classes,
             term_values={
-                var.name: interp.term_value(var.name)
-                for var in _term_universe(encoded)
+                name: interp.term_value(name) for name in plan.term_names
             },
             bool_values={
                 name: value
@@ -403,14 +462,13 @@ def reconstruct_counterexample(
         )
 
     with tracer.span("witness.diagnose"):
-        cex.disagreements = _find_disagreements(encoded, interp)
+        cex.disagreements = _find_disagreements(encoded, values)
 
     if minimize and replay_value is False:
         with tracer.span("witness.minimize") as span:
-            cex.minimized = _minimize(encoded, assignment)
-            cex.minimized_replay_value = replay_assignment(
-                encoded, dict(cex.minimized)
-            )
+            cex.minimized, replays = _minimize(plan, assignment)
+            cex.minimized_replay_value = plan.replay(dict(cex.minimized))
+            span.add("witness.replays", replays + 1)
             span.add("witness.raw_vars", cex.raw_size)
             span.add("witness.minimized_vars", cex.minimized_size)
             span.add(

@@ -166,6 +166,14 @@ class TestSingleWriterJournal:
             if e["event"] == "start" and e["job_id"] == victim
         ]
         assert starts == [1, 2]
+        # The job's finish counts the crashed attempt too.
+        attempts = {
+            e["job_id"]: e["attempts"] for e in journal_events(path)
+            if e["event"] == "finish"
+        }
+        assert attempts == {
+            job.job_id: 2 if job.job_id == victim else 1 for job in jobs
+        }
 
         # A fresh run over the same journal is a pure replay.
         rerun = CampaignRunner(path, verify_fn=fake_verify).run(jobs)
@@ -189,6 +197,59 @@ class TestSingleWriterJournal:
         assert report.results[jobs[1].job_id].status == "PROVED"
         assert report.metrics["campaign.worker_crashes"] == 2
         assert journaled_methods(path) == {"rewriting"}
+
+
+class TestAttemptCount:
+    """A job's ``attempts`` counts its attempts journaled as failed
+    before this run, in-process and with workers alike."""
+
+    JOBS = make_jobs([(2, 1), (3, 1)])
+
+    def _journal_failures(self, path, failures, error):
+        with Journal(path) as journal:
+            for job in self.JOBS:
+                journal.append({"event": "enqueue", "job": job.to_dict()})
+            for job in self.JOBS:
+                for attempt in range(1, failures + 1):
+                    journal.append({"event": "start", "job_id": job.job_id,
+                                    "attempt": attempt, "method": job.method})
+                    journal.append({"event": "attempt_failed",
+                                    "job_id": job.job_id, "attempt": attempt,
+                                    "method": job.method, "error": error,
+                                    "detail": "x"})
+
+    def _finishes(self, path):
+        return {
+            e["job_id"]: (e["status"], e["attempts"])
+            for e in journal_events(path) if e["event"] == "finish"
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_after_a_crashed_attempt_counts_it(self, tmp_path, workers):
+        # The records a crashed worker leaves: attempt 1 started and was
+        # journaled as failed.  The resumed attempt 2 succeeds.
+        path = str(tmp_path / "j.jsonl")
+        self._journal_failures(path, 1, WORKER_CRASH_ERROR)
+        CampaignRunner(path, verify_fn=fake_verify, workers=workers).run()
+        assert self._finishes(path) == {
+            job.job_id: ("PROVED", 2) for job in self.JOBS
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_with_the_schedule_used_up(self, tmp_path, workers):
+        path = str(tmp_path / "j.jsonl")
+        self._journal_failures(path, 3, "BudgetExhausted")
+        report = CampaignRunner(
+            path, verify_fn=fake_verify, workers=workers,
+            retry=RetryPolicy(max_attempts=3),
+        ).run()
+        assert self._finishes(path) == {
+            job.job_id: ("INCONCLUSIVE", 3) for job in self.JOBS
+        }
+        assert all(
+            result.detail == "no attempts left"
+            for result in report.results.values()
+        )
 
 
 RECOVERABLE = [FaultKind.SOLVER_TIMEOUT, FaultKind.OOM,

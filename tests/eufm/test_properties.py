@@ -32,6 +32,7 @@ from repro.eufm import (
     up,
     write,
 )
+from repro.eufm.evaluator import EvaluationPlan, evaluate_nodes
 
 TERM_NAMES = ["x", "y", "z", "w"]
 BOOL_NAMES = ["p", "q", "r"]
@@ -173,3 +174,33 @@ def test_collect_apply_round_trip_preserves_value(mem, seed):
     interp = Interpretation(domain_size=3, seed=seed)
     probe = tvar("probe_addr")
     assert evaluate(eq(read(mem, probe), read(rebuilt, probe)), interp) is True
+
+
+@st.composite
+def shared_dag_strategy(draw):
+    """A formula whose DAG shares sub-DAGs: one drawn term and one
+    read/write chain built over it each sit under several parents."""
+    shared = draw(term_strategy(depth=2))
+    chain = write(draw(memory_strategy()), shared, draw(term_strategy(1)))
+    parts = [
+        eq(read(chain, shared), shared),
+        eq(read(write(chain, draw(term_strategy(1)), shared), shared),
+           uf("f", [shared])),
+        draw(formula_strategy(depth=2)),
+    ]
+    return ite_formula(draw(formula_strategy(1)), and_(*parts), or_(*parts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shared_dag_strategy(),
+    st.lists(st.tuples(st.integers(1, 4), st.integers(0, 20)),
+             min_size=5, max_size=5),
+)
+def test_one_plan_serves_every_interpretation(phi, draws):
+    # The plan keeps no interpretation state: its passes, in any order,
+    # equal a fresh evaluation under each interpretation.
+    plan = EvaluationPlan(phi)
+    for domain, seed in draws + draws[::-1]:
+        fresh = evaluate_nodes(phi, Interpretation(domain, seed))
+        assert plan.run(Interpretation(domain, seed)) == fresh

@@ -373,6 +373,24 @@ class TestConcurrency:
         finally:
             gate.set()
 
+    def test_a_burst_of_connects_is_accepted_at_once(self, tmp_path):
+        # A connect past a full listen backlog waits for a SYN
+        # retransmit; with a backlog of 5 this burst took 2 to 3 s.
+        manager = make_manager(tmp_path, CountingVerify())
+
+        def scenario(host, port):
+            clients = []
+            started = time.monotonic()
+            try:
+                for _connect in range(22):
+                    clients.append(socket.create_connection((host, port), 30.0))
+                assert time.monotonic() - started < 1.0
+            finally:
+                for client in clients:
+                    client.close()
+
+        run_app(manager, scenario)
+
 
 class TestIdleConnections:
     def test_silent_clients_lose_their_connection_and_thread(
@@ -386,10 +404,6 @@ class TestIdleConnections:
         def connect(host, port, data=b""):
             client = socket.create_connection((host, port), 30.0)
             client.sendall(data)
-            # Let the server accept before the next connect: its listen
-            # backlog is 5, and a connect past a full backlog waits for
-            # a SYN retransmit.
-            time.sleep(0.01)
             return client
 
         def scenario(host, port):

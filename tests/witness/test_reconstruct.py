@@ -1,9 +1,19 @@
 """Tests for term-level counterexample reconstruction and replay."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
+from repro import ProcessorConfig, verify
 from repro.encode import check_validity
-from repro.eufm import and_, bvar, eq, implies, not_, or_, tvar, uf, up
+from repro.errors import WitnessError
+from repro.eufm import (
+    and_, bvar, eq, evaluator, implies, ite_term, not_, or_, traversal, tvar,
+    uf, up,
+)
+from repro.obs.tracer import Tracer, use_tracer
+from repro.processor import Bug
 from repro.witness import reconstruct_counterexample, replay_assignment
 
 
@@ -126,3 +136,71 @@ class TestRendering:
         assert summary["replay_value"] is False
         assert summary["minimized_size"] <= summary["raw_size"]
         json.dumps(summary)
+
+
+class TestProvenanceArguments:
+    @pytest.mark.parametrize("application", [
+        uf("g", [tvar("x")]), up("Q", [tvar("x")]),
+    ], ids=["uf", "up"])
+    def test_argument_holding_an_application_is_refused(self, application):
+        # The arguments are evaluated in one pass before any table entry
+        # is pinned; an application among them would read a table that
+        # pass is still building, so reconstruction refuses it.
+        x, y = tvar("x"), tvar("y")
+        phi = implies(eq(uf("f", [x]), uf("f", [y])), eq(x, y))
+        encoded, cex = _falsify(phi)
+        fresh = encoded.uf_elim.fresh_term_vars[0]
+        if application.is_term():
+            argument = application
+        else:
+            argument = ite_term(application, x, y)
+        provenance = {**encoded.uf_elim.provenance, fresh: ("f", (argument,))}
+        broken = replace(
+            encoded, uf_elim=replace(encoded.uf_elim, provenance=provenance)
+        )
+        with pytest.raises(WitnessError, match="provenance argument"):
+            reconstruct_counterexample(broken, cex)
+        with pytest.raises(WitnessError, match="provenance argument"):
+            replay_assignment(broken, cex)
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestReplayCost:
+    def test_dag_walks_do_not_grow_with_the_assignment(self, monkeypatch):
+        # Minimization replays the formula up to twice per model
+        # variable, yet every DAG walk and memory-sort inference happens
+        # once per encoding: branch N=2 and N=3 (87 and 126 model
+        # variables) make the same number of them.
+        walks = {}
+        for n_rob in (2, 3):
+            result = verify(
+                ProcessorConfig(n_rob, 1, family="branch"),
+                bug=Bug("dropped-flush", entry=2),
+            )
+            encoded = result.validity.encoded
+            assignment = result.validity.counterexample
+            calls = Counter()
+            with monkeypatch.context() as patch:
+                for module in (evaluator, traversal):
+                    _count_calls(patch, module, "iter_dag", calls)
+                _count_calls(patch, evaluator, "infer_memory_sorts", calls)
+                tracer = Tracer()
+                with use_tracer(tracer), tracer.span("test"):
+                    cex = reconstruct_counterexample(encoded, assignment)
+            assert cex.replayed_false
+            minimize = tracer.root.find("witness.minimize").counters
+            assert minimize["witness.raw_vars"] == cex.raw_size
+            assert 0 < minimize["witness.replays"] <= 2 * cex.raw_size + 1
+            walks[n_rob] = (dict(calls), cex.raw_size)
+        (walks_2, vars_2), (walks_3, vars_3) = walks[2], walks[3]
+        assert vars_2 < vars_3
+        assert walks_2 == walks_3
