@@ -9,61 +9,56 @@
    fetch-count case split; both must hold for correct designs, with
    comparable formula sizes.
 3. **CNF encoding** — polarity-aware (Plaisted–Greenbaum) versus full
-   bidirectional Tseitin, on the hardest cell of the sweep.
+   bidirectional Tseitin, on the precise model's formula.
 """
 
 from repro.core import render_rows
 from repro.encode import check_validity
+from repro.eufm import run_scope
 from repro.obs import Tracer, use_tracer
 from repro.processor import ProcessorConfig, run_diagram
 from repro.rewriting import rewrite_diagram
 
-from common import FULL, layer_cpu, save_table
+from common import layer_cpu, save_table
 
-CONFIG = ProcessorConfig(n_rob=64 if FULL else 32, issue_width=4)
+CONFIG = ProcessorConfig(n_rob=32, issue_width=4)
+CONFIGURATIONS = (
+    ("disjunction", "conservative", "polarity"),
+    ("disjunction", "precise", "polarity"),
+    ("disjunction", "precise", "full"),
+    ("case_split", "conservative", "polarity"),
+    ("case_split", "precise", "polarity"),
+)
 
 
-def _run():
-    artifacts = run_diagram(CONFIG)
-    rows = []
-    outcomes = {}
-    for criterion in ("disjunction", "case_split"):
-        rewrite = rewrite_diagram(artifacts, criterion=criterion)
+def _measure(criterion, memory_mode, cnf_encoding):
+    """One configuration's row, on its own intern table, as one
+    ``verify()`` run would build it."""
+    with run_scope():
+        rewrite = rewrite_diagram(run_diagram(CONFIG), criterion=criterion)
         assert rewrite.succeeded
-        for memory_mode in ("conservative", "precise"):
-            encodings = (
-                ("polarity", "full")
-                if (criterion, memory_mode) == ("disjunction", "precise")
-                else ("polarity",)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            validity = check_validity(
+                rewrite.reduced_formula,
+                memory_mode=memory_mode,
+                cnf_encoding=cnf_encoding,
             )
-            for cnf_encoding in encodings:
-                tracer = Tracer()
-                with use_tracer(tracer):
-                    validity = check_validity(
-                        rewrite.reduced_formula,
-                        memory_mode=memory_mode,
-                        cnf_encoding=cnf_encoding,
-                    )
-                stats = validity.encoded.stats
-                key = (criterion, memory_mode, cnf_encoding)
-                outcomes[key] = validity.valid
-                rows.append(
-                    [
-                        criterion,
-                        memory_mode,
-                        cnf_encoding,
-                        "valid" if validity.valid else "INVALID",
-                        stats.eij_primary,
-                        stats.cnf_vars,
-                        stats.cnf_clauses,
-                        f"{layer_cpu(tracer.roots, 'sat'):.3f}",
-                    ]
-                )
-    return rows, outcomes
+    stats = validity.encoded.stats
+    return [
+        criterion,
+        memory_mode,
+        cnf_encoding,
+        "valid" if validity.valid else "INVALID",
+        stats.eij_primary,
+        stats.cnf_vars,
+        stats.cnf_clauses,
+        f"{layer_cpu(tracer.roots, 'sat'):.3f}",
+    ]
 
 
-def test_ablation_memory_model_and_criterion(benchmark):
-    rows, outcomes = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_ablation_memory_model_and_criterion():
+    rows = [_measure(*configuration) for configuration in CONFIGURATIONS]
     table = render_rows(
         f"Ablation — rewritten formula of {CONFIG.describe()}",
         ["criterion", "memory model", "CNF enc.", "verdict", "e_ij",
@@ -73,7 +68,7 @@ def test_ablation_memory_model_and_criterion(benchmark):
     save_table("ablation", table)
 
     # Every combination proves the correct design.
-    assert all(outcomes.values())
+    assert all(row[3] == "valid" for row in rows)
     # The conservative abstraction removes all e_ij variables; the precise
     # model reintroduces address comparisons.
     by_key = {(row[0], row[1], row[2]): row[4] for row in rows}

@@ -7,10 +7,11 @@ The paper's only results-bearing figure; regenerated here as the update
 triples ``<context, address, data>`` of both sides.
 """
 
+from repro import verify
 from repro.core import render_rows
 from repro.eufm import to_sexpr
-from repro.processor import ProcessorConfig, run_diagram
-from repro.rewriting import decompose_chain, rewrite_diagram
+from repro.processor import ProcessorConfig
+from repro.rewriting import decompose_chain
 
 from common import save_table
 
@@ -29,9 +30,9 @@ def _rows_for(mem):
 
 
 def _generate():
-    artifacts = run_diagram(ProcessorConfig(n_rob=3, issue_width=2))
-    rewrite = rewrite_diagram(artifacts)
+    rewrite = verify(ProcessorConfig(n_rob=3, issue_width=2)).rewrite
     assert rewrite.succeeded
+    artifacts = rewrite.artifacts
 
     sections = []
     impl_rows, impl_base = _rows_for(artifacts.rf_impl)
@@ -74,10 +75,8 @@ def _generate():
     return "\n\n".join(sections), impl_rows, impl_rows_after
 
 
-def test_fig2_update_structure(benchmark):
-    text, before_rows, after_rows = benchmark.pedantic(
-        _generate, rounds=1, iterations=1
-    )
+def test_fig2_update_structure():
+    text, before_rows, after_rows = _generate()
     save_table("fig2_structure", text)
     # Before: 2 retirement + 5 completion updates on the implementation
     # side.  After: only the 2 newly fetched instructions remain.

@@ -58,15 +58,9 @@ def _run_campaign(tmp_path: pathlib.Path, workers: int):
     return report, elapsed
 
 
-def test_parallel_campaign_speedup(benchmark, tmp_path):
-    def _sweep():
-        sequential, seq_seconds = _run_campaign(tmp_path, workers=1)
-        parallel, par_seconds = _run_campaign(tmp_path, workers=WORKERS)
-        return sequential, seq_seconds, parallel, par_seconds
-
-    sequential, seq_seconds, parallel, par_seconds = benchmark.pedantic(
-        _sweep, rounds=1, iterations=1
-    )
+def test_parallel_campaign_speedup(tmp_path):
+    sequential, seq_seconds = _run_campaign(tmp_path, workers=1)
+    parallel, par_seconds = _run_campaign(tmp_path, workers=WORKERS)
 
     # Identical verdicts: parallel dispatch must not change what is proved.
     seq_outcomes = {

@@ -30,7 +30,8 @@ Observability (span traces and the perf-regression gate; see
 
     python -m repro trace --rob 4 --width 2
     python -m repro perf record --rob 4 --width 2 --out base.json
-    python -m repro perf compare base.json current.json
+    python -m repro perf grid --out grid_current.json
+    python -m repro perf compare benchmarks/baselines/grid.json grid_current.json
 
 Witness mode (DRUP proof certification and counterexample replay; see
 :mod:`repro.witness.cli`)::

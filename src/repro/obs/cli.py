@@ -1,15 +1,17 @@
 """``python -m repro perf`` and ``python -m repro trace`` — the
 observability CLI.
 
-``perf record`` runs one traced verification and writes its
-:class:`~repro.obs.metrics.MetricsSnapshot`; ``perf compare`` checks a
-current snapshot against a committed baseline under per-metric
+``perf record`` runs one traced verification and writes a perf record
+(:func:`~repro.obs.metrics.save_record`) of one row, its
+:class:`~repro.obs.metrics.MetricsSnapshot`; ``perf grid`` writes one
+row per run of :data:`GRID_ROWS`, the record the paper's tables are
+rendered from (``benchmarks/bench_tables.py``); ``perf compare`` checks
+a current record against a committed baseline under per-metric
 tolerances — the perf-regression gate used by CI::
 
-    python -m repro perf record --rob 4 --width 2 --out current.json \
-        --trace-out trace.json
-    python -m repro perf compare benchmarks/baselines/perf_smoke.json \
-        current.json --tol "timings.*=rel:25" --default-rel 0.5
+    python -m repro perf grid --out grid_current.json
+    python -m repro perf compare benchmarks/baselines/grid.json \
+        grid_current.json --tol "cpu.*=rel:20+abs:2"
 
 ``trace`` runs one traced verification and prints the span tree (or the
 JSON / Chrome trace-event form)::
@@ -19,16 +21,19 @@ JSON / Chrome trace-event form)::
     python -m repro trace --rob 8 --width 4 --format chrome --out t.json
 
 ``record`` and ``trace`` take the single-run CLI's run flags, defaults
-included (:func:`repro.core.cli.add_run_options`).  ``record`` writes the
-run's configuration, method, criterion and planted bug into the
-snapshot's ``meta``; ``compare`` refuses two snapshots whose ``meta``
-disagree on any of them, since their counts measure different runs.
+included (:func:`repro.core.cli.add_run_options`); ``grid`` takes none.
+A row's ``meta`` names its run (:data:`RUN_FIELDS`: configuration,
+method, criterion and planted bug) and its outcome (the verdict and the
+flagged slice).  ``compare`` pairs the two records' rows by run and
+compares each pair; a row without a partner, or two rows naming one
+run, make the records incomparable.
 
-Exit status: ``perf compare`` returns 0 when every metric is within
-tolerance, 1 otherwise, and 2 for setup errors (an unreadable snapshot,
-a bad ``--tol``, snapshots of different runs); ``record``/``trace``
-mirror the single-run CLI (0 proved, 1 bug found) and use 2 for setup
-errors, an invalid configuration included.
+Exit status: ``perf compare`` returns 0 when every metric of every row
+is within tolerance and every outcome matches, 1 otherwise, and 2 for
+setup errors (an unreadable record, a bad or non-finite ``--tol``,
+records of different runs); ``record``/``trace`` mirror the single-run
+CLI (0 proved, 1 bug found) and use 2 for setup errors, an invalid
+configuration included; ``grid`` returns 0 once every row is recorded.
 """
 
 from __future__ import annotations
@@ -36,15 +41,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.cli import add_run_options, verify_from_args
+from ..core.results import VerificationResult
 from ..errors import ReproError
 from .metrics import (
     DEFAULT_TOLERANCES,
     MetricsSnapshot,
     Tolerance,
     compare_snapshots,
+    load_record,
+    save_record,
     snapshot_from_result,
 )
 from .exporters import (
@@ -64,6 +72,35 @@ RUN_FIELDS = (
     ("criterion", "disjunction"),
     ("bug", None),
 )
+
+#: The runs ``perf grid`` records, each a ``perf record`` command line.
+#: EXPERIMENTS.md names the rows each table of the paper is read from.
+GRID_ROWS = (
+    "--rob 32 --width 1",
+    "--rob 32 --width 4",
+    "--rob 32 --width 16",
+    "--rob 128 --width 1",
+    "--rob 128 --width 4",
+    "--rob 128 --width 16",
+    "--rob 256 --width 1",
+    "--rob 256 --width 4",
+    "--rob 256 --width 16",
+    "--rob 3 --width 2",
+    "--rob 128 --width 4 --bug forward-wrong-source --entry 72",
+    "--rob 3 --width 1 --family mem",
+    "--rob 16 --width 1 --family mem",
+    "--rob 2 --width 1 --family branch",
+    "--rob 3 --width 1 --family branch",
+    "--rob 4 --width 1 --family branch",
+    "--rob 2 --width 1 --family mixed",
+    "--rob 1 --width 1 --method positive_equality",
+    "--rob 2 --width 1 --method positive_equality",
+    "--rob 2 --width 2 --method positive_equality",
+    "--rob 3 --width 1 --method positive_equality",
+    "--rob 3 --width 2 --method positive_equality",
+)
+
+Run = Tuple[object, ...]
 
 
 def _parse_tolerance(text: str) -> Tuple[str, Tolerance]:
@@ -108,7 +145,7 @@ def build_perf_parser() -> argparse.ArgumentParser:
     add_run_options(record)
     record.add_argument(
         "--out", default="perf_snapshot.json", metavar="FILE",
-        help="where to write the MetricsSnapshot JSON",
+        help="where to write the one-row perf record",
     )
     record.add_argument(
         "--trace-out", default=None, metavar="FILE",
@@ -119,11 +156,19 @@ def build_perf_parser() -> argparse.ArgumentParser:
         help="also write the metrics as CSV rows here",
     )
 
-    compare = sub.add_parser(
-        "compare", help="compare a current snapshot against a baseline"
+    grid = sub.add_parser(
+        "grid", help="record every run of the fixed grid into one record"
     )
-    compare.add_argument("baseline", help="baseline MetricsSnapshot JSON")
-    compare.add_argument("current", help="current MetricsSnapshot JSON")
+    grid.add_argument(
+        "--out", required=True, metavar="FILE",
+        help="where to write the perf record",
+    )
+
+    compare = sub.add_parser(
+        "compare", help="compare a current perf record against a baseline"
+    )
+    compare.add_argument("baseline", help="baseline perf record JSON")
+    compare.add_argument("current", help="current perf record JSON")
     compare.add_argument(
         "--tol", action="append", default=[], metavar="PATTERN=rel:R[+abs:A]",
         help="per-metric tolerance override (first match wins; repeatable)",
@@ -150,21 +195,31 @@ def perf_main(argv: Optional[List[str]] = None) -> int:
     args = build_perf_parser().parse_args(argv)
     if args.command == "record":
         return _perf_record(args)
+    if args.command == "grid":
+        return _perf_grid(args)
     return _perf_compare(args)
+
+
+def _record(
+    args: argparse.Namespace,
+) -> Tuple[VerificationResult, MetricsSnapshot]:
+    """Run what ``perf record``'s flags name; the result and its row."""
+    result = verify_from_args(args)
+    return result, snapshot_from_result(result, meta={
+        "criterion": args.criterion,
+        "bug": result.bug.describe() if result.bug is not None else None,
+        "suspected_entry": result.suspected_entry,
+    })
 
 
 def _perf_record(args: argparse.Namespace) -> int:
     try:
-        result = verify_from_args(args)
+        result, snapshot = _record(args)
     except (ReproError, ValueError) as exc:
         print(f"perf record failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2
-    snapshot = snapshot_from_result(result, meta={
-        "criterion": args.criterion,
-        "bug": result.bug.describe() if result.bug is not None else None,
-    })
-    snapshot.save(args.out)
+    save_record(args.out, [snapshot])
     print(f"recorded {len(snapshot.metrics)} metrics -> {args.out}")
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as handle:
@@ -177,41 +232,106 @@ def _perf_record(args: argparse.Namespace) -> int:
     return 0 if result.correct else 1
 
 
+def _perf_grid(args: argparse.Namespace) -> int:
+    parser = build_perf_parser()
+    rows = []
+    for line in GRID_ROWS:
+        try:
+            result, snapshot = _record(
+                parser.parse_args(["record", *line.split()])
+            )
+        except (ReproError, ValueError) as exc:
+            print(f"perf grid failed on {line!r}: {type(exc).__name__}: "
+                  f"{exc}", file=sys.stderr)
+            return 2
+        rows.append(snapshot)
+        verdict = "PROVED" if result.correct else "BUG FOUND"
+        print(f"{line}: {verdict} "
+              f"({snapshot.metrics['cpu.total']:.2f} s CPU)")
+    save_record(args.out, rows)
+    print(f"recorded {len(rows)} rows -> {args.out}")
+    return 0
+
+
+def _run_of(row: MetricsSnapshot) -> Run:
+    return tuple(row.meta.get(name, default) for name, default in RUN_FIELDS)
+
+
+def _describe_run(run: Run) -> str:
+    return ", ".join(
+        f"{name} {value!r}" for (name, _), value in zip(RUN_FIELDS, run)
+    )
+
+
+def _rows_by_run(path: str) -> Dict[Run, MetricsSnapshot]:
+    """The rows of the record at ``path``, keyed by the run each names."""
+    rows: Dict[Run, MetricsSnapshot] = {}
+    for row in load_record(path):
+        run = _run_of(row)
+        if not all(isinstance(value, (str, int, float, type(None)))
+                   for value in run):
+            raise ValueError(f"{path}: a row's run fields must be JSON "
+                             f"scalars ({_describe_run(run)})")
+        if run in rows:
+            raise ValueError(
+                f"{path}: two rows name one run ({_describe_run(run)})"
+            )
+        rows[run] = row
+    return rows
+
+
 def _perf_compare(args: argparse.Namespace) -> int:
     try:
-        baseline = MetricsSnapshot.load(args.baseline)
-        current = MetricsSnapshot.load(args.current)
-        overrides = [_parse_tolerance(text) for text in args.tol]
+        baseline = _rows_by_run(args.baseline)
+        current = _rows_by_run(args.current)
+        rules = [_parse_tolerance(text) for text in args.tol]
+        rules += DEFAULT_TOLERANCES
+        if args.default_rel is not None or args.default_abs is not None:
+            # Replace the catch-all default while keeping the timing rules.
+            rules = [rule for rule in rules if rule[0] != "*"]
+            rules.append(("*", Tolerance(
+                rel=args.default_rel or 0.0, abs=args.default_abs or 0.0
+            )))
     except (OSError, ValueError) as exc:
         print(f"perf compare error: {exc}", file=sys.stderr)
         return 2
-    differ = [
-        f"{name} {baseline.meta.get(name, default)!r} != "
-        f"{current.meta.get(name, default)!r}"
-        for name, default in RUN_FIELDS
-        if baseline.meta.get(name, default) != current.meta.get(name, default)
+    unpaired = [
+        f"{side} row ({_describe_run(run)}) has no {other} row"
+        for side, rows, other, others in (
+            ("baseline", baseline, "current", current),
+            ("current", current, "baseline", baseline),
+        )
+        for run in rows
+        if run not in others
     ]
-    if differ:
+    if unpaired:
         print(
-            "perf compare error: the snapshots measure different runs "
-            f"({'; '.join(differ)})",
+            "perf compare error: the records measure different runs: "
+            + "; ".join(unpaired),
             file=sys.stderr,
         )
         return 2
-    rules = list(overrides) + list(DEFAULT_TOLERANCES)
-    if args.default_rel is not None or args.default_abs is not None:
-        fallback = Tolerance(
-            rel=args.default_rel or 0.0, abs=args.default_abs or 0.0
-        )
-        # Replace the catch-all default while keeping the timing rules.
-        rules = [rule for rule in rules if rule[0] != "*"]
-        rules.append(("*", fallback))
-    report = compare_snapshots(baseline, current, rules=rules)
+    reports = [
+        (_describe_run(run), compare_snapshots(row, current[run], rules))
+        for run, row in baseline.items()
+    ]
+    failed = sum(not report.ok for _, report in reports)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps({
+            "ok": not failed,
+            "rows": [dict(report.to_dict(), run=run)
+                     for run, report in reports],
+        }, indent=2, sort_keys=True))
     else:
-        print(report.render(only_failures=not args.all))
-    return 0 if report.ok else 1
+        for run, report in reports:
+            if args.all or not report.ok:
+                print(report.render(only_failures=not args.all, title=run))
+        print(
+            f"perf compare: {failed} of {len(reports)} row(s) regressed"
+            if failed
+            else f"perf compare: no regressions in {len(reports)} row(s)"
+        )
+    return 1 if failed else 0
 
 
 def build_trace_parser() -> argparse.ArgumentParser:

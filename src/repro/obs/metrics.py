@@ -3,10 +3,11 @@
 A :class:`MetricsRegistry` is a thread-safe flat store of counters and
 gauges keyed by stage-qualified names (``"sat.conflicts"``,
 ``"encode.eij_primary"``).  A :class:`MetricsSnapshot` is its frozen,
-JSON-serializable form — the unit of the perf trajectory: benchmarks
-write ``BENCH_*.json`` snapshots, campaigns journal one per job, and
-``python -m repro perf record``/``compare`` turn two snapshots into a
-regression verdict.
+JSON-serializable form: campaigns journal one per job, and a perf
+*record* (:func:`save_record`, :func:`load_record`) is a list of them,
+one row per run — ``python -m repro perf record`` writes one row, ``perf
+grid`` a fixed grid of rows, and ``perf compare`` turns two records into
+a regression verdict.
 
 :func:`snapshot_from_result` flattens the span tree a
 :class:`~repro.core.results.VerificationResult` carries — the one source
@@ -32,6 +33,7 @@ process parallelism.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -45,8 +47,11 @@ __all__ = [
     "MetricDelta",
     "ComparisonReport",
     "DEFAULT_TOLERANCES",
+    "OUTCOME_FIELDS",
     "snapshot_from_result",
     "compare_snapshots",
+    "save_record",
+    "load_record",
 ]
 
 
@@ -107,9 +112,15 @@ class MetricsSnapshot:
             if not isinstance(value, dict):
                 raise ValueError(f"snapshot {name!r} must be a JSON object")
         for name, value in metrics.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+            ):
+                # A NaN would pass every comparison: ``x > nan`` is false.
                 raise ValueError(
-                    f"snapshot metric {name!r} must be a number, got {value!r}"
+                    f"snapshot metric {name!r} must be a finite number, "
+                    f"got {value!r}"
                 )
         return cls(
             metrics={name: float(value) for name, value in metrics.items()},
@@ -118,18 +129,36 @@ class MetricsSnapshot:
 
     def save(self, path) -> None:
         """Write the snapshot as pretty-printed, sorted JSON."""
-        path = os.fspath(path)
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(path, self.to_dict())
 
-    @classmethod
-    def load(cls, path) -> "MetricsSnapshot":
-        with open(os.fspath(path), "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+
+def _write_json(path, data: Any) -> None:
+    """Write ``data`` as pretty-printed, sorted JSON."""
+    path = os.fspath(path)
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def save_record(path, rows: Sequence[MetricsSnapshot]) -> None:
+    """Write a perf record, ``{"rows": [snapshot, ...]}``."""
+    _write_json(path, {"rows": [row.to_dict() for row in rows]})
+
+
+def load_record(path) -> List[MetricsSnapshot]:
+    """The rows of the perf record :func:`save_record` wrote;
+    ``ValueError`` naming the problem when the file has another shape."""
+    with open(os.fspath(path), "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
+        raise ValueError(
+            f"{os.fspath(path)}: a perf record must be a JSON object "
+            'whose "rows" is a list of snapshots'
+        )
+    return [MetricsSnapshot.from_dict(row) for row in data["rows"]]
 
 
 def snapshot_from_result(result, meta: Optional[Dict[str, Any]] = None) -> MetricsSnapshot:
@@ -182,6 +211,15 @@ class Tolerance:
     abs: float = 0.0
     advisory: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("rel", "abs"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                # ``x > nan`` is false: a NaN limit would pass every run.
+                raise ValueError(
+                    f"tolerance {name} must be a finite number, got {value!r}"
+                )
+
     def limit(self, baseline: float) -> float:
         return baseline * (1.0 + self.rel) + self.abs
 
@@ -205,19 +243,30 @@ DEFAULT_TOLERANCES: Tuple[Tuple[str, Tolerance], ...] = (
 )
 
 
+#: The ``meta`` fields naming a run's outcome: its verdict and the slice
+#: rewriting flagged.  A change in either fails the gate whatever the
+#: tolerances, since the counts then measure another answer.
+OUTCOME_FIELDS = ("correct", "suspected_entry")
+
+
 @dataclass
 class MetricDelta:
     """Verdict for one metric of the comparison."""
 
     name: str
-    baseline: Optional[float]
-    current: Optional[float]
+    #: a metric's value, or an :data:`OUTCOME_FIELDS` field's JSON value
+    baseline: Any
+    current: Any
     tolerance: Optional[Tolerance]
     regressed: bool
     note: str = ""
 
     def render_row(self) -> Tuple[str, str, str, str, str]:
-        fmt = lambda v: "-" if v is None else f"{v:g}"
+        def fmt(value: Any) -> str:
+            if value is None:
+                return "-"
+            return f"{value:g}" if isinstance(value, float) else str(value)
+
         status = "FAIL" if self.regressed else "ok"
         detail = self.note or (
             self.tolerance.describe() if self.tolerance else ""
@@ -239,7 +288,9 @@ class ComparisonReport:
     def ok(self) -> bool:
         return not self.regressions
 
-    def render(self, only_failures: bool = False) -> str:
+    def render(
+        self, only_failures: bool = False, title: str = "perf compare"
+    ) -> str:
         from ..core.reporting import render_rows
 
         shown = self.regressions if only_failures else self.deltas
@@ -249,9 +300,9 @@ class ComparisonReport:
             else f"{len(self.regressions)} regression(s)"
         )
         if not shown:
-            return f"perf compare: {verdict}"
+            return f"{title}: {verdict}"
         return render_rows(
-            f"perf compare: {verdict}",
+            f"{title}: {verdict}",
             ("metric", "baseline", "current", "status", "detail"),
             [delta.render_row() for delta in shown],
         )
@@ -292,11 +343,18 @@ def compare_snapshots(
     Rules are ``(fnmatch pattern, Tolerance)`` pairs checked in order;
     the first match wins.  A metric present in the baseline but missing
     from the current run is a regression (instrumentation was lost); a
-    metric new in the current run is informational only.
+    metric new in the current run is informational only.  An
+    :data:`OUTCOME_FIELDS` value of ``meta`` that differs is a regression.
     """
     if rules is None:
         rules = DEFAULT_TOLERANCES
     report = ComparisonReport()
+    for name in OUTCOME_FIELDS:
+        base_value, cur_value = baseline.meta.get(name), current.meta.get(name)
+        if base_value != cur_value:
+            report.deltas.append(MetricDelta(
+                name, base_value, cur_value, None, True, "outcome changed"
+            ))
     for name in sorted(set(baseline.metrics) | set(current.metrics)):
         base_value = baseline.metrics.get(name)
         cur_value = current.metrics.get(name)

@@ -41,6 +41,7 @@ rendered diagnosis states explicitly.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -85,7 +86,8 @@ class TermCounterexample:
     #: replayed formula lives under).
     memory_mode: str = "precise"
     #: positively-occurring equations the interpretation falsifies —
-    #: the spec/impl disagreements, rendered as s-expressions.
+    #: the spec/impl disagreements, rendered as s-expressions (one over
+    #: 120 characters cut to 104, then a digest of the whole text).
     disagreements: List[str] = field(default_factory=list)
 
     @property
@@ -401,7 +403,11 @@ def _find_disagreements(
         if node in values and values[node] is False:
             text = to_sexpr(node)
             if len(text) > 120:
-                text = text[:117] + "..."
+                # Equations run to hundreds of kilobytes and often share
+                # their first hundred characters: the digest of the whole
+                # text keeps two cut equations apart.
+                digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+                text = f"{text[:104]}... #{digest}"
             found.append(text)
     found.sort()
     return found

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.obs.metrics import MetricsSnapshot
+from repro.obs.metrics import load_record
 from repro.service.protocol import ServiceError, SubmitRequest
 
 #: The twelve run flags, each away from its default: a store-order bug
@@ -46,13 +46,14 @@ class TestSingleRunCommands:
         out = tmp_path / "snap.json"
         code = main(["perf", "record", *ALL_FLAGS, "--out", str(out)])
         assert code == 1  # the planted bug is found
-        snapshot = MetricsSnapshot.load(out)
+        (snapshot,) = load_record(out)
         assert snapshot.meta == {
             "config": CONFIG,
             "method": "positive_equality",
             "criterion": "case_split",
             "bug": "store-order at ROB entry 2, operand 2",
             "correct": False,
+            "suspected_entry": None,
         }
         # --deadline and --max-memory installed the run's guard.
         assert snapshot.metrics["guard.memory_checks"] > 0
@@ -92,7 +93,7 @@ class TestSingleRunCommands:
     def test_default_size_is_the_single_run_default(self, tmp_path):
         out = tmp_path / "snap.json"
         assert main(["perf", "record", "--out", str(out)]) == 0
-        assert MetricsSnapshot.load(out).meta["config"] == (
+        assert load_record(out)[0].meta["config"] == (
             "OOO processor: 16-entry ROB, issue width 4, retire width 4"
         )
 

@@ -3,8 +3,9 @@
 from repro.campaign import CampaignRunner, Job, JobResult
 from repro.campaign.journal import Journal
 from repro.core.results import VerificationResult
-from repro.obs import MetricsSnapshot, Span
+from repro.obs import Span
 from repro.obs.cli import perf_main
+from repro.obs.metrics import load_record
 from repro.processor.params import ProcessorConfig
 
 
@@ -82,7 +83,8 @@ class TestCampaignJournalsMetrics:
         assert perf_main(
             ["record", "--rob", "4", "--width", "2", "--out", str(out)]
         ) == 0
-        recorded = set(MetricsSnapshot.load(out).metrics)
+        (row,) = load_record(out)
+        recorded = set(row.metrics)
         journaled = set(finish["metrics"])
         assert recorded <= journaled
         # Beyond perf record's names, a campaign job carries only the

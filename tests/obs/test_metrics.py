@@ -1,5 +1,6 @@
 """Metrics registry, snapshot persistence, and the tolerance comparator."""
 
+import json
 import threading
 
 import pytest
@@ -11,6 +12,7 @@ from repro.obs import (
     Tolerance,
     compare_snapshots,
 )
+from repro.obs.metrics import load_record, save_record
 
 
 class TestRegistry:
@@ -54,12 +56,37 @@ class TestSnapshotPersistence:
             metrics={"sat.conflicts": 7.0}, meta={"config": "N=4, k=2"}
         )
         snapshot.save(path)
-        loaded = MetricsSnapshot.load(path)
+        loaded = MetricsSnapshot.from_dict(json.loads(path.read_text()))
         assert loaded.metrics == snapshot.metrics
         assert loaded.meta == snapshot.meta
 
 
+class TestRecordPersistence:
+    def test_save_and_load_keep_the_rows_in_order(self, tmp_path):
+        rows = [
+            MetricsSnapshot({"sat.conflicts": float(n)}, {"config": str(n)})
+            for n in (3, 1, 2)
+        ]
+        path = tmp_path / "record.json"
+        save_record(path, rows)
+        assert load_record(path) == rows
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_a_non_finite_metric_is_refused(self, value, tmp_path):
+        path = tmp_path / "record.json"
+        path.write_text('{"rows": [{"metrics": {"sat.conflicts": %s}}]}'
+                        % value)
+        with pytest.raises(ValueError, match="must be a finite number"):
+            load_record(path)
+
+
 class TestTolerances:
+    @pytest.mark.parametrize("field", ["rel", "abs"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_a_non_finite_tolerance_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"tolerance {field} must be"):
+            Tolerance(**{field: value})
+
     def test_limit_combines_relative_and_absolute(self):
         tol = Tolerance(rel=0.5, abs=2.0)
         assert tol.limit(10.0) == pytest.approx(17.0)
@@ -141,6 +168,16 @@ class TestCompare:
         )
         assert report.ok
         assert report.deltas[0].note == "new metric"
+
+    @pytest.mark.parametrize("field, before, after", [
+        ("correct", True, False), ("suspected_entry", 72, None),
+    ])
+    def test_a_changed_outcome_is_a_regression(self, field, before, after):
+        base = MetricsSnapshot({"sat.conflicts": 7.0}, {field: before})
+        current = MetricsSnapshot({"sat.conflicts": 1.0}, {field: after})
+        report = compare_snapshots(base, current)
+        assert [delta.name for delta in report.regressions] == [field]
+        assert report.regressions[0].note == "outcome changed"
 
     def test_render_and_to_dict(self):
         report = compare_snapshots(
