@@ -22,6 +22,7 @@ import time
 
 from repro.campaign import CampaignRunner, Job, RetryPolicy
 from repro.obs import MetricsSnapshot
+from repro.obs.metrics import save_record
 
 from common import save_table
 
@@ -89,8 +90,9 @@ def test_parallel_campaign_speedup(tmp_path):
             "grid": f"N={SIZES} k={WIDTHS}",
         },
     )
-    snapshot.save(
-        REPO_ROOT / "benchmarks" / "results" / "BENCH_parallel_campaign.json"
+    save_record(
+        REPO_ROOT / "benchmarks" / "results" / "BENCH_parallel_campaign.json",
+        [snapshot],
     )
     save_table(
         "parallel_campaign",

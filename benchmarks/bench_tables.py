@@ -1,7 +1,8 @@
 """The paper's evaluation (Sect. 7), rendered from one perf grid record.
 
 ``python -m repro perf grid`` records every run the tables need, one row
-per run (``repro.obs.cli.GRID_ROWS``).  :func:`paper_tables` renders
+per run (``repro.obs.cli.GRID_ROWS``, built from the axes imported
+below).  :func:`paper_tables` renders
 Tables 1-5, the Sect. 7.2 buggy design, the headline speedup and the
 workload-family table from those rows, and asserts the shape each one
 reproduces.  Times are the CPU seconds of the pipeline layers' own spans
@@ -18,18 +19,15 @@ import pathlib
 import sys
 
 from repro.core import render_matrix, render_rows
+from repro.obs.cli import (BUG_DESIGN, FAMILY_ROWS, GRID_BUG, GRID_SIZES,
+                           GRID_WIDTHS, PE_SIZES, PE_WIDTHS)
 from repro.obs.metrics import load_record
-from repro.processor import ProcessorConfig, forwarding_bug
+from repro.processor import ProcessorConfig
 
 from common import save_table
 
 RECORD = pathlib.Path(__file__).parent / "baselines" / "grid.json"
 
-SIZES, WIDTHS = (32, 128, 256), (1, 4, 16)
-PE_SIZES, PE_WIDTHS = (1, 2, 3), (1, 2)
-BUG = forwarding_bug(72)
-FAMILY_ROWS = (("mem", 3), ("mem", 16), ("branch", 2), ("branch", 3),
-               ("branch", 4), ("mixed", 2))
 STATS = ("e_ij primary", "other primary", "total primary", "CNF variables",
          "CNF clauses")
 
@@ -69,11 +67,14 @@ def paper_tables(rows) -> str:
         tables.append(render_matrix(title, sizes, widths, cell,
                                     value_format=value_format))
 
+    small, large = GRID_SIZES[0], GRID_SIZES[-1]
+
     # Table 1: rows reg-reg N x k.
     matrix("Table 1 — CPU seconds to generate the EUFM correctness formula "
-           "(symbolic simulation of both sides)", SIZES, WIDTHS,
+           "(symbolic simulation of both sides)", GRID_SIZES, GRID_WIDTHS,
            lambda n, k: cpu(row(n, k), "simulate"))
-    assert cpu(row(256, 1), "simulate") > cpu(row(32, 1), "simulate")
+    assert (cpu(row(large, GRID_WIDTHS[0]), "simulate")
+            > cpu(row(small, GRID_WIDTHS[0]), "simulate"))
 
     # Table 2: rows PE N x k.
     pe_sat = {(n, k): cpu(pe(n, k), "sat")
@@ -83,68 +84,76 @@ def paper_tables(rows) -> str:
            lambda n, k: pe_sat[(n, k)])
     assert max(pe_sat.values()) >= 100 * max(min(pe_sat.values()), 1e-3)
 
-    # Table 3: rows PE N=3, k=1 and 2.
-    columns = {k: stats(pe(3, k)) + (f"{cpu(pe(3, k), 'sat'):.2f}",)
-               for k in (1, 2)}
+    # Table 3: rows PE at the largest N, every k.
+    pe_n, pe_k = PE_SIZES[-1], PE_WIDTHS[-1]
+    columns = [stats(pe(pe_n, k)) + (f"{cpu(pe(pe_n, k), 'sat'):.2f}",)
+               for k in PE_WIDTHS]
     tables.append(render_rows(
-        "Table 3 — CNF statistics, Positive Equality only, 3-entry ROB "
-        "(columns: issue/retire width)",
-        ["statistic", "1", "2"],
-        [[label, columns[1][i], columns[2][i]]
+        "Table 3 — CNF statistics, Positive Equality only, "
+        f"{pe_n}-entry ROB (columns: issue/retire width)",
+        ["statistic", *map(str, PE_WIDTHS)],
+        [[label, *(column[i] for column in columns)]
          for i, label in enumerate(STATS + ("SAT CPU [s]",))],
     ))
-    assert 0 < columns[1][0] < columns[2][0]  # e_ij
-    assert columns[1][4] < columns[2][4]  # clauses
+    assert 0 < columns[0][0] < columns[-1][0]  # e_ij
+    assert columns[0][4] < columns[-1][4]  # clauses
 
     # Table 4: rows reg-reg N x k, every one PROVED (asserted above).
     matrix("Table 4 — CPU seconds for EUFM-to-Boolean translation with "
            "rewriting rules + Positive Equality (rewrite + translate)",
-           SIZES, WIDTHS, lambda n, k: cpu(row(n, k), "rewrite", "translate"),
+           GRID_SIZES, GRID_WIDTHS,
+           lambda n, k: cpu(row(n, k), "rewrite", "translate"),
            value_format="{:.3f}")
 
-    # Table 5: rows reg-reg N x k; N=32 shown, every N asserted equal.
+    # Table 5: rows reg-reg N x k; the smallest N shown, every N asserted
+    # equal.
     tables.append(render_rows(
         "Table 5 — CNF statistics with rewriting rules + Positive Equality "
-        f"(identical for every ROB size in {list(SIZES)}; columns: width)",
-        ["statistic", *map(str, WIDTHS)],
-        [[label, *(stats(row(32, k))[i] for k in WIDTHS)]
+        f"(identical for every ROB size in {list(GRID_SIZES)}; columns: "
+        "width)",
+        ["statistic", *map(str, GRID_WIDTHS)],
+        [[label, *(stats(row(small, k))[i] for k in GRID_WIDTHS)]
          for i, label in enumerate(STATS)]
         + [["SAT CPU [s]",
-            *(f"{cpu(row(32, k), 'sat'):.3f}" for k in WIDTHS)]],
+            *(f"{cpu(row(small, k), 'sat'):.3f}" for k in GRID_WIDTHS)]],
     ))
-    for k in WIDTHS:
-        assert len({stats(row(n, k)) for n in SIZES}) == 1, k
-        assert stats(row(32, k))[0] == 0
+    for k in GRID_WIDTHS:
+        assert len({stats(row(n, k)) for n in GRID_SIZES}) == 1, k
+        assert stats(row(small, k))[0] == 0
 
-    # Sect. 7.2: the bug row and its correct twin, N=128, k=4.
-    buggy, correct = row(128, 4, bug=BUG), row(128, 4)
+    # Sect. 7.2: the bug row and its correct twin.
+    buggy, correct = row(*BUG_DESIGN, bug=GRID_BUG), row(*BUG_DESIGN)
     tables.append(render_rows(
-        f"Sect. 7.2 — 128-entry ROB, width 4, {BUG.describe()}",
+        "Sect. 7.2 — {}-entry ROB, width {}, {}".format(
+            *BUG_DESIGN, GRID_BUG.describe()),
         ["run", "CPU [s]", "outcome"],
         [["buggy", f"{cpu(buggy, 'total'):.2f}",
           f"flagged slice {buggy.meta['suspected_entry']}"],
          ["correct", f"{cpu(correct, 'total'):.2f}", "PROVED"]],
     ))
     assert buggy.meta["correct"] is False
-    assert buggy.meta["suspected_entry"] == 72
+    assert buggy.meta["suspected_entry"] == GRID_BUG.entry
     assert correct.meta["correct"] is True
 
-    # Headline: N=3, k=2 under both methods, and N=256, k=16.
-    pe_solve = cpu(pe(3, 2), "rewrite", "translate", "sat")
-    rw_solve = cpu(row(3, 2), "rewrite", "translate", "sat")
+    # Headline: the largest PE design under both methods, and the largest
+    # reg-reg design.
+    pe_solve = cpu(pe(pe_n, pe_k), "rewrite", "translate", "sat")
+    rw_solve = cpu(row(pe_n, pe_k), "rewrite", "translate", "sat")
     speedup = pe_solve / max(rw_solve, 1e-6)
     tables.append(render_rows(
         "Headline — rewriting rules vs Positive Equality alone",
         ["configuration", "solve CPU [s]", "outcome"],
-        [["N=3, k=2, PE only", f"{pe_solve:.2f}", "PROVED"],
-         ["N=3, k=2, rewriting", f"{rw_solve:.3f}", "PROVED"],
+        [[f"N={pe_n}, k={pe_k}, PE only", f"{pe_solve:.2f}", "PROVED"],
+         [f"N={pe_n}, k={pe_k}, rewriting", f"{rw_solve:.3f}", "PROVED"],
          ["speedup", f"{speedup:.0f}x", "paper: up to ~10^5x"],
-         ["N=256, k=16, rewriting", f"{cpu(row(256, 16), 'total'):.2f}",
+         [f"N={large}, k={GRID_WIDTHS[-1]}, rewriting",
+          f"{cpu(row(large, GRID_WIDTHS[-1]), 'total'):.2f}",
           "PROVED, far beyond the PE-only wall"]],
     ))
     assert speedup > 10, speedup
 
-    # Workload families: rows mem, branch and mixed at k=1.
+    # Workload families: rows mem, branch and mixed at k=1, each family's
+    # rows in growing N.
     family = {(name, n): row(n, 1, family=name) for name, n in FAMILY_ROWS}
     reduction = {
         key: "full" if run.metrics["rewrite.full_reduction"] else "none"
@@ -156,11 +165,13 @@ def paper_tables(rows) -> str:
         [[name, n, reduction[(name, n)], *stats(run)[3:],
           f"{cpu(run, 'sat'):.3f}"] for (name, n), run in family.items()],
     ))
-    assert reduction[("mem", 3)] == reduction[("mem", 16)] == "full"
-    assert stats(family[("mem", 3)]) == stats(family[("mem", 16)])
-    assert all(reduction[("branch", n)] == "none" for n in (2, 3, 4))
-    assert (cpu(family[("branch", 4)], "sat")
-            >= 4 * cpu(family[("branch", 2)], "sat"))
+    mem = [key for key in family if key[0] == "mem"]
+    branch = [key for key in family if key[0] == "branch"]
+    assert all(reduction[key] == "full" for key in mem)
+    assert len({stats(family[key]) for key in mem}) == 1
+    assert all(reduction[key] == "none" for key in branch)
+    assert (cpu(family[branch[-1]], "sat")
+            >= 4 * cpu(family[branch[0]], "sat"))
     return "\n\n".join(tables)
 
 

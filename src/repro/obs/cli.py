@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.cli import add_run_options, verify_from_args
 from ..core.results import VerificationResult
 from ..errors import ReproError
+from ..processor.bugs import Bug, BugKind
 from .metrics import (
     DEFAULT_TOLERANCES,
     MetricsSnapshot,
@@ -73,31 +74,31 @@ RUN_FIELDS = (
     ("bug", None),
 )
 
+#: The axes of the runs ``perf grid`` records; EXPERIMENTS.md names the
+#: rows each table of the paper is read from.  Reg-reg designs under
+#: rewriting span ``GRID_SIZES`` x ``GRID_WIDTHS`` (Tables 1, 4 and 5).
+GRID_SIZES, GRID_WIDTHS = (32, 128, 256), (1, 4, 16)
+#: Positive Equality alone spans ``PE_SIZES`` x ``PE_WIDTHS``, k <= N
+#: (Tables 2 and 3); the largest of these designs also runs under
+#: rewriting, for the headline speedup.
+PE_SIZES, PE_WIDTHS = (1, 2, 3), (1, 2)
+#: Sect. 7.2: ``GRID_BUG`` planted in the design with ROB size and width
+#: ``BUG_DESIGN``, whose correct twin is a reg-reg row.
+BUG_DESIGN = (128, 4)
+GRID_BUG = Bug(BugKind.FORWARD_WRONG_SOURCE, entry=72)
+#: The workload families under rewriting at width 1, as (family, N).
+FAMILY_ROWS = (("mem", 3), ("mem", 16), ("branch", 2), ("branch", 3),
+               ("branch", 4), ("mixed", 2))
+
 #: The runs ``perf grid`` records, each a ``perf record`` command line.
-#: EXPERIMENTS.md names the rows each table of the paper is read from.
 GRID_ROWS = (
-    "--rob 32 --width 1",
-    "--rob 32 --width 4",
-    "--rob 32 --width 16",
-    "--rob 128 --width 1",
-    "--rob 128 --width 4",
-    "--rob 128 --width 16",
-    "--rob 256 --width 1",
-    "--rob 256 --width 4",
-    "--rob 256 --width 16",
-    "--rob 3 --width 2",
-    "--rob 128 --width 4 --bug forward-wrong-source --entry 72",
-    "--rob 3 --width 1 --family mem",
-    "--rob 16 --width 1 --family mem",
-    "--rob 2 --width 1 --family branch",
-    "--rob 3 --width 1 --family branch",
-    "--rob 4 --width 1 --family branch",
-    "--rob 2 --width 1 --family mixed",
-    "--rob 1 --width 1 --method positive_equality",
-    "--rob 2 --width 1 --method positive_equality",
-    "--rob 2 --width 2 --method positive_equality",
-    "--rob 3 --width 1 --method positive_equality",
-    "--rob 3 --width 2 --method positive_equality",
+    *(f"--rob {n} --width {k}" for n in GRID_SIZES for k in GRID_WIDTHS),
+    f"--rob {PE_SIZES[-1]} --width {PE_WIDTHS[-1]}",
+    "--rob {} --width {} --bug {} --entry {}".format(
+        *BUG_DESIGN, GRID_BUG.kind, GRID_BUG.entry),
+    *(f"--rob {n} --width 1 --family {family}" for family, n in FAMILY_ROWS),
+    *(f"--rob {n} --width {k} --method positive_equality"
+      for n in PE_SIZES for k in PE_WIDTHS if k <= n),
 )
 
 Run = Tuple[object, ...]

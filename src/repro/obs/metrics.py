@@ -127,25 +127,20 @@ class MetricsSnapshot:
             meta=dict(meta),
         )
 
-    def save(self, path) -> None:
-        """Write the snapshot as pretty-printed, sorted JSON."""
-        _write_json(path, self.to_dict())
 
-
-def _write_json(path, data: Any) -> None:
-    """Write ``data`` as pretty-printed, sorted JSON."""
+def save_record(path, rows: Sequence[MetricsSnapshot]) -> None:
+    """Write a perf record, ``{"rows": [snapshot, ...]}``, as
+    pretty-printed, sorted JSON."""
     path = os.fspath(path)
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
+        json.dump(
+            {"rows": [row.to_dict() for row in rows]},
+            handle, indent=2, sort_keys=True,
+        )
         handle.write("\n")
-
-
-def save_record(path, rows: Sequence[MetricsSnapshot]) -> None:
-    """Write a perf record, ``{"rows": [snapshot, ...]}``."""
-    _write_json(path, {"rows": [row.to_dict() for row in rows]})
 
 
 def load_record(path) -> List[MetricsSnapshot]:

@@ -1,6 +1,5 @@
 """Metrics registry, snapshot persistence, and the tolerance comparator."""
 
-import json
 import threading
 
 import pytest
@@ -49,25 +48,13 @@ class TestRegistry:
         assert registry.values()["n"] == 4000.0
 
 
-class TestSnapshotPersistence:
-    def test_save_and_load(self, tmp_path):
-        path = tmp_path / "nested" / "snap.json"
-        snapshot = MetricsSnapshot(
-            metrics={"sat.conflicts": 7.0}, meta={"config": "N=4, k=2"}
-        )
-        snapshot.save(path)
-        loaded = MetricsSnapshot.from_dict(json.loads(path.read_text()))
-        assert loaded.metrics == snapshot.metrics
-        assert loaded.meta == snapshot.meta
-
-
 class TestRecordPersistence:
     def test_save_and_load_keep_the_rows_in_order(self, tmp_path):
         rows = [
             MetricsSnapshot({"sat.conflicts": float(n)}, {"config": str(n)})
             for n in (3, 1, 2)
         ]
-        path = tmp_path / "record.json"
+        path = tmp_path / "nested" / "record.json"
         save_record(path, rows)
         assert load_record(path) == rows
 
