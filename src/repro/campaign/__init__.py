@@ -11,15 +11,17 @@ infrastructure the paper assumes but never ships:
 * :class:`~repro.campaign.jobs.Job` — a serializable verification job;
 * :class:`~repro.campaign.journal.Journal` — an append-only,
   checksummed JSONL journal that survives crashes and torn writes;
-* :class:`~repro.campaign.runner.CampaignRunner` — executes jobs with
-  per-attempt budgets, retry with exponential budget escalation, journal
-  resume, and a structured ``INCONCLUSIVE`` outcome when a job's method
-  runs out of attempts;
-* :mod:`~repro.campaign.executor` — the per-job attempt loop, shared by
-  the sequential path and the parallel workers;
-* :mod:`~repro.campaign.parallel` — process-parallel execution
-  (``CampaignRunner(..., workers=N)``); workers stream their would-be
-  journal records to the parent, which stays the single journal writer;
+* :class:`~repro.campaign.runner.CampaignRunner` — schedules every
+  attempt of every job in one loop: per-attempt budgets, retry with
+  exponential budget escalation, journal resume, and a structured
+  ``INCONCLUSIVE`` outcome when a job's method runs out of attempts;
+  it is the journal's single writer;
+* :mod:`~repro.campaign.executor` — one attempt
+  (:func:`~repro.campaign.executor.run_attempt`), run the same way
+  in-process and in a worker;
+* :mod:`~repro.campaign.parallel` — the worker pool behind
+  ``CampaignRunner(..., workers=N)``: each worker runs exactly the
+  attempt it is handed and reports how it ended;
 * :mod:`~repro.campaign.faults` — a deterministic fault-injection
   harness so the recovery paths are themselves testable.
 

@@ -1,15 +1,15 @@
-"""The per-job attempt loop, shared by the sequential and parallel paths.
+"""One verification attempt, run the same way in-process and in a worker.
 
-A :class:`JobExecutor` drives exactly one job to a terminal state under
-the job's own method: retries with exponential budget escalation, and a
-structured ``INCONCLUSIVE`` when the attempts run out or one fails
-structurally.  It is deliberately journal-agnostic: every record it would
-journal is handed to an ``emit`` callable instead, so the same code runs
+:func:`run_attempt` runs attempt ``attempt`` of a job under the budgets
+the campaign runner picked for it and reports how it ended: a
+:class:`~repro.campaign.jobs.JobResult` holding the verdict, or an
+:class:`AttemptFailure`.  It schedules nothing and journals nothing —
+whether a failed attempt is retried, and every journal record, is
+decided by :class:`~repro.campaign.runner.CampaignRunner` — so the same
+function serves
 
-* inline in :class:`~repro.campaign.runner.CampaignRunner` (``emit``
-  appends to the journal directly), and
-* inside a :mod:`multiprocessing` worker (``emit`` ships the record over
-  the result queue to the parent, which is the only journal writer).
+* the in-process path of the runner (``workers=1``), and
+* a :mod:`multiprocessing` worker of :mod:`repro.campaign.parallel`.
 
 The only journal-shaped dependency left is the ``journal-corrupt`` fault
 seam: corrupting the journal's tail needs a file handle, so the optional
@@ -20,135 +20,108 @@ single-writer invariant — and the fault becomes a plain crash.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..errors import BudgetExhausted, ReproError
-from ..guard.deadline import current_deadline, use_deadline
+from ..guard.deadline import Deadline, use_deadline
 from ..guard.memory import MemoryBudget
+from ..obs.tracer import Tracer
 from .faults import FaultPlan
 from .jobs import Job, JobResult
 from .journal import Journal
 
-__all__ = ["JobExecutor"]
+__all__ = ["AttemptFailure", "Budgets", "Ended", "run_attempt"]
 
-#: Event dict sink; receives exactly what the journal would record.
-EmitFn = Callable[[Dict[str, object]], None]
+#: ``(max_conflicts, max_wall_seconds, max_memory_mb)`` of one attempt,
+#: as :meth:`repro.campaign.runner.RetryPolicy.budget_for` returns them.
+Budgets = Tuple[Optional[int], Optional[float], Optional[float]]
 
 
-class JobExecutor:
-    """Runs one job's attempts; see the module docstring."""
+@dataclass(frozen=True)
+class AttemptFailure:
+    """An attempt that ended without a verdict."""
 
-    def __init__(
-        self,
-        verify_fn: Callable,
-        retry,
-        fault_plan: Optional[FaultPlan] = None,
-        analyze: bool = False,
-        certify: bool = False,
-        log: Optional[Callable[[str], None]] = None,
-        fault_journal: Optional[Journal] = None,
-    ) -> None:
-        self.verify_fn = verify_fn
-        self.retry = retry
-        self.fault_plan = fault_plan
-        self.analyze = analyze
-        self.certify = certify
-        self._log = log or (lambda message: None)
-        self.fault_journal = fault_journal
+    #: the exception's type name, or ``WorkerCrashed``/``WorkerHung`` for
+    #: an attempt lost with its worker process.
+    error: str
+    detail: str
+    #: True when a bigger budget, or another worker, may succeed: a
+    #: budget or memory kill, or a lost worker.  A structural failure
+    #: (:class:`~repro.errors.ReproError`, :class:`ValueError`) is not.
+    recoverable: bool
 
-    # ------------------------------------------------------------------
 
-    def run_job(self, job: Job, emit: EmitFn, failed: int) -> JobResult:
-        """Drive one job to a terminal state (never raises ReproError).
+#: One attempt that ended: the job, its attempt number, the outcome and
+#: the campaign metrics it contributes — what the runner settles.
+Ended = Tuple[Job, int, Union[JobResult, AttemptFailure], Dict[str, float]]
 
-        ``failed`` counts the job's attempts already journaled as failed;
-        the escalation schedule resumes after them, and the result's
-        ``attempts`` counts them too.
-        """
-        attempts = failed
-        detail = "no attempts left"
-        for attempt in range(failed + 1, self.retry.max_attempts + 1):
-            max_conflicts, max_wall, max_memory = self.retry.budget_for(
-                job, attempt
-            )
-            start_event: Dict[str, object] = {
-                "event": "start",
-                "job_id": job.job_id,
-                "attempt": attempt,
-                "method": job.method,
-                "max_conflicts": max_conflicts,
-            }
-            # Guard budgets ride in the start record only when enforced,
-            # so journals of unsupervised campaigns keep their old shape.
-            if max_wall is not None:
-                start_event["max_wall_seconds"] = max_wall
-            if max_memory is not None:
-                start_event["max_memory_mb"] = max_memory
-            emit(start_event)
-            attempts += 1
-            # The attempt-scoped supervision deadline: derived from the
-            # ambient one (inheriting a worker's heartbeat sink), capped
-            # by its remaining allowance, and installed around *both* the
-            # fault seam and the verify call, so injected hangs, bloat
-            # and slowdowns compose with the budgets that should catch
-            # them.  Unset budgets keep the ambient deadline untouched.
-            guard_scope = nullcontext()
-            if max_wall is not None or max_memory is not None:
-                guard_scope = use_deadline(current_deadline().derive(
-                    max_wall_seconds=max_wall,
-                    memory=(
-                        MemoryBudget.from_mb(max_memory)
-                        if max_memory is not None else None
-                    ),
-                ))
-            try:
-                with guard_scope:
-                    if self.fault_plan is not None:
-                        self.fault_plan.fire(
-                            job.job_id, attempt, self.fault_journal
-                        )
-                    # Only forward opt-in kwargs when they are on, so
-                    # custom verify_fn overrides keep their narrower
-                    # signature.
-                    extra: Dict[str, object] = {}
-                    if self.analyze:
-                        extra["analyze"] = True
-                    if self.certify:
-                        extra["certify"] = True
-                    result = self.verify_fn(
-                        job.config(),
-                        method=job.method,
-                        bug=job.bug(),
-                        criterion=job.criterion,
-                        max_conflicts=max_conflicts,
-                        **extra,
-                    )
-            except (MemoryError, ReproError, ValueError) as exc:
-                detail = f"{type(exc).__name__}: {exc}"
-                emit({
-                    "event": "attempt_failed",
-                    "job_id": job.job_id,
-                    "attempt": attempt,
-                    "method": job.method,
-                    "error": type(exc).__name__,
-                    "detail": str(exc),
-                })
-                if isinstance(exc, (BudgetExhausted, MemoryError)):
-                    # Recoverable: the next attempt gets an escalated
-                    # budget (the paper's protocol: rerun the 4 GB kills
-                    # bigger).
-                    self._log(
-                        f"{job.job_id}: attempt {attempt}/"
-                        f"{self.retry.max_attempts} failed — {detail}"
-                    )
-                    continue
-                break  # structural: no bigger budget can help
-            return JobResult.from_verification(job, attempts, result)
-        return JobResult(
-            job_id=job.job_id,
-            status="INCONCLUSIVE",
-            method=job.method,
-            attempts=attempts,
-            detail=detail,
+
+def run_attempt(
+    job: Job,
+    attempt: int,
+    budgets: Budgets,
+    verify_fn: Callable,
+    *,
+    analyze: bool = False,
+    certify: bool = False,
+    fault_plan: Optional[FaultPlan] = None,
+    fault_journal: Optional[Journal] = None,
+    deadline: Optional[Deadline] = None,
+) -> Tuple[Union[JobResult, AttemptFailure], Dict[str, float]]:
+    """Run one attempt of ``job``; never raises ReproError.
+
+    Returns the outcome and the attempt's ``campaign.job_seconds`` and
+    ``campaign.job_cpu_seconds``.  ``deadline`` is the attempt's ambient
+    supervision deadline (a worker's heartbeat sink); a fresh one is
+    installed without it, so each attempt starts on its own clock and
+    its own injected stage delays.
+    """
+    max_conflicts, max_wall, max_memory = budgets
+    # The attempt-scoped budgets derive from the ambient deadline
+    # (inheriting a worker's heartbeat sink) and are installed around
+    # *both* the fault seam and the verify call, so injected hangs, bloat
+    # and slowdowns compose with the budgets that should catch them.
+    scope = deadline or Deadline()
+    if max_wall is not None or max_memory is not None:
+        scope = scope.derive(
+            max_wall_seconds=max_wall,
+            memory=(
+                MemoryBudget.from_mb(max_memory)
+                if max_memory is not None else None
+            ),
         )
+    # Only forward opt-in kwargs when they are on, so custom verify_fn
+    # overrides keep their narrower signature.
+    extra: Dict[str, object] = {}
+    if analyze:
+        extra["analyze"] = True
+    if certify:
+        extra["certify"] = True
+    tracer = Tracer()
+    outcome: Union[JobResult, AttemptFailure]
+    try:
+        with use_deadline(scope), tracer.span("campaign.attempt"):
+            if fault_plan is not None:
+                fault_plan.fire(job.job_id, attempt, fault_journal)
+            result = verify_fn(
+                job.config(),
+                method=job.method,
+                bug=job.bug(),
+                criterion=job.criterion,
+                max_conflicts=max_conflicts,
+                **extra,
+            )
+    except (MemoryError, ReproError, ValueError) as exc:
+        outcome = AttemptFailure(
+            type(exc).__name__, str(exc),
+            # The paper's protocol: rerun the 4 GB kills bigger.
+            recoverable=isinstance(exc, (BudgetExhausted, MemoryError)),
+        )
+    else:
+        outcome = JobResult.from_verification(job, attempt, result)
+    span = tracer.root
+    return outcome, {
+        "campaign.job_seconds": span.wall_seconds,
+        "campaign.job_cpu_seconds": span.cpu_seconds,
+    }

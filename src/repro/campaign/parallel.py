@@ -1,48 +1,38 @@
-"""Process-parallel campaign execution with a single-writer journal.
+"""Process-parallel campaign execution: a pool that runs attempts.
 
-Topology: the parent process owns the journal and a pool of
-:mod:`multiprocessing` workers.  Each worker runs whole jobs (the full
-retry loop of :class:`~repro.campaign.executor.JobExecutor`) and
-streams the records the sequential runner would journal — ``start``,
-``attempt_failed``, finally ``done`` with the serialized
-:class:`~repro.campaign.jobs.JobResult` — over one shared result queue.
-Only the parent ever appends to the journal, so crash-resume, torn-tail
-tolerance, and replay semantics are byte-for-byte those of a sequential
-run; the records of concurrent jobs merely interleave, which the replay
-logic (keyed by job id) never cared about.
+Topology: :class:`WorkerPool` keeps up to ``size`` :mod:`multiprocessing`
+workers.  The campaign runner hands it one attempt at a time — the job,
+the attempt number, the attempt's budgets and the job's faults — and a
+worker runs exactly that attempt (:func:`~repro.campaign.executor.run_attempt`)
+and answers with one ``done`` message holding its outcome.  Everything
+else — the attempt numbers, the retry decision, every journal record —
+belongs to :class:`~repro.campaign.runner.CampaignRunner`, the journal's
+single writer: this module holds no journal handle.
 
 Durability: the result queue is a ``SimpleQueue``, whose ``put`` writes
-synchronously to the pipe under a lock — no feeder thread, so every event
-a worker emitted before dying is readable by the parent.  A worker that
-dies mid-job (an :class:`~repro.campaign.faults.InjectedCrash`, a
-segfault, an OOM kill) is detected by process liveness; the parent
-journals the in-flight attempt as ``attempt_failed`` with error
-``WorkerCrashed``, re-queues the job — whose escalation schedule resumes
-from the journaled failure counts, exactly like a campaign-level resume —
-and spawns a replacement worker.  A job that crashes its worker on every
-attempt therefore ends ``INCONCLUSIVE`` after its ``max_attempts``
-crashes instead of looping.
+synchronously to the pipe under a lock — no feeder thread, so every
+message a worker sent before dying is readable by the parent.  A worker
+that dies mid-attempt (an :class:`~repro.campaign.faults.InjectedCrash`,
+a segfault, an OOM kill) is detected by process liveness and its attempt
+reported as failed with error ``WorkerCrashed``; the runner settles it
+like any recoverable failure, so a job that crashes its worker on every
+attempt ends ``INCONCLUSIVE`` after ``max_attempts`` crashes.
 
 Liveness: a crashed worker is visible to process polling, but a *wedged*
 one — livelocked in a C extension, swapping, deadlocked — stays alive and
-silent forever.  Every worker therefore installs an ambient heartbeat
-:class:`~repro.guard.Deadline` around each job: the pipeline's own
-deadline check sites double as heartbeat emitters, streaming throttled
-``heartbeat`` events (never journaled) over the result queue, ten per
-``hang_timeout`` (:data:`BEATS_PER_HANG_TIMEOUT`).  A busy worker silent
-for ``hang_timeout`` seconds is declared hung; the parent
-drains the queue once more (a beat may be in flight), then escalates
-``terminate()`` → ``kill()``, journals the in-flight attempt as
-``attempt_failed`` with error ``WorkerHung``, re-queues the job, and
-spawns a replacement — so a permanently hanging job converges to
-``INCONCLUSIVE`` through the same escalation schedule as a crashing one.
+silent forever.  Every worker therefore runs its attempt under an
+ambient heartbeat :class:`~repro.guard.Deadline`: the pipeline's own
+deadline check sites double as heartbeat emitters, sending throttled
+``heartbeat`` messages over the result queue, ten per ``hang_timeout``
+(:data:`BEATS_PER_HANG_TIMEOUT`).  A busy worker silent for
+``hang_timeout`` seconds is declared hung: the pool reads the queue once
+more (a beat may be in flight), then escalates ``terminate()`` →
+``kill()`` and reports the attempt as failed with error ``WorkerHung``.
+A lost worker is replaced when the next attempt needs one.
 
-Each worker installs its own ambient :class:`~repro.obs.tracer.Tracer`
-(the ``obs`` ContextVar is per-process state) and ships per-job wall/CPU
-seconds back for parent-side merging into the campaign metrics registry.
 Fault plans are partitioned deterministically by job id
 (:meth:`FaultPlan.for_job`), so ``workers=N`` fires the same injected
-faults as a sequential run of the same plan.
+faults as an in-process run of the same plan.
 """
 
 from __future__ import annotations
@@ -50,17 +40,15 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
-from ..errors import CampaignError
-from .executor import JobExecutor
+from ..guard.deadline import Deadline
+from .executor import AttemptFailure, Budgets, Ended, run_attempt
 from .faults import Fault, FaultPlan, InjectedCrash
 from .jobs import Job, JobResult
-from .journal import Journal
 
 __all__ = [
-    "ParallelCampaignExecutor",
+    "WorkerPool",
     "BEATS_PER_HANG_TIMEOUT",
     "WORKER_CRASH_ERROR",
     "WORKER_HUNG_ERROR",
@@ -83,7 +71,6 @@ WORKER_HUNG_ERROR = "WorkerHung"
 #: Python exception can get).
 _CRASH_EXIT_CODE = 70
 
-
 def _campaign_context() -> multiprocessing.context.BaseContext:
     """Fork when the platform has it (cheap, inherits verify_fn closures);
     spawn otherwise — worker task messages are picklable either way."""
@@ -96,67 +83,43 @@ def _campaign_context() -> multiprocessing.context.BaseContext:
 def _worker_main(
     worker_id: int, inbox: Any, outbox: Any, options: Dict[str, Any]
 ) -> None:
-    """Worker entry: pull job tasks until the ``None`` shutdown sentinel."""
-    from ..guard.deadline import Deadline, use_deadline
-    from ..obs.tracer import Tracer, use_tracer
-
-    verify_fn = options.get("verify_fn")
+    """Worker entry: run one attempt per task until the ``None`` sentinel."""
+    verify_fn = options["verify_fn"]
     if verify_fn is None:
         from ..core.verifier import verify as verify_fn
+
+    def beat(stage: str) -> None:
+        outbox.put({"event": "heartbeat", "worker": worker_id})
 
     while True:
         task = inbox.get()
         if task is None:
             return
-        job = Job.from_dict(task["job"])
         faults = [Fault.from_dict(spec) for spec in task["faults"]]
-        executor = JobExecutor(
-            verify_fn,
-            options["retry"],
-            fault_plan=FaultPlan(faults) if faults else None,
-            analyze=options["analyze"],
-            certify=options.get("certify", False),
-            log=lambda text: outbox.put({"event": "log", "text": text}),
-            # Workers never hold the journal: the single-writer invariant.
-            fault_journal=None,
-        )
-        # A fresh ambient tracer per process: the obs ContextVar is
-        # per-process state, so worker spans never mix with the parent's.
-        tracer = Tracer()
-        # The heartbeat deadline (no budgets of its own): every deadline
-        # check site anywhere in the pipeline now doubles as a liveness
-        # beat to the parent, throttled to one per heartbeat interval.
-        # Attempt-scoped supervision budgets derive from it in the
-        # executor, inheriting the sink — a supervised attempt needs no
-        # extra wiring to stay observable.
-        heartbeat = Deadline(
-            heartbeat=lambda stage: outbox.put({
-                "event": "heartbeat",
-                "worker": worker_id,
-                "job_id": job.job_id,
-                "stage": stage,
-            }),
-            heartbeat_interval=options["heartbeat_interval"],
-        )
         try:
-            with use_deadline(heartbeat), use_tracer(tracer):
-                with tracer.span("campaign.job"):
-                    result = executor.run_job(
-                        job, outbox.put, task["failed_attempts"]
-                    )
+            outcome, metrics = run_attempt(
+                Job.from_dict(task["job"]),
+                task["attempt"],
+                task["budgets"],
+                verify_fn,
+                analyze=options["analyze"],
+                certify=options["certify"],
+                fault_plan=FaultPlan(faults) if faults else None,
+                # Every deadline check site in the pipeline doubles as a
+                # liveness beat to the parent, throttled to one per
+                # heartbeat interval.
+                deadline=Deadline(
+                    heartbeat=beat,
+                    heartbeat_interval=options["heartbeat_interval"],
+                ),
+            )
         except InjectedCrash:
             os._exit(_CRASH_EXIT_CODE)
-        result.worker = worker_id
-        span = tracer.root
+        if isinstance(outcome, JobResult):
+            outcome.worker = worker_id
         outbox.put({
-            "event": "done",
-            "job_id": job.job_id,
-            "result": result.to_dict(),
-            "worker_metrics": {
-                "campaign.jobs_run": 1.0,
-                "campaign.job_seconds": span.wall_seconds,
-                "campaign.job_cpu_seconds": span.cpu_seconds,
-            },
+            "event": "done", "worker": worker_id,
+            "outcome": outcome, "metrics": metrics,
         })
 
 
@@ -178,89 +141,137 @@ def _escalate_stop(process, grace: float = 1.0) -> str:
 class _WorkerHandle:
     """Parent-side bookkeeping for one worker process."""
 
-    __slots__ = ("worker_id", "process", "inbox", "job", "last_beat")
+    __slots__ = ("worker_id", "process", "inbox", "job", "attempt",
+                 "last_beat")
 
     def __init__(self, worker_id: int, process, inbox) -> None:
         self.worker_id = worker_id
         self.process = process
         self.inbox = inbox
+        #: the job and attempt number the worker is running, if any.
         self.job: Optional[Job] = None
-        #: monotonic time of the last sign of life (any queue message or
-        #: a job assignment); the hang detector measures silence from it.
+        self.attempt = 0
+        #: monotonic time of the last sign of life (a queue message or a
+        #: task); the hang detector measures silence from it.
         self.last_beat = time.monotonic()
 
 
-class ParallelCampaignExecutor:
-    """Fans jobs out to worker processes; the parent is the sole journal
-    writer.  See the module docstring for the protocol."""
+class WorkerPool:
+    """Runs attempts on up to ``size`` worker processes; see the module
+    docstring.  Use as a context manager: leaving it stops the workers."""
 
     def __init__(
         self,
+        size: int,
         *,
-        workers: int,
-        retry,
-        analyze: bool,
         verify_fn: Optional[Callable],
-        certify: bool = False,
         fault_plan: Optional[FaultPlan],
-        journal: Journal,
-        log: Callable[[str], None],
-        failed_attempts: Dict[str, int],
-        on_finish: Callable[[Job, JobResult], None],
-        merge_metrics: Callable[[Dict[str, float]], None],
-        hang_timeout: float = 30.0,
+        analyze: bool,
+        certify: bool,
+        hang_timeout: float,
     ) -> None:
-        if workers < 1:
-            raise CampaignError("workers must be at least 1")
-        self.workers = workers
+        self._size = size
         self._options = {
-            "retry": retry,
+            "verify_fn": verify_fn,
             "analyze": analyze,
             "certify": certify,
-            "verify_fn": verify_fn,
             "heartbeat_interval": hang_timeout / BEATS_PER_HANG_TIMEOUT,
         }
         self._fault_plan = fault_plan
-        self._journal = journal
-        self._log = log
-        self._failed = failed_attempts
-        self._on_finish = on_finish
-        self._merge_metrics = merge_metrics
         self._hang_timeout = hang_timeout
         self._ctx = _campaign_context()
-        #: worker processes that died mid-job (each journaled + retried).
-        self.worker_crashes = 0
-        #: worker processes the hang detector had to kill.
-        self.worker_hangs = 0
         self._outbox = self._ctx.SimpleQueue()
-        self._pool: List[_WorkerHandle] = []
+        self._workers: Dict[int, _WorkerHandle] = {}
         self._next_worker_id = 0
-        #: attempt number of each job's event-confirmed in-flight attempt.
-        self._in_flight: Dict[str, int] = {}
 
-    # -- lifecycle -------------------------------------------------------
+    def __enter__(self) -> "WorkerPool":
+        return self
 
-    def run(self, jobs: List[Job]) -> None:
-        """Run every job to a terminal state; returns when all finished."""
-        self._pending = deque(jobs)
-        self._jobs_by_id = {job.job_id: job for job in jobs}
-        remaining = len(jobs)
-        for _ in range(min(self.workers, remaining)):
-            self._spawn_worker()
-        try:
-            while remaining > 0:
-                self._dispatch()
-                if self._poll(0.2):
-                    remaining -= self._handle(self._outbox.get())
-                # Reap every iteration, not only on poll timeouts: steady
-                # heartbeat traffic keeps the poll returning True, which
-                # must not starve crash/hang detection.
-                remaining -= self._reap_dead_workers()
-                remaining -= self._reap_hung_workers()
-        finally:
-            self._shutdown()
+    def __exit__(self, *exc_info: Any) -> None:
+        for handle in self._workers.values():
+            if handle.process.is_alive():
+                try:
+                    handle.inbox.put(None)
+                except (OSError, ValueError):  # pragma: no cover - racing exit
+                    pass
+        for handle in self._workers.values():
+            handle.process.join(timeout=5.0)
+            if handle.process.is_alive():  # pragma: no cover - stuck worker
+                # A worker too wedged for the sentinel is likely too
+                # wedged for SIGTERM; escalate to SIGKILL rather than
+                # leak the process past campaign shutdown.
+                _escalate_stop(handle.process)
 
-    def _spawn_worker(self) -> _WorkerHandle:
+    @property
+    def busy(self) -> bool:
+        """True while an attempt is running."""
+        return any(h.job is not None for h in self._workers.values())
+
+    @property
+    def idle(self) -> bool:
+        """True when :meth:`submit` can start an attempt at once."""
+        return len(self._workers) < self._size or any(
+            h.job is None for h in self._workers.values()
+        )
+
+    def submit(self, job: Job, attempt: int, budgets: Budgets) -> None:
+        """Start one attempt on an idle worker, spawning one if needed."""
+        handle = next(
+            (h for h in self._workers.values() if h.job is None), None
+        ) or self._spawn()
+        faults = (
+            self._fault_plan.for_job(job.job_id)
+            if self._fault_plan is not None else ()
+        )
+        handle.inbox.put({
+            "job": job.to_dict(),
+            "attempt": attempt,
+            "budgets": budgets,
+            "faults": [fault.to_dict() for fault in faults],
+        })
+        handle.job, handle.attempt = job, attempt
+        handle.last_beat = time.monotonic()
+
+    def collect(self) -> List[Ended]:
+        """Wait up to 0.2 s for a message; return every attempt that ended
+        since, reported by its worker or lost with a crashed or hung one."""
+        ended: List[Ended] = []
+        self._outbox._reader.poll(0.2)
+        # Snapshot before reading the queue: a worker's messages are all
+        # in the pipe once it is dead, and a beat read now clears a
+        # suspect.  Crash and hang detection runs on every call, so
+        # steady heartbeat traffic cannot starve it.
+        dead = [h for h in self._workers.values() if not h.process.is_alive()]
+        now = time.monotonic()
+        silent = [
+            h for h in self._workers.values()
+            if h.job is not None and now - h.last_beat > self._hang_timeout
+        ]
+        self._receive(ended)
+        for handle in dead:
+            self._lose(
+                handle, WORKER_CRASH_ERROR, "campaign.worker_crashes",
+                f"crashed (exit code {handle.process.exitcode})", ended,
+            )
+        now = time.monotonic()
+        for handle in silent:
+            if handle.job is None or handle.worker_id not in self._workers:
+                continue  # it finished, or died, after all
+            silence = now - handle.last_beat
+            if silence <= self._hang_timeout:
+                continue  # the read surfaced a beat
+            how = _escalate_stop(handle.process)
+            self._lose(
+                handle, WORKER_HUNG_ERROR, "campaign.worker_hangs",
+                f"hung: sent no heartbeat for {silence:.1f}s (timeout "
+                f"{self._hang_timeout:g}s); {how} (exit code "
+                f"{handle.process.exitcode})", ended,
+            )
+        return ended
+
+    # ------------------------------------------------------------------
+
+    def _spawn(self) -> _WorkerHandle:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         inbox = self._ctx.SimpleQueue()
@@ -271,220 +282,41 @@ class ParallelCampaignExecutor:
             daemon=True,
         )
         process.start()
-        handle = _WorkerHandle(worker_id, process, inbox)
-        self._pool.append(handle)
+        handle = self._workers[worker_id] = _WorkerHandle(
+            worker_id, process, inbox
+        )
         return handle
 
-    def _shutdown(self) -> None:
-        for handle in self._pool:
-            if handle.process.is_alive():
-                try:
-                    handle.inbox.put(None)
-                except (OSError, ValueError):  # pragma: no cover - racing exit
-                    pass
-        for handle in self._pool:
-            handle.process.join(timeout=5.0)
-            if handle.process.is_alive():  # pragma: no cover - stuck worker
-                # A worker too wedged for the sentinel is likely too
-                # wedged for SIGTERM; escalate to SIGKILL rather than
-                # leak the process past campaign shutdown.
-                how = _escalate_stop(handle.process)
-                self._log(
-                    f"worker {handle.worker_id}: ignored the shutdown "
-                    f"sentinel; {how} (exit code "
-                    f"{handle.process.exitcode})"
-                )
-
-    # -- scheduling ------------------------------------------------------
-
-    def _dispatch(self) -> None:
-        """Hand pending jobs to idle workers (one job per worker)."""
-        for handle in self._pool:
-            if not self._pending:
-                return
-            if handle.job is not None or not handle.process.is_alive():
+    def _receive(self, ended: List[Ended]) -> None:
+        """Handle every message already queued.  Heartbeats only refresh
+        liveness — they are never journaled; messages of a worker already
+        reported lost are dropped."""
+        while self._outbox._reader.poll(0):
+            message = self._outbox.get()
+            handle = self._workers.get(message["worker"])
+            if handle is None:
                 continue
-            job = self._pending.popleft()
-            faults = (
-                self._fault_plan.for_job(job.job_id)
-                if self._fault_plan is not None
-                else ()
-            )
-            handle.inbox.put({
-                "job": job.to_dict(),
-                "failed_attempts": self._failed.get(job.job_id, 0),
-                "faults": [fault.to_dict() for fault in faults],
-            })
-            handle.job = job
             handle.last_beat = time.monotonic()
+            if message["event"] == "done":
+                ended.append((
+                    handle.job, handle.attempt,
+                    message["outcome"], message["metrics"],
+                ))
+                handle.job = None
 
-    def _poll(self, timeout: float) -> bool:
-        """True when a result-queue message is ready within ``timeout``."""
-        reader = getattr(self._outbox, "_reader", None)
-        if reader is not None:
-            return reader.poll(timeout)
-        if timeout:  # pragma: no cover - SimpleQueue always has _reader
-            time.sleep(timeout)
-        return not self._outbox.empty()  # pragma: no cover
-
-    # -- event handling --------------------------------------------------
-
-    def _handle(self, message: Dict[str, Any]) -> int:
-        """Process one worker message; returns 1 when a job finished."""
-        event = message.get("event")
-        if event == "heartbeat":
-            # Liveness only — never journaled (hundreds per job would
-            # bury the records replay actually reads).
-            for handle in self._pool:
-                if handle.worker_id == message.get("worker"):
-                    handle.last_beat = time.monotonic()
-                    break
-            return 0
-        if event == "log":
-            self._log(message.get("text", ""))
-            return 0
-        if event == "start":
-            job_id = message["job_id"]
-            self._touch_worker(job_id)
-            self._in_flight[job_id] = message["attempt"]
-            self._journal.append(message)
-            return 0
-        if event == "attempt_failed":
-            job_id = message["job_id"]
-            self._touch_worker(job_id)
-            self._failed[job_id] = self._failed.get(job_id, 0) + 1
-            self._in_flight.pop(job_id, None)
-            self._journal.append(message)
-            return 0
-        if event == "done":
-            job_id = message["job_id"]
-            self._in_flight.pop(job_id, None)
-            for handle in self._pool:
-                if handle.job is not None and handle.job.job_id == job_id:
-                    handle.job = None
-                    break
-            self._merge_metrics(message.get("worker_metrics", {}))
-            result = JobResult.from_dict(message["result"])
-            self._on_finish(self._jobs_by_id[job_id], result)
-            return 1
-        raise CampaignError(  # pragma: no cover - protocol guard
-            f"unknown worker message {event!r}"
-        )
-
-    def _touch_worker(self, job_id: str) -> None:
-        """Refresh the liveness stamp of the worker running ``job_id`` —
-        every protocol message is proof of life, not just heartbeats."""
-        for handle in self._pool:
-            if handle.job is not None and handle.job.job_id == job_id:
-                handle.last_beat = time.monotonic()
-                return
-
-    def _reap_dead_workers(self) -> int:
-        """Detect crashed workers; journal + requeue their in-flight jobs.
-
-        Returns the number of jobs completed by messages that were still
-        queued from a worker that has since exited.
-        """
-        completed = 0
-        dead = [h for h in self._pool if not h.process.is_alive()]
-        if not dead:
-            return 0
-        # Drain everything the dead workers managed to send first — a
-        # worker that finished its job and then exited is not a crash.
-        while self._poll(0):
-            completed += self._handle(self._outbox.get())
-        for handle in dead:
-            self._pool.remove(handle)
-            if handle.job is None:
-                continue
-            exitcode = handle.process.exitcode
-            self.worker_crashes += 1
-            self._requeue_failed(
-                handle, WORKER_CRASH_ERROR,
-                f"exited with code {exitcode} mid-attempt",
-                f"crashed (exit {exitcode})",
-            )
-        self._replenish_pool()
-        return completed
-
-    def _reap_hung_workers(self) -> int:
-        """Detect, kill, journal and requeue silently wedged workers.
-
-        A busy worker whose last sign of life predates the hang timeout
-        is suspect.  The queue is drained first — its beat may be queued
-        behind slower messages — and only workers *still* silent after
-        the drain are escalated ``terminate()`` → ``kill()`` and their
-        in-flight attempt journaled as ``WorkerHung``.  Returns the
-        number of jobs completed by messages found during the drain.
-        """
-        now = time.monotonic()
-        suspects = [
-            h for h in self._pool
-            if h.job is not None
-            and h.process.is_alive()
-            and now - h.last_beat > self._hang_timeout
-        ]
-        if not suspects:
-            return 0
-        completed = 0
-        while self._poll(0):
-            completed += self._handle(self._outbox.get())
-        now = time.monotonic()
-        for handle in suspects:
-            if handle not in self._pool:
-                continue  # the drain completed or crashed it
-            if handle.job is None or not handle.process.is_alive():
-                continue
-            if now - handle.last_beat <= self._hang_timeout:
-                continue  # the drain surfaced a beat after all
-            silence = now - handle.last_beat
-            how = _escalate_stop(handle.process)
-            # Remove before the dead-worker reaper runs, or the kill
-            # would be double-journaled as a crash.
-            self._pool.remove(handle)
-            self.worker_hangs += 1
-            self._requeue_failed(
-                handle, WORKER_HUNG_ERROR,
-                f"sent no heartbeat for {silence:.1f}s "
-                f"(timeout {self._hang_timeout:g}s); "
-                f"{how} (exit code {handle.process.exitcode})",
-                f"hung (silent {silence:.1f}s, {how})",
-            )
-        self._replenish_pool()
-        return completed
-
-    def _requeue_failed(
-        self, handle: _WorkerHandle, error: str, detail: str, what: str
+    def _lose(
+        self, handle: _WorkerHandle, error: str, metric: str, what: str,
+        ended: List[Ended],
     ) -> None:
-        """Journal the in-flight attempt of ``handle``'s job as failed
-        with ``error`` and put the job back at the head of the queue.
-
-        ``detail`` (journaled) and ``what`` (logged) say what became of
-        the worker.
-        """
-        job = handle.job
-        failed = self._failed.get(job.job_id, 0)
-        attempt = self._in_flight.pop(job.job_id, failed + 1)
-        self._journal.append({
-            "event": "attempt_failed",
-            "job_id": job.job_id,
-            "attempt": attempt,
-            "method": job.method,
-            "error": error,
-            "detail": f"worker {handle.worker_id} {detail}; job re-queued",
-        })
-        self._failed[job.job_id] = failed + 1
-        self._log(
-            f"{job.job_id}: worker {handle.worker_id} {what}; journaled "
-            f"failed attempt {attempt} and re-queued"
-        )
-        self._pending.appendleft(job)
-
-    def _replenish_pool(self) -> None:
-        """Keep the pool sized to the remaining work."""
-        alive = sum(1 for h in self._pool if h.process.is_alive())
-        busy = sum(1 for h in self._pool if h.job is not None)
-        want = min(self.workers, busy + len(self._pending))
-        while alive < want:
-            self._spawn_worker()
-            alive += 1
+        """Drop a dead worker; report its attempt, if any, as failed with
+        ``error``, counting it in the campaign metric ``metric``."""
+        del self._workers[handle.worker_id]
+        if handle.job is not None:
+            ended.append((
+                handle.job, handle.attempt,
+                AttemptFailure(
+                    error, f"worker {handle.worker_id} {what}",
+                    recoverable=True,
+                ),
+                {metric: 1.0},
+            ))

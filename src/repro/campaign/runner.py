@@ -2,16 +2,24 @@
 
 Execution model (per job):
 
-1. run ``verify()`` under the attempt's budget — the job's base budget
-   scaled by :attr:`RetryPolicy.escalation` raised to the attempt number
-   (exponential budget escalation, capped);
-2. on :class:`~repro.errors.BudgetExhausted` / :class:`MemoryError`,
-   journal the failed attempt and retry with the next, larger budget;
+1. run attempt ``failed + 1`` of the job under its budget — the job's
+   base budget scaled by :attr:`RetryPolicy.escalation` raised to the
+   attempt number (exponential budget escalation, capped);
+2. on :class:`~repro.errors.BudgetExhausted` / :class:`MemoryError`, or
+   when the attempt's worker crashes or hangs, journal the failed
+   attempt and re-queue the job for its next, larger budget;
 3. when the attempts run out — or one fails structurally
    (:class:`~repro.errors.ReproError` / :class:`ValueError`, which no
    bigger budget can help) — record a structured ``INCONCLUSIVE``
    outcome instead of crashing the batch: the campaign analogue of the
    paper's out-of-memory table entries.
+
+The runner schedules every attempt and settles every outcome itself, in
+one loop; an attempt runs in this process (``workers=1``) or on a worker
+of a :mod:`multiprocessing` pool (:mod:`repro.campaign.parallel`), which
+runs exactly the attempt it is handed and reports how it ended.  The
+runner is therefore the journal's single writer, and the retry decision
+lives in one place (:meth:`CampaignRunner._settle`).
 
 A job runs only its own method.  Journals from builds that re-ran an
 exhausted ``rewriting`` job under ``positive_equality`` still replay:
@@ -23,14 +31,6 @@ before/after it happens, so a killed campaign resumes exactly where it
 left off: finished jobs are never re-run, recorded failed attempts keep
 their place in the escalation schedule, and the attempt that was in
 flight at the kill is re-run at the same budget.
-
-With ``workers > 1`` jobs fan out to a :mod:`multiprocessing` pool
-(:mod:`repro.campaign.parallel`).  The parent process remains the single
-journal writer — workers stream their would-be journal records back over
-a result queue — so every journal and resume property above is
-unchanged; a worker that dies mid-job is journaled as a failed attempt
-(error ``WorkerCrashed``) and the job is retried under the same
-:class:`RetryPolicy` schedule.
 """
 
 from __future__ import annotations
@@ -38,18 +38,22 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Deque, Dict, Iterable, List, Optional, Union,
+)
 
 from ..core.verifier import budget_problem
 from ..errors import CampaignError, JournalError
-from ..guard.deadline import Deadline, use_deadline
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracer import Tracer, use_tracer
-from .executor import JobExecutor
+from .executor import AttemptFailure, Budgets, Ended, run_attempt
 from .faults import FaultPlan
 from .jobs import Job, JobResult
 from .journal import Journal
+
+if TYPE_CHECKING:
+    from .parallel import WorkerPool
 
 __all__ = ["RetryPolicy", "CampaignRunner", "CampaignReport"]
 
@@ -87,9 +91,7 @@ class RetryPolicy:
             if problem:
                 raise CampaignError(f"{name} {problem}, got {value!r}")
 
-    def budget_for(
-        self, job: Job, attempt: int
-    ) -> Tuple[Optional[int], Optional[float], Optional[float]]:
+    def budget_for(self, job: Job, attempt: int) -> Budgets:
         """The (max_conflicts, max_wall_seconds, max_memory_mb) budgets of
         one attempt — all escalated alike, so a conflict, wall-clock or
         memory kill retries bigger, the paper's 4 GB-limit protocol."""
@@ -223,14 +225,16 @@ class CampaignRunner:
             and minimized for BUG_FOUND ones.  The witness digest summary
             rides in :attr:`JobResult.witness` and the journal's finish
             records, so it survives crash-and-resume.
-        workers: worker processes to fan jobs out to; ``1`` (the default)
-            runs everything in this process.  The parent stays the single
-            journal writer either way (see :mod:`repro.campaign.parallel`).
-        hang_timeout: parallel runs only — seconds of heartbeat silence
+        workers: size of the worker pool attempts run on; ``1`` (the
+            default) runs everything in this process.  Above 1 the pool
+            is used whatever the job count, sized to at most the pending
+            jobs.  The runner stays the single journal writer either way
+            (see :mod:`repro.campaign.parallel`).
+        hang_timeout: pool runs only — seconds of heartbeat silence
             after which a busy worker is declared hung, escalated
-            terminate→kill, journaled as a ``WorkerHung`` failed attempt,
-            and its job re-queued.  Workers beat ten times per timeout
-            (see :mod:`repro.campaign.parallel`).  It must be positive,
+            terminate→kill, and its attempt journaled as a ``WorkerHung``
+            failed attempt.  Workers beat ten times per timeout (see
+            :mod:`repro.campaign.parallel`).  It must be positive,
             whatever the worker count: it is checked here, before
             anything is journaled.
     """
@@ -349,14 +353,7 @@ class CampaignRunner:
                         f"{cpu_count}-CPU machine — CPU-bound jobs gain "
                         "nothing from oversubscription"
                     )
-                if self.workers > 1 and len(to_run) > 1:
-                    self._run_parallel(
-                        to_run, journal, failed_attempts, results
-                    )
-                else:
-                    self._run_sequential(
-                        to_run, journal, failed_attempts, results
-                    )
+                self._run_attempts(to_run, journal, failed_attempts, results)
 
         return CampaignReport(
             results={job.job_id: results[job.job_id] for job in job_list},
@@ -419,83 +416,175 @@ class CampaignRunner:
         """Journal one terminal result (the single-writer append path)."""
         journal.append({"event": "finish", **result.to_dict()})
         results[job.job_id] = result
-        self._registry.merge(result.metrics)
+        self._registry.merge({"campaign.jobs_run": 1.0, **result.metrics})
         self._log(
             f"{job.job_id}: {result.status} after "
             f"{result.attempts} attempt(s) via {result.method}"
         )
         self._invoke_callback(job, result, journal)
 
-    def _run_sequential(
+    def _run_attempts(
         self,
         to_run: List[Job],
         journal: Journal,
-        failed_attempts: Dict[str, int],
+        failed: Dict[str, int],
         results: Dict[str, JobResult],
     ) -> None:
-        executor = JobExecutor(
-            self.verify_fn,
-            self.retry,
-            fault_plan=self.fault_plan,
-            analyze=self.analyze,
-            certify=self.certify,
-            log=self._log,
-            fault_journal=journal,
-        )
-        for job in to_run:
-            tracer = Tracer()
-            # A per-job ambient deadline (no budgets of its own): the
-            # anchor `slow` faults attach their stage delays to, and the
-            # parent the executor's attempt-scoped budgets derive from —
-            # mirroring the heartbeat deadline a parallel worker installs.
-            with use_deadline(Deadline()), use_tracer(tracer):
-                with tracer.span("campaign.job"):
-                    result = executor.run_job(
-                        job, journal.append,
-                        failed_attempts.get(job.job_id, 0),
+        """The campaign's one attempt loop: start each pending job's next
+        attempt, in this process or on a worker, and settle how it ended
+        until every job is terminal.
+
+        ``failed`` counts each job's attempts journaled as failed; the
+        next attempt is numbered one past them, so the escalation
+        schedule resumes after every failure, whatever ended it and
+        whichever run journaled it.
+        """
+        pending = deque(to_run)
+        with self._attempts(len(to_run), journal) as attempts:
+            while pending or attempts.busy:
+                while pending and attempts.idle:
+                    job = pending.popleft()
+                    attempt = failed.get(job.job_id, 0) + 1
+                    if attempt > self.retry.max_attempts:
+                        self._finish_job(job, JobResult(
+                            job_id=job.job_id, status="INCONCLUSIVE",
+                            method=job.method, attempts=attempt - 1,
+                            detail="no attempts left",
+                        ), journal, results)
+                        continue
+                    budgets = self.retry.budget_for(job, attempt)
+                    journal.append(_start_record(job, attempt, budgets))
+                    attempts.submit(job, attempt, budgets)
+                for job, attempt, outcome, metrics in attempts.collect():
+                    self._registry.merge(metrics)
+                    self._settle(
+                        job, attempt, outcome, journal, pending, failed,
+                        results,
                     )
-            span = tracer.root
-            self._registry.merge({
-                "campaign.jobs_run": 1.0,
-                "campaign.job_seconds": span.wall_seconds,
-                "campaign.job_cpu_seconds": span.cpu_seconds,
-            })
-            self._finish_job(job, result, journal, results)
 
-    def _run_parallel(
-        self,
-        to_run: List[Job],
-        journal: Journal,
-        failed_attempts: Dict[str, int],
-        results: Dict[str, JobResult],
-    ) -> None:
-        from .parallel import ParallelCampaignExecutor
+    def _attempts(
+        self, jobs: int, journal: Journal
+    ) -> Union["_InProcess", "WorkerPool"]:
+        """Where attempts run: this process when ``workers`` is 1, else a
+        :class:`~repro.campaign.parallel.WorkerPool` of at most ``jobs``
+        workers — a lone job too, so its hang timeout is enforced."""
+        if self.workers == 1:
+            return _InProcess(self, journal)
+        from .parallel import WorkerPool
 
-        def merge(metrics: Dict[str, float]) -> None:
-            self._registry.merge(metrics)
-
-        executor = ParallelCampaignExecutor(
-            workers=min(self.workers, len(to_run)),
-            retry=self.retry,
-            analyze=self.analyze,
-            certify=self.certify,
+        return WorkerPool(
+            min(self.workers, jobs),
             # The default verify is importable in every worker; only a
             # custom verify_fn needs to cross the process boundary.
             verify_fn=None if self._verify_is_default else self.verify_fn,
             fault_plan=self.fault_plan,
-            journal=journal,
-            log=self._log,
-            failed_attempts=failed_attempts,
-            on_finish=lambda job, result: self._finish_job(
-                job, result, journal, results
-            ),
-            merge_metrics=merge,
+            analyze=self.analyze,
+            certify=self.certify,
             hang_timeout=self.hang_timeout,
         )
-        executor.run(to_run)
-        crashes = executor.worker_crashes
-        if crashes:
-            self._registry.merge({"campaign.worker_crashes": float(crashes)})
-        hangs = executor.worker_hangs
-        if hangs:
-            self._registry.merge({"campaign.worker_hangs": float(hangs)})
+
+    def _settle(
+        self,
+        job: Job,
+        attempt: int,
+        outcome: Union[JobResult, AttemptFailure],
+        journal: Journal,
+        pending: Deque[Job],
+        failed: Dict[str, int],
+        results: Dict[str, JobResult],
+    ) -> None:
+        """Journal how one attempt ended — a verdict, an exception from
+        ``verify()``, a crashed or hung worker alike — then finish the
+        job, or re-queue it at the head of ``pending`` when the failure
+        is recoverable and attempts remain."""
+        if isinstance(outcome, JobResult):
+            self._finish_job(job, outcome, journal, results)
+            return
+        failed[job.job_id] = attempt
+        retry = outcome.recoverable and attempt < self.retry.max_attempts
+        detail = outcome.detail + ("; job re-queued" if retry else "")
+        journal.append({
+            "event": "attempt_failed",
+            "job_id": job.job_id,
+            "attempt": attempt,
+            "method": job.method,
+            "error": outcome.error,
+            "detail": detail,
+        })
+        if retry:
+            self._log(
+                f"{job.job_id}: attempt {attempt}/{self.retry.max_attempts}"
+                f" failed — {outcome.error}: {detail}"
+            )
+            pending.appendleft(job)
+            return
+        self._finish_job(job, JobResult(
+            job_id=job.job_id, status="INCONCLUSIVE", method=job.method,
+            attempts=attempt, detail=f"{outcome.error}: {outcome.detail}",
+        ), journal, results)
+
+
+def _start_record(
+    job: Job, attempt: int, budgets: Budgets
+) -> Dict[str, object]:
+    """The ``start`` record of one attempt."""
+    max_conflicts, max_wall, max_memory = budgets
+    record: Dict[str, object] = {
+        "event": "start",
+        "job_id": job.job_id,
+        "attempt": attempt,
+        "method": job.method,
+        "max_conflicts": max_conflicts,
+    }
+    # Guard budgets ride in the start record only when enforced, so
+    # journals of unsupervised campaigns keep their old shape.
+    if max_wall is not None:
+        record["max_wall_seconds"] = max_wall
+    if max_memory is not None:
+        record["max_memory_mb"] = max_memory
+    return record
+
+
+class _InProcess:
+    """Runs each attempt in this process as it is submitted (``workers=1``),
+    behind the interface of :class:`~repro.campaign.parallel.WorkerPool`.
+
+    An :class:`~repro.campaign.faults.InjectedCrash` unwinds the whole
+    campaign from here, and a ``journal-corrupt`` fault can tear the
+    journal's tail: this process holds the journal, a worker does not.
+    """
+
+    def __init__(self, runner: CampaignRunner, journal: Journal) -> None:
+        self._runner = runner
+        self._journal = journal
+        self._ended: List[Ended] = []
+
+    def __enter__(self) -> "_InProcess":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        pass
+
+    @property
+    def busy(self) -> bool:
+        """True while an attempt's outcome awaits :meth:`collect`."""
+        return bool(self._ended)
+
+    @property
+    def idle(self) -> bool:
+        return not self._ended
+
+    def submit(self, job: Job, attempt: int, budgets: Budgets) -> None:
+        runner = self._runner
+        outcome, metrics = run_attempt(
+            job, attempt, budgets, runner.verify_fn,
+            analyze=runner.analyze,
+            certify=runner.certify,
+            fault_plan=runner.fault_plan,
+            fault_journal=self._journal,
+        )
+        self._ended.append((job, attempt, outcome, metrics))
+
+    def collect(self) -> List[Ended]:
+        ended, self._ended = self._ended, []
+        return ended

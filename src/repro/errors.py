@@ -80,11 +80,11 @@ class BudgetExhausted(ReproError, TimeoutError):
 class MemoryBudgetExhausted(BudgetExhausted, MemoryError):
     """A memory budget ran out before a verdict.
 
-    Subclasses both :class:`BudgetExhausted` (the campaign executor's
-    recoverable-retry path catches ``(BudgetExhausted, MemoryError)``, so
-    either parent suffices for escalation) and :class:`MemoryError` (the
-    exception a real allocator failure raises, which the paper's 4 GB
-    kills correspond to).
+    Subclasses both :class:`BudgetExhausted` (a campaign attempt that
+    fails with either ``BudgetExhausted`` or ``MemoryError`` is retried
+    under an escalated budget, so either parent suffices) and
+    :class:`MemoryError` (the exception a real allocator failure raises,
+    which the paper's 4 GB kills correspond to).
 
     Attributes:
         bytes_used: estimated bytes attributed to the run at the abort.
@@ -113,8 +113,9 @@ class RewriteFailed(ReproError):
     Distinct from a rewriting pass that *flags a bug* (which is a normal
     :class:`~repro.core.results.VerificationResult` outcome): this error
     means the diagram did not have the structural shape the rules assume,
-    so the rewriting method itself is inapplicable and the caller should
-    fall back to Positive Equality on the full formula.
+    so the rewriting method itself is inapplicable.  It is structural: a
+    campaign ends the job ``INCONCLUSIVE`` under its own method, since no
+    bigger budget can help, and runs no other method in its place.
     """
 
     def __init__(self, message: str, *, entry: Optional[int] = None,

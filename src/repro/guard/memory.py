@@ -21,7 +21,7 @@ The reported usage is the maximum of the sources, so an injected
 deterministically even where the samplers are unavailable.
 
 Exhaustion raises :class:`~repro.errors.MemoryBudgetExhausted`, which the
-campaign executor treats exactly like a conflict-budget blow-up: journal
+campaign runner treats exactly like a conflict-budget blow-up: journal
 the failed attempt and retry with an escalated budget — the campaign
 analogue of the paper's 4 GB memory-limit kills (Sect. 7.1).
 """

@@ -1,7 +1,7 @@
 """Verification-as-a-service: the job server.
 
 ``python -m repro serve`` wraps the campaign substrate (crash-safe
-journal, retry/escalation executor, supervision budgets, witness
+journal, retry/escalation runner, supervision budgets, witness
 certification) in a long-lived HTTP/JSON service, one thread per
 connection (:mod:`repro.service.app`):
 
@@ -10,7 +10,7 @@ connection (:mod:`repro.service.app`):
   options), dedupes every job against the content-addressed result
   cache (:mod:`repro.service.cache`, keyed by
   :func:`repro.core.keys.canonical_key`), and runs the misses on the
-  campaign executor under guard budgets;
+  campaign runner under guard budgets;
 * **status** — ``GET /v1/sessions/{id}`` (optionally long-polling) and
   ``GET /v1/sessions/{id}/events`` (Server-Sent Events derived from the
   session journal via :class:`repro.campaign.journal.JournalTailer`);

@@ -2,7 +2,7 @@
 
 A *session* is one accepted submit request: a batch of verification
 jobs, each first deduped against the content-addressed result cache and
-then — for the misses — run on the campaign executor against the
+then — for the misses — run on the campaign runner against the
 session's own crash-safe journal.  The session directory
 
 ::
@@ -189,6 +189,8 @@ class SessionManager:
             raise ServiceError(500, "queue_limit must be at least 1")
         if max_running < 1:
             raise ServiceError(500, "max_running must be at least 1")
+        if session_workers < 1:
+            raise ServiceError(500, "session_workers must be at least 1")
         self.data_dir = os.fspath(data_dir)
         self.sessions_dir = os.path.join(self.data_dir, "sessions")
         os.makedirs(self.sessions_dir, exist_ok=True)

@@ -17,7 +17,7 @@ artifact is immutable.
 
 :class:`ArtifactStoringVerify` is the seam that feeds the store: a
 picklable ``verify_fn`` wrapper the session installs in the campaign
-executor, so artifact persistence works identically in-process and in
+runner, so artifact persistence works identically in-process and in
 ``--session-workers`` worker processes (each worker re-opens the store
 by path; the blobs are content-addressed, so concurrent writers of the
 same artifact commute).

@@ -1,9 +1,9 @@
 """RS003 — single-writer campaign journal.
 
-The crash-resume story of :mod:`repro.campaign` rests on one invariant
-(PRs 1/4): the journal has exactly one writer — the parent process.
-Workers and the shared per-job executor *emit* would-be records over a
-queue; only the runner/parent appends.  If any other module gains a
+The crash-resume story of :mod:`repro.campaign` rests on one invariant:
+the journal has exactly one writer — the campaign runner, in the parent
+process.  Workers and the pool that runs them only report how each
+attempt ended; the runner journals it.  If any other module gains a
 direct mutation path, concurrent appends can interleave torn lines and
 resume silently replays a corrupted history.
 
@@ -15,11 +15,12 @@ The checker flags, anywhere outside the allow-listed writer modules:
   append mode *is* acquiring writership).
 
 Allow-listed writers: ``campaign/journal.py`` (the implementation),
-``campaign/runner.py`` and ``campaign/parallel.py`` (the single-writer
-parents), ``campaign/faults.py`` (the ``journal-corrupt`` fault seam,
-which fires only in the parent where ``fault_journal`` is non-None).
-Within ``parallel.py`` the worker entry points (functions whose name
-starts with ``_worker``) remain forbidden: they run in child processes.
+``campaign/runner.py`` (the single writer), ``campaign/faults.py`` (the
+``journal-corrupt`` fault seam, which fires only in-process, where
+``fault_journal`` is non-None).  ``campaign/parallel.py``, the worker
+pool, is not a writer.  Within a writer module, worker entry points
+(functions whose name starts with ``_worker``) remain forbidden: they
+run in child processes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ _MUTATION_ATTRS = frozenset({"append", "corrupt_tail", "close"})
 WRITER_MODULES = (
     "repro/campaign/journal.py",
     "repro/campaign/runner.py",
-    "repro/campaign/parallel.py",
     "repro/campaign/faults.py",
 )
 

@@ -18,7 +18,7 @@ from repro.campaign import (
     RetryPolicy,
 )
 from repro.campaign.jobs import TERMINAL_STATES
-from repro.campaign.parallel import WORKER_CRASH_ERROR
+from repro.campaign.parallel import WORKER_CRASH_ERROR, WORKER_HUNG_ERROR
 from repro.core.results import VerificationResult
 from repro.errors import CampaignError
 
@@ -88,13 +88,35 @@ class TestParallelBasics:
         with pytest.raises(CampaignError):
             CampaignRunner(str(tmp_path / "j.jsonl"), workers=0)
 
-    def test_single_job_runs_in_process(self, tmp_path):
-        # One job never pays pool overhead; no worker id is recorded.
+    def test_single_job_runs_on_a_worker(self, tmp_path):
+        # A lone job still runs on the pool, where the hang timeout is
+        # enforced: its result names the worker.
         report = CampaignRunner(
             str(tmp_path / "j.jsonl"), verify_fn=fake_verify, workers=4
         ).run([Job.build(2, 1)])
         assert report.counts() == {"PROVED": 1}
-        assert next(iter(report.results.values())).worker is None
+        assert next(iter(report.results.values())).worker == 0
+
+    def test_single_job_hang_is_killed_and_retried(self, tmp_path):
+        # One job left (a one-job grid, or a resume) with workers=2: the
+        # hang of its first attempt is detected, and the retry proves it.
+        # The hang is bounded, so a run that never detects it fails in
+        # 10 s (BudgetExhausted) instead of hanging the suite.
+        path = str(tmp_path / "j.jsonl")
+        hang = Fault(FaultKind.HANG, job_id="rw-N2-k1", amount=10.0)
+        report = CampaignRunner(
+            path, verify_fn=fake_verify, workers=2, hang_timeout=1.0,
+            fault_plan=FaultPlan([hang]),
+        ).run([Job.build(2, 1)])
+        result = report.results["rw-N2-k1"]
+        assert (result.status, result.attempts) == ("PROVED", 2)
+        hung = [
+            e for e in journal_events(path)
+            if e["event"] == "attempt_failed"
+            and e["error"] == WORKER_HUNG_ERROR
+        ]
+        assert [e["attempt"] for e in hung] == [1]
+        assert report.metrics["campaign.worker_hangs"] == 1
 
 
 class TestSingleWriterJournal:
@@ -259,20 +281,28 @@ _counter = itertools.count()
 
 
 def _attempt_trace(path):
-    """Per-job (attempt, method, error) failure sequences — the observable
-    fault firings — plus terminal (status, method, attempts)."""
+    """Per-job (attempt, max_conflicts) start sequences — the escalation
+    schedule — and (attempt, method, error) failure sequences — the
+    observable fault firings — plus terminal (status, method, attempts,
+    detail): an ``INCONCLUSIVE`` job's detail names its last failure."""
+    starts = {}
     failures = {}
     outcomes = {}
     for event in journal_events(path):
-        if event["event"] == "attempt_failed":
+        if event["event"] == "start":
+            starts.setdefault(event["job_id"], []).append(
+                (event["attempt"], event["max_conflicts"])
+            )
+        elif event["event"] == "attempt_failed":
             failures.setdefault(event["job_id"], []).append(
                 (event["attempt"], event["method"], event["error"])
             )
         elif event["event"] == "finish":
             outcomes[event["job_id"]] = (
-                event["status"], event["method"], event["attempts"]
+                event["status"], event["method"], event["attempts"],
+                event["detail"],
             )
-    return failures, outcomes
+    return starts, failures, outcomes
 
 
 @settings(max_examples=8, deadline=None)
@@ -289,7 +319,8 @@ def test_sequential_and_parallel_runs_are_equivalent(
     tmp_path_factory, plan_spec
 ):
     """Property: the same spec + fault plan produces identical per-job
-    statuses and fault firings whether run sequentially or with workers.
+    attempt schedules, fault firings, statuses and ``INCONCLUSIVE``
+    details whether run sequentially or with workers.
 
     Restricted to recoverable fault kinds: ``crash`` intentionally differs
     in scope (kills the whole sequential campaign but only one worker)."""
@@ -311,9 +342,10 @@ def test_sequential_and_parallel_runs_are_equivalent(
         ).run(jobs)
         return _attempt_trace(path), report
 
-    (seq_failures, seq_outcomes), seq_report = run(workers=1)
-    (par_failures, par_outcomes), par_report = run(workers=2)
+    (seq_starts, seq_failures, seq_outcomes), seq_report = run(workers=1)
+    (par_starts, par_failures, par_outcomes), par_report = run(workers=2)
 
+    assert par_starts == seq_starts
     assert par_outcomes == seq_outcomes
     assert par_failures == seq_failures
     assert par_report.counts() == seq_report.counts()

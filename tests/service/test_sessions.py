@@ -372,6 +372,8 @@ class TestValidation:
             SessionManager(str(tmp_path / "d"), queue_limit=0)
         with pytest.raises(ServiceError):
             SessionManager(str(tmp_path / "d"), max_running=0)
+        with pytest.raises(ServiceError):
+            SessionManager(str(tmp_path / "d"), session_workers=0)
 
     def test_unknown_session_is_404(self, tmp_path):
         manager = make_manager(tmp_path, CountingVerify())
