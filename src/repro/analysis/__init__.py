@@ -37,9 +37,7 @@ from .diagnostics import (
 )
 from .cnf_audit import audit_cnf, audit_eij_transitivity
 from .dag_lint import (
-    audit_dag,
     audit_hash_consing,
-    audit_intern_reachability,
     audit_memory_free,
     audit_propositional,
 )
@@ -80,9 +78,7 @@ __all__ = [
     "analyze_rules",
     "audit_cnf",
     "audit_eij_transitivity",
-    "audit_dag",
     "audit_hash_consing",
-    "audit_intern_reachability",
     "audit_memory_free",
     "audit_propositional",
 ]

@@ -1,6 +1,6 @@
 """Hygiene lint over the hash-consed EUFM DAG.
 
-Three invariants keep the rest of the stack honest:
+Two invariants keep the rest of the stack honest:
 
 * **hash-consing** — structurally identical sub-expressions must be the
   *same* object (``intern_node`` guarantees it for expressions built
@@ -13,10 +13,6 @@ Three invariants keep the rest of the stack honest:
   Tseitin translation.  Both residues raise ``TypeError`` deep inside the
   pipeline eventually; the lint reports them at the stage boundary with
   an explanation instead.
-* **intern-cache reachability** — nodes interned but unreachable from
-  the formulas of interest: the run's intern table keeps every node the
-  run built, intermediate stages included, until the next run starts
-  (reported as info with counts; expected, worth seeing in a report).
 """
 
 from __future__ import annotations
@@ -34,17 +30,14 @@ from ..eufm.ast import (
     UFApp,
     UPApp,
     Write,
-    interned_count,
 )
-from ..eufm.traversal import iter_dag, node_count
-from .diagnostics import ERROR, INFO, Diagnostic
+from ..eufm.traversal import iter_dag
+from .diagnostics import ERROR, Diagnostic
 
 __all__ = [
     "audit_hash_consing",
     "audit_memory_free",
     "audit_propositional",
-    "audit_intern_reachability",
-    "audit_dag",
 ]
 
 _PROPOSITIONAL_KINDS = ("bvar", "const", "not", "and", "or", "fite")
@@ -132,39 +125,4 @@ def audit_propositional(phi: Formula, stage: str = "dag") -> List[Diagnostic]:
                 subject=f"{node.kind} uid={node.uid}",
                 message=f"{detail}; the Tseitin translation will reject it",
             ))
-    return diagnostics
-
-
-def audit_intern_reachability(*roots: Expr) -> List[Diagnostic]:
-    """Report interned nodes unreachable from ``roots`` (dead weight)."""
-    reachable = node_count(*roots)
-    interned = interned_count()
-    unreachable = max(0, interned - reachable)
-    if unreachable == 0:
-        return []
-    return [Diagnostic(
-        severity=INFO,
-        stage="dag",
-        check="dag.interned-unreachable",
-        message=(
-            f"{unreachable} of {interned} interned node(s) are unreachable "
-            "from the audited formulas; the run's intern table keeps "
-            "them alive until the next run starts"
-        ),
-        data={"interned": interned, "reachable": reachable,
-              "unreachable": unreachable},
-    )]
-
-
-def audit_dag(*roots: Expr) -> List[Diagnostic]:
-    """The full hygiene report for a set of formula roots."""
-    diagnostics = audit_hash_consing(*roots)
-    diagnostics.extend(audit_intern_reachability(*roots))
-    if not diagnostics:
-        diagnostics.append(Diagnostic(
-            severity=INFO,
-            stage="dag",
-            check="dag.audit-clean",
-            message=f"{node_count(*roots)} node(s) audited",
-        ))
     return diagnostics

@@ -28,10 +28,10 @@ Event vocabulary written by the runner:
 A job with a ``start`` but no ``finish`` was in flight when the process
 died and is re-run on resume; a job with a ``finish`` is never re-run.
 
-The journal has exactly one writer.  In parallel campaigns
-(``CampaignRunner(..., workers=N)``) the worker processes stream their
-would-be records to the parent over a result queue and the parent alone
-appends them, so records of concurrent jobs interleave but every per-job
+The journal has exactly one writer, the campaign runner.  In parallel
+campaigns (``CampaignRunner(..., workers=N)``) a worker process runs one
+attempt per task and sends back only its outcome; the runner writes
+every record, so records of concurrent jobs interleave but every per-job
 subsequence reads exactly like a sequential run's.
 """
 

@@ -30,6 +30,12 @@ more (a beat may be in flight), then escalates ``terminate()`` →
 ``kill()`` and reports the attempt as failed with error ``WorkerHung``.
 A lost worker is replaced when the next attempt needs one.
 
+Orphans: a campaign killed outright sends its workers no sentinel.  A
+worker therefore waits for its next task one heartbeat interval at a
+time and, after each wait and before each beat, checks that the
+campaign process that spawned it is still its parent; once it is not,
+the worker exits.
+
 Fault plans are partitioned deterministically by job id
 (:meth:`FaultPlan.for_job`), so ``workers=N`` fires the same injected
 faults as an in-process run of the same plan.
@@ -81,17 +87,27 @@ def _campaign_context() -> multiprocessing.context.BaseContext:
 
 
 def _worker_main(
-    worker_id: int, inbox: Any, outbox: Any, options: Dict[str, Any]
+    worker_id: int, parent: int, inbox: Any, outbox: Any,
+    options: Dict[str, Any],
 ) -> None:
-    """Worker entry: run one attempt per task until the ``None`` sentinel."""
+    """Worker entry: run one attempt per task until the ``None`` sentinel,
+    or until the campaign process ``parent`` is gone — a killed campaign
+    sends no sentinel, and its workers must not outlive it."""
     verify_fn = options["verify_fn"]
     if verify_fn is None:
         from ..core.verifier import verify as verify_fn
+    interval = options["heartbeat_interval"]
 
     def beat(stage: str) -> None:
+        if os.getppid() != parent:
+            os._exit(0)  # orphaned mid-attempt: nobody awaits the outcome
         outbox.put({"event": "heartbeat", "worker": worker_id})
 
     while True:
+        if not inbox._reader.poll(interval):
+            if os.getppid() != parent:
+                return
+            continue
         task = inbox.get()
         if task is None:
             return
@@ -108,10 +124,7 @@ def _worker_main(
                 # Every deadline check site in the pipeline doubles as a
                 # liveness beat to the parent, throttled to one per
                 # heartbeat interval.
-                deadline=Deadline(
-                    heartbeat=beat,
-                    heartbeat_interval=options["heartbeat_interval"],
-                ),
+                deadline=Deadline(heartbeat=beat, heartbeat_interval=interval),
             )
         except InjectedCrash:
             os._exit(_CRASH_EXIT_CODE)
@@ -277,7 +290,7 @@ class WorkerPool:
         inbox = self._ctx.SimpleQueue()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, inbox, self._outbox, self._options),
+            args=(worker_id, os.getpid(), inbox, self._outbox, self._options),
             name=f"campaign-worker-{worker_id}",
             daemon=True,
         )

@@ -4,7 +4,7 @@ This package is the logical substrate of the reproduction: hash-consed
 expression DAGs, smart constructors, traversal utilities, polarity
 (Positive Equality) classification, a concrete
 evaluator used as semantic ground truth in tests, and an S-expression
-printer/parser pair.
+printer.
 """
 
 from .ast import (
@@ -48,19 +48,13 @@ from .builder import (
     xor,
 )
 from .evaluator import Interpretation, MemVal, SortError, evaluate
-from .parser import ParseError, parse
 from .polarity import BOTH, NEG, POS, PolarityInfo, classify
-from .printer import pretty, to_sexpr
+from .printer import to_sexpr
 from .traversal import (
     bool_variables,
-    dag_depth,
     equations,
-    expression_stats,
-    function_symbols,
     iter_dag,
-    memory_nodes,
     node_count,
-    predicate_symbols,
     rebuild,
     substitute,
     term_variables,
@@ -110,10 +104,7 @@ __all__ = [
     "MemVal",
     "SortError",
     "evaluate",
-    # parser / printer
-    "ParseError",
-    "parse",
-    "pretty",
+    # printer
     "to_sexpr",
     # polarity
     "BOTH",
@@ -123,14 +114,9 @@ __all__ = [
     "classify",
     # traversal
     "bool_variables",
-    "dag_depth",
     "equations",
-    "expression_stats",
-    "function_symbols",
     "iter_dag",
-    "memory_nodes",
     "node_count",
-    "predicate_symbols",
     "rebuild",
     "substitute",
     "term_variables",

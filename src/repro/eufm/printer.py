@@ -1,6 +1,4 @@
-"""S-expression serialization of EUFM expressions.
-
-The format round-trips through :mod:`repro.eufm.parser`:
+"""S-expression rendering of EUFM expressions.
 
 * term variable                  ``x``
 * Boolean variable               ``$b``
@@ -11,60 +9,32 @@ The format round-trips through :mod:`repro.eufm.parser`:
 * connectives                    ``(not f)`` / ``(and ...)`` / ``(or ...)``
 * constants                      ``true`` / ``false``
 
-Boolean-sorted names carry a ``$`` sigil so the parser can reconstruct the
-sort without a symbol table.
+Boolean-sorted names carry a ``$`` sigil, so a term and a formula of the
+same name never print alike.  :func:`to_sexpr` renders a whole
+expression (the rule-registry fingerprint, counterexample diagnostics,
+Fig. 2); :func:`clip_sexpr` a depth-clipped one (``repr``).  Both go
+through one kind dispatch, :func:`_render`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from .ast import Expr, FALSE, TRUE
+from .ast import Expr
 from .traversal import iter_dag
 
-__all__ = ["to_sexpr", "clip_sexpr", "pretty"]
+__all__ = ["to_sexpr", "clip_sexpr"]
+
+#: kinds rendered as a bare name or constant, never clipped.
+_LEAF_KINDS = ("const", "tvar", "bvar")
 
 
 def to_sexpr(root: Expr) -> str:
     """Serialize ``root`` as a single-line S-expression."""
     text: Dict[Expr, str] = {}
     for node in iter_dag(root):
-        text[node] = _render(node, text)
+        text[node] = _render(node, [text[child] for child in node.children])
     return text[root]
-
-
-def _render(node: Expr, text: Dict[Expr, str]) -> str:
-    kind = node.kind
-    if kind == "const":
-        return "true" if node.value else "false"
-    if kind == "tvar":
-        return node.name
-    if kind == "bvar":
-        return "$" + node.name
-    if kind == "uf":
-        if not node.args:
-            return f"({node.symbol})"
-        return "(" + " ".join([node.symbol] + [text[a] for a in node.args]) + ")"
-    if kind == "up":
-        head = "$" + node.symbol
-        if not node.args:
-            return f"({head})"
-        return "(" + " ".join([head] + [text[a] for a in node.args]) + ")"
-    if kind in ("tite", "fite"):
-        return f"(ite {text[node.cond]} {text[node.then]} {text[node.els]})"
-    if kind == "read":
-        return f"(read {text[node.mem]} {text[node.addr]})"
-    if kind == "write":
-        return f"(write {text[node.mem]} {text[node.addr]} {text[node.data]})"
-    if kind == "eq":
-        return f"(= {text[node.lhs]} {text[node.rhs]})"
-    if kind == "not":
-        return f"(not {text[node.arg]})"
-    if kind == "and":
-        return "(" + " ".join(["and"] + [text[a] for a in node.args]) + ")"
-    if kind == "or":
-        return "(" + " ".join(["or"] + [text[a] for a in node.args]) + ")"
-    raise TypeError(f"unknown node kind {kind!r}")
 
 
 def clip_sexpr(root: Expr, max_depth: int = 4) -> str:
@@ -77,60 +47,32 @@ def clip_sexpr(root: Expr, max_depth: int = 4) -> str:
     such terms).  This variant elides everything below ``max_depth`` as
     ``...`` and never materializes more than the clipped text.
     """
-    kind = root.kind
-    if kind == "const":
-        return "true" if root.value else "false"
-    if kind == "tvar":
-        return root.name
-    if kind == "bvar":
-        return "$" + root.name
-    if max_depth <= 0:
+    if max_depth <= 0 and root.kind not in _LEAF_KINDS:
         return "..."
-    inner = [clip_sexpr(child, max_depth - 1) for child in root.children]
-    if kind == "uf":
-        return "(" + " ".join([root.symbol] + inner) + ")"
-    if kind == "up":
-        return "(" + " ".join(["$" + root.symbol] + inner) + ")"
-    if kind in ("tite", "fite"):
-        return "(" + " ".join(["ite"] + inner) + ")"
-    if kind == "read":
-        return "(" + " ".join(["read"] + inner) + ")"
-    if kind == "write":
-        return "(" + " ".join(["write"] + inner) + ")"
-    if kind == "eq":
-        return "(" + " ".join(["="] + inner) + ")"
-    if kind == "not":
-        return "(" + " ".join(["not"] + inner) + ")"
-    if kind in ("and", "or"):
-        return "(" + " ".join([kind] + inner) + ")"
-    raise TypeError(f"unknown node kind {kind!r}")
+    return _render(
+        root, [clip_sexpr(child, max_depth - 1) for child in root.children]
+    )
 
 
-def pretty(root: Expr, max_width: int = 100) -> str:
-    """Multi-line rendering with indentation for human inspection."""
-    return _pretty(root, indent=0, max_width=max_width)
-
-
-def _pretty(node: Expr, indent: int, max_width: int) -> str:
-    flat = to_sexpr(node)
-    if len(flat) + indent <= max_width or not node.children:
-        return flat
-    pad = " " * (indent + 2)
-    head = _head_token(node)
-    parts: List[str] = []
-    for child in node.children:
-        parts.append(pad + _pretty(child, indent + 2, max_width))
-    return f"({head}\n" + "\n".join(parts) + ")"
-
-
-def _head_token(node: Expr) -> str:
+def _render(node: Expr, parts: List[str]) -> str:
+    """The text of ``node`` given the text of each of its children."""
     kind = node.kind
+    if kind == "const":
+        return "true" if node.value else "false"
+    if kind == "tvar":
+        return node.name
+    if kind == "bvar":
+        return "$" + node.name
     if kind == "uf":
-        return node.symbol
-    if kind == "up":
-        return "$" + node.symbol
-    if kind in ("tite", "fite"):
-        return "ite"
-    if kind == "eq":
-        return "="
-    return kind
+        head = node.symbol
+    elif kind == "up":
+        head = "$" + node.symbol
+    elif kind in ("tite", "fite"):
+        head = "ite"
+    elif kind == "eq":
+        head = "="
+    elif kind in ("read", "write", "not", "and", "or"):
+        head = kind
+    else:
+        raise TypeError(f"unknown node kind {kind!r}")
+    return "(" + " ".join([head, *parts]) + ")"

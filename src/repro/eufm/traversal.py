@@ -8,40 +8,18 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from .ast import (
-    And,
-    BoolConst,
-    BoolVar,
-    Eq,
-    Expr,
-    Formula,
-    FormulaITE,
-    Not,
-    Or,
-    Read,
-    Term,
-    TermITE,
-    TermVar,
-    UFApp,
-    UPApp,
-    Write,
-)
+from .ast import BoolVar, Eq, Expr, TermVar
 from . import builder
 from ..guard.deadline import current_deadline
 
 __all__ = [
     "iter_dag",
     "node_count",
-    "dag_depth",
     "term_variables",
     "bool_variables",
-    "function_symbols",
-    "predicate_symbols",
     "equations",
-    "memory_nodes",
     "rebuild",
     "substitute",
-    "expression_stats",
 ]
 
 
@@ -77,18 +55,6 @@ def node_count(*roots: Expr) -> int:
     return sum(1 for _ in iter_dag(*roots))
 
 
-def dag_depth(root: Expr) -> int:
-    """Length of the longest root-to-leaf path (a leaf has depth 1)."""
-    depth: Dict[Expr, int] = {}
-    for node in iter_dag(root):
-        children = node.children
-        if children:
-            depth[node] = 1 + max(depth[child] for child in children)
-        else:
-            depth[node] = 1
-    return depth[root]
-
-
 def term_variables(*roots: Expr) -> List[TermVar]:
     """All distinct term variables, in first-encountered (post-order) order."""
     return [node for node in iter_dag(*roots) if isinstance(node, TermVar)]
@@ -99,36 +65,9 @@ def bool_variables(*roots: Expr) -> List[BoolVar]:
     return [node for node in iter_dag(*roots) if isinstance(node, BoolVar)]
 
 
-def function_symbols(*roots: Expr) -> List[str]:
-    """Distinct UF symbols, in order of first appearance."""
-    symbols: List[str] = []
-    seen: Set[str] = set()
-    for node in iter_dag(*roots):
-        if isinstance(node, UFApp) and node.symbol not in seen:
-            seen.add(node.symbol)
-            symbols.append(node.symbol)
-    return symbols
-
-
-def predicate_symbols(*roots: Expr) -> List[str]:
-    """Distinct UP symbols, in order of first appearance."""
-    symbols: List[str] = []
-    seen: Set[str] = set()
-    for node in iter_dag(*roots):
-        if isinstance(node, UPApp) and node.symbol not in seen:
-            seen.add(node.symbol)
-            symbols.append(node.symbol)
-    return symbols
-
-
 def equations(*roots: Expr) -> List[Eq]:
     """All distinct equations in the DAG."""
     return [node for node in iter_dag(*roots) if isinstance(node, Eq)]
-
-
-def memory_nodes(*roots: Expr) -> List[Expr]:
-    """All distinct ``read``/``write`` nodes in the DAG."""
-    return [node for node in iter_dag(*roots) if isinstance(node, (Read, Write))]
 
 
 def rebuild(
@@ -218,12 +157,3 @@ def _rebuild(node: Expr, rebuilt: Dict[Expr, Expr]) -> Expr:
     if kind == "or":
         return builder.or_(*[rebuilt[a] for a in node.args])
     raise TypeError(f"unknown node kind {kind!r}")
-
-
-def expression_stats(*roots: Expr) -> Dict[str, int]:
-    """Counts of node kinds — handy for reporting formula sizes."""
-    stats: Dict[str, int] = {}
-    for node in iter_dag(*roots):
-        stats[node.kind] = stats.get(node.kind, 0) + 1
-    stats["total"] = sum(stats.values())
-    return stats

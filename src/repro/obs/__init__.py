@@ -8,8 +8,8 @@ The measurement substrate for the whole verification pipeline:
   nothing when tracing is off;
 * :mod:`repro.obs.metrics` — metrics registry, JSON snapshots, and the
   tolerance-based snapshot comparator behind ``python -m repro perf``;
-* :mod:`repro.obs.exporters` — span-tree text rendering, JSON and Chrome
-  trace-event (Perfetto) trace exports, CSV metric rows;
+* :mod:`repro.obs.exporters` — the span tree as text, as JSON and as
+  Chrome trace events (Perfetto), one writer per ``trace --format``;
 * :mod:`repro.obs.cli` — the ``perf record``/``perf compare`` and
   ``trace`` subcommands.
 
@@ -22,14 +22,7 @@ attaches the resulting span tree to its result, the one source of the
 run's timings and counts.
 """
 
-from .exporters import (
-    metrics_to_csv,
-    render_span_tree,
-    trace_from_chrome,
-    trace_from_json,
-    trace_to_chrome,
-    trace_to_json,
-)
+from .exporters import render_span_tree, trace_to_chrome, trace_to_json
 from .metrics import (
     ComparisonReport,
     DEFAULT_TOLERANCES,
@@ -66,8 +59,5 @@ __all__ = [
     "compare_snapshots",
     "render_span_tree",
     "trace_to_json",
-    "trace_from_json",
     "trace_to_chrome",
-    "trace_from_chrome",
-    "metrics_to_csv",
 ]

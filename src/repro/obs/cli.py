@@ -56,12 +56,7 @@ from .metrics import (
     save_record,
     snapshot_from_result,
 )
-from .exporters import (
-    metrics_to_csv,
-    render_span_tree,
-    trace_to_chrome,
-    trace_to_json,
-)
+from .exporters import render_span_tree, trace_to_chrome, trace_to_json
 
 __all__ = ["perf_main", "trace_main"]
 
@@ -148,14 +143,6 @@ def build_perf_parser() -> argparse.ArgumentParser:
         "--out", default="perf_snapshot.json", metavar="FILE",
         help="where to write the one-row perf record",
     )
-    record.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help="also write the run's Chrome trace-event JSON here",
-    )
-    record.add_argument(
-        "--csv-out", default=None, metavar="FILE",
-        help="also write the metrics as CSV rows here",
-    )
 
     grid = sub.add_parser(
         "grid", help="record every run of the fixed grid into one record"
@@ -222,14 +209,6 @@ def _perf_record(args: argparse.Namespace) -> int:
         return 2
     save_record(args.out, [snapshot])
     print(f"recorded {len(snapshot.metrics)} metrics -> {args.out}")
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            json.dump(trace_to_chrome(result.trace), handle)
-        print(f"chrome trace -> {args.trace_out}")
-    if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as handle:
-            handle.write(metrics_to_csv(snapshot))
-        print(f"csv metrics -> {args.csv_out}")
     return 0 if result.correct else 1
 
 

@@ -1,9 +1,9 @@
 """Metrics registry, snapshots, and the perf-regression comparator.
 
-A :class:`MetricsRegistry` is a thread-safe flat store of counters and
-gauges keyed by stage-qualified names (``"sat.conflicts"``,
-``"encode.eij_primary"``).  A :class:`MetricsSnapshot` is its frozen,
-JSON-serializable form: campaigns journal one per job, and a perf
+A :class:`MetricsRegistry` is a thread-safe flat store of counters keyed
+by stage-qualified names (``"sat.conflicts"``,
+``"encode.eij_primary"``).  A :class:`MetricsSnapshot` is a frozen,
+JSON-serializable set of metric values: campaigns journal one per job, and a perf
 *record* (:func:`save_record`, :func:`load_record`) is a list of them,
 one row per run — ``python -m repro perf record`` writes one row, ``perf
 grid`` a fixed grid of rows, and ``perf compare`` turns two records into
@@ -56,7 +56,7 @@ __all__ = [
 
 
 class MetricsRegistry:
-    """Thread-safe counters and gauges keyed by stage-qualified name."""
+    """Thread-safe counters keyed by stage-qualified name."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -67,27 +67,15 @@ class MetricsRegistry:
         with self._lock:
             self._values[name] = self._values.get(name, 0.0) + value
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Overwrite the gauge ``name`` with ``value``."""
-        with self._lock:
-            self._values[name] = float(value)
-
     def merge(self, metrics: Mapping[str, float]) -> None:
         """Accumulate a whole mapping (e.g. a span's counters)."""
         with self._lock:
             for name, value in metrics.items():
                 self._values[name] = self._values.get(name, 0.0) + value
 
-    def clear(self) -> None:
-        with self._lock:
-            self._values.clear()
-
     def values(self) -> Dict[str, float]:
         with self._lock:
             return dict(self._values)
-
-    def snapshot(self, meta: Optional[Dict[str, Any]] = None) -> "MetricsSnapshot":
-        return MetricsSnapshot(metrics=self.values(), meta=dict(meta or {}))
 
 
 @dataclass

@@ -116,19 +116,6 @@ class Span:
             "children": [child.to_dict() for child in self.children],
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Span":
-        span = cls(data["name"], float(data.get("start_offset", 0.0)))
-        span.wall_seconds = float(data.get("wall_seconds", 0.0))
-        span.cpu_seconds = float(data.get("cpu_seconds", 0.0))
-        span.counters = {
-            str(k): float(v) for k, v in data.get("counters", {}).items()
-        }
-        span.children = [
-            cls.from_dict(child) for child in data.get("children", [])
-        ]
-        return span
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Span({self.name!r}, wall={self.wall_seconds:.6f}s, "

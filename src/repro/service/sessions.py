@@ -473,7 +473,7 @@ class SessionManager:
             log=self._log,
             analyze=request.analyze,
             certify=request.certify,
-            workers=min(self.session_workers, max(1, len(to_run))),
+            workers=self.session_workers,
         )
         report = runner.run(to_run)
         self.metrics.merge({

@@ -1,8 +1,7 @@
-"""DAG hygiene: hash-consing, stage residue, intern reachability."""
+"""DAG hygiene: hash-consing and stage residue."""
 
 from repro.analysis import (
     ERROR,
-    audit_dag,
     audit_hash_consing,
     audit_memory_free,
     audit_propositional,
@@ -75,12 +74,3 @@ class TestStageResidue:
         findings = audit_propositional(phi)
         assert "dag.non-propositional-residue" in checks(errors(findings))
         assert any("equation escaped" in d.message for d in findings)
-
-
-class TestAuditDag:
-    def test_clean_report_has_single_info(self):
-        phi = and_(bvar("p"), not_(bvar("q")))
-        findings = audit_dag(phi)
-        assert not errors(findings)
-        assert any(d.check in ("dag.audit-clean", "dag.interned-unreachable")
-                   for d in findings)

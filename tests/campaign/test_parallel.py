@@ -3,6 +3,12 @@ worker-crash recovery, and sequential/parallel equivalence."""
 
 import itertools
 import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -351,3 +357,82 @@ def test_sequential_and_parallel_runs_are_equivalent(
     assert par_report.counts() == seq_report.counts()
     assert {j: r.status for j, r in par_report.results.items()} == \
            {j: r.status for j, r in seq_report.results.items()}
+
+
+# ----------------------------------------------------------------------
+# A killed campaign leaves no workers behind
+# ----------------------------------------------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+
+def _stat(pid):
+    """``(state, ppid, start time)`` of ``pid`` from ``/proc``, or ``None``
+    once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError:
+        return None
+    fields = text.rsplit(")", 1)[1].split()
+    return fields[0], int(fields[1]), fields[19]
+
+
+def _children(pid):
+    """``{child pid: start time}`` of the processes ``pid`` forked."""
+    found = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _stat(int(entry))
+            if stat is not None and stat[1] == pid:
+                found[int(entry)] = stat[2]
+    return found
+
+
+def _running(processes):
+    """The processes of ``{pid: start time}`` still alive and not zombies
+    (the start time tells a reused pid apart)."""
+    alive = []
+    for pid, started in processes.items():
+        stat = _stat(pid)
+        if stat is not None and stat[0] != "Z" and stat[2] == started:
+            alive.append(pid)
+    return alive
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_workers_exit_when_the_campaign_is_killed(tmp_path):
+    # kill -9 sends the workers no sentinel: each must notice its parent
+    # is gone, between tasks or at its next heartbeat (every 3 s at the
+    # default --hang-timeout 30), and exit instead of waiting forever.
+    journal = tmp_path / "kill.jsonl"
+    campaign = subprocess.Popen(
+        [sys.executable, "-m", "repro", "campaign", "--journal", str(journal),
+         "--grid", "96x4,128x4,128x8,160x4,192x4,192x8", "--workers", "2",
+         "--quiet"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = {}
+    try:
+        waited = time.monotonic() + 60
+        while campaign.poll() is None and time.monotonic() < waited:
+            workers = _children(campaign.pid)
+            if len(workers) == 2 and journal.exists() \
+                    and any(Journal.load(str(journal)).events("start")):
+                break
+            time.sleep(0.05)
+        assert len(workers) == 2 and campaign.poll() is None, \
+            "the campaign never ran two workers"
+        campaign.kill()
+        campaign.wait()
+        waited = time.monotonic() + 10
+        while _running(workers) and time.monotonic() < waited:
+            time.sleep(0.1)
+        assert _running(workers) == [], "workers outlived their campaign"
+    finally:
+        if campaign.poll() is None:
+            campaign.kill()
+            campaign.wait()
+        for pid in _running(workers):
+            os.kill(pid, signal.SIGKILL)

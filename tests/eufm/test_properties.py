@@ -4,7 +4,8 @@ A random-expression strategy drives three core invariants:
 
 1. builder simplifications are sound (same value under every interpretation
    as a non-simplifying reference evaluation),
-2. the printer/parser round-trip is the identity on interned nodes,
+2. printing is injective: two interned nodes print alike exactly when
+   they are the same node,
 3. interning is canonical: structurally equal construction sequences yield
    the identical object.
 """
@@ -21,10 +22,10 @@ from repro.eufm import (
     evaluate,
     ite_formula,
     ite_term,
+    iter_dag,
     node_count,
     not_,
     or_,
-    parse,
     read,
     to_sexpr,
     tvar,
@@ -115,9 +116,11 @@ def formula_strategy(draw, depth=3):
 
 
 @settings(max_examples=150, deadline=None)
-@given(formula_strategy(), st.integers(0, 10))
-def test_round_trip_is_identity(phi, _seed):
-    assert parse(to_sexpr(phi)) is phi
+@given(formula_strategy(), formula_strategy())
+def test_printing_is_injective(phi, psi):
+    nodes = list(iter_dag(phi, psi))
+    assert len({to_sexpr(node) for node in nodes}) == len(nodes)
+    assert (to_sexpr(phi) == to_sexpr(psi)) == (phi is psi)
 
 
 @settings(max_examples=150, deadline=None)

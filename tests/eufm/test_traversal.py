@@ -1,4 +1,4 @@
-"""Tests for DAG traversal, substitution and statistics."""
+"""Tests for DAG traversal, collection, node counts and substitution."""
 
 import pytest
 
@@ -8,27 +8,20 @@ from repro.eufm import (
     and_,
     bool_variables,
     bvar,
-    dag_depth,
     eq,
     equations,
-    expression_stats,
-    function_symbols,
     interned_count,
     ite_term,
     iter_dag,
-    memory_nodes,
     node_count,
     not_,
     or_,
-    predicate_symbols,
-    read,
     rebuild,
     substitute,
     term_variables,
     tvar,
     uf,
     up,
-    write,
 )
 
 
@@ -75,43 +68,14 @@ class TestCollectors:
         root = _sample_formula()
         assert {v.name for v in bool_variables(root)} == {"p"}
 
-    def test_function_symbols(self):
-        root = _sample_formula()
-        assert function_symbols(root) == ["f"]
-
-    def test_predicate_symbols(self):
-        root = _sample_formula()
-        assert predicate_symbols(root) == ["q"]
-
     def test_equations(self):
         root = _sample_formula()
         assert len(equations(root)) == 1
-
-    def test_memory_nodes(self):
-        m, a, d = tvar("m"), tvar("a"), tvar("d")
-        root = eq(read(write(m, a, d), tvar("b")), d)
-        assert len(memory_nodes(root)) == 2
 
 
 class TestMetrics:
     def test_node_count_leaf(self):
         assert node_count(tvar("lonely")) == 1
-
-    def test_depth_leaf(self):
-        assert dag_depth(tvar("lonely")) == 1
-
-    def test_depth_chain(self):
-        node = tvar("base")
-        for i in range(10):
-            node = uf("f", [node])
-        assert dag_depth(node) == 11
-
-    def test_stats_totals(self):
-        root = _sample_formula()
-        stats = expression_stats(root)
-        assert stats["total"] == node_count(root)
-        assert stats["tvar"] == 2
-        assert stats["eq"] == 1
 
 
 class TestSubstitution:

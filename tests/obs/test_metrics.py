@@ -15,23 +15,19 @@ from repro.obs.metrics import load_record, save_record
 
 
 class TestRegistry:
-    def test_inc_set_and_merge(self):
+    def test_inc_and_merge(self):
         registry = MetricsRegistry()
         registry.inc("a")
         registry.inc("a", 2)
-        registry.set_gauge("g", 1.5)
         registry.merge({"a": 1, "b": 4})
-        assert registry.values() == {"a": 4.0, "b": 4.0, "g": 1.5}
-        registry.clear()
-        assert registry.values() == {}
+        assert registry.values() == {"a": 4.0, "b": 4.0}
 
-    def test_snapshot_freezes_values(self):
+    def test_values_are_a_copy(self):
         registry = MetricsRegistry()
         registry.inc("a")
-        snapshot = registry.snapshot(meta={"run": "x"})
+        values = registry.values()
         registry.inc("a")
-        assert snapshot.metrics == {"a": 1.0}
-        assert snapshot.meta == {"run": "x"}
+        assert values == {"a": 1.0}
 
     def test_concurrent_increments_do_not_lose_updates(self):
         registry = MetricsRegistry()

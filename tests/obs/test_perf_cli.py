@@ -141,19 +141,6 @@ class TestPerfRecordCompare:
             assert err.startswith("perf compare error: ")
             assert problem in err
 
-    def test_record_writes_trace_and_csv_sidecars(self, tmp_path):
-        base = tmp_path / "base.json"
-        trace = tmp_path / "trace.json"
-        csv = tmp_path / "metrics.csv"
-        code = perf_main(
-            ["record", *RUN, "--out", str(base),
-             "--trace-out", str(trace), "--csv-out", str(csv)]
-        )
-        assert code == 0
-        chrome = json.loads(trace.read_text())
-        assert chrome["traceEvents"][0]["name"] == "verify"
-        assert csv.read_text().startswith("metric,value\n")
-
 
 class TestNonFinite:
     """A NaN passes every comparison (``x > nan`` is false), so neither a

@@ -71,15 +71,16 @@ class TestSpanTree:
         assert root.total("n") == 5.0
         assert root.all_counters() == {"n": 5.0}
 
-    def test_to_dict_round_trips(self):
+    def test_to_dict_holds_the_tree(self):
         tracer = Tracer()
         with tracer.span("outer"):
             with tracer.span("inner"):
                 tracer.add("k", 4)
-        rebuilt = Span.from_dict(tracer.root.to_dict())
-        assert rebuilt.name == "outer"
-        assert rebuilt.children[0].name == "inner"
-        assert rebuilt.children[0].counters == {"k": 4.0}
+        data = tracer.root.to_dict()
+        assert data["name"] == "outer"
+        assert data["children"][0]["name"] == "inner"
+        assert data["children"][0]["counters"] == {"k": 4.0}
+        assert data["children"][0]["children"] == []
 
 
 class TestThreadSafety:

@@ -89,6 +89,26 @@ class TestRunAndComplete:
             manager.stop()
 
 
+class TestSessionWorkers:
+    def test_a_one_job_session_runs_on_the_pool(self, tmp_path):
+        # With session_workers > 1 even a lone job runs on a worker
+        # process, where the campaign's hang timeout is enforced.
+        verify = CountingVerify()
+        manager = make_manager(tmp_path, verify, session_workers=2)
+        manager.start()
+        try:
+            session = manager.submit(SubmitRequest.parse({"grid": "2x1"}))
+            session = wait_done(manager, session)
+            assert session.state == "completed"
+            finish = list(Journal.load(session.journal_path).events("finish"))
+            assert [(r["status"], r["worker"]) for r in finish] == [
+                ("PROVED", 0)
+            ]
+            assert verify.calls == []  # the solve ran in the worker
+        finally:
+            manager.stop()
+
+
 class TestCacheSemantics:
     def test_hit_serves_without_resolving(self, tmp_path):
         """The satellite contract: a cache hit must not re-solve — no
