@@ -199,3 +199,36 @@ class TestMemoryConstructors:
     def test_write_requires_terms(self):
         with pytest.raises(TypeError):
             write(tvar("m"), bvar("p"), tvar("d"))
+
+
+class TestSortChecks:
+    """The builders are the one place an ill-sorted expression is refused:
+    every operand of the wrong sort raises ``TypeError``."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: uf("f", [bvar("p")]), "argument of 'f' must be a term"),
+            (lambda: up("pr", [bvar("p")]), "argument of 'pr' must be a term"),
+            (lambda: ite_term(tvar("x"), tvar("y"), tvar("z")),
+             "ITE condition must be a formula"),
+            (lambda: ite_formula(bvar("p"), bvar("q"), tvar("x")),
+             "formula ITE operands must be formulas"),
+            (lambda: eq(tvar("x"), bvar("p")),
+             "equation operands must be terms"),
+            (lambda: not_(tvar("x")), "negation operand must be a formula"),
+            (lambda: and_(tvar("x"), bvar("p")),
+             "connective operands must be formulas"),
+            (lambda: or_(bvar("p"), tvar("x")),
+             "connective operands must be formulas"),
+            (lambda: read(tvar("m"), bvar("p")), "read operands must be terms"),
+            (lambda: write(tvar("m"), tvar("a"), bvar("p")),
+             "write operands must be terms"),
+        ],
+        ids=["(f $p)", "($pr $p)", "(ite x y z)", "(ite $p $q x)",
+             "(= x $p)", "(not x)", "(and x $p)", "(or $p x)",
+             "(read m $p)", "(write m a $p)"],
+    )
+    def test_ill_sorted_operand_is_refused(self, build, message):
+        with pytest.raises(TypeError, match=message):
+            build()

@@ -14,6 +14,7 @@ from repro.eufm import (
     not_,
     or_,
     read,
+    run_scope,
     to_sexpr,
     tvar,
     uf,
@@ -43,6 +44,27 @@ def _examples():
         read(write(m, a, d), tvar("b")),
         eq(write(m, a, d), m),
     ]
+
+
+#: The text of each of ``_examples()``, built on an empty intern table so
+#: that equation and connective operands fall in creation order.
+_TEXTS = [
+    "x",
+    "$p",
+    "true",
+    "false",
+    "(f x y)",
+    "(nullary)",
+    "($pred x)",
+    "(ite $p x y)",
+    "(ite $p $q (= x y))",
+    "(= y (f x))",
+    "(not $p)",
+    "(and $p $q (= x y))",
+    "(or $p (not $q))",
+    "(read (write m a d) b)",
+    "(= m (write m a d))",
+]
 
 
 def _height(node):
@@ -76,6 +98,11 @@ class TestPrinter:
     def test_memory_form(self):
         m, a, d = tvar("m"), tvar("a"), tvar("d")
         assert to_sexpr(write(m, a, d)) == "(write m a d)"
+
+    @pytest.mark.parametrize("index", range(len(_TEXTS)), ids=_TEXTS)
+    def test_prints_the_exact_text(self, index):
+        with run_scope():
+            assert to_sexpr(_examples()[index]) == _TEXTS[index]
 
     def test_sorts_print_apart(self):
         x = tvar("x")

@@ -77,6 +77,18 @@ class TestMetrics:
     def test_node_count_leaf(self):
         assert node_count(tvar("lonely")) == 1
 
+    def test_node_count_chain(self):
+        node = tvar("base")
+        for _ in range(10):
+            node = uf("f", [node])
+        assert node_count(node) == 11
+
+    def test_node_count_counts_shared_nodes_once(self):
+        x = tvar("x")
+        f1 = uf("f", [x])
+        assert node_count(eq(uf("g", [f1, f1]), x)) == 4
+        assert node_count(_sample_formula()) == 9
+
 
 class TestSubstitution:
     def test_simple_var_replacement(self):

@@ -142,6 +142,18 @@ class TestPerfRecordCompare:
             assert problem in err
 
 
+    @pytest.mark.parametrize("flag", ["--trace-out", "--csv-out"])
+    def test_record_writes_no_sidecar_files(self, flag, tmp_path, capsys):
+        # `trace --format chrome` is the one Chrome writer; there is no
+        # CSV writer at all.
+        with pytest.raises(SystemExit) as exit_info:
+            perf_main(["record", *RUN, "--out", str(tmp_path / "x.json"),
+                       flag, str(tmp_path / "side")])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestNonFinite:
     """A NaN passes every comparison (``x > nan`` is false), so neither a
     metric nor a tolerance may be one."""
@@ -343,6 +355,20 @@ class TestTraceCommand:
         assert trace_main([*RUN, "--format", "chrome", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["displayTimeUnit"] == "ms"
+
+    def test_chrome_events_link_the_pipeline_spans(self, tmp_path):
+        out = tmp_path / "t.json"
+        assert trace_main([*RUN, "--format", "chrome", "--out", str(out)]) == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        assert events[0]["name"] == "verify"
+        assert events[0]["args"]["parentIndex"] == -1
+        for index, event in enumerate(events):
+            assert event["args"]["spanIndex"] == index
+            if index:
+                assert 0 <= event["args"]["parentIndex"] < index
+        parents = {ev["name"]: events[ev["args"]["parentIndex"]]["name"]
+                   for ev in events[1:]}
+        assert parents["simulate"] == parents["sat"] == "verify"
 
 
 class TestInvalidConfiguration:
