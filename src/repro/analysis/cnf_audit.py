@@ -23,7 +23,7 @@ on:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..encode.eij import EijResult
 from ..encode.transitivity import TransitivityResult

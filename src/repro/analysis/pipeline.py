@@ -19,7 +19,7 @@ Findings are :class:`~repro.analysis.diagnostics.Diagnostic` records; an
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.verifier import METHODS, build_formula
 from ..encode.evc import EncodedValidity, encode_validity

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from ..encode.eij import EijResult
-from ..eufm.ast import Eq, Expr, Formula, Not, Read, TermITE, TermVar, UFApp, Write
+from ..eufm.ast import Eq, Expr, Formula, Read, TermITE, TermVar, UFApp, Write
 from ..eufm.polarity import BOTH, NEG, POS, PolarityInfo
 from ..eufm.traversal import iter_dag
 from .diagnostics import ERROR, INFO, WARNING, Diagnostic

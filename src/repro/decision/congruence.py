@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..eufm.ast import BoolVar, Eq, Expr, Formula, Term, TermVar, UFApp, UPApp
+from ..eufm.ast import BoolVar, Eq, Expr, Formula, Term, UFApp, UPApp
 from ..guard.deadline import current_deadline
 
 __all__ = ["Env", "Inconsistent"]

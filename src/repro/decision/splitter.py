@@ -15,7 +15,7 @@ simplification prunes aggressively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import BudgetExhausted, SolverError
 from ..eufm import builder

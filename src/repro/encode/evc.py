@@ -18,14 +18,14 @@ correctness formulas).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Set
 
 from ..errors import BudgetExhausted, EncodingError
 from ..eufm import builder
-from ..eufm.ast import FALSE, TRUE, BoolVar, Formula, TermVar
+from ..eufm.ast import FALSE, TRUE, Formula, TermVar
 from ..eufm.polarity import PolarityInfo, classify
-from ..eufm.traversal import bool_variables, term_variables
+from ..eufm.traversal import term_variables
 from ..obs.tracer import current_tracer
 from ..sat.cnf import Cnf
 from ..sat.solver import SatResult, solve_cnf

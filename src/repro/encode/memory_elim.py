@@ -30,7 +30,7 @@ Two strategies, both used in the paper's tool flow:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..eufm import builder
 from ..eufm.ast import Eq, Expr, Formula, Read, Term, TermITE, TermVar, Write

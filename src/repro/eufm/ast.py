@@ -20,11 +20,12 @@ owns the intern table (:func:`run_scope`).
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 __all__ = [
     "Expr",
@@ -85,13 +86,20 @@ def clear_intern_cache() -> None:
 
 
 _run_lock = threading.Lock()
+#: whether the cyclic collector was on when the current run started;
+#: ``None`` outside a run.
+_collector_was_on = None
 
 
 def _new_run_lock() -> None:
     # A child forked while another thread held the lock inherits it held,
-    # with no thread left to release it.
-    global _run_lock
+    # with no thread left to release it, and inherits that run's
+    # collector switched off.
+    global _run_lock, _collector_was_on
     _run_lock = threading.Lock()
+    if _collector_was_on:
+        gc.enable()
+    _collector_was_on = None
 
 
 if hasattr(os, "register_at_fork"):
@@ -103,10 +111,23 @@ def run_scope() -> Iterator[None]:
     """Run one verification on an empty intern table, holding a lock that
     is not re-entrant, so runs in other threads wait (enter it before the
     run's budgets start).  The run's nodes stay interned after it, until
-    the next run starts."""
+    the next run starts.
+
+    The cyclic collector is off inside the scope: a node is interned
+    after its children and never changes, so the DAG has no cycles and
+    reference counting frees it; the collector would only rescan it.  The
+    caller's setting is back on every exit."""
+    global _collector_was_on
     with _run_lock:
         clear_intern_cache()
-        yield
+        _collector_was_on = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if _collector_was_on:
+                gc.enable()
+            _collector_was_on = None
 
 
 class Expr:

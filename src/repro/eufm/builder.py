@@ -12,11 +12,16 @@ always-sound local simplifications:
 
 These are the "conservative transformations" of the EVC tool in the sense
 that they never change the set of satisfying interpretations.
+
+The intern table is keyed on the kind tag and the children's uids, in one
+flat tuple such as ``("tite", cond.uid, then.uid, els.uid)``: ints and
+strings hash in C, where a tuple of nodes would hash each node through
+the Python-level ``Expr.__hash__``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .ast import (
     FALSE,
@@ -77,14 +82,16 @@ def uf(symbol: str, args: Sequence[Term] = ()) -> UFApp:
     """Apply the uninterpreted function ``symbol`` to ``args``."""
     args = tuple(args)
     _check_terms(args, symbol)
-    return intern_node(UFApp, ("uf", symbol, args), symbol, args)
+    key = ("uf", symbol, *[arg.uid for arg in args])
+    return intern_node(UFApp, key, symbol, args)
 
 
 def up(symbol: str, args: Sequence[Term] = ()) -> UPApp:
     """Apply the uninterpreted predicate ``symbol`` to ``args``."""
     args = tuple(args)
     _check_terms(args, symbol)
-    return intern_node(UPApp, ("up", symbol, args), symbol, args)
+    key = ("up", symbol, *[arg.uid for arg in args])
+    return intern_node(UPApp, key, symbol, args)
 
 
 def _check_terms(args: Tuple[Expr, ...], symbol: str) -> None:
@@ -114,7 +121,9 @@ def ite_term(cond: Formula, then: Term, els: Term) -> Term:
         els = els.els
         if then is els:
             return then
-    return intern_node(TermITE, ("tite", cond, then, els), cond, then, els)
+    return intern_node(
+        TermITE, ("tite", cond.uid, then.uid, els.uid), cond, then, els
+    )
 
 
 def ite_formula(cond: Formula, then: Formula, els: Formula) -> Formula:
@@ -140,7 +149,9 @@ def ite_formula(cond: Formula, then: Formula, els: Formula) -> Formula:
         return or_(not_(cond), then)
     if els is FALSE:
         return and_(cond, then)
-    return intern_node(FormulaITE, ("fite", cond, then, els), cond, then, els)
+    return intern_node(
+        FormulaITE, ("fite", cond.uid, then.uid, els.uid), cond, then, els
+    )
 
 
 def eq(lhs: Term, rhs: Term) -> Formula:
@@ -151,7 +162,7 @@ def eq(lhs: Term, rhs: Term) -> Formula:
         return TRUE
     if rhs.uid < lhs.uid:
         lhs, rhs = rhs, lhs
-    return intern_node(Eq, ("eq", lhs, rhs), lhs, rhs)
+    return intern_node(Eq, ("eq", lhs.uid, rhs.uid), lhs, rhs)
 
 
 def not_(arg: Formula) -> Formula:
@@ -164,69 +175,46 @@ def not_(arg: Formula) -> Formula:
         return TRUE
     if isinstance(arg, Not):
         return arg.arg
-    return intern_node(Not, ("not", arg), arg)
+    return intern_node(Not, ("not", arg.uid), arg)
 
 
-def _flatten(cls, operands: Iterable[Formula]) -> List[Formula]:
-    flat: List[Formula] = []
+def _connective(
+    cls, absorbing: BoolConst, neutral: BoolConst, operands: Tuple[Formula, ...]
+) -> Formula:
+    """The body of :func:`and_` (``absorbing`` FALSE, ``neutral`` TRUE)
+    and :func:`or_` (the reverse): flatten one level of ``cls``, drop
+    duplicates and ``neutral``, fold to ``absorbing`` on it or on a
+    complementary pair, and order the rest by uid."""
+    by_uid: Dict[int, Formula] = {}
     for operand in operands:
-        if not isinstance(operand, Formula):
-            raise TypeError("connective operands must be formulas")
         if isinstance(operand, cls):
-            flat.extend(operand.args)
+            for arg in operand.args:
+                by_uid[arg.uid] = arg
+        elif isinstance(operand, Formula):
+            by_uid[operand.uid] = operand
         else:
-            flat.append(operand)
-    return flat
+            raise TypeError("connective operands must be formulas")
+    if absorbing.uid in by_uid:
+        return absorbing
+    by_uid.pop(neutral.uid, None)
+    for operand in by_uid.values():
+        if isinstance(operand, Not) and operand.arg.uid in by_uid:
+            return absorbing
+    if len(by_uid) < 2:
+        return next(iter(by_uid.values()), neutral)
+    uids = sorted(by_uid)
+    args = tuple(map(by_uid.__getitem__, uids))
+    return intern_node(cls, (cls.kind, *uids), args)
 
 
 def and_(*operands: Formula) -> Formula:
     """N-ary conjunction (flattening, dedup, complements, constants)."""
-    flat = _flatten(And, operands)
-    unique: List[Formula] = []
-    seen = set()
-    for operand in flat:
-        if operand is FALSE:
-            return FALSE
-        if operand is TRUE or operand in seen:
-            continue
-        seen.add(operand)
-        unique.append(operand)
-    for operand in unique:
-        complement = operand.arg if isinstance(operand, Not) else None
-        if complement is not None and complement in seen:
-            return FALSE
-    if not unique:
-        return TRUE
-    if len(unique) == 1:
-        return unique[0]
-    unique.sort(key=lambda node: node.uid)
-    args = tuple(unique)
-    return intern_node(And, ("and", args), args)
+    return _connective(And, FALSE, TRUE, operands)
 
 
 def or_(*operands: Formula) -> Formula:
     """N-ary disjunction (flattening, dedup, complements, constants)."""
-    flat = _flatten(Or, operands)
-    unique: List[Formula] = []
-    seen = set()
-    for operand in flat:
-        if operand is TRUE:
-            return TRUE
-        if operand is FALSE or operand in seen:
-            continue
-        seen.add(operand)
-        unique.append(operand)
-    for operand in unique:
-        complement = operand.arg if isinstance(operand, Not) else None
-        if complement is not None and complement in seen:
-            return TRUE
-    if not unique:
-        return FALSE
-    if len(unique) == 1:
-        return unique[0]
-    unique.sort(key=lambda node: node.uid)
-    args = tuple(unique)
-    return intern_node(Or, ("or", args), args)
+    return _connective(Or, TRUE, FALSE, operands)
 
 
 def implies(antecedent: Formula, consequent: Formula) -> Formula:
@@ -251,7 +239,7 @@ def read(mem: Term, addr: Term) -> Term:
     if isinstance(mem, Write) and mem.addr is addr:
         # Forwarding property, exact-address special case.
         return mem.data
-    return intern_node(Read, ("read", mem, addr), mem, addr)
+    return intern_node(Read, ("read", mem.uid, addr.uid), mem, addr)
 
 
 def write(mem: Term, addr: Term, data: Term) -> Term:
@@ -260,4 +248,6 @@ def write(mem: Term, addr: Term, data: Term) -> Term:
         isinstance(mem, Term) and isinstance(addr, Term) and isinstance(data, Term)
     ):
         raise TypeError("write operands must be terms")
-    return intern_node(Write, ("write", mem, addr, data), mem, addr, data)
+    return intern_node(
+        Write, ("write", mem.uid, addr.uid, data.uid), mem, addr, data
+    )

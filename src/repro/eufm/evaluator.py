@@ -35,15 +35,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple, Union
 
-from .ast import (
-    Expr,
-    Formula,
-    Read,
-    Term,
-    TermITE,
-    TermVar,
-    Write,
-)
+from .ast import Expr, Read, TermITE, Write
 from .traversal import iter_dag
 from ..guard.deadline import current_deadline
 

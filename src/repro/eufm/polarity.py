@@ -19,25 +19,10 @@ automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set
 
-from .ast import (
-    And,
-    Eq,
-    Expr,
-    Formula,
-    FormulaITE,
-    Not,
-    Or,
-    Read,
-    Term,
-    TermITE,
-    TermVar,
-    UFApp,
-    UPApp,
-    Write,
-)
+from .ast import Eq, Expr, Formula, Read, TermITE, TermVar, UFApp, Write
 from .traversal import iter_dag
 from ..guard.deadline import current_deadline
 

@@ -35,6 +35,7 @@ from ..eufm.ast import (
     FALSE,
     TRUE,
     And,
+    Eq,
     Expr,
     Formula,
     FormulaITE,
@@ -53,6 +54,7 @@ __all__ = [
     "merge_contexts",
     "split_on_guard",
     "case_cone",
+    "is_write_guard",
     "prove_forwarding_matches_read",
     "RuleViolation",
 ]
@@ -211,6 +213,55 @@ def case_cone(
     return len(cone), frontier
 
 
+def is_write_guard(
+    cond: Formula, context: Formula, addr: Term, src: Term
+) -> bool:
+    """Whether ``cond`` is ``builder.and_(context, builder.eq(addr, src))``.
+
+    Decided without building on the usual shape: ``cond`` holds the
+    context's conjuncts plus one ``Eq`` of the two addresses, in uid
+    order (the ``Eq`` alone for context TRUE), or is the context itself
+    when ``addr is src``.  An interned ``And`` holds sorted, distinct,
+    non-constant conjuncts and no complementary pair, so that shape is
+    the node ``and_`` returns.  Any other shape builds the guard and
+    compares identity, which also interns what building always did.
+    """
+    if addr is src:
+        if cond is context:
+            return True
+    else:
+        lhs, rhs = (addr, src) if addr.uid < src.uid else (src, addr)
+        if _adds_equation(cond, context, lhs, rhs):
+            return True
+    return cond is builder.and_(context, builder.eq(addr, src))
+
+
+def _adds_equation(cond: Formula, context: Formula, lhs: Term, rhs: Term) -> bool:
+    """Whether ``cond``'s conjuncts are ``context``'s with the equation
+    ``lhs = rhs`` inserted, the order of the others kept."""
+    if context is TRUE:
+        parts: Tuple[Formula, ...] = ()
+    elif isinstance(context, And):
+        parts = context.args
+    else:
+        parts = (context,)
+    args = cond.args if isinstance(cond, And) else (cond,)
+    if len(args) != len(parts) + 1:
+        return False
+    at = len(parts)
+    for index, part in enumerate(parts):
+        if args[index] is not part:
+            at = index
+            break
+    added = args[at]
+    return (
+        isinstance(added, Eq)
+        and added.lhs is lhs
+        and added.rhs is rhs
+        and args[at + 1:] == parts[at:]
+    )
+
+
 def prove_forwarding_matches_read(
     forwarded: Term,
     spec_read: Term,
@@ -257,10 +308,8 @@ def prove_forwarding_matches_read(
                 f"forwarding level {level}: chain shapes diverge "
                 f"({fwd.kind} vs tite)"
             )
-        guard = builder.and_(
-            item.context, builder.eq(item.addr, spec_read.addr)
-        )
-        if fwd.cond is not guard:
+        guard = fwd.cond
+        if not is_write_guard(guard, item.context, item.addr, spec_read.addr):
             raise RuleViolation(
                 f"forwarding level {level}: guards differ — the comparator "
                 "does not match the specification-side write condition"

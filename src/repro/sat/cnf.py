@@ -7,7 +7,7 @@ appears positively as ``v`` and negatively as ``-v``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["Cnf", "parse_dimacs", "to_dimacs"]
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 __all__ = ["ArtifactStore", "ArtifactStoringVerify", "write_durably"]
 

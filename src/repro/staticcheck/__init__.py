@@ -29,6 +29,9 @@ Shipped checkers:
 * **RS005 span/ContextVar hygiene** — ambient ContextVars (tracer,
   deadline) are only entered via context managers; a manual ``.set()``
   must keep its token and be paired with ``.reset()``.
+* **RS006 unused-import** — every module-level import is read somewhere
+  in its module; ``__future__`` imports, names in ``__all__`` and
+  ``__init__.py`` files are exempt.
 
 Every checker reads source files.  The rewrite-rule registry's
 soundness, confluence and termination are checked by ``repro lint``
@@ -59,6 +62,7 @@ from . import (  # noqa: F401  (registration side effect)
     rs003_journal,
     rs004_pickle,
     rs005_contextvar,
+    rs006_imports,
 )
 
 __all__ = [

@@ -13,7 +13,7 @@ Examples::
 Exit status mirrors ``python -m repro lint``: 0 — no (non-baselined)
 error-level findings; 1 — at least one; 2 — the run itself was
 misconfigured (unknown checker code, unreadable baseline, missing
-path).  ``--list-checkers`` prints RS001–RS005; the rewrite-rule
+path).  ``--list-checkers`` prints RS001–RS006; the rewrite-rule
 registry is not source text and is checked by ``repro lint``.
 ``--json`` emits the same report schema as ``repro lint``
 (``max_severity`` / ``summary`` / ``findings``) because both CLIs share

@@ -4,7 +4,7 @@ The engine is deliberately small.  A *checker* is a named, registered
 analysis of one source file: it receives one parsed
 :class:`SourceModule` and returns
 :class:`~repro.analysis.diagnostics.Diagnostic` records for violations
-in that file (RS001–RS005).  The rewrite-rule registry is not source
+in that file (RS001–RS006).  The rewrite-rule registry is not source
 text; ``repro lint`` checks it (:mod:`repro.analysis.rules`).
 
 Checkers declare a *scope*: the ``repro`` sub-packages whose

@@ -6,9 +6,13 @@ nodes earlier runs left behind: ``and_``, ``or_`` and ``eq`` order their
 operands by node uid, so the CNF and the SAT search could change with the
 history of the process.  Runs in different threads take turns on the
 table, and a forked campaign worker never inherits another thread's turn.
+The cyclic collector is off for the run and back as the caller left it
+afterwards.
 """
 
+import gc
 import json
+import os
 import sys
 import threading
 
@@ -17,6 +21,7 @@ import pytest
 from repro import Bug, ProcessorConfig, verify
 from repro.campaign import CampaignRunner, Job, RetryPolicy
 from repro.campaign.parallel import WORKER_HUNG_ERROR
+from repro.errors import BudgetExhausted
 from repro.eufm import clear_intern_cache, interned_count, run_scope
 
 CASES = [
@@ -138,3 +143,76 @@ def test_each_campaign_job_leaves_only_its_own_nodes(tmp_path):
         clear_intern_cache()
         verify(job.config(), method=job.method)
         assert after_job[job.job_id] == interned_count(), job.job_id
+
+
+def _switch_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def collector():
+    """The collector's setting, put back after the test."""
+    enabled = gc.isenabled()
+    yield
+    _switch_collector(enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_is_off_in_a_run_and_restored_after_it(collector, enabled):
+    _switch_collector(enabled)
+    with run_scope():
+        assert not gc.isenabled()
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_is_restored_when_the_run_raises(collector, enabled):
+    _switch_collector(enabled)
+    with pytest.raises(KeyError):
+        with run_scope():
+            assert not gc.isenabled()
+            raise KeyError("boom")
+    assert gc.isenabled() is enabled
+
+
+def test_exhausted_run_leaves_the_collector_enabled(collector):
+    gc.enable()
+    with pytest.raises(BudgetExhausted):
+        verify(ProcessorConfig(4, 2), max_wall_seconds=0)
+    assert gc.isenabled()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_child_forked_inside_another_threads_run_gets_the_collector_back(
+    collector,
+):
+    gc.enable()
+    inside, release = threading.Event(), threading.Event()
+
+    def hold_a_run():
+        with run_scope():
+            inside.set()
+            release.wait(60)
+
+    holder = threading.Thread(target=hold_a_run)
+    holder.start()
+    try:
+        assert inside.wait(10)
+        assert not gc.isenabled()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.write(write_end, b"1" if gc.isenabled() else b"0")
+            os._exit(0)
+        os.close(write_end)
+        answer = os.read(read_end, 1)
+        os.close(read_end)
+        os.waitpid(pid, 0)
+    finally:
+        release.set()
+        holder.join(10)
+    assert answer == b"1"
+    assert gc.isenabled()

@@ -50,6 +50,21 @@ class TestInterning:
     def test_uf_differs_by_symbol(self):
         assert uf("f", [tvar("x")]) is not uf("g", [tvar("x")])
 
+    def test_kinds_over_the_same_children_stay_distinct(self):
+        # The intern key holds the children's uids, so the kind tag alone
+        # tells these apart.
+        x, y = tvar("x"), tvar("y")
+        p, q = bvar("p"), bvar("q")
+        pairs = [
+            (uf("f", [x, y]), up("f", [x, y])),
+            (and_(p, q), or_(p, q)),
+            (eq(x, y), read(x, y)),
+        ]
+        for one, other in pairs:
+            assert one is not other
+            assert one.kind != other.kind
+            assert one.children == other.children
+
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             tvar("")

@@ -7,15 +7,22 @@ A random-expression strategy drives three core invariants:
 2. printing is injective: two interned nodes print alike exactly when
    they are the same node,
 3. interning is canonical: structurally equal construction sequences yield
-   the identical object.
+   the identical object,
+4. ``and_``/``or_`` normalise exactly as the reference body below, and
+   rule 3's build-free guard check agrees with building the guard.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.eufm import (
     FALSE,
     TRUE,
+    And,
+    Formula,
     Interpretation,
+    Not,
+    Or,
     and_,
     bvar,
     eq,
@@ -27,6 +34,7 @@ from repro.eufm import (
     not_,
     or_,
     read,
+    run_scope,
     to_sexpr,
     tvar,
     uf,
@@ -34,6 +42,7 @@ from repro.eufm import (
     write,
 )
 from repro.eufm.evaluator import EvaluationPlan, evaluate_nodes
+from repro.rewriting.rules import is_write_guard
 
 TERM_NAMES = ["x", "y", "z", "w"]
 BOOL_NAMES = ["p", "q", "r"]
@@ -207,3 +216,129 @@ def test_one_plan_serves_every_interpretation(phi, draws):
     for domain, seed in draws + draws[::-1]:
         fresh = evaluate_nodes(phi, Interpretation(domain, seed))
         assert plan.run(Interpretation(domain, seed)) == fresh
+
+
+def reference_connective(cls, absorbing, neutral, operands):
+    """The flatten/dedupe/sort body ``and_``/``or_`` had before they
+    shared one uid-keyed body, stopped before interning: a node it
+    returns as is, or ``(cls, args)`` for a node still to intern."""
+    flat = []
+    for operand in operands:
+        if not isinstance(operand, Formula):
+            raise TypeError("connective operands must be formulas")
+        if isinstance(operand, cls):
+            flat.extend(operand.args)
+        else:
+            flat.append(operand)
+    unique = []
+    seen = set()
+    for operand in flat:
+        if operand is absorbing:
+            return absorbing
+        if operand is neutral or operand in seen:
+            continue
+        seen.add(operand)
+        unique.append(operand)
+    for operand in unique:
+        complement = operand.arg if isinstance(operand, Not) else None
+        if complement is not None and complement in seen:
+            return absorbing
+    if not unique:
+        return neutral
+    if len(unique) == 1:
+        return unique[0]
+    unique.sort(key=lambda node: node.uid)
+    return cls, tuple(unique)
+
+
+@st.composite
+def connective_operands(draw):
+    """Operands drawn with replacement from a pool holding formulas,
+    their negations, nested conjunctions and disjunctions of them and
+    both constants; sometimes a term follows a FALSE."""
+    pool = draw(st.lists(formula_strategy(depth=2), min_size=1, max_size=4))
+    pool += [not_(phi) for phi in pool]
+    pool += [and_(*pool[:3]), or_(*pool[-3:]), TRUE, FALSE]
+    operands = draw(st.lists(st.sampled_from(pool), max_size=7))
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(operands)))
+        operands[at:at] = [FALSE, tvar(draw(st.sampled_from(TERM_NAMES)))]
+    return operands
+
+
+@settings(max_examples=300, deadline=None)
+@given(connective_operands())
+def test_and_or_match_the_reference_body(operands):
+    for build, cls, absorbing, neutral in (
+        (and_, And, FALSE, TRUE),
+        (or_, Or, TRUE, FALSE),
+    ):
+        try:
+            expected = reference_connective(cls, absorbing, neutral, operands)
+        except TypeError:
+            with pytest.raises(TypeError, match="must be formulas"):
+                build(*operands)
+            continue
+        result = build(*operands)
+        if isinstance(expected, tuple):
+            kind, args = expected
+            assert type(result) is kind
+            assert result.args == args
+        else:
+            assert result is expected
+
+
+@st.composite
+def guard_cases(draw):
+    """``(cond, context, addr, src)``: a context (TRUE, one literal or a
+    conjunction), two addresses that may be one node, and a condition
+    that is the write guard or a near miss of it."""
+    addr = tvar(draw(st.sampled_from(TERM_NAMES)))
+    src = tvar(draw(st.sampled_from(TERM_NAMES)))
+    literals = [bvar(name) for name in BOOL_NAMES] + [
+        not_(bvar("p")), eq(tvar("x"), tvar("y")), eq(tvar("y"), tvar("z")),
+    ]
+    chosen = draw(st.lists(st.sampled_from(literals), max_size=3))
+    context = draw(st.sampled_from([TRUE, *literals, and_(*chosen)]))
+    match = eq(addr, src)
+    other = eq(addr, tvar(draw(st.sampled_from(TERM_NAMES))))
+    extra = draw(st.sampled_from(literals))
+    fewer = [lit for lit in chosen if lit is not extra]
+    cond = draw(st.sampled_from([
+        and_(context, match),
+        and_(context, other),
+        and_(context, match, extra),
+        and_(*fewer, match),
+        and_(*fewer, draw(st.sampled_from(literals)), match),
+        match,
+        context,
+        and_(context, not_(match)),
+    ]))
+    return cond, context, addr, src
+
+
+@settings(max_examples=300, deadline=None)
+@given(guard_cases())
+def test_guard_check_agrees_with_building_the_guard(case):
+    cond, context, addr, src = case
+    expected = cond is and_(context, eq(addr, src))
+    assert is_write_guard(cond, context, addr, src) is expected
+
+
+def test_guard_check_on_the_named_shapes():
+    # A fresh table fixes the uid order: p < q < x < y < Eq(x, y) < r.
+    with run_scope():
+        p, q, x, y = bvar("p"), bvar("q"), tvar("x"), tvar("y")
+        equation = eq(x, y)
+        r, z = bvar("r"), tvar("z")
+        guards = [
+            (and_(p, q), and_(p, q), x, x),        # addr is src: the context
+            (and_(p, equation), p, x, y),          # one-literal context
+            (equation, TRUE, y, x),                # context TRUE: the Eq alone
+            (and_(p, q, equation), and_(p, q), x, y),
+        ]
+        for cond, context, addr, src in guards:
+            assert is_write_guard(cond, context, addr, src)
+            assert not is_write_guard(cond, context, addr, z)
+        # The Eq sits where the context's q should be, and r follows it.
+        assert not is_write_guard(and_(p, equation, r), and_(p, q), x, y)

@@ -16,6 +16,7 @@ from repro.eufm import (
     tvar,
     write,
 )
+from repro.eufm import builder
 from repro.rewriting import (
     RuleViolation,
     conjuncts,
@@ -159,6 +160,16 @@ class TestForwardingWalk:
     def test_empty_chain(self):
         fwd, spec, avail = self._chains([])
         self._prove(fwd, spec, avail)
+
+    def test_matching_guards_are_checked_without_building(self, monkeypatch):
+        fwd, spec, avail = self._chains([1, 2, 3])
+        prefixes = {spec.mem: decompose_chain(spec.mem)}
+
+        def no_equation(lhs, rhs):
+            raise AssertionError("the walk built a guard's equation")
+
+        monkeypatch.setattr(builder, "eq", no_equation)
+        prove_forwarding_matches_read(fwd, spec, avail, prefixes)
 
     def test_wrong_guard_rejected(self):
         fwd, spec, avail = self._chains([1, 2])

@@ -1,4 +1,4 @@
-"""One known-bad and one known-good fixture per file checker (RS001-RS005).
+"""One known-bad and one known-good fixture per file checker (RS001-RS006).
 
 Fixture modules are written to a temporary directory, which puts them
 outside any recognizable ``repro`` package root — the engine then treats
@@ -300,6 +300,56 @@ class TestRS005ContextVarHygiene:
                     _ACTIVE.reset(token)
             """, select=["RS005"])
         assert findings == []
+
+
+class TestRS006UnusedImports:
+    def test_bad_unused_module_level_imports(self, tmp_path):
+        findings = _run(tmp_path, """\
+            import os.path
+            import sys
+            from typing import (
+                Dict,
+                List,
+            )
+
+            try:
+                import json
+            except ImportError:
+                json = None
+
+            def size(items: List[int]) -> int:
+                import re  # a function's own import is its business
+                return len(items)
+            """, select=["RS006"])
+        assert _checks(findings) == ["RS006.unused-import"] * 4
+        assert sorted(
+            (d.data["name"], d.data["line"]) for d in findings
+        ) == [("Dict", 4), ("json", 9), ("os", 1), ("sys", 2)]
+
+    def test_good_future_all_annotations_and_init(self, tmp_path):
+        source = """\
+            from __future__ import annotations
+
+            import itertools
+            from typing import TYPE_CHECKING, Optional
+
+            from .ast import Expr, Formula, TermVar
+
+            __all__ = ["TermVar", "first"]
+
+            if TYPE_CHECKING:
+                from .ast import Term
+
+            def first(nodes: "Optional[Term]") -> "Expr":
+                counter = itertools.count()
+                return Formula, counter
+            """
+        assert _run(tmp_path, source, select=["RS006"]) == []
+        package = tmp_path / "pkg"
+        package.mkdir()
+        init = package / "__init__.py"
+        init.write_text("from .ast import Expr\nimport os\n")
+        assert run_project([str(init)], select=["RS006"]) == []
 
 
 class TestScoping:

@@ -29,7 +29,7 @@ class TestExitCodes:
     def test_usage_errors_exit_two(self, tmp_path, capsys):
         path = _write(tmp_path, "good.py", GOOD)
         assert main([path, "--select", "RS999"]) == 2
-        assert main([path, "--select", "RS006"]) == 2
+        assert main([path, "--select", "RS007"]) == 2
         assert main(["/no/such/path"]) == 2
         assert main([path, "--baseline", str(tmp_path / "missing.json")]) == 2
 
@@ -122,6 +122,6 @@ class TestListCheckers:
     def test_lists_all_codes_with_descriptions(self, capsys):
         assert main(["--list-checkers"]) == 0
         out = capsys.readouterr().out
-        for code in ("RS001", "RS002", "RS003", "RS004", "RS005"):
+        for code in ("RS001", "RS002", "RS003", "RS004", "RS005", "RS006"):
             assert code in out
-        assert "RS006" not in out
+        assert "RS007" not in out

@@ -25,12 +25,12 @@ BAD_RS001 = "def f():\n    raise RuntimeError('x')\n"
 
 
 class TestRegistry:
-    def test_all_five_checkers_registered(self):
+    def test_all_six_checkers_registered(self):
         assert checker_codes() == [
-            "RS001", "RS002", "RS003", "RS004", "RS005",
+            "RS001", "RS002", "RS003", "RS004", "RS005", "RS006",
         ]
         specs = {spec.code: spec for spec in all_checkers()}
-        for code in ("RS001", "RS002", "RS003", "RS004", "RS005"):
+        for code in ("RS001", "RS002", "RS003", "RS004", "RS005", "RS006"):
             assert specs[code].run_file is not None
 
     def test_resolve_codes_select_ignore_and_unknown(self):
