@@ -1,17 +1,21 @@
 """Parallel-campaign benchmark: sequential vs a CPU-count worker pool
 on a Table 1-style grid.
 
-Runs the same scaled-down sweep twice through the campaign runner — once
-sequentially and once with a worker pool sized to the machine — asserts
-the two modes produce identical per-job statuses and methods, and records
-the wall-time speedup under ``benchmarks/results``.
+Runs the same scaled-down sweep through the campaign runner in two
+interleaved rounds of two legs — one sequential, one with a worker pool
+sized to the machine — asserts that every run produces the same per-job
+statuses and methods, and records the wall-time speedup, the best
+sequential time over the best parallel one, under
+``benchmarks/results``.  A single round's speedup on a shared 2-vCPU
+host ranged from 1.2x to 2.0x; the best of two damps that noise.
 
 The pool is clamped to ``os.cpu_count()``: this workload is CPU-bound,
 so oversubscribing (the old hardcoded ``workers=4`` on a smaller box)
 only adds process spawn + scheduling overhead and made the "parallel"
-leg *slower* than sequential.  The speedup assertion (>= 2.5x) only
-fires on machines with at least four CPU cores; on smaller runners the
-numbers are still recorded.
+leg *slower* than sequential.  Each job takes most of a second, so the
+pool's spawn and dispatch cost is small beside it: the speedup must be
+at least 1.3x on two or three cores and 2.5x on four or more.  On one
+core the numbers are only recorded.
 """
 
 from __future__ import annotations
@@ -28,26 +32,22 @@ from common import save_table
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# A miniature Table 1 grid: big enough that per-job work dominates the
-# pool's spawn overhead on a multi-core machine, small enough for CI.
-SIZES = [8, 16, 24]
-WIDTHS = [1, 2]
+# Six Table 1-style jobs of similar cost, 0.6-0.9 s each on a 2-vCPU
+# Xeon: big enough that per-job work dominates the pool's spawn
+# overhead, small enough for CI.
+SIZES = [256, 288]
+WIDTHS = [4, 8, 16]
 # Clamp to the machine: more workers than cores buys nothing for this
 # CPU-bound sweep and the spawn overhead regresses the parallel leg.
 WORKERS = min(4, os.cpu_count() or 1)
+ROUNDS = 2
 
 
 def _jobs():
-    return [
-        Job.build(size, width)
-        for size in SIZES
-        for width in WIDTHS
-        if width <= size
-    ]
+    return [Job.build(size, width) for size in SIZES for width in WIDTHS]
 
 
-def _run_campaign(tmp_path: pathlib.Path, workers: int):
-    journal = tmp_path / f"bench_w{workers}.jsonl"
+def _run_campaign(journal: pathlib.Path, workers: int):
     runner = CampaignRunner(
         str(journal),
         retry=RetryPolicy(max_attempts=2, escalation=2.0),
@@ -60,21 +60,27 @@ def _run_campaign(tmp_path: pathlib.Path, workers: int):
 
 
 def test_parallel_campaign_speedup(tmp_path):
-    sequential, seq_seconds = _run_campaign(tmp_path, workers=1)
-    parallel, par_seconds = _run_campaign(tmp_path, workers=WORKERS)
+    runs = {"seq": [], "par": []}
+    for round_ in range(ROUNDS):
+        for leg, workers in (("seq", 1), ("par", WORKERS)):
+            runs[leg].append(_run_campaign(
+                tmp_path / f"{leg}{round_}.jsonl", workers
+            ))
 
     # Identical verdicts: parallel dispatch must not change what is proved.
-    seq_outcomes = {
-        job_id: (res.status, res.method)
-        for job_id, res in sequential.results.items()
-    }
-    par_outcomes = {
-        job_id: (res.status, res.method)
-        for job_id, res in parallel.results.items()
-    }
-    assert seq_outcomes == par_outcomes
+    outcomes = [
+        {
+            job_id: (res.status, res.method)
+            for job_id, res in report.results.items()
+        }
+        for report, _ in runs["seq"] + runs["par"]
+    ]
+    seq_outcomes = outcomes[0]
+    assert all(other == seq_outcomes for other in outcomes[1:])
     assert all(status == "PROVED" for status, _ in seq_outcomes.values())
 
+    seq_seconds = min(seconds for _, seconds in runs["seq"])
+    par_seconds = min(seconds for _, seconds in runs["par"])
     speedup = seq_seconds / par_seconds if par_seconds > 0 else 0.0
     snapshot = MetricsSnapshot(
         metrics={
@@ -88,6 +94,7 @@ def test_parallel_campaign_speedup(tmp_path):
             "bench": "parallel_campaign",
             "cpu_count": os.cpu_count() or 1,
             "grid": f"N={SIZES} k={WIDTHS}",
+            "rounds": ROUNDS,
         },
     )
     save_record(
@@ -98,15 +105,18 @@ def test_parallel_campaign_speedup(tmp_path):
         "parallel_campaign",
         (
             f"Parallel campaign ({len(seq_outcomes)} jobs, "
-            f"{WORKERS} workers, {os.cpu_count()} cores)\n"
+            f"{WORKERS} workers, {os.cpu_count()} cores, "
+            f"best of {ROUNDS} rounds)\n"
             f"  sequential: {seq_seconds:.2f}s\n"
             f"  parallel:   {par_seconds:.2f}s\n"
             f"  speedup:    {speedup:.2f}x"
         ),
     )
 
-    if (os.cpu_count() or 1) >= 4:
-        assert speedup >= 2.5, (
-            f"expected >= 2.5x speedup with {WORKERS} workers on a "
-            f"{os.cpu_count()}-core machine, got {speedup:.2f}x"
+    cores = os.cpu_count() or 1
+    if cores >= 2:
+        bound = 2.5 if cores >= 4 else 1.3
+        assert speedup >= bound, (
+            f"expected >= {bound}x speedup with {WORKERS} workers on a "
+            f"{cores}-core machine, got {speedup:.2f}x"
         )

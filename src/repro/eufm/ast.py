@@ -62,8 +62,8 @@ def intern_node(cls, key: Tuple, *args) -> "Expr":
     node = _intern_table.get(key)
     if node is None:
         node = object.__new__(cls)
-        node._init(*args)
         node.uid = next(_uid_counter)
+        node._init(*args)
         _intern_table[key] = node
     return node
 
@@ -131,9 +131,17 @@ def run_scope() -> Iterator[None]:
 
 
 class Expr:
-    """Base class of all EUFM expressions (terms and formulas)."""
+    """Base class of all EUFM expressions (terms and formulas).
 
-    __slots__ = ("uid",)
+    ``uid`` numbers nodes in the order they are interned, so a node's uid
+    exceeds its children's.  ``stamp`` is the uid of the newest
+    :class:`BoolVar` beneath the node (its own uid for a ``BoolVar``), or
+    0 when there is none: a node can reach a ``BoolVar`` only if its
+    stamp is at least that variable's uid.  Each ``_init`` sets it from
+    the children's stamps, after the node's uid is assigned.
+    """
+
+    __slots__ = ("uid", "stamp")
 
     #: short tag identifying the node kind; set by each subclass.
     kind: str = "expr"
@@ -198,6 +206,7 @@ class TermVar(Term):
 
     def _init(self, name: str) -> None:
         self.name = name
+        self.stamp = 0
 
 
 class UFApp(Term):
@@ -213,6 +222,7 @@ class UFApp(Term):
     def _init(self, symbol: str, args: Tuple[Expr, ...]) -> None:
         self.symbol = symbol
         self.args = args
+        self.stamp = _newest_stamp(args)
 
     @property
     def children(self) -> Tuple[Expr, ...]:
@@ -229,6 +239,11 @@ class TermITE(Term):
         self.cond = cond
         self.then = then
         self.els = els
+        stamp, other = cond.stamp, then.stamp
+        if other > stamp:
+            stamp = other
+        other = els.stamp
+        self.stamp = other if other > stamp else stamp
 
     @property
     def children(self) -> Tuple[Expr, ...]:
@@ -244,6 +259,8 @@ class Read(Term):
     def _init(self, mem: Term, addr: Term) -> None:
         self.mem = mem
         self.addr = addr
+        stamp, other = mem.stamp, addr.stamp
+        self.stamp = other if other > stamp else stamp
 
     @property
     def children(self) -> Tuple[Expr, ...]:
@@ -260,6 +277,11 @@ class Write(Term):
         self.mem = mem
         self.addr = addr
         self.data = data
+        stamp, other = mem.stamp, addr.stamp
+        if other > stamp:
+            stamp = other
+        other = data.stamp
+        self.stamp = other if other > stamp else stamp
 
     @property
     def children(self) -> Tuple[Expr, ...]:
@@ -279,6 +301,7 @@ class BoolConst(Formula):
 
     def _init(self, value: bool) -> None:
         self.value = value
+        self.stamp = 0
 
     def __bool__(self) -> bool:
         return self.value
@@ -292,6 +315,7 @@ class BoolVar(Formula):
 
     def _init(self, name: str) -> None:
         self.name = name
+        self.stamp = self.uid
 
 
 class UPApp(Formula):
@@ -303,6 +327,7 @@ class UPApp(Formula):
     def _init(self, symbol: str, args: Tuple[Expr, ...]) -> None:
         self.symbol = symbol
         self.args = args
+        self.stamp = _newest_stamp(args)
 
     @property
     def children(self) -> Tuple[Expr, ...]:
@@ -319,6 +344,11 @@ class FormulaITE(Formula):
         self.cond = cond
         self.then = then
         self.els = els
+        stamp, other = cond.stamp, then.stamp
+        if other > stamp:
+            stamp = other
+        other = els.stamp
+        self.stamp = other if other > stamp else stamp
 
     @property
     def children(self) -> Tuple[Expr, ...]:
@@ -334,6 +364,8 @@ class Eq(Formula):
     def _init(self, lhs: Term, rhs: Term) -> None:
         self.lhs = lhs
         self.rhs = rhs
+        stamp, other = lhs.stamp, rhs.stamp
+        self.stamp = other if other > stamp else stamp
 
     @property
     def children(self) -> Tuple[Expr, ...]:
@@ -348,6 +380,7 @@ class Not(Formula):
 
     def _init(self, arg: Formula) -> None:
         self.arg = arg
+        self.stamp = arg.stamp
 
     @property
     def children(self) -> Tuple[Expr, ...]:
@@ -362,6 +395,7 @@ class And(Formula):
 
     def _init(self, args: Tuple[Formula, ...]) -> None:
         self.args = args
+        self.stamp = _newest_stamp(args)
 
     @property
     def children(self) -> Tuple[Expr, ...]:
@@ -376,16 +410,28 @@ class Or(Formula):
 
     def _init(self, args: Tuple[Formula, ...]) -> None:
         self.args = args
+        self.stamp = _newest_stamp(args)
 
     @property
     def children(self) -> Tuple[Expr, ...]:
         return self.args
 
 
+def _newest_stamp(args: Tuple[Expr, ...]) -> int:
+    # A plain loop: ``max`` over a generator or a list comprehension
+    # takes about five times as long for three arguments (CPython 3.11),
+    # and every And, Or, UF and UP node pays it once when interned.
+    stamp = 0
+    for arg in args:
+        if arg.stamp > stamp:
+            stamp = arg.stamp
+    return stamp
+
+
 def _make_const(value: bool) -> BoolConst:
     node = object.__new__(BoolConst)
-    node._init(value)
     node.uid = next(_uid_counter)
+    node._init(value)
     _intern_table[("const", value)] = node
     return node
 

@@ -156,8 +156,11 @@ def rewrite_diagram(
 
     Recorded as a ``"rewrite"`` span on the ambient tracer, carrying the
     per-rule firing counts (``rewrite.rule.remove`` counts the updates
-    removed), the number of entries proved and ``rewrite.cone_nodes``,
-    the rule-3 cone sizes summed over entries and chains.
+    removed), the number of entries proved and rule 3's work summed over
+    entries and chains: ``rewrite.cone_nodes``, the cone sizes;
+    ``rewrite.cone_visits``, the nodes the cone walks visit; and
+    ``rewrite.forwarding_levels``, the levels the forwarding walks
+    compare.
     """
     with current_tracer().span("rewrite") as span:
         result = _rewrite_diagram(artifacts, criterion)
@@ -475,13 +478,11 @@ def _process_entry(
         valid_var, vres_var, *kind_vars, *(loc.flush_prev for loc in located)
     ]
 
-    tracer = current_tracer()
     for chain, loc in zip(chains, located):
         cases = rf_cases if chain.name == "RegFile" else dmem_cases
-        cone_size, frontier = case_cone(
+        _, frontier = case_cone(
             (loc.impl_data, loc.spec_item.data), keys, stops
         )
-        tracer.add("rewrite.cone_nodes", cone_size)
         failure = _prove_data_equal(
             entry,
             chain.name,

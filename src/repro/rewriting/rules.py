@@ -14,7 +14,8 @@ shape), exactly as the paper prescribes:
 * :func:`split_on_guard` — views a formula as an ITE on a given guard,
   undoing the builder's connective normal forms.
 * :func:`case_cone` — rule 3's case split: the nodes of an entry's data
-  that a case can change.  Each case is one
+  that a case can change, found without descending into a node that
+  cannot reach a case variable or the seam.  Each case is one
   :func:`repro.eufm.traversal.substitute` walk that fixes the case's
   variables to constants, treats the preceding-state sub-DAGs as opaque
   stops and, given the cone's frontier as further stops, rebuilds the
@@ -27,6 +28,7 @@ shape), exactly as the paper prescribes:
 
 from __future__ import annotations
 
+import sys
 from typing import Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..errors import ReproError
@@ -35,6 +37,7 @@ from ..eufm.ast import (
     FALSE,
     TRUE,
     And,
+    BoolVar,
     Eq,
     Expr,
     Formula,
@@ -46,6 +49,7 @@ from ..eufm.ast import (
     TermITE,
 )
 from ..guard.deadline import current_deadline
+from ..obs.tracer import current_tracer
 from .updates import ChainItem, UpdateChain
 
 __all__ = [
@@ -176,12 +180,27 @@ def case_cone(
     :func:`~repro.eufm.traversal.substitute` rebuilds it to itself;
     added to a case's mapping as stops, the frontier confines the walk to
     the cone without changing its result.
+
+    Nor does the walk descend into a node that cannot reach a key: one
+    whose :attr:`~repro.eufm.ast.Expr.stamp` is below every
+    :class:`~repro.eufm.ast.BoolVar` key's uid and whose own uid is below
+    every other key's.  So it visits the cone and the nodes just outside
+    it, not the older entries' chains beneath.  Adds the cone's size to
+    ``rewrite.cone_nodes`` and the nodes visited to
+    ``rewrite.cone_visits`` on the current span.
     """
     deadline = current_deadline()
     key_uids = {node.uid for node in keys}
     bounds = key_uids | {node.uid for node in stops}
+    bool_floor = other_floor = sys.maxsize
+    for key in keys:
+        if isinstance(key, BoolVar):
+            bool_floor = min(bool_floor, key.uid)
+        else:
+            other_floor = min(other_floor, key.uid)
     # Keyed by uid: an int hashes in C, an Expr through ``__hash__``.
     seen: Dict[int, Expr] = {}
+    descended: List[int] = []
     stack = list(roots)
     while stack:
         node = stack.pop()
@@ -190,15 +209,15 @@ def case_cone(
             continue
         deadline.tick("rewrite")
         seen[uid] = node
-        if uid not in bounds:
-            stack.extend(node.children)
+        if uid in bounds or (node.stamp < bool_floor and uid < other_floor):
+            continue
+        descended.append(uid)
+        stack.extend(node.children)
     # A node is interned after its children, so ascending uids visit
     # every child before its parents.
     cone = key_uids.intersection(seen)
     inner: List[Expr] = []
-    for uid in sorted(seen):
-        if uid in bounds:
-            continue
+    for uid in sorted(descended):
         node = seen[uid]
         for child in node.children:
             if child.uid in cone:
@@ -210,6 +229,9 @@ def case_cone(
         for child in node.children:
             if child.uid not in cone:
                 frontier[child] = child
+    tracer = current_tracer()
+    tracer.add("rewrite.cone_nodes", len(cone))
+    tracer.add("rewrite.cone_visits", len(seen))
     return len(cone), frontier
 
 
@@ -302,44 +324,52 @@ def prove_forwarding_matches_read(
         items = chain.items
         bottom = builder.read(chain.base, spec_read.addr)
     fwd, avail = forwarded, availability
-    for level, item in enumerate(reversed(items)):
-        if not isinstance(fwd, TermITE):
-            raise RuleViolation(
-                f"forwarding level {level}: chain shapes diverge "
-                f"({fwd.kind} vs tite)"
-            )
-        guard = fwd.cond
-        if not is_write_guard(guard, item.context, item.addr, spec_read.addr):
-            raise RuleViolation(
-                f"forwarding level {level}: guards differ — the comparator "
-                "does not match the specification-side write condition"
-            )
-        split = split_on_guard(avail, guard)
-        if split is None:
-            raise RuleViolation(
-                f"forwarding level {level}: availability does not test the "
-                "same producer"
-            )
-        avail_hit, avail_miss = split
-        # On a match: the forwarded value must be the producer's Result and
-        # the spec-side data must select exactly that value when the
-        # producer's ValidResult (the availability condition) is true.
-        spec_hit = item.data
-        hit_ok = False
-        if spec_hit is fwd.then:
-            hit_ok = True
-        elif (
-            isinstance(spec_hit, TermITE)
-            and spec_hit.cond is avail_hit
-            and spec_hit.then is fwd.then
-        ):
-            hit_ok = True
-        if not hit_ok:
-            raise RuleViolation(
-                f"forwarding level {level}: forwarded value is not the "
-                "producer's Result under its ValidResult condition"
-            )
-        fwd, avail = fwd.els, avail_miss
+    level = -1
+    try:
+        for level, item in enumerate(reversed(items)):
+            if not isinstance(fwd, TermITE):
+                raise RuleViolation(
+                    f"forwarding level {level}: chain shapes diverge "
+                    f"({fwd.kind} vs tite)"
+                )
+            guard = fwd.cond
+            if not is_write_guard(
+                guard, item.context, item.addr, spec_read.addr
+            ):
+                raise RuleViolation(
+                    f"forwarding level {level}: guards differ — the "
+                    "comparator does not match the specification-side write "
+                    "condition"
+                )
+            split = split_on_guard(avail, guard)
+            if split is None:
+                raise RuleViolation(
+                    f"forwarding level {level}: availability does not test "
+                    "the same producer"
+                )
+            avail_hit, avail_miss = split
+            # On a match: the forwarded value must be the producer's Result
+            # and the spec-side data must select exactly that value when the
+            # producer's ValidResult (the availability condition) is true.
+            spec_hit = item.data
+            hit_ok = False
+            if spec_hit is fwd.then:
+                hit_ok = True
+            elif (
+                isinstance(spec_hit, TermITE)
+                and spec_hit.cond is avail_hit
+                and spec_hit.then is fwd.then
+            ):
+                hit_ok = True
+            if not hit_ok:
+                raise RuleViolation(
+                    f"forwarding level {level}: forwarded value is not the "
+                    "producer's Result under its ValidResult condition"
+                )
+            fwd, avail = fwd.els, avail_miss
+    finally:
+        # Every level compared, the one that failed included.
+        current_tracer().add("rewrite.forwarding_levels", level + 1)
     if fwd is not bottom:
         raise RuleViolation(
             f"forwarding level {len(items)}: chain shapes diverge "

@@ -1,6 +1,9 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -116,3 +119,32 @@ class TestMain:
         code = main(["--rob", "6", "--width", "3", "--retire-width", "2"])
         assert code == 0
         assert "retire width 2" in capsys.readouterr().out
+
+
+class TestProcessExit:
+    @pytest.mark.parametrize("argv, status", [
+        (["--rob", "4", "--width", "2"], 0),
+        (["--rob", "4", "--width", "2", "--bug", "forward-wrong-source",
+          "--entry", "3"], 1),
+    ])
+    def test_command_freezes_the_collector_before_it_exits(
+        self, argv, status
+    ):
+        """A run's nodes stay interned after it; the command freezes them
+        so that the interpreter's shutdown collections skip them.  An exit
+        hook, which runs after ``sys.exit``, sees them frozen."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        probe = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()"
+            " > 0))\n"
+            f"sys.argv = ['repro', *{argv!r}]\n"
+            "runpy.run_module('repro', run_name='__main__')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == status, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "frozen True"

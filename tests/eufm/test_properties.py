@@ -9,7 +9,9 @@ A random-expression strategy drives three core invariants:
 3. interning is canonical: structurally equal construction sequences yield
    the identical object,
 4. ``and_``/``or_`` normalise exactly as the reference body below, and
-   rule 3's build-free guard check agrees with building the guard.
+   rule 3's build-free guard check agrees with building the guard,
+5. every node's stamp is the uid of the newest Boolean variable beneath
+   it, or 0 when there is none.
 """
 
 import pytest
@@ -19,6 +21,7 @@ from repro.eufm import (
     FALSE,
     TRUE,
     And,
+    BoolVar,
     Formula,
     Interpretation,
     Not,
@@ -130,6 +133,65 @@ def test_printing_is_injective(phi, psi):
     nodes = list(iter_dag(phi, psi))
     assert len({to_sexpr(node) for node in nodes}) == len(nodes)
     assert (to_sexpr(phi) == to_sexpr(psi)) == (phi is psi)
+
+
+@st.composite
+def built_dags(draw):
+    """Nodes built one at a time, each of a drawn kind over earlier nodes
+    of the right sort, so that any kind can sit over any other and new
+    Boolean variables appear between composite nodes.  Children are
+    drawn by age, newest first, so the newest stamp lands in every
+    position."""
+    formulas = [TRUE, FALSE, bvar(draw(st.sampled_from(BOOL_NAMES)))]
+    terms = [tvar(name) for name in TERM_NAMES[:2]]
+
+    def pick(pool):
+        return pool[-1 - draw(st.integers(0, len(pool) - 1))]
+
+    def picks(pool, max_size):
+        return [pick(pool) for _ in range(draw(st.integers(0, max_size)))]
+
+    for step in range(draw(st.integers(4, 24))):
+        kind = draw(st.sampled_from([
+            "bvar", "tvar", "uf", "up", "tite", "tite", "read", "write",
+            "fite", "eq", "not", "and", "or",
+        ]))
+        if kind == "bvar":
+            formulas.append(bvar(f"b{step}"))
+        elif kind == "tvar":
+            terms.append(tvar(f"t{step}"))
+        elif kind == "uf":
+            terms.append(uf(UF_NAMES[0], picks(terms, 3)))
+        elif kind == "up":
+            formulas.append(up(UP_NAMES[0], picks(terms, 3)))
+        elif kind == "tite":
+            terms.append(ite_term(pick(formulas), pick(terms), pick(terms)))
+        elif kind == "read":
+            terms.append(read(pick(terms), pick(terms)))
+        elif kind == "write":
+            terms.append(write(pick(terms), pick(terms), pick(terms)))
+        elif kind == "fite":
+            formulas.append(ite_formula(
+                pick(formulas), pick(formulas), pick(formulas)))
+        elif kind == "eq":
+            formulas.append(eq(pick(terms), pick(terms)))
+        elif kind == "not":
+            formulas.append(not_(pick(formulas)))
+        else:
+            build = and_ if kind == "and" else or_
+            formulas.append(build(*picks(formulas, 4)))
+    return formulas + terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_dags())
+def test_stamp_is_the_newest_boolean_variable_beneath(nodes):
+    for node in nodes:
+        newest = max(
+            (sub.uid for sub in iter_dag(node) if isinstance(sub, BoolVar)),
+            default=0,
+        )
+        assert node.stamp == newest
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,8 +7,14 @@ further stops, so that each walk rebuilds only the nodes a key can reach.
 On random DAGs over a few Boolean and term variables and guarded write
 chains, with random keys and stops, the pruned walk must return the very
 node the unpruned one does, and no frontier node may reach a key.
+
+The cone walk itself skips every node whose stamp and uid show that it
+cannot reach a key.  It must find the same cone and the same frontier, in
+the same order, as the walk that descends everywhere (kept below as a
+reference), on random DAGs and on every entry of small designs.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.eufm import (
@@ -19,6 +25,7 @@ from repro.eufm import (
     eq,
     ite_formula,
     ite_term,
+    iter_dag,
     not_,
     or_,
     read,
@@ -27,6 +34,10 @@ from repro.eufm import (
     uf,
     write,
 )
+from repro.obs.tracer import Tracer, use_tracer
+from repro.processor import Bug, ProcessorConfig, run_diagram
+from repro.processor.families import FAMILIES
+from repro.rewriting import engine, rewrite_diagram
 from repro.rewriting.rules import case_cone
 
 # Leaves are interned as they are drawn: a node built at import would
@@ -151,3 +162,124 @@ def test_no_node_that_reaches_a_key_is_a_stop(split):
         assert image is node
         assert not _reaches(node, set(keys), set(stops), memo)
     assert size == len(_cone(roots, set(keys), set(stops)))
+
+
+def unpruned_case_cone(roots, keys, stops):
+    """``case_cone`` as it was before the walk pruned by stamp: it
+    descends into every node but the keys and the stops.  Returns the
+    cone's size, its frontier and the nodes visited."""
+    key_uids = {node.uid for node in keys}
+    bounds = key_uids | {node.uid for node in stops}
+    seen = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if node.uid in seen:
+            continue
+        seen[node.uid] = node
+        if node.uid not in bounds:
+            stack.extend(node.children)
+    cone = key_uids.intersection(seen)
+    inner = []
+    for uid in sorted(seen):
+        if uid in bounds:
+            continue
+        node = seen[uid]
+        for child in node.children:
+            if child.uid in cone:
+                cone.add(uid)
+                inner.append(node)
+                break
+    frontier = {root: root for root in roots if root.uid not in cone}
+    for node in inner:
+        for child in node.children:
+            if child.uid not in cone:
+                frontier[child] = child
+    return len(cone), frontier, len(seen)
+
+
+@st.composite
+def cone_walks(draw):
+    """A case split's roots, keys and stops, plus keys and stops drawn
+    from anywhere in the roots' DAG: Boolean variables, inner nodes of
+    either sort and leaves."""
+    roots, _, keys, stops = draw(case_splits())
+    nodes = sorted(iter_dag(*roots), key=lambda node: node.uid)
+    keys = keys + draw(st.lists(st.sampled_from(nodes), max_size=3))
+    stops = stops + draw(st.lists(st.sampled_from(nodes), max_size=2))
+    return roots, keys, stops
+
+
+def _counted_cone(roots, keys, stops):
+    tracer = Tracer()
+    with use_tracer(tracer), tracer.span("rewrite"):
+        size, frontier = case_cone(roots, keys, stops)
+    counters = tracer.root.counters
+    assert counters["rewrite.cone_nodes"] == size
+    return size, frontier, counters["rewrite.cone_visits"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_walks())
+def test_pruned_walk_finds_the_unpruned_cone_and_frontier(walk):
+    roots, keys, stops = walk
+    size, frontier, visits = _counted_cone(roots, keys, stops)
+    ref_size, ref_frontier, ref_visits = unpruned_case_cone(
+        roots, keys, stops
+    )
+    assert size == ref_size
+    assert list(frontier.items()) == list(ref_frontier.items())
+    assert visits <= ref_visits
+
+
+SIZES = ((1, 1), (2, 2), (3, 1), (4, 2), (5, 3))
+
+
+def _designs(family, kind):
+    """The designs of ``family`` at each of ``SIZES``: correct, or with
+    ``kind`` planted at each entry where it changes the design."""
+    for n_rob, width in SIZES:
+        config = ProcessorConfig(n_rob, width, family=family)
+        if kind is None:
+            yield config, None
+            continue
+        for entry in range(1, n_rob + width + 1):
+            bug = Bug(kind, entry=entry)
+            try:
+                bug.check(config)
+            except ValueError:
+                continue
+            yield config, bug
+
+
+@pytest.mark.parametrize("family, kind", [
+    (family, kind)
+    for family in ("reg-reg", "mem")
+    for kind in (None, *FAMILIES[family].bug_kinds)
+])
+def test_pruned_walk_matches_on_every_entry_of_a_design(
+    family, kind, monkeypatch
+):
+    walks = []
+
+    def both(roots, keys, stops):
+        size, frontier = case_cone(roots, keys, stops)
+        walks.append((
+            (size, list(frontier.items())),
+            unpruned_case_cone(roots, keys, stops),
+        ))
+        return size, frontier
+
+    monkeypatch.setattr(engine, "case_cone", both)
+    # No run_scope(): each design reuses the variables the ones before it
+    # interned, so the walks also meet uid orders a fresh run never has.
+    for config, bug in _designs(family, kind):
+        rewrite_diagram(run_diagram(config, bug=bug))
+    if kind is None:
+        # One walk per entry and chain; a bug flagged before rule 3
+        # leaves fewer.
+        chains = 2 if family == "mem" else 1
+        assert len(walks) == chains * sum(n for n, _ in SIZES)
+    for (size, frontier), (ref_size, ref_frontier, _) in walks:
+        assert size == ref_size
+        assert frontier == list(ref_frontier.items())

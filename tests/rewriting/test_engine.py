@@ -3,7 +3,7 @@
 import pytest
 
 from repro.encode import check_validity
-from repro.eufm import bool_variables, term_variables
+from repro.eufm import bool_variables, run_scope, term_variables
 from repro.obs.tracer import Tracer, use_tracer
 from repro.processor import (
     Bug,
@@ -94,13 +94,19 @@ class TestRewriteCorrectDesigns:
         assert validity.valid is True
 
 
-def _cone_nodes(n, k):
-    artifacts = run_diagram(ProcessorConfig(n_rob=n, issue_width=k))
-    tracer = Tracer()
-    with use_tracer(tracer):
-        result = rewrite_diagram(artifacts)
+def _rewrite_counters(n, k, family="reg-reg"):
+    """The rewrite span's counters of one run on an empty intern table,
+    as ``verify`` runs it: a table that still held another run's
+    variables would give them older uids than this run's chains."""
+    with run_scope():
+        artifacts = run_diagram(
+            ProcessorConfig(n_rob=n, issue_width=k, family=family)
+        )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = rewrite_diagram(artifacts)
     assert result.succeeded, result.failure
-    return tracer.root.counters["rewrite.cone_nodes"]
+    return tracer.root.counters
 
 
 class TestCaseCone:
@@ -109,8 +115,33 @@ class TestCaseCone:
         doubling N about doubles the summed count; walks that rebuilt the
         older entries' forwarding chains would grow it quadratically.
         Unlike CPU time, the count shows that even at small N."""
-        small, large = _cone_nodes(32, 2), _cone_nodes(64, 2)
+        small, large = (
+            _rewrite_counters(n, 2)["rewrite.cone_nodes"] for n in (32, 64)
+        )
         assert 0 < large <= 2.1 * small
+
+    @pytest.mark.parametrize("family", ["reg-reg", "mem"])
+    def test_cone_visits_grow_linearly_with_the_rob(self, family):
+        """The walk that finds each cone visits the cone and the nodes
+        just outside it, about twice the cone (reg-reg 770 -> 1,538 and
+        mem 2,270 -> 4,542 visits at N=32 -> 64), not the older entries'
+        chains beneath it: a walk through those grew 3.8 times."""
+        small, large = (_rewrite_counters(n, 2, family) for n in (32, 64))
+        assert 0 < large["rewrite.cone_visits"] <= (
+            2.1 * small["rewrite.cone_visits"])
+        for counters in (small, large):
+            assert counters["rewrite.cone_visits"] <= (
+                2.5 * counters["rewrite.cone_nodes"])
+
+    def test_forwarding_levels_grow_quadratically_with_the_rob(self):
+        """Each operand's forwarding walk compares one level per older
+        update on its register file, so the summed count about
+        quadruples when N doubles: the walk left quadratic in N."""
+        small, large = (
+            _rewrite_counters(n, 2)["rewrite.forwarding_levels"]
+            for n in (32, 64)
+        )
+        assert 3.5 * small <= large <= 4.1 * small
 
 
 class TestRewriteBuggyDesigns:

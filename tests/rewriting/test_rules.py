@@ -17,6 +17,7 @@ from repro.eufm import (
     write,
 )
 from repro.eufm import builder
+from repro.obs.tracer import Tracer, use_tracer
 from repro.rewriting import (
     RuleViolation,
     conjuncts,
@@ -203,6 +204,30 @@ class TestForwardingWalk:
         _, spec, _ = self._chains([2, 3])
         with pytest.raises(RuleViolation, match="level 2: chain shapes"):
             self._prove(fwd, spec, avail)
+
+    @pytest.mark.parametrize("producers, tamper, levels", [
+        ([], None, 0),
+        ([1, 2, 3], None, 3),
+        # The outermost guard differs: the first level fails.
+        ([1, 2], "guard", 1),
+        # A forwarding chain one level short fails at the third level.
+        ([1, 2, 3], "short", 3),
+    ])
+    def test_levels_compared_are_counted(self, producers, tamper, levels):
+        fwd, spec, avail = self._chains(producers)
+        if tamper == "guard":
+            fwd = ite_term(bvar("other_guard"), fwd.then, fwd.els)
+        elif tamper == "short":
+            fwd, _, _ = self._chains(producers[1:])
+        tracer = Tracer()
+        with use_tracer(tracer), tracer.span("rewrite"):
+            if tamper is None:
+                self._prove(fwd, spec, avail)
+            else:
+                with pytest.raises(RuleViolation):
+                    self._prove(fwd, spec, avail)
+        counters = tracer.root.counters
+        assert counters["rewrite.forwarding_levels"] == levels
 
     def test_read_from_an_undecomposed_state_rejected(self):
         # The prefixes hold another chain than the one the read is from.
