@@ -21,10 +21,10 @@ command line that made it; earlier tables and notes there are kept.
 from __future__ import annotations
 
 import argparse
-import resource
 import sys
 
 from repro.campaign import CampaignRunner, Job, RetryPolicy
+from repro.guard.memory import _rss_bytes
 
 from common import RESULTS_DIR
 
@@ -38,18 +38,19 @@ CONFIGS = [
 ]
 
 HEADER = (
-    "(peak GB: the high-water mark of this process's RSS when the row "
-    "finished; - for a row replayed from the journal)\n"
+    "(peak MiB: the high-water mark of this process's RSS when the row "
+    "finished, in units of 2**20 bytes; - for a row replayed from the "
+    "journal)\n"
     f"{'config':>16}  {'status':>12}  {'simulate':>9}  {'rewrite':>8}  "
     f"{'translate':>9}  {'SAT':>7}  {'total':>8}  {'clauses':>8}  "
-    f"{'peak GB':>8}"
+    f"{'peak MiB':>8}"
 )
 
 
 def _format_row(job: Job, result) -> str:
     m = result.metrics
-    peak_gb = "-" if result.from_journal else (
-        f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6:.2f}")
+    # ``_rss_bytes`` scales ru_maxrss, KiB on Linux and bytes on macOS.
+    peak_mib = "-" if result.from_journal else f"{_rss_bytes() / 2**20:.0f}"
     clauses = int(m.get("encode.cnf_clauses", 0))
     return (
         f"{f'N={job.n_rob}, k={job.issue_width}':>16}  "
@@ -58,7 +59,7 @@ def _format_row(job: Job, result) -> str:
         f"{m.get('timings.rewrite', 0.0):>7.1f}s  "
         f"{m.get('timings.translate', 0.0):>8.2f}s  "
         f"{m.get('timings.sat', 0.0):>6.2f}s  "
-        f"{m.get('timings.total', 0.0):>7.1f}s  {clauses:>8}  {peak_gb:>8}"
+        f"{m.get('timings.total', 0.0):>7.1f}s  {clauses:>8}  {peak_mib:>8}"
     )
 
 

@@ -51,9 +51,10 @@ Version (package + rule-registry provenance, one line each)::
 
 Exit status of a single run: 0 — the design was proved correct; 1 — a bug
 was found; 2 — a budget (conflicts, deadline, memory) ran out before a
-verdict; 3 — an invalid configuration (a negative budget included) or
-another structured verification error (including strict-mode soundness
-findings).
+verdict; 3 — an invalid configuration (a negative budget included),
+another structured verification error, or (with ``--certify``) a witness
+that fails validation.  The soundness findings have one route,
+``python -m repro lint``.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import gc
 import sys
 
 from .core.cli import add_run_options, verify_from_args
-from .errors import AnalysisError, BudgetExhausted, ReproError
+from .errors import BudgetExhausted, ReproError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,19 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     add_run_options(parser)
-    parser.add_argument(
-        "--analyze",
-        action="store_true",
-        help="run the soundness analyzers and report their findings",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help=(
-            "implies --analyze; exit with status 3 when the analyzers "
-            "report any error-level finding"
-        ),
-    )
     parser.add_argument(
         "--certify",
         action="store_true",
@@ -151,26 +139,11 @@ def main(argv=None) -> int:
         return witness_main(argv[1:])
     args = build_parser().parse_args(argv)
     try:
-        result = verify_from_args(
-            args,
-            announce=print,
-            analyze=args.analyze or args.strict,
-            strict=args.strict,
-            certify=args.certify,
-        )
+        result = verify_from_args(args, announce=print, certify=args.certify)
     except ValueError as exc:
         # Configuration-level rejections (an invalid size, a bug kind the
         # workload family cannot express, an unsound criterion for it).
         print(f"python -m repro: error: {exc}", file=sys.stderr)
-        return 3
-    except AnalysisError as exc:
-        from .core.reporting import render_diagnostics
-
-        print(
-            render_diagnostics(exc.diagnostics, title="Soundness findings"),
-            file=sys.stderr,
-        )
-        print(f"strict analysis failed: {exc}", file=sys.stderr)
         return 3
     except BudgetExhausted as exc:
         spent = []
@@ -192,10 +165,6 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 3
     print(result.summary())
-    if result.diagnostics:
-        from .core.reporting import render_diagnostics
-
-        print(render_diagnostics(result.diagnostics))
     if result.witness is not None:
         print(result.witness.render())
         if result.witness.kind != "rewrite-flag" and \

@@ -16,11 +16,14 @@ produced them:
 * :mod:`~repro.analysis.dag_lint` — hash-consing and stage-residue
   invariants over the expression DAG;
 * :mod:`~repro.analysis.pipeline` — orchestration over whole processor
-  configurations (``python -m repro lint``, ``verify(analyze=True)``).
+  configurations (``python -m repro lint``).
 
-All findings are :class:`~repro.analysis.diagnostics.Diagnostic`
-records; error-level findings drive the non-zero exit of ``repro lint``
-and the :class:`~repro.errors.AnalysisError` raised by strict mode.
+The findings depend only on the encoded formula, that is on the
+configuration, method and criterion, never on a SAT run or its budgets,
+so ``repro lint`` builds and audits the formula :func:`repro.core.verify`
+decides in a run of its own.  All findings are
+:class:`~repro.analysis.diagnostics.Diagnostic` records; error-level
+findings drive the non-zero exit of ``repro lint``.
 """
 
 from .diagnostics import (

@@ -8,9 +8,7 @@ flagged (a node, rule name or clause index) and a human explanation.
 Severities follow the ``repro lint`` exit-code contract:
 
 * ``error`` — a soundness invariant is violated; the encoder or a rewrite
-  rule cannot be trusted.  ``python -m repro lint`` exits non-zero and
-  :func:`repro.core.verify` in ``strict`` mode raises
-  :class:`~repro.errors.AnalysisError`.
+  rule cannot be trusted.  ``python -m repro lint`` exits non-zero.
 * ``warning`` — sound but suspicious (lost precision, dead artifacts).
 * ``info`` — statistics worth journaling (rule application tallies...).
 """

@@ -42,7 +42,6 @@ __all__ = [
     "AnalysisReport",
     "analyze_encoding",
     "analyze_config",
-    "analyze_verification",
     "rewrite_tally_diagnostic",
     "build_report",
 ]
@@ -138,24 +137,6 @@ def rewrite_tally_diagnostic(rewrite, subject: str) -> Diagnostic:
         message=message,
         data={"rules_applied": dict(tally)},
     )
-
-
-def analyze_verification(result) -> List[Diagnostic]:
-    """Audit the artifacts a finished :func:`repro.core.verify` run left.
-
-    Unlike :func:`analyze_config`, a rewriting failure is *not* a finding
-    here: the verification result already reports it as a (suspected)
-    design bug, which is a verdict, not a soundness defect.
-    """
-    subject = f"{result.config.describe()} [{result.method}]"
-    diagnostics: List[Diagnostic] = []
-    if result.rewrite is not None and result.rewrite.succeeded:
-        diagnostics.append(
-            rewrite_tally_diagnostic(result.rewrite, subject)
-        )
-    if result.validity is not None:
-        diagnostics.extend(analyze_encoding(result.validity.encoded, subject))
-    return diagnostics
 
 
 def analyze_config(

@@ -124,12 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail on mid-file journal corruption instead of skipping it",
     )
     parser.add_argument(
-        "--analyze",
-        action="store_true",
-        help="run the soundness analyzers on every job and record their "
-        "findings in the journal",
-    )
-    parser.add_argument(
         "--certify",
         action="store_true",
         help="certify every verdict (DRUP proof check / counterexample "
@@ -223,7 +217,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             fault_plan=fault_plan,
             log=log,
             strict_journal=args.strict_journal,
-            analyze=args.analyze,
             certify=args.certify,
             workers=args.workers
             if args.workers is not None

@@ -63,7 +63,6 @@ def run_attempt(
     budgets: Budgets,
     verify_fn: Callable,
     *,
-    analyze: bool = False,
     certify: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     fault_journal: Optional[Journal] = None,
@@ -91,13 +90,9 @@ def run_attempt(
                 if max_memory is not None else None
             ),
         )
-    # Only forward opt-in kwargs when they are on, so custom verify_fn
+    # Only forward ``certify`` when it is on, so custom verify_fn
     # overrides keep their narrower signature.
-    extra: Dict[str, object] = {}
-    if analyze:
-        extra["analyze"] = True
-    if certify:
-        extra["certify"] = True
+    extra = {"certify": True} if certify else {}
     tracer = Tracer()
     outcome: Union[JobResult, AttemptFailure]
     try:

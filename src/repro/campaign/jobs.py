@@ -11,7 +11,7 @@ produces for every job; its ``status`` is always one of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..core.results import VerificationResult
 from ..core.verifier import budget_problem
@@ -199,11 +199,6 @@ class JobResult:
     attempts: int
     detail: str = ""
     suspected_entry: Optional[int] = None
-    #: serialized soundness findings of the deciding run (dicts in the
-    #: :meth:`repro.analysis.diagnostics.Diagnostic.to_dict` layout);
-    #: populated when the campaign runs with ``analyze=True`` and
-    #: journaled with the finish record so they survive crash-and-resume.
-    diagnostics: List[Dict[str, Any]] = field(default_factory=list)
     #: flat perf metrics of the deciding run, in the
     #: :func:`repro.obs.metrics.snapshot_from_result` layout (the names
     #: ``perf record`` uses: ``timings.*``, ``cpu.*``, ``encode.*``,
@@ -238,10 +233,6 @@ class JobResult:
         else:
             status = "BUG_FOUND"
             detail = result.failure_detail or "SAT counterexample"
-        diagnostics = [
-            diag.to_dict() if hasattr(diag, "to_dict") else dict(diag)
-            for diag in getattr(result, "diagnostics", []) or []
-        ]
         from ..obs.metrics import snapshot_from_result
 
         metrics = snapshot_from_result(result).metrics
@@ -257,7 +248,6 @@ class JobResult:
             attempts=attempts,
             detail=detail,
             suspected_entry=result.suspected_entry,
-            diagnostics=diagnostics,
             metrics=metrics,
             witness=witness,
         )
@@ -270,7 +260,6 @@ class JobResult:
             "attempts": self.attempts,
             "detail": self.detail,
             "suspected_entry": self.suspected_entry,
-            "diagnostics": self.diagnostics,
             "metrics": self.metrics,
             "witness": self.witness,
             "worker": self.worker,
@@ -278,6 +267,8 @@ class JobResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobResult":
+        # Finish records of older builds may hold a ``diagnostics`` list
+        # (the findings now come from ``repro lint``); it is not read.
         return cls(
             job_id=data["job_id"],
             status=data["status"],
@@ -285,7 +276,6 @@ class JobResult:
             attempts=int(data.get("attempts", 1)),
             detail=data.get("detail", ""),
             suspected_entry=data.get("suspected_entry"),
-            diagnostics=list(data.get("diagnostics", [])),
             metrics=dict(data.get("metrics", {})),
             witness=data.get("witness"),
             worker=data.get("worker"),

@@ -118,7 +118,6 @@ def _worker_main(
                 task["attempt"],
                 task["budgets"],
                 verify_fn,
-                analyze=options["analyze"],
                 certify=options["certify"],
                 fault_plan=FaultPlan(faults) if faults else None,
                 # Every deadline check site in the pipeline doubles as a
@@ -179,14 +178,12 @@ class WorkerPool:
         *,
         verify_fn: Optional[Callable],
         fault_plan: Optional[FaultPlan],
-        analyze: bool,
         certify: bool,
         hang_timeout: float,
     ) -> None:
         self._size = size
         self._options = {
             "verify_fn": verify_fn,
-            "analyze": analyze,
             "certify": certify,
             "heartbeat_interval": hang_timeout / BEATS_PER_HANG_TIMEOUT,
         }

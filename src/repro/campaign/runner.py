@@ -216,10 +216,6 @@ class CampaignRunner:
             exception it raises is journaled as a ``callback_error`` event
             and the campaign continues; it does not abort the batch.
         log: line sink for progress messages (e.g. ``print``).
-        analyze: run the :mod:`repro.analysis` soundness analyzers on
-            every verification; their findings ride in
-            :attr:`JobResult.diagnostics` and the journal's finish
-            records, so they survive crash-and-resume.
         certify: certify every verdict (``verify(certify=True)``): DRUP
             proofs are checked for PROVED jobs, counterexamples replayed
             and minimized for BUG_FOUND ones.  The witness digest summary
@@ -248,7 +244,6 @@ class CampaignRunner:
         on_result: Optional[Callable[[Job, JobResult], None]] = None,
         log: Optional[Callable[[str], None]] = None,
         strict_journal: bool = False,
-        analyze: bool = False,
         certify: bool = False,
         workers: int = 1,
         hang_timeout: float = 30.0,
@@ -269,7 +264,6 @@ class CampaignRunner:
         self.on_result = on_result
         self._log = log or (lambda message: None)
         self.strict_journal = strict_journal
-        self.analyze = analyze
         self.certify = certify
         self.workers = workers
         self.hang_timeout = hang_timeout
@@ -478,7 +472,6 @@ class CampaignRunner:
             # custom verify_fn needs to cross the process boundary.
             verify_fn=None if self._verify_is_default else self.verify_fn,
             fault_plan=self.fault_plan,
-            analyze=self.analyze,
             certify=self.certify,
             hang_timeout=self.hang_timeout,
         )
@@ -578,7 +571,6 @@ class _InProcess:
         runner = self._runner
         outcome, metrics = run_attempt(
             job, attempt, budgets, runner.verify_fn,
-            analyze=runner.analyze,
             certify=runner.certify,
             fault_plan=runner.fault_plan,
             fault_journal=self._journal,

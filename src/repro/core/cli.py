@@ -156,13 +156,13 @@ def parse_grid(text: str) -> List[Tuple[int, int]]:
 def verify_from_args(
     args: argparse.Namespace,
     announce: Optional[Callable[[str], None]] = None,
-    **options,
+    certify: bool = False,
 ) -> VerificationResult:
     """Verify the run that :func:`add_run_options`' flags name.
 
     ``announce`` is called with a one-line description of the planted
-    bug, if any, before the run starts; ``options`` (``certify=``,
-    ``analyze=``, ...) go to :func:`~repro.core.verify` unchanged.
+    bug, if any, before the run starts; ``certify`` goes to
+    :func:`~repro.core.verify` unchanged.
     Raises ``ValueError`` for a configuration or bug the design rejects.
     """
     config = ProcessorConfig(
@@ -184,5 +184,5 @@ def verify_from_args(
         max_conflicts=args.max_conflicts,
         max_wall_seconds=args.deadline,
         max_memory_mb=args.max_memory,
-        **options,
+        certify=certify,
     )

@@ -5,8 +5,8 @@ issue/retire widths (columns); impossible configurations (width > size)
 are printed as a dash.  :func:`render_matrix` reproduces that layout.
 
 :func:`render_diagnostics` is the human-readable sink for the soundness
-analyzers of :mod:`repro.analysis` (``python -m repro lint`` and the
-``--analyze`` mode of the single-run CLI).
+analyzers of :mod:`repro.analysis`, whose one route is
+``python -m repro lint``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..encode.evc import EncodingStats, ValidityResult
 from ..obs.tracer import Span
@@ -42,9 +42,6 @@ class VerificationResult:
     #: proof for correct designs, a replayed + minimized term-level
     #: counterexample for buggy ones.
     witness: Optional["Witness"] = None
-    #: soundness findings from ``verify(analyze=True)``
-    #: (:class:`~repro.analysis.diagnostics.Diagnostic` records).
-    diagnostics: List = field(default_factory=list)
     #: the run's span tree, attached by every ``verify()`` call: the one
     #: source of its timings and counts.  ``timings`` is the flat
     #: per-phase view derived from it, and

@@ -31,7 +31,7 @@ from contextlib import nullcontext
 from typing import Dict, Optional, Tuple
 
 from ..encode.evc import check_validity
-from ..errors import AnalysisError, BudgetExhausted
+from ..errors import BudgetExhausted
 from ..eufm.ast import Formula, run_scope
 from ..guard.deadline import current_deadline, use_deadline
 from ..guard.memory import MemoryBudget
@@ -153,8 +153,6 @@ def verify(
     max_conflicts: Optional[int] = None,
     max_wall_seconds: Optional[float] = None,
     max_memory_mb: Optional[float] = None,
-    analyze: bool = False,
-    strict: bool = False,
     trace: bool = False,
     certify: bool = False,
 ) -> VerificationResult:
@@ -188,12 +186,6 @@ def verify(
             When a deadline is already ambient (e.g. inside a campaign
             worker), the new budgets are capped by its remaining
             allowance and its heartbeat sink is inherited.
-        analyze: run the :mod:`repro.analysis` soundness analyzers over
-            the run's artifacts and attach their findings to
-            ``result.diagnostics``.
-        strict: implies ``analyze``; raise
-            :class:`repro.errors.AnalysisError` when any error-level
-            finding is present instead of returning normally.
         trace: ignored.  Every run attaches its span tree (a
             :class:`~repro.obs.tracer.Span` with the per-layer work
             counters) to ``result.trace``; render it with
@@ -217,7 +209,6 @@ def verify(
         problem = budget is not None and budget_problem(name, budget)
         if problem:
             raise ValueError(f"{name} {problem}, got {budget!r}")
-    analyze = analyze or strict
     # The run owns the intern table; its budgets start once it has it.
     with run_scope():
         guard_deadline = None
@@ -237,11 +228,6 @@ def verify(
                     result = _run_traced(
                         config, method, bug, criterion, max_conflicts, certify,
                     )
-                    if analyze:
-                        from ..analysis.pipeline import analyze_verification
-
-                        with tracer.span("analyze"):
-                            result.diagnostics = analyze_verification(result)
                     if certify:
                         from ..witness.certify import certify_result
 
@@ -261,15 +247,4 @@ def verify(
         root.add(counter, value)
     result.timings = _derive_timings(root)
     result.trace = root
-
-    if strict:
-        from ..analysis.diagnostics import errors_in
-
-        errors = errors_in(result.diagnostics)
-        if errors:
-            raise AnalysisError(
-                f"soundness analysis found {len(errors)} error(s): "
-                + "; ".join(diag.render() for diag in errors[:3]),
-                diagnostics=result.diagnostics,
-            )
     return result

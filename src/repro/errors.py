@@ -15,7 +15,7 @@ phase ``timings`` accumulated before the budget ran out).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
 __all__ = [
     "ReproError",
@@ -24,7 +24,6 @@ __all__ = [
     "RewriteFailed",
     "EncodingError",
     "SolverError",
-    "AnalysisError",
     "WitnessError",
     "CampaignError",
     "JournalError",
@@ -131,19 +130,6 @@ class EncodingError(ReproError):
 
 class SolverError(ReproError):
     """A decision procedure was handed malformed input or lost an invariant."""
-
-
-class AnalysisError(ReproError):
-    """The soundness analyzer found error-level findings in strict mode.
-
-    Attributes:
-        diagnostics: the :class:`~repro.analysis.diagnostics.Diagnostic`
-            records that triggered the error (error-level findings first).
-    """
-
-    def __init__(self, message: str, diagnostics: Iterable[Any] = ()) -> None:
-        super().__init__(message)
-        self.diagnostics: List[Any] = list(diagnostics)
 
 
 class WitnessError(ReproError):

@@ -4,13 +4,14 @@ A *submit request* is a JSON document describing a batch of
 verification jobs — either an explicit ``configs`` list or a ``grid``
 string (the ``NxK,...`` shorthand of :func:`repro.core.cli.parse_grid`),
 plus shared method/criterion/family/bug options (``family`` may also be
-set per config), certification and analysis switches, and optional
-per-attempt base budgets.  :meth:`SubmitRequest.parse` validates it into
-campaign :class:`~repro.campaign.jobs.Job` objects, refusing any job
-that can only fail (an invalid configuration, or a bug its design has no
-logic for); :func:`job_options` distills the verdict-relevant options of
-one job into the mapping :func:`repro.core.keys.canonical_key` hashes for
-the result cache.
+set per config), the certification switch, and optional per-attempt base
+budgets.  :meth:`SubmitRequest.parse` validates it into campaign
+:class:`~repro.campaign.jobs.Job` objects, refusing unknown fields in
+every object of it (the body, ``bug``, each ``configs[i]`` and
+``budgets``) and any job that can only fail (an invalid configuration,
+or a bug its design has no logic for); :func:`job_options` distills the
+verdict-relevant options of one job into the mapping
+:func:`repro.core.keys.canonical_key` hashes for the result cache.
 
 Budgets are deliberately *not* part of :func:`job_options`: they bound
 the search, not the verdict, and the cache only ever stores definitive
@@ -20,7 +21,7 @@ outcomes (see :mod:`repro.service.cache`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..campaign.jobs import BUDGET_FIELDS, Job
 from ..core.cli import parse_grid
@@ -52,20 +53,50 @@ class ServiceError(CampaignError):
         self.retry_after = retry_after
 
 
-def _integer(value: Any, name: str) -> int:
-    """``value`` if it is a JSON integer; a 400 naming ``name`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ServiceError(400, f"{name} must be an integer, got {value!r}")
+def _typed(value: Any, name: str, kind: Any, noun: str) -> Any:
+    """``value`` if it is a JSON ``noun`` of Python type ``kind``; a 400
+    naming ``name`` otherwise.  A bool is no number."""
+    if not isinstance(value, kind) or (
+        isinstance(value, bool) and kind is not bool
+    ):
+        raise ServiceError(400, f"{name} must be {noun}, got {value!r}")
     return value
 
 
-def job_options(job: Job, certify: bool, analyze: bool) -> Dict[str, Any]:
+def _integer(value: Any, name: str) -> int:
+    """``value`` if it is a JSON integer; a 400 naming ``name`` otherwise."""
+    return _typed(value, name, int, "an integer")
+
+
+def _family(value: Any) -> str:
+    """``value`` if it names a workload family; a 400 otherwise."""
+    if not isinstance(value, str) or value not in family_names():
+        raise ServiceError(
+            400, f"unknown family {value!r}; use one of {family_names()}"
+        )
+    return value
+
+
+def _refuse_unknown(
+    fields: Mapping[str, Any], allowed: Tuple[str, ...], name: str
+) -> None:
+    """A 400 naming the keys of ``fields`` outside ``allowed``."""
+    unknown = set(fields) - set(allowed)
+    if unknown:
+        raise ServiceError(
+            400,
+            f"unknown {name} field(s): {sorted(unknown)}; "
+            f"use {sorted(allowed)}",
+        )
+
+
+def job_options(job: Job, certify: bool) -> Dict[str, Any]:
     """The verdict-relevant options of one job, for cache keying.
 
     Everything that changes the verdict or its recorded evidence is
-    here — method, criterion, the planted bug, and the certify/analyze
-    switches (they decide whether diagnostics and witness artifacts
-    exist in the cached record).  Budgets are excluded by design.
+    here — method, criterion, the planted bug, and the certify switch
+    (it decides whether witness artifacts exist in the cached record).
+    Budgets are excluded by design.
     """
     return {
         "method": job.method,
@@ -74,7 +105,6 @@ def job_options(job: Job, certify: bool, analyze: bool) -> Dict[str, Any]:
         "bug_entry": job.bug_entry if job.bug_kind is not None else None,
         "bug_operand": job.bug_operand if job.bug_kind is not None else None,
         "certify": certify or None,
-        "analyze": analyze or None,
     }
 
 
@@ -84,7 +114,6 @@ class SubmitRequest:
 
     jobs: List[Job]
     certify: bool = False
-    analyze: bool = False
     #: free-form client label, echoed in session records (provenance).
     client: str = ""
     #: raw budget fields forwarded to the jobs (already applied).
@@ -95,14 +124,14 @@ class SubmitRequest:
         """Validate a decoded JSON body; raises :class:`ServiceError`."""
         if not isinstance(payload, Mapping):
             raise ServiceError(400, "request body must be a JSON object")
-        unknown = set(payload) - {
+        _refuse_unknown(payload, (
             "configs", "grid", "method", "criterion", "family", "bug",
-            "certify", "analyze", "client", "budgets",
-        }
-        if unknown:
-            raise ServiceError(
-                400, f"unknown request field(s): {sorted(unknown)}"
-            )
+            "certify", "client", "budgets",
+        ), "request")
+        certify = _typed(
+            payload.get("certify", False), "certify", bool, "a JSON boolean"
+        )
+        client = _typed(payload.get("client", ""), "client", str, "a string")
         method = payload.get("method", "rewriting")
         if method not in METHODS:
             raise ServiceError(
@@ -114,12 +143,7 @@ class SubmitRequest:
                 400,
                 f"unknown criterion {criterion!r}; use one of {CRITERIA}",
             )
-        family = payload.get("family", "reg-reg")
-        if not isinstance(family, str) or family not in family_names():
-            raise ServiceError(
-                400,
-                f"unknown family {family!r}; use one of {family_names()}",
-            )
+        family = _family(payload.get("family", "reg-reg"))
         bug = payload.get("bug")
         bug_fields: Dict[str, Any] = {}
         if bug is not None:
@@ -127,6 +151,7 @@ class SubmitRequest:
                 raise ServiceError(
                     400, "bug must be an object with a 'kind' field"
                 )
+            _refuse_unknown(bug, ("kind", "entry", "operand"), "bug")
             if bug["kind"] not in BugKind.ALL:
                 raise ServiceError(
                     400,
@@ -140,16 +165,12 @@ class SubmitRequest:
                     bug.get("operand", 1), "bug.operand"
                 ),
             }
-        budgets_in = payload.get("budgets") or {}
+        budgets_in = payload.get("budgets")
+        if budgets_in is None:
+            budgets_in = {}
         if not isinstance(budgets_in, Mapping):
             raise ServiceError(400, "budgets must be a JSON object")
-        bad_budget = set(budgets_in) - set(BUDGET_FIELDS)
-        if bad_budget:
-            raise ServiceError(
-                400,
-                f"unknown budget field(s): {sorted(bad_budget)}; "
-                f"use {BUDGET_FIELDS}",
-            )
+        _refuse_unknown(budgets_in, BUDGET_FIELDS, "budget")
         budgets = {
             name: budgets_in[name]
             for name in BUDGET_FIELDS
@@ -158,11 +179,8 @@ class SubmitRequest:
         for name, value in budgets.items():
             if name == "max_conflicts":
                 _integer(value, "budgets.max_conflicts")
-            elif isinstance(value, bool) \
-                    or not isinstance(value, (int, float)):
-                raise ServiceError(
-                    400, f"budgets.{name} must be a number, got {value!r}"
-                )
+            else:
+                _typed(value, f"budgets.{name}", (int, float), "a number")
             problem = budget_problem(name, value)
             if problem:
                 raise ServiceError(
@@ -182,14 +200,12 @@ class SubmitRequest:
                         "each config needs n_rob and issue_width "
                         "(optionally retire_width, family)",
                     )
-                item_family = item.get("family", family)
-                if not isinstance(item_family, str) \
-                        or item_family not in family_names():
-                    raise ServiceError(
-                        400,
-                        f"unknown family {item_family!r}; "
-                        f"use one of {family_names()}",
-                    )
+                _refuse_unknown(
+                    item,
+                    ("n_rob", "issue_width", "retire_width", "family"),
+                    f"configs[{index}]",
+                )
+                item_family = _family(item.get("family", family))
                 retire_width = item.get("retire_width")
                 if retire_width is not None:
                     retire_width = _integer(
@@ -267,9 +283,8 @@ class SubmitRequest:
             jobs.append(job)
         return cls(
             jobs=jobs,
-            certify=bool(payload.get("certify", False)),
-            analyze=bool(payload.get("analyze", False)),
-            client=str(payload.get("client", "")),
+            certify=certify,
+            client=client,
             budgets=budgets,
         )
 
@@ -278,17 +293,17 @@ class SubmitRequest:
         return {
             "jobs": [job.to_dict() for job in self.jobs],
             "certify": self.certify,
-            "analyze": self.analyze,
             "client": self.client,
             "budgets": self.budgets,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SubmitRequest":
+        # Requests that older builds wrote may hold an ``analyze`` switch
+        # (the findings now come from ``repro lint``); it is not read.
         return cls(
             jobs=[Job.from_dict(spec) for spec in data.get("jobs", [])],
             certify=bool(data.get("certify", False)),
-            analyze=bool(data.get("analyze", False)),
             client=str(data.get("client", "")),
             budgets=dict(data.get("budgets", {})),
         )

@@ -310,7 +310,7 @@ class SessionManager:
         for job in request.jobs:
             key = canonical_key(
                 job.config(),
-                job_options(job, request.certify, request.analyze),
+                job_options(job, request.certify),
             )
             view = JobView(job=job, cache_key=key, state="pending")
             if key in by_key:
@@ -471,7 +471,6 @@ class SessionManager:
                 session, job, result
             ),
             log=self._log,
-            analyze=request.analyze,
             certify=request.certify,
             workers=self.session_workers,
         )
@@ -512,7 +511,7 @@ class SessionManager:
                 key=view.cache_key,
                 result=record,
                 config=config_dict(job.config()),
-                options=job_options(job, request.certify, request.analyze),
+                options=job_options(job, request.certify),
                 registry_version=_registry_version(),
                 repro_version=_repro_version(),
                 artifacts=artifacts,

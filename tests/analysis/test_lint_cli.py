@@ -1,4 +1,5 @@
-"""The ``python -m repro lint`` command and the strict verify mode."""
+"""The ``python -m repro lint`` command, the one route to the soundness
+findings."""
 
 import json
 
@@ -6,12 +7,13 @@ import pytest
 
 from repro import ProcessorConfig
 from repro.__main__ import main as repro_main
-from repro.analysis import ERROR, Diagnostic, RuleInstance, RuleSpec
+from repro.analysis import RuleInstance, RuleSpec
 from repro.analysis import rules
 from repro.analysis.cli import main as lint_main
 from repro.core import verify
-from repro.errors import AnalysisError
+from repro.core.verifier import METHODS
 from repro.eufm import builder
+from repro.processor.correctness import CRITERIA
 
 
 class TestLintCli:
@@ -88,54 +90,44 @@ class TestUnsoundRuleThroughCli:
         assert "term_values" in unsound[0]["data"]
 
 
-class TestStrictVerify:
-    def test_analyze_attaches_diagnostics(self):
-        result = verify(ProcessorConfig(2, 1), analyze=True)
-        assert result.correct
-        assert result.diagnostics
-        assert "analyze" in result.timings
-        checks = {d.check for d in result.diagnostics}
-        assert "rewrite.rules-applied" in checks
+class TestOneRoute:
+    """``repro lint`` is the only route to the findings; the inline
+    post-pass of ``verify()`` and its switches are gone."""
 
-    def test_strict_clean_run_returns_normally(self):
-        result = verify(ProcessorConfig(2, 1), strict=True)
-        assert result.correct
+    @pytest.mark.parametrize("switch", ["analyze", "strict"])
+    def test_verify_takes_no_audit_switch(self, switch):
+        with pytest.raises(TypeError):
+            verify(ProcessorConfig(2, 1), **{switch: True})
 
-    def test_strict_raises_on_error_findings(self, monkeypatch):
-        from repro.analysis import pipeline
+    @pytest.mark.parametrize("argv", [
+        ["--rob", "2", "--width", "1", "--analyze"],
+        ["--rob", "2", "--width", "1", "--strict"],
+        ["campaign", "--journal", "unused.jsonl", "--grid", "2x1",
+         "--analyze"],
+    ], ids=["analyze", "strict", "campaign-analyze"])
+    def test_retired_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-        def poisoned(result):
-            return [Diagnostic(
-                severity=ERROR, stage="polarity",
-                check="polarity.p-var-in-general-position",
-                subject="victim", message="planted for the test",
-            )]
 
-        monkeypatch.setattr(pipeline, "analyze_verification", poisoned)
-        with pytest.raises(AnalysisError) as excinfo:
-            verify(ProcessorConfig(2, 1), strict=True)
-        assert excinfo.value.diagnostics
-        assert "polarity.p-var-in-general-position" in str(excinfo.value)
-
-    def test_strict_cli_exit_code_is_3(self, capsys, monkeypatch):
-        from repro.analysis import pipeline
-
-        monkeypatch.setattr(
-            pipeline, "analyze_verification",
-            lambda result: [Diagnostic(
-                severity=ERROR, stage="cnf", check="cnf.zero-literal",
-                message="planted",
-            )],
-        )
-        assert repro_main(["--rob", "2", "--width", "1", "--strict"]) == 3
-        err = capsys.readouterr().err
-        assert "strict analysis failed" in err
-        assert "cnf.zero-literal" in err
+#: Every family under both methods and each criterion sound for it: the
+#: branch families refuse ``case_split``.
+AUDIT_CASES = [
+    (family, method, criterion)
+    for family in ("reg-reg", "branch", "mem", "mixed")
+    for method in METHODS
+    for criterion in CRITERIA
+    if criterion == "disjunction" or family in ("reg-reg", "mem")
+]
 
 
 class TestAuditedEncoding:
-    @pytest.mark.parametrize("family", ["reg-reg", "branch", "mem", "mixed"])
-    def test_lint_audits_the_cnf_verify_decides(self, family, monkeypatch):
+    @pytest.mark.parametrize("family, method, criterion", AUDIT_CASES)
+    def test_lint_audits_the_cnf_verify_decides(
+        self, family, method, criterion, monkeypatch
+    ):
         # Branch families decline the reduction, so verify() decides the
         # unreduced formula with the precise memory model; the audit must
         # encode it the same way, not with the conservative abstraction.
@@ -148,8 +140,11 @@ class TestAuditedEncoding:
             lambda *args, **kwargs: audited.append(encode(*args, **kwargs))
             or audited[-1],
         )
-        decided = verify(config).encoding_stats
-        pipeline.analyze_config(config, method="rewriting")
+        decided = verify(
+            config, method=method, criterion=criterion
+        ).validity.encoded
+        pipeline.analyze_config(config, method=method, criterion=criterion)
         (encoded,) = audited
         assert (encoded.stats.cnf_vars, encoded.stats.cnf_clauses) == (
-            decided.cnf_vars, decided.cnf_clauses)
+            decided.stats.cnf_vars, decided.stats.cnf_clauses)
+        assert encoded.cnf.clauses == decided.cnf.clauses

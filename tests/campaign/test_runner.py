@@ -369,6 +369,37 @@ class TestResume:
         assert report.replayed == 2
         assert report.counts() == {"PROVED": 2}
 
+    def test_journal_with_retired_diagnostics_is_a_pure_replay(
+        self, tmp_path
+    ):
+        # Campaigns run with the retired ``--analyze`` journaled their
+        # soundness findings in every finish record.
+        path = str(tmp_path / "j.jsonl")
+        jobs = [Job.build(2, 1), Job.build(3, 1)]
+        statuses = {jobs[0].job_id: "PROVED", jobs[1].job_id: "BUG_FOUND"}
+        finding = {"severity": "info", "stage": "rewrite",
+                   "check": "rewrite.rules-applied", "subject": "x",
+                   "message": "rule applications: merge=1",
+                   "data": {"rules_applied": {"merge": 1}}}
+        with Journal(path) as journal:
+            for job in jobs:
+                journal.append({"event": "enqueue", "job": job.to_dict()})
+            for job in jobs:
+                journal.append({"event": "finish", "job_id": job.job_id,
+                                "status": statuses[job.job_id],
+                                "method": "rewriting", "attempts": 1,
+                                "detail": "", "suspected_entry": None,
+                                "diagnostics": [finding], "metrics": {},
+                                "witness": None, "worker": None})
+        spy = SpyVerify()
+        report = CampaignRunner(path, verify_fn=spy).run()
+        assert spy.calls == []
+        assert report.replayed == 2
+        assert {job_id: result.status
+                for job_id, result in report.results.items()} == statuses
+        assert all("diagnostics" not in result.to_dict()
+                   for result in report.results.values())
+
     @pytest.mark.parametrize("resupply", [False, True])
     def test_journaled_non_null_max_seconds_is_refused(
         self, tmp_path, resupply

@@ -101,11 +101,17 @@ def formula_strategy(draw, depth=3):
         if choice == 1:
             return draw(st.sampled_from([TRUE, FALSE]))
         return eq(draw(term_strategy(0)), draw(term_strategy(0)))
-    choice = draw(st.integers(0, 5))
+    choice = draw(st.integers(0, 6))
     if choice == 0:
         return bvar(draw(st.sampled_from(BOOL_NAMES)))
     if choice == 1:
         return eq(draw(term_strategy(depth - 1)), draw(term_strategy(depth - 1)))
+    if choice == 6:
+        args = [
+            draw(term_strategy(depth - 1))
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+        return up(draw(st.sampled_from(UP_NAMES)), args)
     if choice == 2:
         return not_(draw(formula_strategy(depth - 1)))
     if choice == 3:

@@ -51,13 +51,6 @@ class TestSpanTreeCoverage:
         # configuration's expressions (hash-consing is global).
         assert counters.get("tlsim.nodes_built", -1) >= 0
 
-    def test_analyze_adds_a_phase_span(self):
-        result = verify(
-            ProcessorConfig(n_rob=2, issue_width=1), analyze=True
-        )
-        assert result.trace.find("analyze") is not None
-        assert "analyze" in result.timings
-
 
 class TestDerivedTimings:
     def test_timings_are_a_view_of_the_span_tree(self, traced_result):

@@ -23,7 +23,6 @@ class TestParseHappyPath:
         assert [(job.n_rob, job.issue_width) for job in request.jobs] == \
             [(4, 2), (8, 2)]
         assert request.certify is False
-        assert request.analyze is False
 
     def test_explicit_configs_and_grid_combine(self):
         request = SubmitRequest.parse({
@@ -40,7 +39,6 @@ class TestParseHappyPath:
             "criterion": "case_split",
             "bug": {"kind": "forward-wrong-source", "entry": 3},
             "certify": True,
-            "analyze": True,
             "client": "tester",
             "budgets": {"max_conflicts": 100, "max_wall_seconds": 2,
                         "max_memory_mb": 64},
@@ -53,7 +51,7 @@ class TestParseHappyPath:
         assert job.max_conflicts == 100
         assert job.max_wall_seconds == 2
         assert job.max_memory_mb == 64
-        assert request.certify and request.analyze
+        assert request.certify
         assert request.client == "tester"
 
     def test_duplicate_configs_get_distinct_job_ids(self):
@@ -86,6 +84,48 @@ class TestParseRejections:
         assert _status(excinfo) == 400
         assert "bogus" in str(excinfo.value)
 
+    def test_retired_analyze_field_is_a_400(self):
+        # The soundness findings have one route, ``repro lint``.
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse({"grid": "4x2", "analyze": True})
+        assert _status(excinfo) == 400
+        assert "unknown request field(s): ['analyze']" in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_certify_must_be_a_json_boolean(self, value):
+        # Coerced with bool(), "false" would certify the job and key it
+        # under the certified cache key.
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse({"grid": "4x2", "certify": value})
+        assert _status(excinfo) == 400
+        assert "certify must be a JSON boolean" in str(excinfo.value)
+
+    def test_client_must_be_a_string(self):
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse({"grid": "4x2", "client": 5})
+        assert _status(excinfo) == 400
+        assert "client must be a string, got 5" in str(excinfo.value)
+
+    def test_unknown_bug_field_is_a_400_naming_it(self):
+        # Dropped silently, the typo would plant the bug at entry 1.
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse({"grid": "4x2", "bug": {
+                "kind": "retire-ignores-valid", "entyr": 2,
+            }})
+        assert _status(excinfo) == 400
+        assert "unknown bug field(s): ['entyr']" in str(excinfo.value)
+
+    def test_unknown_config_field_is_a_400_naming_it(self):
+        # Dropped silently, the typo would run the default retire width.
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse({"configs": [
+                {"n_rob": 8, "issue_width": 2},
+                {"n_rob": 8, "issue_width": 2, "retire_widht": 1},
+            ]})
+        assert _status(excinfo) == 400
+        assert "unknown configs[1] field(s): ['retire_widht']" in \
+            str(excinfo.value)
+
     def test_unknown_method_and_criterion(self):
         with pytest.raises(ServiceError):
             SubmitRequest.parse({"grid": "4x2", "method": "magic"})
@@ -97,6 +137,14 @@ class TestParseRejections:
             SubmitRequest.parse({"grid": "4x2", "bug": "not-an-object"})
         with pytest.raises(ServiceError):
             SubmitRequest.parse({"grid": "4x2", "bug": {"kind": "no-such"}})
+
+    @pytest.mark.parametrize("value", [0, False, [], ""])
+    def test_budgets_that_are_no_object_are_a_400(self, value):
+        # Only null means no budgets; a falsy value is still no object.
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse({"grid": "2x1", "budgets": value})
+        assert _status(excinfo) == 400
+        assert "budgets must be a JSON object" in str(excinfo.value)
 
     def test_bad_budget_field(self):
         with pytest.raises(ServiceError) as excinfo:
@@ -227,21 +275,21 @@ class TestParseRejections:
 class TestJobOptions:
     def test_budgets_never_leak_into_the_cache_key_options(self):
         job = Job.build(4, 2, max_conflicts=100, max_wall_seconds=1.0)
-        options = job_options(job, certify=False, analyze=False)
+        options = job_options(job, certify=False)
         assert "max_conflicts" not in options
         assert "max_wall_seconds" not in options
 
     def test_bug_fields_are_none_without_a_bug(self):
         job = Job.build(4, 2)
-        options = job_options(job, certify=False, analyze=False)
+        options = job_options(job, certify=False)
         assert options["bug_kind"] is None
         assert options["bug_entry"] is None
         assert options["bug_operand"] is None
 
-    def test_certify_and_analyze_matter(self):
+    def test_certify_matters(self):
         job = Job.build(4, 2)
-        plain = job_options(job, certify=False, analyze=False)
-        certified = job_options(job, certify=True, analyze=False)
+        plain = job_options(job, certify=False)
+        certified = job_options(job, certify=True)
         assert plain != certified
 
     def test_key_schema_is_stable_and_backend_free(self):
@@ -249,13 +297,30 @@ class TestJobOptions:
         # (config, these options, registry version) only.  How the CNF
         # is solved never appears here.
         job = Job.build(4, 2)
-        options = job_options(job, certify=True, analyze=True)
+        options = job_options(job, certify=True)
         assert sorted(options) == [
-            "analyze", "bug_entry", "bug_kind", "bug_operand",
+            "bug_entry", "bug_kind", "bug_operand",
             "certify", "criterion", "method",
         ]
         assert "sat_backend" not in options
         assert "incremental_sat" not in options
+
+    @pytest.mark.parametrize("certify, key", [
+        (True,
+         "f1dfa717e87bfe94f7c5636bd4dac0dbf5e64b38f3397518078d00bf1887bd1c"),
+        (False,
+         "c7707cc83a1c51f90132fc4ac93216fefaa7ab5f6d5fd88fb9a51898de202618"),
+    ])
+    def test_cache_keys_are_pinned(self, certify, key):
+        # Results cached by earlier builds stay reachable: the keys of
+        # requests that named no ``analyze`` switch never moved.
+        from repro.core.keys import canonical_key
+
+        job = Job.build(4, 2)
+        assert canonical_key(
+            job.config(), job_options(job, certify=certify),
+            registry_version="5r-6f868c6c16c8",
+        ) == key
 
 
 class TestFamilyField:
@@ -304,7 +369,7 @@ class TestFamilyField:
             keys.add(canonical_key(
                 {"n_rob": 4, "issue_width": 2, "retire_width": None,
                  "family": family},
-                job_options(job, certify=False, analyze=False),
+                job_options(job, certify=False),
                 registry_version="t",
             ))
         assert len(keys) == 4

@@ -372,6 +372,35 @@ class TestReattach:
         finally:
             manager2.stop()
 
+    def test_request_document_with_retired_analyze_reattaches(
+        self, tmp_path
+    ):
+        # Older builds wrote an ``analyze`` switch into every request.
+        import json
+        import os
+
+        manager1 = make_manager(tmp_path, CountingVerify())
+        session = manager1.submit(SubmitRequest.parse({"grid": "2x1"}))
+        path = os.path.join(session.directory, "request.json")
+        with open(path) as handle:
+            document = json.load(handle)
+        document["analyze"] = True
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+
+        verify2 = CountingVerify()
+        manager2 = make_manager(tmp_path, verify2)
+        assert manager2.reattach() == [session.session_id]
+        manager2.start()
+        try:
+            revived = wait_done(manager2, manager2.get(session.session_id))
+            assert revived.state == "completed"
+            assert verify2.calls == [(2, 1, "rewriting")]
+            (view,) = revived.jobs.values()
+            assert view.result["status"] == "PROVED"
+        finally:
+            manager2.stop()
+
     def test_unreadable_request_document_is_skipped(self, tmp_path):
         manager1 = make_manager(tmp_path, CountingVerify())
         session = manager1.submit(SubmitRequest.parse({"grid": "2x1"}))
